@@ -8,6 +8,7 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .dataio import (
@@ -82,10 +83,7 @@ def _cmd_evaluate(args) -> int:
         if name in ("CS", "CSEA", "2CS", "2CSEA"):
             specs.append(MethodSpec(method=name, view=template.view))
         else:
-            specs.append(MethodSpec(method=name, view=template.view,
-                                    scaling=template.scaling, fusion=template.fusion,
-                                    propagation=template.propagation,
-                                    session_sigma=template.session_sigma))
+            specs.append(replace(template, method=name))
     seed = args.seed if args.seed is not None else cfg.seed
     report = evaluate_methods(households, specs, allow_skip=args.allow_skip)
     data = write_report(report, args.out, seed=seed, cfg_hash=cfg.hash(),

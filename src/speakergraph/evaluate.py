@@ -15,7 +15,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .baselines import run_2cs, run_2csea, run_cs, run_csea
-from .errors import ConfigurationError, StructuralError
+from .errors import ConfigurationError, SpeakerGraphError, StructuralError
 from .fusion import FusionRule, PowerMeanFusion, SingleView, fuse
 from .graph import (
     AffinityMatrix,
@@ -305,8 +305,10 @@ def evaluate(households: Sequence[HouseholdDataset], spec: MethodSpec,
              allow_skip: bool = False) -> MethodReport:
     """Run one method over every household and collect pooled counts.
 
-    Per-household failures abort the evaluation unless allow_skip is set,
+    Per-household failures (SpeakerGraphError, including a household with
+    no held-out utterances) abort the evaluation unless allow_skip is set,
     in which case they are recorded and excluded from the pooled counts.
+    Any other exception is a defect and always propagates.
     """
     if not households:
         raise StructuralError("no households to evaluate")
@@ -316,7 +318,10 @@ def evaluate(households: Sequence[HouseholdDataset], spec: MethodSpec,
         start = time.perf_counter()
         try:
             pred, truth = run_method(hh, spec)
-        except Exception as exc:
+            if truth.size == 0:
+                raise StructuralError(
+                    f"household {hh.household_id}: no held-out utterances to score")
+        except SpeakerGraphError as exc:
             if not allow_skip:
                 raise
             skipped.append((hh.household_id, f"{type(exc).__name__}: {exc}"))

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence, Union
 
 import numpy as np
+from scipy.linalg import lapack
 
 from .errors import ConfigurationError, StructuralError
 from .graph import (
@@ -101,14 +102,70 @@ def _power_floor(p: float) -> float:
     return 0.0 if p > 0 else NEG_POWER_EIG_FLOOR
 
 
+def _floor_free_spd_inverse(m: np.ndarray) -> np.ndarray | None:
+    """Cholesky inverse of m, or None when the eigenvalue floor could bind.
+
+    None means m is not numerically positive definite, or the inverse's
+    infinity norm exceeds 1/NEG_POWER_EIG_FLOOR. That norm bounds the
+    inverse's largest eigenvalue, so within it every eigenvalue of m is at
+    least the floor and flooring would have changed nothing.
+    """
+    factor, info = lapack.dpotrf(m)
+    if info != 0:
+        return None
+    inv, info = lapack.dpotri(factor, overwrite_c=True)
+    if info != 0:
+        return None
+    # dpotrf zeroed the strict lower triangle and dpotri fills only the upper
+    inv += np.triu(inv, 1).T
+    if not np.abs(inv).sum(axis=1).max() <= 1.0 / NEG_POWER_EIG_FLOOR:
+        return None
+    return inv
+
+
+def _harmonic_mean(mats: Sequence[np.ndarray]) -> np.ndarray | None:
+    """(mean_v M_v^{-1})^{-1} by Cholesky, or None when a floor could bind."""
+    acc = np.zeros_like(mats[0])
+    for m in mats:
+        inv = _floor_free_spd_inverse(m)
+        if inv is None:
+            return None
+        acc += inv
+    acc /= len(mats)
+    return _floor_free_spd_inverse(acc)
+
+
+def _floored_power_mean(mats: Sequence[np.ndarray], p: float) -> np.ndarray:
+    """Power mean by eigendecomposition, eigenvalues floored per _power_floor."""
+    if len(mats) == 1:
+        m = mats[0]
+        vals, vecs = np.linalg.eigh((m + m.T) / 2.0)
+        powered = np.maximum(vals, _power_floor(p)) ** p
+        back = np.maximum(powered, _power_floor(1.0 / p)) ** (1.0 / p)
+        return (vecs * back) @ vecs.T
+    acc = np.zeros_like(mats[0])
+    for m in mats:
+        acc += sym_matrix_power(m, p, floor=_power_floor(p))
+    return sym_matrix_power(acc / len(mats), 1.0 / p, floor=_power_floor(1.0 / p))
+
+
 def pml_fuse(laplacians: Sequence[LaplacianMatrix], p: float,
              shift: float = 0.0) -> LaplacianMatrix:
     """Matrix power mean of the given Laplacians with exponent p.
 
-    Eigenvalues are floored at NEG_POWER_EIG_FLOOR before negative powers.
-    A single input is handled in one eigendecomposition; re-decomposing its
-    own matrix power would destroy the small eigenvalues whenever the floor
-    inflates the null space by many orders of magnitude.
+    Inputs must be positive semidefinite, as every normalized Laplacian is,
+    so clamping eigenvalues at 0 for p > 0 only removes round-off.
+
+    p = 1 is the arithmetic mean plus shift*I and needs no decomposition.
+    p = -1 is the Cholesky inverse of the mean of the Cholesky inverses of
+    L_v + shift*I, taken whenever every factorization succeeds and every
+    inverse proves that no eigenvalue lies below NEG_POWER_EIG_FLOOR.
+    Every other p, and p = -1 when that proof fails (for instance shift=0,
+    where each L_v is singular), uses eigendecompositions with eigenvalues
+    floored at NEG_POWER_EIG_FLOOR before negative powers. A single input
+    is then handled in one eigendecomposition; re-decomposing its own matrix
+    power would destroy the small eigenvalues whenever the floor inflates
+    the null space by many orders of magnitude.
     """
     if not laplacians:
         raise ConfigurationError("pml_fuse needs at least one Laplacian")
@@ -122,20 +179,16 @@ def pml_fuse(laplacians: Sequence[LaplacianMatrix], p: float,
             raise StructuralError(f"laplacian size mismatch: {lap.n} != {n}")
 
     eye = np.eye(n)
-    if len(laplacians) == 1:
-        m = laplacians[0].l + shift * eye
-        vals, vecs = np.linalg.eigh((m + m.T) / 2.0)
-        powered = np.maximum(vals, _power_floor(p)) ** p
-        back = np.maximum(powered, _power_floor(1.0 / p)) ** (1.0 / p)
-        fused = (vecs * back) @ vecs.T
-    else:
-        acc = np.zeros((n, n))
-        for lap in laplacians:
-            acc += sym_matrix_power(lap.l + shift * eye, p, floor=_power_floor(p))
-        mean = acc / len(laplacians)
-        fused = sym_matrix_power(mean, 1.0 / p, floor=_power_floor(1.0 / p))
+    shifted = [lap.l + shift * eye for lap in laplacians]
+    fused = None
+    if p == 1:
+        fused = sum(shifted) / len(shifted)
+    elif p == -1:
+        fused = _harmonic_mean(shifted)
+    if fused is None:
+        fused = _floored_power_mean(shifted, p)
     fused = (fused + fused.T) / 2.0
-    return LaplacianMatrix(l=fused, provenance="fused", complement=eye - fused)
+    return LaplacianMatrix(l=fused, complement=eye - fused)
 
 
 # ---------------------------------------------------------------------------

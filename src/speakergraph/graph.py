@@ -193,7 +193,6 @@ class LaplacianMatrix:
     """
 
     l: np.ndarray
-    provenance: str = "single_view"  # "single_view" | "fused"
     complement: np.ndarray = field(default=None, repr=False)
 
     def __post_init__(self):
@@ -312,7 +311,7 @@ def normalized_laplacian(w: AffinityMatrix) -> LaplacianMatrix:
     """Symmetric normalized Laplacian L = I - D^{-1/2} W D^{-1/2}."""
     s = propagation_operator(w)
     l = np.eye(w.n) - s
-    return LaplacianMatrix(l=l, provenance="single_view", complement=s)
+    return LaplacianMatrix(l=l, complement=s)
 
 
 def sym_matrix_power(m: np.ndarray, p: float, floor: float = 0.0) -> np.ndarray:

@@ -1,6 +1,7 @@
 """JSONL round-trips, strict configs, report rendering, CLI contract."""
 
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -255,6 +256,38 @@ class TestCli:
         golden = json.loads((DATA_DIR / "golden_report.json").read_text())
         cs_gold = [m for m in golden["methods"] if m["method"] == "CS"][0]
         assert got["methods"][0]["overall"] == cs_gold["overall"]
+
+    def test_evaluate_honours_unit_normalize(self, tmp_path):
+        plain_cfg = self.run_config_file(tmp_path)
+        cfg = json.loads(plain_cfg.read_text())
+        cfg["method"]["unit_normalize"] = True
+        norm_cfg = tmp_path / "norm.json"
+        norm_cfg.write_text(json.dumps(cfg))
+        out = tmp_path / "sim"
+        main(["simulate", "--config", str(plain_cfg), "--out", str(out)])
+        reports = {}
+        for name, path in (("plain", plain_cfg), ("norm", norm_cfg)):
+            report_path = tmp_path / f"report-{name}.json"
+            assert main(["evaluate", "--data", str(out / "val.jsonl"),
+                         "--config", str(path), "--method", "LP,2LP",
+                         "--out", str(report_path)]) == 0
+            reports[name] = json.loads(report_path.read_text())["methods"]
+        spec = RunConfig.load(norm_cfg).method
+        expected = evaluate_methods(load_dataset(out / "val.jsonl"),
+                                    [replace(spec, method=m) for m in ("LP", "2LP")])
+        assert reports["norm"] == report_to_dict(expected, 0, "")["methods"]
+        assert all(m["spec"]["unit_normalize"] for m in reports["norm"])
+        assert reports["norm"] != reports["plain"]
+
+    def test_household_without_heldout_exits_2(self, tmp_path, capsys):
+        _, households = golden_households()
+        empty = households[0]
+        empty.utterances = [u for u in empty.utterances if u.role != "heldout"]
+        data = tmp_path / "val.jsonl"
+        save_dataset(households, data)
+        assert main(["evaluate", "--data", str(data), "--method", "CS",
+                     "--out", str(tmp_path / "r.json")]) == 2
+        assert empty.household_id in capsys.readouterr().err
 
     def test_report_formats(self, tmp_path, capsys):
         report = DATA_DIR / "golden_report.json"

@@ -1,5 +1,7 @@
 """SIER arithmetic, evaluation reports, and sweeps."""
 
+import importlib
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from speakergraph import (
     ConfigurationError,
     LocalScaling,
     MethodSpec,
+    NumericalError,
     PowerMeanFusion,
     SimulationConfig,
     SingleView,
@@ -146,6 +149,38 @@ class TestEvaluate:
                 u.speaker = None
         with pytest.raises(StructuralError):
             evaluate(val[:1], MethodSpec(method="CS"))
+
+    def test_household_without_heldout_is_structural_error(self):
+        _, val = tiny_dataset()
+        empty = val[1]
+        empty.utterances = [u for u in empty.utterances if u.role != "heldout"]
+        with pytest.raises(StructuralError, match=empty.household_id):
+            evaluate(val, MethodSpec(method="CS"))
+        report = evaluate(val, MethodSpec(method="CS"), allow_skip=True)
+        assert [hid for hid, _ in report.skipped] == [empty.household_id]
+        assert all(h.heldout > 0 for h in report.households)
+
+    def test_allow_skip_lets_defects_propagate(self, monkeypatch):
+        # the package re-exports the evaluate function under the module's name
+        evaluate_module = importlib.import_module("speakergraph.evaluate")
+        _, val = tiny_dataset()
+        original = evaluate_module.run_method
+
+        def fail_first_with(exc):
+            def run_method(hh, spec):
+                if hh is val[0]:
+                    raise exc
+                return original(hh, spec)
+            monkeypatch.setattr(evaluate_module, "run_method", run_method)
+
+        fail_first_with(TypeError("programming error"))
+        with pytest.raises(TypeError):
+            evaluate(val, MethodSpec(method="CS"), allow_skip=True)
+        fail_first_with(NumericalError("ill-conditioned"))
+        report = evaluate(val, MethodSpec(method="CS"), allow_skip=True)
+        assert report.skipped == [(val[0].household_id,
+                                   "NumericalError: ill-conditioned")]
+        assert len(report.households) == len(val) - 1
 
 
 class TestSweep:

@@ -1,9 +1,13 @@
 """Edge-pool and power-mean fusion."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from speakergraph import (
     AffinityMatrix,
@@ -20,7 +24,9 @@ from speakergraph import (
     fuse,
     normalized_laplacian,
     pml_fuse,
+    sym_matrix_power,
 )
+from speakergraph.graph import NEG_POWER_EIG_FLOOR
 
 P_GRID = (-5.0, -2.0, -1.0, 1.0, 2.0, 5.0)
 
@@ -198,3 +204,103 @@ class TestFuseAndSubgraph:
                                pml_p=1.0, pml_shift=0.0)
         with pytest.raises(ConfigurationError):
             stripped.subgraph(np.arange(4))
+
+
+# ---------------------------------------------------------------------------
+# Closed forms for p = +-1 against the floored eigendecomposition
+# ---------------------------------------------------------------------------
+
+PROPERTY = settings(max_examples=80, deadline=None, derandomize=True)
+# Shifts near NEG_POWER_EIG_FLOOR are where the p = -1 closed form must
+# hand over to the floored eigendecomposition.
+SHIFTS = st.floats(0.0, 5.0) | st.floats(0.0, 1e-7)
+# Absent edges plus weights far enough from underflow that degrees stay normal.
+WEIGHTS = st.just(0.0) | st.floats(1e-3, 1.0)
+
+
+@st.composite
+def laplacian_sets(draw):
+    """1-3 normalized Laplacians of one random graph size n in [3, 20]."""
+    n = draw(st.integers(3, 20))
+    laps = []
+    for _ in range(draw(st.integers(1, 3))):
+        upper = np.triu(draw(hnp.arrays(float, (n, n), elements=WEIGHTS)), 1)
+        w = upper + upper.T
+        # link each isolated node to its successor so every degree is positive
+        lonely = np.flatnonzero(w.sum(axis=1) == 0.0)
+        w[lonely, (lonely + 1) % n] = w[(lonely + 1) % n, lonely] = 1.0
+        laps.append(normalized_laplacian(AffinityMatrix(w)))
+    return laps
+
+
+def floored_reference(laps, p, shift):
+    """The power mean through floored eigendecompositions only."""
+    def floor(q):
+        return 0.0 if q > 0 else NEG_POWER_EIG_FLOOR
+
+    shifted = [lap.l + shift * np.eye(lap.n) for lap in laps]
+    if len(shifted) == 1:
+        m = shifted[0]
+        vals, vecs = np.linalg.eigh((m + m.T) / 2.0)
+        back = np.maximum(np.maximum(vals, floor(p)) ** p, floor(1.0 / p)) ** (1.0 / p)
+        fused = (vecs * back) @ vecs.T
+    else:
+        acc = np.zeros_like(shifted[0])
+        for m in shifted:
+            acc += sym_matrix_power(m, p, floor=floor(p))
+        fused = sym_matrix_power(acc / len(shifted), 1.0 / p, floor=floor(1.0 / p))
+    return (fused + fused.T) / 2.0
+
+
+def fuse_counting_eigh(laps, p, shift):
+    with mock.patch.object(np.linalg, "eigh", wraps=np.linalg.eigh) as eigh:
+        fused = pml_fuse(laps, p, shift)
+    return fused.l, eigh.call_count
+
+
+def agreement_tolerance(shift):
+    # Both routes carry a forward error of order eps * cond(L_v + shift*I),
+    # and a normalized Laplacian's spectrum lies in [0, 2]. From shift ~1e-3
+    # up this is the flat 1e-10.
+    if shift == 0.0:
+        return 1e-10
+    return max(1e-10, 100 * np.finfo(float).eps * (2.0 + shift) / shift)
+
+
+class TestClosedForms:
+    @PROPERTY
+    @given(laps=laplacian_sets(), shift=SHIFTS)
+    def test_arithmetic_mean_needs_no_decomposition(self, laps, shift):
+        fused, eigh_calls = fuse_counting_eigh(laps, 1.0, shift)
+        assert eigh_calls == 0
+        assert np.abs(fused - floored_reference(laps, 1.0, shift)).max() < 1e-10
+
+    @PROPERTY
+    @given(laps=laplacian_sets(), shift=SHIFTS)
+    def test_harmonic_mean_matches_floored_reference(self, laps, shift):
+        fused, eigh_calls = fuse_counting_eigh(laps, -1.0, shift)
+        if shift >= 1e-6:
+            # every eigenvalue of L_v + shift*I is >= shift, so the
+            # Cholesky inverses' infinity norms stay below sqrt(n)/shift
+            assert eigh_calls == 0
+        reference = floored_reference(laps, -1.0, shift)
+        assert np.abs(fused - reference).max() < agreement_tolerance(shift)
+
+    @PROPERTY
+    @given(laps=laplacian_sets(),
+           shift=st.just(0.0) | st.floats(0.0, NEG_POWER_EIG_FLOOR / 2))
+    def test_binding_floor_keeps_floored_result(self, laps, shift):
+        smallest = min(np.linalg.eigvalsh(lap.l + shift * np.eye(lap.n)).min()
+                       for lap in laps)
+        assume(smallest < NEG_POWER_EIG_FLOOR / 2)
+        fused, eigh_calls = fuse_counting_eigh(laps, -1.0, shift)
+        assert eigh_calls > 0
+        assert np.array_equal(fused, floored_reference(laps, -1.0, shift))
+
+    def test_indefinite_input_falls_back(self):
+        # not PSD, so the Cholesky factorization fails and eigh floors the
+        # negative eigenvalue instead
+        lap = LaplacianMatrix(np.diag([-1.0, 2.0]))
+        fused, eigh_calls = fuse_counting_eigh([lap], -1.0, 0.5)
+        assert eigh_calls == 1
+        assert np.allclose(fused, np.diag([NEG_POWER_EIG_FLOOR, 2.5]))
