@@ -1,12 +1,8 @@
 """Household-scoped speaker label inference over multi-view affinity graphs."""
 
 from .baselines import (
-    BaselinePrediction,
-    SpeakerProfile,
-    build_profiles,
+    PredictionResult,
     cosine_matrix,
-    cs_score,
-    csea_score,
     run_2cs,
     run_2csea,
     run_cs,
@@ -24,7 +20,6 @@ from .evaluate import (
     MethodReport,
     MethodSpec,
     SweepResult,
-    build_household_graph,
     evaluate,
     evaluate_methods,
     micro_average,
@@ -51,7 +46,6 @@ from .graph import (
     LocalScaling,
     UniversalScaling,
     affinity,
-    knn_mean_distance,
     normalized_laplacian,
     pairwise_distances,
     propagation_operator,
@@ -60,7 +54,6 @@ from .graph import (
 from .propagation import (
     ABSTAIN,
     HouseholdGraph,
-    PredictionResult,
     PropagationConfig,
     class_normalize,
     init_label_matrix,

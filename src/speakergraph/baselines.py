@@ -8,31 +8,25 @@ same method and then re-score with labels and pseudo-labels together.
 
 import warnings
 from dataclasses import dataclass
-from typing import Sequence
-
 import numpy as np
 
 from .errors import DegeneracyWarning, StructuralError
 
 
 @dataclass(frozen=True)
-class SpeakerProfile:
-    """Per-class mean embedding and how many utterances contributed."""
+class PredictionResult:
+    """Hard labels from a score matrix, with tie/abstain diagnostics.
 
-    class_index: int
-    mean_embedding: np.ndarray
-    support_count: int
+    ``scores`` holds the rows the labels were read from; label propagation
+    marks abstaining rows with -1.
+    """
 
-    def __post_init__(self):
-        if self.support_count < 1:
-            raise StructuralError("profile needs at least one supporting utterance")
-
-
-@dataclass(frozen=True)
-class BaselinePrediction:
     labels: np.ndarray
     scores: np.ndarray
     ties: tuple[int, ...] = ()
+    abstains: tuple[int, ...] = ()
+    converged: bool = True
+    iterations: int = 0
 
 
 def _normalize_rows(x: np.ndarray, warn: bool = True) -> np.ndarray:
@@ -54,41 +48,36 @@ def cosine_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return _normalize_rows(a) @ _normalize_rows(b).T
 
 
-def _argmax_with_ties(scores: np.ndarray) -> BaselinePrediction:
+def _argmax_with_ties(scores: np.ndarray) -> PredictionResult:
+    """Per-row argmax with lowest-index tie-break; rows with a tied maximum
+    are flagged."""
     labels = np.argmax(scores, axis=1)
     row_max = scores.max(axis=1)
     ties = tuple(np.flatnonzero(
         (scores == row_max[:, None]).sum(axis=1) > 1).tolist())
-    return BaselinePrediction(labels=labels, scores=scores, ties=ties)
+    return PredictionResult(labels=labels, scores=scores, ties=ties)
 
 
-def cs_score(embedding: np.ndarray,
-             class_embeddings: Sequence[np.ndarray]) -> np.ndarray:
-    """Per-class mean cosine similarity of one utterance to each class's pool."""
-    emb = np.asarray(embedding, dtype=float)[None, :]
-    return np.array([cosine_matrix(emb, np.atleast_2d(group)).mean()
-                     for group in class_embeddings])
+def _class_mean_scores(embeddings: np.ndarray, classes: np.ndarray,
+                       queries: np.ndarray, class_count: int) -> np.ndarray:
+    """Cosine of each query to each class's mean embedding.
 
-
-def csea_score(embedding: np.ndarray,
-               profiles: Sequence[SpeakerProfile]) -> np.ndarray:
-    """Cosine similarity of one utterance to each class's mean embedding."""
-    means = np.vstack([p.mean_embedding for p in profiles])
-    return cosine_matrix(np.asarray(embedding, dtype=float)[None, :], means)[0]
-
-
-def build_profiles(embeddings: np.ndarray, classes: np.ndarray,
-                   class_count: int) -> list[SpeakerProfile]:
-    classes = np.asarray(classes, dtype=int)
-    profiles = []
+    A class without members scores -inf for every query, with a warning.
+    """
+    means = np.zeros((class_count, embeddings.shape[1]))
+    empty = []
     for c in range(class_count):
         members = embeddings[classes == c]
         if members.shape[0] == 0:
-            raise StructuralError(f"class {c} has no utterances to average")
-        profiles.append(SpeakerProfile(class_index=c,
-                                       mean_embedding=members.mean(axis=0),
-                                       support_count=members.shape[0]))
-    return profiles
+            empty.append(c)
+        else:
+            means[c] = members.mean(axis=0)
+    if empty:
+        warnings.warn(f"classes {empty} have no members; skipped in scoring",
+                      DegeneracyWarning, stacklevel=3)
+    scores = cosine_matrix(queries, means)
+    scores[:, empty] = -np.inf
+    return scores
 
 
 def _check_inputs(labeled: np.ndarray, classes: np.ndarray, class_count: int):
@@ -101,7 +90,7 @@ def _check_inputs(labeled: np.ndarray, classes: np.ndarray, class_count: int):
 
 
 def run_cs(labeled: np.ndarray, classes: np.ndarray, heldout: np.ndarray,
-           class_count: int) -> BaselinePrediction:
+           class_count: int) -> PredictionResult:
     """CS: average cosine against each class's labeled utterances."""
     labeled = np.asarray(labeled, dtype=float)
     classes = np.asarray(classes, dtype=int)
@@ -113,14 +102,12 @@ def run_cs(labeled: np.ndarray, classes: np.ndarray, heldout: np.ndarray,
 
 
 def run_csea(labeled: np.ndarray, classes: np.ndarray, heldout: np.ndarray,
-             class_count: int) -> BaselinePrediction:
+             class_count: int) -> PredictionResult:
     """CSEA: cosine against per-class mean embeddings."""
     labeled = np.asarray(labeled, dtype=float)
     classes = np.asarray(classes, dtype=int)
     _check_inputs(labeled, classes, class_count)
-    profiles = build_profiles(labeled, classes, class_count)
-    means = np.vstack([p.mean_embedding for p in profiles])
-    return _argmax_with_ties(cosine_matrix(np.atleast_2d(heldout), means))
+    return _argmax_with_ties(_class_mean_scores(labeled, classes, heldout, class_count))
 
 
 def _two_step(scorer, labeled, classes, unlabeled, heldout, class_count):
@@ -135,11 +122,11 @@ def _two_step(scorer, labeled, classes, unlabeled, heldout, class_count):
     return scorer(ext_emb, ext_cls, heldout, class_count)
 
 
-def run_2cs(labeled, classes, unlabeled, heldout, class_count) -> BaselinePrediction:
+def run_2cs(labeled, classes, unlabeled, heldout, class_count) -> PredictionResult:
     """2-step CS: pseudo-label the unlabeled pool with CS, then re-score."""
     return _two_step(run_cs, labeled, classes, unlabeled, heldout, class_count)
 
 
-def run_2csea(labeled, classes, unlabeled, heldout, class_count) -> BaselinePrediction:
+def run_2csea(labeled, classes, unlabeled, heldout, class_count) -> PredictionResult:
     """2-step CSEA: pseudo-label with CSEA, then re-average the profiles."""
     return _two_step(run_csea, labeled, classes, unlabeled, heldout, class_count)

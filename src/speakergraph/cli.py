@@ -54,9 +54,9 @@ def _cmd_simulate(args) -> int:
             **{**{f: getattr(cfg.simulation, f)
                   for f in SimulationConfig.__dataclass_fields__},
                "seed": args.seed})
+    dev, val = generate_dataset(cfg.simulation, seed=cfg.simulation.seed)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    dev, val = generate_dataset(cfg.simulation, seed=cfg.simulation.seed)
     save_dataset(dev, out_dir / "dev.jsonl")
     save_dataset(val, out_dir / "val.jsonl")
     counts = {}
@@ -179,7 +179,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="infile", required=True, help="report JSON")
     p.add_argument("--format", choices=("csv", "json", "md"), default="md")
     p.add_argument("--out", help="write to file instead of stdout")
-    p.add_argument("--seed", type=int, help="accepted for interface symmetry")
     p.set_defaults(func=_cmd_report)
     return parser
 

@@ -115,16 +115,17 @@ def load_dataset(path: str | Path) -> list[HouseholdDataset]:
                         f"view {name!r} of {record.utt_id!r} has dimension "
                         f"{vec.shape[0]}, expected {dims[name]}")
             by_household.setdefault(record.household_id, []).append(record)
-            groups.setdefault(record.household_id, group)
+            first = groups.setdefault(record.household_id, group)
+            if group != first:
+                raise StructuralError(
+                    f"line {line_no}: household {record.household_id!r} is in group "
+                    f"{first!r} and {group!r}")
     if not by_household:
         raise StructuralError(f"{path}: no households found")
     households = []
     for hid in sorted(by_household):
-        records = by_household[hid]
-        cohorts = {r.cohort for r in records}
-        hh = HouseholdDataset(
-            household_id=hid, group=groups[hid], utterances=records,
-            cohort=cohorts.pop() if len(cohorts) == 1 else None)
+        hh = HouseholdDataset(household_id=hid, group=groups[hid],
+                              utterances=by_household[hid])
         hh.validate()
         households.append(hh)
     return households
@@ -251,12 +252,10 @@ class RunConfig:
 
     def __init__(self, seed: int = 0,
                  simulation: SimulationConfig | None = None,
-                 method: MethodSpec | None = None,
-                 raw: dict | None = None):
+                 method: MethodSpec | None = None):
         self.seed = seed
         self.simulation = simulation
         self.method = method
-        self.raw = raw if raw is not None else self.to_dict()
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "RunConfig":
@@ -268,8 +267,7 @@ class RunConfig:
         method = data.get("method")
         return cls(seed=int(data.get("seed", 0)),
                    simulation=None if sim is None else simulation_from_dict(sim),
-                   method=None if method is None else method_from_dict(method),
-                   raw=dict(data))
+                   method=None if method is None else method_from_dict(method))
 
     @classmethod
     def load(cls, path: str | Path) -> "RunConfig":

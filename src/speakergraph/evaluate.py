@@ -14,7 +14,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .baselines import run_2cs, run_2csea, run_cs, run_csea
+from .baselines import PredictionResult, run_2cs, run_2csea, run_cs, run_csea
 from .errors import ConfigurationError, SpeakerGraphError, StructuralError
 from .fusion import FusionRule, PowerMeanFusion, SingleView, fuse
 from .graph import (
@@ -28,13 +28,12 @@ from .graph import (
 )
 from .propagation import (
     HouseholdGraph,
-    PredictionResult,
     PropagationConfig,
     run_2lp,
     run_2lpea,
     run_lp,
 )
-from .records import ROLE_ENROLLED, ROLE_HELDOUT, ROLE_UNLABELED, HouseholdDataset
+from .records import ROLE_ENROLLED, ROLE_UNLABELED, HouseholdDataset, UtteranceRecord
 
 SESSION_VIEW = "session"
 
@@ -104,14 +103,26 @@ class MethodSpec:
 # Per-household execution
 # ---------------------------------------------------------------------------
 
-def _ordered_arrays(hh: HouseholdDataset):
+@dataclass(frozen=True)
+class OrderedHousehold:
+    """A household's records in graph node order (enrolled, unlabeled,
+    held-out), with class indices for the enrolled and held-out records."""
+
+    group: str
+    records: list[UtteranceRecord]
+    labels: np.ndarray
+    truth: np.ndarray
+    class_count: int
+    n_unlabeled: int
+
+
+def _ordered_arrays(hh: HouseholdDataset) -> OrderedHousehold:
     records = hh.ordered()
     speakers = hh.speakers
     class_of = {spk: i for i, spk in enumerate(speakers)}
     roles = [r.role for r in records]
     l = roles.count(ROLE_ENROLLED)
     u = roles.count(ROLE_UNLABELED)
-    h = roles.count(ROLE_HELDOUT)
     labels = np.array([class_of[r.speaker] for r in records[:l]], dtype=int)
     truth = []
     for r in records[l + u:]:
@@ -121,7 +132,9 @@ def _ordered_arrays(hh: HouseholdDataset):
             raise StructuralError(
                 f"{r.utt_id}: speaker {r.speaker!r} has zero enrolled utterances")
         truth.append(class_of[r.speaker])
-    return records, labels, np.array(truth, dtype=int), len(speakers), l, u, h
+    return OrderedHousehold(group=hh.group, records=records, labels=labels,
+                            truth=np.array(truth, dtype=int),
+                            class_count=len(speakers), n_unlabeled=u)
 
 
 def _view_matrix(records, name: str) -> np.ndarray:
@@ -145,7 +158,7 @@ def _build_view(records, name: str, unit_normalize: bool = False) -> EmbeddingVi
     return EmbeddingView.from_vectors(name, matrix)
 
 
-def build_household_graph(hh: HouseholdDataset, spec: MethodSpec) -> HouseholdGraph:
+def build_household_graph(ordered: OrderedHousehold, spec: MethodSpec) -> HouseholdGraph:
     """Per-view affinities under the spec's scaling, fused per the spec's rule.
 
     Session views always use a universal bandwidth (spec.session_sigma);
@@ -153,27 +166,23 @@ def build_household_graph(hh: HouseholdDataset, spec: MethodSpec) -> HouseholdGr
     """
     if spec.fusion is None:
         raise ConfigurationError("graph construction needs a fusion rule")
-    records, labels, _, class_count, _, u, h = _ordered_arrays(hh)
-    names = ([spec.fusion.view_name] if isinstance(spec.fusion, SingleView)
-             else list(spec.fusion.view_names))
     affinities: dict[str, AffinityMatrix] = {}
-    for name in names:
-        view = _build_view(records, name, unit_normalize=spec.unit_normalize)
+    for name in spec.fusion.view_names:
+        view = _build_view(ordered.records, name, unit_normalize=spec.unit_normalize)
         if view.is_session_view:
             affinities[name] = affinity(view, UniversalScaling(spec.session_sigma))
         else:
-            affinities[name] = affinity(view, spec.scaling, cohort_id=hh.group)
+            affinities[name] = affinity(view, spec.scaling, cohort_id=ordered.group)
     fused = fuse(affinities, spec.fusion)
-    return HouseholdGraph(fused=fused, labels=labels, n_unlabeled=u,
-                          n_heldout=h, class_count=class_count)
+    return HouseholdGraph(fused=fused, labels=ordered.labels,
+                          n_unlabeled=ordered.n_unlabeled,
+                          n_heldout=ordered.truth.size, class_count=ordered.class_count)
 
 
 def primary_view_name(spec: MethodSpec) -> str:
     if spec.is_baseline or spec.fusion is None:
         return spec.view
-    names = ([spec.fusion.view_name] if isinstance(spec.fusion, SingleView)
-             else list(spec.fusion.view_names))
-    for name in names:
+    for name in spec.fusion.view_names:
         if name != SESSION_VIEW:
             return name
     raise ConfigurationError("no vector view available (session-only graph)")
@@ -181,25 +190,26 @@ def primary_view_name(spec: MethodSpec) -> str:
 
 def run_method(hh: HouseholdDataset, spec: MethodSpec) -> tuple[PredictionResult, np.ndarray]:
     """Predictions for the household's held-out utterances, plus ground truth."""
-    records, labels, truth, class_count, l, u, h = _ordered_arrays(hh)
+    ordered = _ordered_arrays(hh)
     if spec.is_baseline:
-        emb = _view_matrix(records, spec.view)
+        emb = _view_matrix(ordered.records, spec.view)
+        l, u = ordered.labels.size, ordered.n_unlabeled
         labeled, unlabeled, heldout = emb[:l], emb[l:l + u], emb[l + u:]
         runner = {"CS": run_cs, "CSEA": run_csea}.get(spec.method)
         if runner is not None:
-            out = runner(labeled, labels, heldout, class_count)
+            out = runner(labeled, ordered.labels, heldout, ordered.class_count)
         else:
             runner = {"2CS": run_2cs, "2CSEA": run_2csea}[spec.method]
-            out = runner(labeled, labels, unlabeled, heldout, class_count)
-        return PredictionResult(labels=out.labels, ties=out.ties), truth
+            out = runner(labeled, ordered.labels, unlabeled, heldout, ordered.class_count)
+        return out, ordered.truth
 
-    graph = build_household_graph(hh, spec)
+    graph = build_household_graph(ordered, spec)
     if spec.method == "LP":
-        return run_lp(graph, spec.propagation), truth
+        return run_lp(graph, spec.propagation), ordered.truth
     if spec.method == "2LP":
-        return run_2lp(graph, spec.propagation), truth
-    emb = _view_matrix(records, primary_view_name(spec))
-    return run_2lpea(graph, emb, spec.propagation), truth
+        return run_2lp(graph, spec.propagation), ordered.truth
+    emb = _view_matrix(ordered.records, primary_view_name(spec))
+    return run_2lpea(graph, emb, spec.propagation), ordered.truth
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ where p interpolates between min-like (p << 0), harmonic (p = -1),
 arithmetic (p = 1) and max-like (p >> 0) pooling of the view spectra.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence, Union
@@ -35,6 +36,10 @@ from .graph import (
 @dataclass(frozen=True)
 class SingleView:
     view_name: str
+
+    @property
+    def view_names(self) -> tuple[str, ...]:
+        return (self.view_name,)
 
 
 @dataclass(frozen=True)
@@ -87,15 +92,16 @@ FusionRule = Union[SingleView, EdgePoolFusion, PowerMeanFusion]
 # Operations
 # ---------------------------------------------------------------------------
 
-def edgepool_fuse(matrices: Sequence[AffinityMatrix]) -> AffinityMatrix:
-    """Elementwise maximum across views; keeps symmetry and the zero diagonal."""
+def edgepool_fuse(matrices: Sequence[np.ndarray]) -> np.ndarray:
+    """Elementwise maximum across views' weights; keeps symmetry and the zero
+    diagonal. A single matrix is returned as it is."""
     if not matrices:
         raise ConfigurationError("edgepool_fuse needs at least one matrix")
-    n = matrices[0].n
+    n = matrices[0].shape[0]
     for m in matrices:
-        if m.n != n:
-            raise StructuralError(f"affinity size mismatch: {m.n} != {n}")
-    return AffinityMatrix(np.maximum.reduce([m.w for m in matrices]))
+        if m.shape[0] != n:
+            raise StructuralError(f"affinity size mismatch: {m.shape[0]} != {n}")
+    return functools.reduce(np.maximum, matrices)
 
 
 def _power_floor(p: float) -> float:
@@ -197,71 +203,45 @@ def pml_fuse(laplacians: Sequence[LaplacianMatrix], p: float,
 
 @dataclass(frozen=True)
 class FusedGraph:
-    """Fusion output plus the per-view affinities it was built from.
+    """Propagation operator S of a fusion rule, plus the per-view weights.
 
-    ``kind`` is "affinity" (single view, edge pool) or "laplacian" (power
-    mean). The per-view affinities are kept so that node subsets can be
-    re-fused: a submatrix of a fused Laplacian is not the Laplacian of the
-    subgraph, so subgraphs drop back to the affinity level and re-normalize.
+    ``view_weights`` hold the weight matrices of the rule's views, in the
+    rule's order, so that node subsets can be re-fused: a submatrix of S is
+    not the operator of the subgraph, which must be re-normalized.
     """
 
-    kind: str
-    matrix: np.ndarray
-    view_affinities: tuple[AffinityMatrix, ...] = ()
-    pml_p: float | None = None
-    pml_shift: float | None = None
-
-    def __post_init__(self):
-        if self.kind not in ("affinity", "laplacian"):
-            raise ConfigurationError(f"unknown fused-graph kind {self.kind!r}")
-        object.__setattr__(self, "view_affinities", tuple(self.view_affinities))
+    rule: FusionRule
+    view_weights: tuple[np.ndarray, ...]
+    operator: np.ndarray
 
     @property
     def node_count(self) -> int:
-        return self.matrix.shape[0]
+        return self.operator.shape[0]
 
     def propagation_matrix(self) -> np.ndarray:
         """S for label propagation: D^{-1/2} W D^{-1/2}, or I - L when fused."""
-        if self.kind == "affinity":
-            return propagation_operator(AffinityMatrix(self.matrix))
-        return np.eye(self.node_count) - self.matrix
+        return self.operator
 
     def subgraph(self, indices: np.ndarray) -> "FusedGraph":
-        idx = np.asarray(indices, dtype=int)
-        if not self.view_affinities:
-            if self.kind == "affinity":
-                return FusedGraph(kind="affinity",
-                                  matrix=AffinityMatrix(self.matrix).submatrix(idx).w)
-            raise ConfigurationError(
-                "subgraph of a fused Laplacian requires per-view affinities")
-        subs = [aff.submatrix(idx) for aff in self.view_affinities]
-        if self.kind == "affinity":
-            return FusedGraph(kind="affinity", matrix=edgepool_fuse(subs).w,
-                              view_affinities=subs)
-        fused = pml_fuse([normalized_laplacian(w) for w in subs],
-                         self.pml_p, self.pml_shift)
-        return FusedGraph(kind="laplacian", matrix=fused.l, view_affinities=subs,
-                          pml_p=self.pml_p, pml_shift=self.pml_shift)
+        """The rule applied to the per-view principal submatrices on indices."""
+        idx = np.ix_(indices, indices)
+        return _fuse_weights([w[idx] for w in self.view_weights], self.rule)
+
+
+def _fuse_weights(weights: list[np.ndarray], rule: FusionRule) -> FusedGraph:
+    if isinstance(rule, PowerMeanFusion):
+        laplacians = [normalized_laplacian(w) for w in weights]
+        s = pml_fuse(laplacians, rule.p, rule.effective_shift).complement
+    else:
+        s = propagation_operator(edgepool_fuse(weights))
+    return FusedGraph(rule=rule, view_weights=tuple(weights), operator=s)
 
 
 def fuse(affinities: Mapping[str, AffinityMatrix], rule: FusionRule) -> FusedGraph:
     """Apply a fusion rule to named per-view affinity matrices."""
-    def pick(name: str) -> AffinityMatrix:
+    if not isinstance(rule, (SingleView, EdgePoolFusion, PowerMeanFusion)):
+        raise ConfigurationError(f"unknown fusion rule {type(rule).__name__}")
+    for name in rule.view_names:
         if name not in affinities:
             raise ConfigurationError(f"fusion rule references unknown view {name!r}")
-        return affinities[name]
-
-    if isinstance(rule, SingleView):
-        w = pick(rule.view_name)
-        return FusedGraph(kind="affinity", matrix=w.w, view_affinities=(w,))
-    if isinstance(rule, EdgePoolFusion):
-        mats = [pick(name) for name in rule.view_names]
-        return FusedGraph(kind="affinity", matrix=edgepool_fuse(mats).w,
-                          view_affinities=mats)
-    if isinstance(rule, PowerMeanFusion):
-        mats = [pick(name) for name in rule.view_names]
-        shift = rule.effective_shift
-        fused = pml_fuse([normalized_laplacian(w) for w in mats], rule.p, shift)
-        return FusedGraph(kind="laplacian", matrix=fused.l, view_affinities=mats,
-                          pml_p=rule.p, pml_shift=shift)
-    raise ConfigurationError(f"unknown fusion rule {type(rule).__name__}")
+    return _fuse_weights([affinities[name].w for name in rule.view_names], rule)

@@ -179,10 +179,6 @@ class AffinityMatrix:
     def n(self) -> int:
         return self.w.shape[0]
 
-    def submatrix(self, indices: np.ndarray) -> "AffinityMatrix":
-        idx = np.asarray(indices, dtype=int)
-        return AffinityMatrix(self.w[np.ix_(idx, idx)])
-
 
 @dataclass(frozen=True)
 class LaplacianMatrix:
@@ -230,20 +226,6 @@ def pairwise_distances(view: EmbeddingView) -> np.ndarray:
     # squareform(pdist(...)) computes each pair once, so the result is
     # exactly symmetric by construction.
     return squareform(pdist(view.vectors, metric="euclidean"))
-
-
-def knn_mean_distance(dist: np.ndarray, i: int, k: int) -> float:
-    """Mean distance from node i to its k nearest neighbors (self excluded).
-
-    Floored at SIGMA_FLOOR so duplicate points cannot collapse the value
-    to zero.
-    """
-    n = dist.shape[0]
-    if not 1 <= k <= n - 1:
-        raise ConfigurationError(f"k must be in [1, {n - 1}], got {k}")
-    row = np.delete(dist[i], i)
-    smallest = np.sort(row)[:k]
-    return float(max(smallest.mean(), SIGMA_FLOOR))
 
 
 def _knn_row_means(dist: np.ndarray, k: int) -> np.ndarray:
@@ -297,20 +279,30 @@ def affinity(view: EmbeddingView, rule: ScalingRule,
     return AffinityMatrix(upper + upper.T)
 
 
-def propagation_operator(w: AffinityMatrix) -> np.ndarray:
-    """S = D^{-1/2} W D^{-1/2} with degree checks."""
-    degrees = w.w.sum(axis=1)
+def propagation_operator(w: np.ndarray) -> np.ndarray:
+    """S = D^{-1/2} W D^{-1/2} with degree checks.
+
+    ``w`` holds the weights of a valid affinity: an AffinityMatrix, or a
+    principal submatrix or elementwise maximum of such matrices.
+    """
+    degrees = w.sum(axis=1)
     bad = np.flatnonzero(degrees <= 0.0)
     if bad.size:
         raise StructuralError(f"node {bad[0]} has zero degree (disconnected)")
+    # A subnormal degree d makes 1/sqrt(d)^2 = 1/d overflow to inf, and the
+    # zero diagonal of W then turns the diagonal of S into nan.
+    bad = np.flatnonzero(degrees < np.finfo(float).tiny)
+    if bad.size:
+        raise NumericalError(
+            f"node {bad[0]} has subnormal degree {degrees[bad[0]]:.3e} (kernel underflow)")
     inv_sqrt = 1.0 / np.sqrt(degrees)
-    return w.w * np.outer(inv_sqrt, inv_sqrt)
+    return w * np.outer(inv_sqrt, inv_sqrt)
 
 
-def normalized_laplacian(w: AffinityMatrix) -> LaplacianMatrix:
-    """Symmetric normalized Laplacian L = I - D^{-1/2} W D^{-1/2}."""
+def normalized_laplacian(w: np.ndarray) -> LaplacianMatrix:
+    """Symmetric normalized Laplacian L = I - D^{-1/2} W D^{-1/2} of valid weights w."""
     s = propagation_operator(w)
-    l = np.eye(w.n) - s
+    l = np.eye(w.shape[0]) - s
     return LaplacianMatrix(l=l, complement=s)
 
 

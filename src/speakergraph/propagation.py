@@ -12,13 +12,12 @@ The fixed point with lam = alpha / (1 - alpha) minimizes
 objective on the graph.
 """
 
-import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .baselines import cosine_matrix
-from .errors import ConfigurationError, DegeneracyWarning, NumericalError, StructuralError
+from .baselines import PredictionResult, _argmax_with_ties, _class_mean_scores
+from .errors import ConfigurationError, NumericalError, StructuralError
 from .fusion import FusedGraph
 
 ABSTAIN = -1
@@ -113,17 +112,6 @@ class PropagationOutcome:
     iterations: int
 
 
-@dataclass(frozen=True)
-class PredictionResult:
-    """Hard labels with tie/abstain diagnostics (ABSTAIN = -1)."""
-
-    labels: np.ndarray
-    ties: tuple[int, ...] = ()
-    abstains: tuple[int, ...] = ()
-    converged: bool = True
-    iterations: int = 0
-
-
 def class_normalize(y0: np.ndarray) -> np.ndarray:
     """Divide each class column by its sum; all-zero columns stay zero."""
     y0 = np.asarray(y0, dtype=float).copy()
@@ -191,16 +179,13 @@ def propagate(graph: HouseholdGraph, y0: np.ndarray,
 
 
 def predict(y: np.ndarray, rows: slice | np.ndarray | None = None) -> PredictionResult:
-    """Per-row argmax with lowest-index tie-break; all-zero rows abstain."""
+    """The shared argmax/tie rule, except that all-zero rows abstain."""
     block = y if rows is None else y[rows]
-    labels = np.argmax(block, axis=1)
-    row_max = block.max(axis=1)
-    tie_mask = (block == row_max[:, None]).sum(axis=1) > 1
-    abstain_mask = np.all(block == 0.0, axis=1)
-    labels = np.where(abstain_mask, ABSTAIN, labels)
-    ties = tuple(np.flatnonzero(tie_mask & ~abstain_mask).tolist())
-    abstains = tuple(np.flatnonzero(abstain_mask).tolist())
-    return PredictionResult(labels=labels, ties=ties, abstains=abstains)
+    pred = _argmax_with_ties(block)
+    abstain = np.all(block == 0.0, axis=1)
+    return replace(pred, labels=np.where(abstain, ABSTAIN, pred.labels),
+                   ties=tuple(i for i in pred.ties if not abstain[i]),
+                   abstains=tuple(np.flatnonzero(abstain).tolist()))
 
 
 def run_lp(graph: HouseholdGraph, cfg: PropagationConfig) -> PredictionResult:
@@ -258,33 +243,8 @@ def run_2lpea(graph: HouseholdGraph, embeddings: np.ndarray,
         pseudo = np.zeros(0, dtype=int)
         converged, iterations = True, 0
 
-    core_labels = np.concatenate([graph.labels, pseudo])
-    core_emb = embeddings[: graph.n_labeled + graph.n_unlabeled]
-    heldout_emb = embeddings[graph.heldout_slice]
-
-    means = np.zeros((graph.class_count, embeddings.shape[1]))
-    empty = []
-    for c in range(graph.class_count):
-        members = core_emb[core_labels == c]
-        if members.shape[0] == 0:
-            empty.append(c)
-        else:
-            means[c] = members.mean(axis=0)
-    if empty:
-        warnings.warn(f"classes {empty} empty after step 1; skipped in scoring",
-                      DegeneracyWarning, stacklevel=2)
-
-    scores = cosine_matrix(heldout_emb, means)
-    if empty:
-        scores[:, empty] = -np.inf
-    pred = predict_scores(scores)
+    core = graph.n_labeled + graph.n_unlabeled
+    scores = _class_mean_scores(embeddings[:core], np.concatenate([graph.labels, pseudo]),
+                                embeddings[graph.heldout_slice], graph.class_count)
+    pred = _argmax_with_ties(scores)
     return replace(pred, converged=converged, iterations=iterations)
-
-
-def predict_scores(scores: np.ndarray) -> PredictionResult:
-    """Argmax over a plain score matrix (no abstain; ties flagged)."""
-    labels = np.argmax(scores, axis=1)
-    row_max = scores.max(axis=1)
-    ties = tuple(np.flatnonzero(
-        (scores == row_max[:, None]).sum(axis=1) > 1).tolist())
-    return PredictionResult(labels=labels, ties=ties)

@@ -47,7 +47,6 @@ class HouseholdDataset:
     household_id: str
     group: str
     utterances: list[UtteranceRecord]
-    cohort: str | None = None
 
     def by_role(self, role: str) -> list[UtteranceRecord]:
         return [u for u in self.utterances if u.role == role]

@@ -343,9 +343,6 @@ def _build_household(pool: SpeakerPool, member_idx: list[int], household_id: str
                       replace=False)
     unlabeled = {leftover_keys[i] for i in pick}
 
-    cohorts = {spk.cohort for spk in members}
-    household_cohort = cohorts.pop() if len(cohorts) == 1 else None
-
     records = []
     for role in (ROLE_ENROLLED, ROLE_UNLABELED, ROLE_HELDOUT):
         for si, spk in enumerate(members):
@@ -363,7 +360,7 @@ def _build_household(pool: SpeakerPool, member_idx: list[int], household_id: str
                     cohort=spk.cohort,
                     views={VOICE_VIEW: spk.voice[j], FACE_VIEW: spk.face[j]}))
     household = HouseholdDataset(household_id=household_id, group=group,
-                                 utterances=records, cohort=household_cohort)
+                                 utterances=records)
     household.validate()
     return household
 
@@ -388,7 +385,11 @@ def generate_group(cfg: SimulationConfig, group: str,
 
 def split_dev_val(households: list[HouseholdDataset], cfg: SimulationConfig,
                   seed: int) -> tuple[list[HouseholdDataset], list[HouseholdDataset]]:
-    """Per-group seeded shuffle, then split at the configured dev:val ratio."""
+    """Per-group seeded shuffle, then split at the configured dev:val ratio.
+
+    Each split needs at least one household of every group, so a group with
+    fewer than two households is a configuration error.
+    """
     dev: list[HouseholdDataset] = []
     val: list[HouseholdDataset] = []
     groups: dict[str, list[HouseholdDataset]] = {}
@@ -396,10 +397,14 @@ def split_dev_val(households: list[HouseholdDataset], cfg: SimulationConfig,
         groups.setdefault(hh.group, []).append(hh)
     d, v = cfg.dev_val_ratio
     for group in sorted(groups):
-        rng = np.random.default_rng(mix64(seed, _text_seed(f"split-{group}")))
         items = groups[group]
+        if len(items) < 2:
+            raise ConfigurationError(
+                f"group {group!r} has {len(items)} household(s); the dev/val "
+                f"split needs at least 2")
+        rng = np.random.default_rng(mix64(seed, _text_seed(f"split-{group}")))
         order = rng.permutation(len(items))
-        n_dev = max(1, (len(items) * d) // (d + v)) if len(items) > 1 else len(items)
+        n_dev = max(1, (len(items) * d) // (d + v))
         for rank, idx in enumerate(order):
             (dev if rank < n_dev else val).append(items[idx])
     dev.sort(key=lambda h: h.household_id)

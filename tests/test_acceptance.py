@@ -158,7 +158,7 @@ def test_criterion_01_solver_equivalence():
             worst_gap = max(worst_gap,
                             float(np.linalg.norm(closed.y - iterative.y)))
             lam = alpha / (1.0 - alpha)
-            lap = np.eye(graph.n) - propagation_operator(w)
+            lap = np.eye(graph.n) - propagation_operator(w.w)
             grad = 2 * (closed.y - y0) + 2 * lam * (lap @ closed.y)
             worst_grad = max(worst_grad, float(np.abs(grad).max()))
     elapsed = time.perf_counter() - start
@@ -173,7 +173,7 @@ def test_criterion_02_power_mean_identities():
 
     def rand_laplacian(n=9):
         view = EmbeddingView.from_vectors("v", rng.normal(size=(n, 3)))
-        return normalized_laplacian(affinity(view, UniversalScaling(1.0)))
+        return normalized_laplacian(affinity(view, UniversalScaling(1.0)).w)
 
     laps = [rand_laplacian() for _ in range(3)]
     mean_gap = np.abs(pml_fuse(laps, 1.0, 0.0).l
@@ -206,13 +206,13 @@ def test_criterion_03_edgepool_algebra():
         n = int(rng.integers(2, 9))
         def rand_w():
             upper = np.triu(rng.uniform(0.0, 1.0, size=(n, n)), 1)
-            return AffinityMatrix(upper + upper.T)
+            return AffinityMatrix(upper + upper.T).w
         a, b = rand_w(), rand_w()
-        fused = edgepool_fuse([a, b]).w
-        ok &= np.array_equal(edgepool_fuse([a, a]).w, a.w)
-        ok &= np.array_equal(fused, edgepool_fuse([b, a]).w)
-        ok &= bool(np.all(fused >= a.w) and np.all(fused >= b.w))
-        ok &= np.array_equal(fused, np.maximum(a.w, b.w))
+        fused = edgepool_fuse([a, b])
+        ok &= np.array_equal(edgepool_fuse([a, a]), a)
+        ok &= np.array_equal(fused, edgepool_fuse([b, a]))
+        ok &= bool(np.all(fused >= a) and np.all(fused >= b))
+        ok &= np.array_equal(fused, np.maximum(a, b))
         if not ok:
             break
     check(3, "edge-pool algebra", ok,

@@ -5,15 +5,12 @@ import pytest
 
 from speakergraph import (
     DegeneracyWarning,
-    SpeakerProfile,
-    build_profiles,
-    cs_score,
-    csea_score,
     run_2cs,
     run_2csea,
     run_cs,
     run_csea,
 )
+from speakergraph.baselines import _class_mean_scores
 
 
 def cos(a, b):
@@ -59,18 +56,19 @@ def random_household(rng, n_classes=3, labeled=2, unlabeled=3, heldout=4, dim=4)
 
 class TestScores:
     def test_cs_identical_vector(self):
-        scores = cs_score(np.array([1.0, 2.0]), [np.array([[1.0, 2.0]])])
-        assert scores[0] == pytest.approx(1.0)
+        out = run_cs(np.array([[1.0, 2.0]]), np.array([0]), np.array([[1.0, 2.0]]), 1)
+        assert out.scores[0, 0] == pytest.approx(1.0)
 
     def test_cs_orthogonal_classes(self):
-        groups = [np.array([[1.0, 0.0]]), np.array([[0.0, 1.0]])]
-        scores = cs_score(np.array([0.0, 3.0]), groups)
-        assert scores == pytest.approx([0.0, 1.0])
+        labeled = np.array([[1.0, 0.0], [0.0, 1.0]])
+        out = run_cs(labeled, np.array([0, 1]), np.array([[0.0, 3.0]]), 2)
+        assert out.scores[0] == pytest.approx([0.0, 1.0])
+        assert out.labels.tolist() == [1]
 
     def test_cs_mean_of_cosines(self):
-        group = [np.array([[1.0, 0.0], [0.0, 1.0]])]
-        scores = cs_score(np.array([1.0, 0.0]), group)
-        assert scores[0] == pytest.approx(0.5)
+        labeled = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]])
+        out = run_cs(labeled, np.array([0, 0, 1]), np.array([[1.0, 0.0]]), 2)
+        assert out.scores[0] == pytest.approx([0.5, -1.0])
 
     def test_csea_single_utterance_equals_cs(self):
         rng = np.random.default_rng(0)
@@ -83,9 +81,10 @@ class TestScores:
         assert np.allclose(a.scores, b.scores, atol=1e-12)
 
     def test_csea_collinear_mean(self):
-        profiles = [SpeakerProfile(0, np.array([0.5, 0.5]), 2)]
-        heldout = np.array([1.0, 1.0]) / np.sqrt(2.0)
-        assert csea_score(heldout, profiles)[0] == pytest.approx(1.0)
+        labeled = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]])
+        heldout = np.array([[1.0, 1.0]]) / np.sqrt(2.0)
+        out = run_csea(labeled, np.array([0, 0, 1]), heldout, 2)
+        assert out.scores[0, 0] == pytest.approx(1.0)
 
     def test_csea_zero_mean_profile_warns(self):
         labeled = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]])
@@ -100,12 +99,20 @@ class TestScores:
             out = run_cs(labeled, np.array([0, 1]), np.array([[0.0, 0.0]]), 2)
         assert np.all(out.scores == 0.0)
 
+    def test_empty_class_scores_minus_inf(self):
+        emb = np.array([[1.0, 0.0], [0.0, 1.0]])
+        with pytest.warns(DegeneracyWarning):
+            scores = _class_mean_scores(emb, np.array([0, 0]), np.array([[1.0, 1.0]]), 2)
+        assert scores[0, 0] == pytest.approx(1.0)
+        assert scores[0, 1] == -np.inf
+
     def test_profiles(self):
-        emb = np.array([[1.0, 0.0], [0.0, 1.0], [2.0, 2.0]])
-        profiles = build_profiles(emb, np.array([0, 0, 1]), 2)
-        assert np.allclose(profiles[0].mean_embedding, [0.5, 0.5])
-        assert profiles[0].support_count == 2
-        assert profiles[1].support_count == 1
+        # class 0 averages to (0.5, 0.5), class 1 is its single member
+        emb = np.array([[1.0, 0.0], [0.0, 1.0], [2.0, -1.0]])
+        heldout = np.array([[3.0, 1.0]])
+        out = run_csea(emb, np.array([0, 0, 1]), heldout, 2)
+        assert out.scores[0] == pytest.approx(
+            [cos(heldout[0], [0.5, 0.5]), cos(heldout[0], [2.0, -1.0])])
 
 
 class TestOracles:

@@ -118,6 +118,22 @@ class TestJsonlRoundTrip:
         with pytest.raises(StructuralError, match="duplicate utt_id"):
             load_dataset(path)
 
+    def test_household_in_two_groups(self, tmp_path, capsys):
+        dev, _ = golden_households()
+        path = tmp_path / "groups.jsonl"
+        save_dataset(dev[:1], path)
+        lines = path.read_text().splitlines()
+        record = json.loads(lines[3])
+        first = record["group"]
+        record["group"] = "random" if first == "hard" else "hard"
+        lines[3] = json.dumps(record)
+        path.write_text("\n".join(lines) + "\n")
+        assert main(["evaluate", "--data", str(path), "--method", "CS",
+                     "--out", str(tmp_path / "r.json")]) == 2
+        err = capsys.readouterr().err
+        for part in (dev[0].household_id, first, record["group"]):
+            assert repr(part) in err
+
     def test_speaker_without_enrollment(self, tmp_path):
         dev, _ = golden_households()
         path = tmp_path / "noenroll.jsonl"
@@ -278,6 +294,36 @@ class TestCli:
         assert reports["norm"] == report_to_dict(expected, 0, "")["methods"]
         assert all(m["spec"]["unit_normalize"] for m in reports["norm"])
         assert reports["norm"] != reports["plain"]
+
+    def test_one_household_per_group_exits_2(self, tmp_path, capsys):
+        cfg = json.loads(self.run_config_file(tmp_path).read_text())
+        cfg["simulation"]["households_per_group"] = 1
+        path = tmp_path / "one.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "sim"
+        assert main(["simulate", "--config", str(path), "--out", str(out)]) == 2
+        assert "'hard'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_kernel_underflow_exits_3(self, tmp_path, capsys):
+        # one held-out utterance sits exactly 27 from its nearest neighbour
+        # and farther from the rest, so under sigma 1 its degree is the
+        # subnormal exp(-729)
+        _, households = golden_households()
+        hh = households[0]
+        voice = np.vstack([u.views["voice"] for u in hh.utterances])
+        anchor = voice[np.argmax(voice[:, 0])]
+        hh.by_role("heldout")[0].views["voice"] = anchor + 27.0 * np.eye(len(anchor))[0]
+        data = tmp_path / "val.jsonl"
+        save_dataset(households, data)
+        cfg = json.loads(self.run_config_file(tmp_path).read_text())
+        cfg["method"] = {"method": "LP", "scaling": {"kind": "universal", "sigma": 1.0},
+                         "fusion": {"kind": "single_view", "view": "voice"}}
+        path = tmp_path / "universal.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["evaluate", "--data", str(data), "--config", str(path),
+                     "--out", str(tmp_path / "r.json")]) == 3
+        assert "subnormal degree" in capsys.readouterr().err
 
     def test_household_without_heldout_exits_2(self, tmp_path, capsys):
         _, households = golden_households()

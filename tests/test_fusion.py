@@ -24,6 +24,7 @@ from speakergraph import (
     fuse,
     normalized_laplacian,
     pml_fuse,
+    propagation_operator,
     sym_matrix_power,
 )
 from speakergraph.graph import NEG_POWER_EIG_FLOOR
@@ -45,24 +46,24 @@ def scalar_power_mean(columns, p):
 class TestEdgePool:
     def test_single_matrix_is_identity(self):
         rng = np.random.default_rng(0)
-        w = random_affinity(rng, 6)
-        assert np.array_equal(edgepool_fuse([w]).w, w.w)
+        w = random_affinity(rng, 6).w
+        assert np.array_equal(edgepool_fuse([w]), w)
 
     def test_elementwise_max_example(self):
-        w1 = AffinityMatrix(np.array([[0.0, 0.2], [0.2, 0.0]]))
-        w2 = AffinityMatrix(np.array([[0.0, 0.9], [0.9, 0.0]]))
-        assert np.array_equal(edgepool_fuse([w1, w2]).w,
+        w1 = np.array([[0.0, 0.2], [0.2, 0.0]])
+        w2 = np.array([[0.0, 0.9], [0.9, 0.0]])
+        assert np.array_equal(edgepool_fuse([w1, w2]),
                               np.array([[0.0, 0.9], [0.9, 0.0]]))
 
     def test_session_constraint_dominates(self):
-        voice = AffinityMatrix(np.array([[0.0, 0.03], [0.03, 0.0]]))
-        session = AffinityMatrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
-        assert edgepool_fuse([voice, session]).w[0, 1] == 1.0
+        voice = np.array([[0.0, 0.03], [0.03, 0.0]])
+        session = np.array([[0.0, 1.0], [1.0, 0.0]])
+        assert edgepool_fuse([voice, session])[0, 1] == 1.0
 
     def test_size_mismatch(self):
         rng = np.random.default_rng(1)
         with pytest.raises(StructuralError):
-            edgepool_fuse([random_affinity(rng, 4), random_affinity(rng, 5)])
+            edgepool_fuse([random_affinity(rng, 4).w, random_affinity(rng, 5).w])
 
     def test_empty_list(self):
         with pytest.raises(ConfigurationError):
@@ -71,19 +72,19 @@ class TestEdgePool:
     @pytest.mark.parametrize("seed", range(5))
     def test_algebra(self, seed):
         rng = np.random.default_rng(seed)
-        a, b = random_affinity(rng, 8), random_affinity(rng, 8)
-        fused = edgepool_fuse([a, b]).w
-        assert np.array_equal(edgepool_fuse([a, a]).w, a.w)          # idempotent
-        assert np.array_equal(fused, edgepool_fuse([b, a]).w)        # commutative
-        assert np.all(fused >= a.w) and np.all(fused >= b.w)         # monotone
-        expected = np.maximum(a.w, b.w)
+        a, b = random_affinity(rng, 8).w, random_affinity(rng, 8).w
+        fused = edgepool_fuse([a, b])
+        assert np.array_equal(edgepool_fuse([a, a]), a)              # idempotent
+        assert np.array_equal(fused, edgepool_fuse([b, a]))          # commutative
+        assert np.all(fused >= a) and np.all(fused >= b)             # monotone
+        expected = np.maximum(a, b)
         assert np.array_equal(fused, expected)                       # exact max
 
 
 class TestPowerMean:
     def random_laplacians(self, seed, n=8, count=2):
         rng = np.random.default_rng(seed)
-        return [normalized_laplacian(random_affinity(rng, n)) for _ in range(count)]
+        return [normalized_laplacian(random_affinity(rng, n).w) for _ in range(count)]
 
     @pytest.mark.parametrize("p", P_GRID)
     def test_single_view_identity(self, p):
@@ -164,46 +165,49 @@ class TestFuseAndSubgraph:
 
     def test_single_view(self):
         affs, fused = self.build(SingleView("voice"))
-        assert fused.kind == "affinity"
-        assert np.array_equal(fused.matrix, affs["voice"].w)
+        assert np.array_equal(fused.propagation_matrix(),
+                              propagation_operator(affs["voice"].w))
 
     def test_edge_pool(self):
         affs, fused = self.build(EdgePoolFusion(("voice", "face")))
-        assert np.array_equal(fused.matrix, np.maximum(affs["voice"].w, affs["face"].w))
+        pooled = np.maximum(affs["voice"].w, affs["face"].w)
+        assert np.array_equal(fused.propagation_matrix(), propagation_operator(pooled))
 
     def test_power_mean_kind(self):
-        _, fused = self.build(PowerMeanFusion(("voice", "face"), p=1.0))
-        assert fused.kind == "laplacian"
+        affs, fused = self.build(PowerMeanFusion(("voice", "face"), p=1.0))
+        lap = pml_fuse([normalized_laplacian(affs["voice"].w),
+                        normalized_laplacian(affs["face"].w)], 1.0, 0.0)
         s = fused.propagation_matrix()
-        assert np.abs(s - (np.eye(10) - fused.matrix)).max() == 0.0
+        assert np.abs(s - (np.eye(10) - lap.l)).max() == 0.0
 
     def test_unknown_view(self):
         with pytest.raises(ConfigurationError):
             self.build(SingleView("nope"))
 
+    @staticmethod
+    def fused_submatrices(affs, rule, idx):
+        subs = {name: AffinityMatrix(a.w[np.ix_(idx, idx)]) for name, a in affs.items()}
+        return fuse(subs, rule).propagation_matrix()
+
     def test_subgraph_refuses_from_views(self):
-        affs, fused = self.build(PowerMeanFusion(("voice", "face"), p=2.0), n=9)
+        rule = PowerMeanFusion(("voice", "face"), p=2.0)
+        affs, fused = self.build(rule, n=9)
         idx = np.arange(6)
-        sub = fused.subgraph(idx)
+        sub = fused.subgraph(idx).propagation_matrix()
+        assert np.array_equal(sub, self.fused_submatrices(affs, rule, idx))
         direct = pml_fuse(
-            [normalized_laplacian(affs["voice"].submatrix(idx)),
-             normalized_laplacian(affs["face"].submatrix(idx))], 2.0, 0.0)
-        assert np.abs(sub.matrix - direct.l).max() < 1e-12
+            [normalized_laplacian(affs["voice"].w[np.ix_(idx, idx)]),
+             normalized_laplacian(affs["face"].w[np.ix_(idx, idx)])], 2.0, 0.0)
+        assert np.abs(sub - (np.eye(6) - direct.l)).max() < 1e-12
 
     def test_affinity_subgraph_is_submatrix(self):
-        affs, fused = self.build(EdgePoolFusion(("voice", "face")), n=9)
+        rule = EdgePoolFusion(("voice", "face"))
+        affs, fused = self.build(rule, n=9)
         idx = np.array([0, 2, 3, 7])
-        sub = fused.subgraph(idx)
-        assert np.array_equal(sub.matrix,
-                              np.maximum(affs["voice"].w, affs["face"].w)[np.ix_(idx, idx)])
-
-    def test_laplacian_subgraph_needs_views(self):
-        fused = fuse({"voice": random_affinity(np.random.default_rng(3), 6)},
-                     PowerMeanFusion(("voice",), p=1.0))
-        stripped = type(fused)(kind="laplacian", matrix=fused.matrix,
-                               pml_p=1.0, pml_shift=0.0)
-        with pytest.raises(ConfigurationError):
-            stripped.subgraph(np.arange(4))
+        sub = fused.subgraph(idx).propagation_matrix()
+        assert np.array_equal(sub, self.fused_submatrices(affs, rule, idx))
+        pooled = np.maximum(affs["voice"].w, affs["face"].w)[np.ix_(idx, idx)]
+        assert np.array_equal(sub, propagation_operator(pooled))
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +233,7 @@ def laplacian_sets(draw):
         # link each isolated node to its successor so every degree is positive
         lonely = np.flatnonzero(w.sum(axis=1) == 0.0)
         w[lonely, (lonely + 1) % n] = w[(lonely + 1) % n, lonely] = 1.0
-        laps.append(normalized_laplacian(AffinityMatrix(w)))
+        laps.append(normalized_laplacian(AffinityMatrix(w).w))
     return laps
 
 

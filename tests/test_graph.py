@@ -14,13 +14,12 @@ from speakergraph import (
     StructuralError,
     UniversalScaling,
     affinity,
-    knn_mean_distance,
     normalized_laplacian,
     pairwise_distances,
     propagation_operator,
     sym_matrix_power,
 )
-from speakergraph.graph import SIGMA_FLOOR
+from speakergraph.graph import SIGMA_FLOOR, _knn_row_means
 
 
 def line_view(points):
@@ -63,27 +62,30 @@ class TestPairwiseDistances:
 class TestKnnMeanDistance:
     def test_line_examples(self):
         dist = pairwise_distances(line_view([0.0, 1.0, 3.0]))
-        assert knn_mean_distance(dist, 0, 1) == 1.0
-        assert knn_mean_distance(dist, 2, 2) == 2.5
+        assert _knn_row_means(dist, 1).tolist() == [1.0, 1.0, 2.0]
+        assert _knn_row_means(dist, 2)[2] == 2.5
 
     def test_matches_sort_oracle(self):
         rng = np.random.default_rng(3)
         dist = pairwise_distances(random_view(rng, 9))
-        for i in range(9):
-            for k in (1, 3, 8):
+        for k in (1, 3, 8):
+            means = _knn_row_means(dist, k)
+            for i in range(9):
                 row = np.delete(dist[i], i)
                 expected = np.sort(row)[:k].mean()
-                assert knn_mean_distance(dist, i, k) == pytest.approx(expected)
+                assert means[i] == pytest.approx(expected)
 
     def test_k_out_of_range(self):
         dist = pairwise_distances(line_view([0.0, 1.0, 3.0]))
         for k in (0, 3):
             with pytest.raises(ConfigurationError):
-                knn_mean_distance(dist, 0, k)
+                _knn_row_means(dist, k)
 
     def test_duplicate_point_floors(self):
-        dist = pairwise_distances(line_view([0.0, 0.0, 5.0]))
-        assert knn_mean_distance(dist, 0, 1) == SIGMA_FLOOR
+        # k=1 means are (0, 0, 1e-7): the pair bandwidth 5e-8 is clamped
+        with pytest.warns(DegeneracyWarning):
+            w = affinity(line_view([0.0, 0.0, 1e-7]), LocalScaling(k=1, s=1.0))
+        assert w.w[0, 2] == pytest.approx(np.exp(-(1e-7 / SIGMA_FLOOR) ** 2), rel=1e-12)
 
 
 class TestAffinity:
@@ -198,28 +200,26 @@ class TestAffinity:
 class TestNormalizedLaplacian:
     def test_two_node_graph(self):
         for weight in (0.3, 0.9):
-            w = AffinityMatrix(np.array([[0.0, weight], [weight, 0.0]]))
-            lap = normalized_laplacian(w)
+            lap = normalized_laplacian(np.array([[0.0, weight], [weight, 0.0]]))
             assert np.allclose(lap.complement, [[0, 1], [1, 0]], atol=1e-15)
             assert np.allclose(lap.l, [[1, -1], [-1, 1]], atol=1e-15)
 
     def test_equal_weights_eigenvalues(self):
-        w = AffinityMatrix(np.full((3, 3), 0.4) - np.diag([0.4] * 3))
-        lap = normalized_laplacian(w)
+        lap = normalized_laplacian(np.full((3, 3), 0.4) - np.diag([0.4] * 3))
         eigs = np.sort(np.linalg.eigvalsh(lap.l))
         assert np.allclose(eigs, [0.0, 1.5, 1.5], atol=1e-12)
 
     def test_null_vector(self):
         rng = np.random.default_rng(5)
-        w = affinity(random_view(rng, 8), UniversalScaling(1.0))
+        w = affinity(random_view(rng, 8), UniversalScaling(1.0)).w
         lap = normalized_laplacian(w)
-        sqrt_degrees = np.sqrt(w.w.sum(axis=1))
+        sqrt_degrees = np.sqrt(w.sum(axis=1))
         assert np.abs(lap.l @ sqrt_degrees).max() < 1e-12
 
     @pytest.mark.parametrize("seed", range(4))
     def test_complement_and_spectrum(self, seed):
         rng = np.random.default_rng(seed)
-        w = affinity(random_view(rng, 12), UniversalScaling(1.3))
+        w = affinity(random_view(rng, 12), UniversalScaling(1.3)).w
         lap = normalized_laplacian(w)
         s = propagation_operator(w)
         assert np.abs((np.eye(12) - lap.l) - s).max() < 1e-12
@@ -227,11 +227,20 @@ class TestNormalizedLaplacian:
         assert eigs.min() > -1e-9 and eigs.max() < 2.0 + 1e-9
 
     def test_zero_degree_node(self):
-        w = AffinityMatrix(np.array([[0.0, 0.0, 0.0],
-                                     [0.0, 0.0, 0.5],
-                                     [0.0, 0.5, 0.0]]))
+        w = np.array([[0.0, 0.0, 0.0],
+                      [0.0, 0.0, 0.5],
+                      [0.0, 0.5, 0.0]])
         with pytest.raises(StructuralError, match="node 0"):
             normalized_laplacian(w)
+
+    def test_subnormal_degree_node(self):
+        # node 0 hangs on one underflowed edge; 1/degree would overflow to inf
+        w = AffinityMatrix(np.array([[0.0, 1e-320, 0.0, 0.0],
+                                     [1e-320, 0.0, 1.0, 1.0],
+                                     [0.0, 1.0, 0.0, 1.0],
+                                     [0.0, 1.0, 1.0, 0.0]]))
+        with pytest.raises(NumericalError, match="node 0"):
+            propagation_operator(w.w)
 
 
 class TestSymMatrixPower:

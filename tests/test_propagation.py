@@ -2,13 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from speakergraph import (
     ABSTAIN,
     AffinityMatrix,
     ConfigurationError,
     EmbeddingView,
-    FusedGraph,
     HouseholdGraph,
     LocalScaling,
     PropagationConfig,
@@ -30,8 +31,7 @@ from speakergraph import (
 
 
 def graph_from_w(w, labels, n_unlabeled, n_heldout, class_count):
-    fused = FusedGraph(kind="affinity", matrix=np.asarray(w, float),
-                       view_affinities=(AffinityMatrix(np.asarray(w, float)),))
+    fused = fuse({"w": AffinityMatrix(np.asarray(w, float))}, SingleView("w"))
     return HouseholdGraph(fused=fused, labels=np.asarray(labels), n_unlabeled=n_unlabeled,
                           n_heldout=n_heldout, class_count=class_count)
 
@@ -118,7 +118,7 @@ class TestPropagate:
         graph = graph_from_w(w, [0, 1], 1, 0, 2)
         alpha = 0.9
         y0 = init_label_matrix(graph)
-        s = propagation_operator(AffinityMatrix(w))
+        s = propagation_operator(w)
         oracle = (1 - alpha) * np.linalg.inv(np.eye(3) - alpha * s) @ y0
         for solver in ("closed_form", "iterative"):
             cfg = PropagationConfig(alpha=alpha, solver=solver, tol=1e-12,
@@ -167,7 +167,7 @@ class TestPropagate:
             f = propagate(graph, y0, PropagationConfig(alpha=alpha,
                                                        solver="closed_form")).y
             lam = alpha / (1 - alpha)
-            lap = np.eye(12) - propagation_operator(w)
+            lap = np.eye(12) - propagation_operator(w.w)
             grad = 2 * (f - y0) + 2 * lam * (lap @ f)
             assert np.abs(grad).max() < 1e-8
 
@@ -264,7 +264,7 @@ class TestPipelines:
         l, u, h = graph.n_labeled, graph.n_unlabeled, graph.n_heldout
         perm = np.concatenate([rng.permutation(l), l + rng.permutation(u),
                                l + u + rng.permutation(h)])
-        w = graph.fused.matrix[np.ix_(perm, perm)]
+        w = graph.fused.view_weights[0][np.ix_(perm, perm)]
         permuted = graph_from_w(w, graph.labels[perm[:l]], u, h, graph.class_count)
         out = run_2lp(permuted, cfg).labels
         inverse = np.argsort(perm[l + u:] - (l + u))
@@ -316,6 +316,29 @@ class Test2LPEA:
             expected = np.mean(members, axis=0)
             got = core[all_labels == c].mean(axis=0)
             assert np.allclose(got, expected, atol=1e-12)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), n_classes=st.integers(2, 4),
+           labeled=st.integers(1, 2), unlabeled=st.integers(1, 5),
+           heldout=st.integers(1, 3), noise=st.floats(0.5, 30.0))
+    def test_step2_is_csea_on_step1_labels(self, seed, n_classes, labeled, unlabeled,
+                                           heldout, noise):
+        graph, emb, _ = cluster_household(
+            np.random.default_rng(seed), n_classes=n_classes, labeled=labeled,
+            unlabeled=unlabeled, heldout=heldout, spread=10.0, noise=noise)
+        cfg = PropagationConfig()
+        step1 = graph.without_heldout()
+        pseudo = predict(propagate(step1, init_label_matrix(step1), cfg).y,
+                         step1.unlabeled_slice).labels
+        # every class keeps its labeled nodes, so step 2 has no empty class
+        core_labels = np.concatenate([graph.labels, pseudo])
+        keep = core_labels != ABSTAIN
+        core = emb[: graph.n_labeled + graph.n_unlabeled]
+        csea = run_csea(core[keep], core_labels[keep], emb[graph.heldout_slice],
+                        graph.class_count)
+        pred = run_2lpea(graph, emb, cfg)
+        assert np.array_equal(pred.labels, csea.labels)
+        assert pred.ties == csea.ties
 
     def test_embedding_shape_checked(self):
         rng = np.random.default_rng(14)
