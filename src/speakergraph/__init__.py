@@ -42,7 +42,6 @@ from .graph import (
     AffinityMatrix,
     CohortScaling,
     EmbeddingView,
-    LaplacianMatrix,
     LocalScaling,
     UniversalScaling,
     affinity,

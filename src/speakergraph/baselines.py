@@ -62,22 +62,11 @@ def _class_mean_scores(embeddings: np.ndarray, classes: np.ndarray,
                        queries: np.ndarray, class_count: int) -> np.ndarray:
     """Cosine of each query to each class's mean embedding.
 
-    A class without members scores -inf for every query, with a warning.
+    Every class must have at least one member: ``run_csea`` checks this, and
+    step 2 of ``run_2lpea`` always includes each class's labeled nodes.
     """
-    means = np.zeros((class_count, embeddings.shape[1]))
-    empty = []
-    for c in range(class_count):
-        members = embeddings[classes == c]
-        if members.shape[0] == 0:
-            empty.append(c)
-        else:
-            means[c] = members.mean(axis=0)
-    if empty:
-        warnings.warn(f"classes {empty} have no members; skipped in scoring",
-                      DegeneracyWarning, stacklevel=3)
-    scores = cosine_matrix(queries, means)
-    scores[:, empty] = -np.inf
-    return scores
+    means = np.stack([embeddings[classes == c].mean(axis=0) for c in range(class_count)])
+    return cosine_matrix(queries, means)
 
 
 def _check_inputs(labeled: np.ndarray, classes: np.ndarray, class_count: int):

@@ -15,8 +15,10 @@ from .dataio import (
     RunConfig,
     load_dataset,
     method_to_dict,
+    read_json,
     render_report,
     save_dataset,
+    write_json,
     write_manifest,
     write_report,
 )
@@ -47,14 +49,11 @@ def _load_config(path: str | None) -> RunConfig:
 def _cmd_simulate(args) -> int:
     cfg = _load_config(args.config)
     if cfg.simulation is None:
-        cfg.simulation = SimulationConfig()
+        cfg.simulation = SimulationConfig(seed=cfg.seed)
     if args.seed is not None:
         cfg.seed = args.seed
-        cfg.simulation = SimulationConfig(
-            **{**{f: getattr(cfg.simulation, f)
-                  for f in SimulationConfig.__dataclass_fields__},
-               "seed": args.seed})
-    dev, val = generate_dataset(cfg.simulation, seed=cfg.simulation.seed)
+        cfg.simulation = replace(cfg.simulation, seed=args.seed)
+    dev, val = generate_dataset(cfg.simulation)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     save_dataset(dev, out_dir / "dev.jsonl")
@@ -65,7 +64,6 @@ def _cmd_simulate(args) -> int:
         for hh in households:
             split_counts[hh.group] = split_counts.get(hh.group, 0) + 1
         counts[split] = split_counts
-    cfg.seed = cfg.simulation.seed
     manifest = write_manifest(out_dir / "manifest.json", cfg, counts)
     print(f"wrote {out_dir}/dev.jsonl ({len(dev)} households), "
           f"{out_dir}/val.jsonl ({len(val)} households)")
@@ -99,11 +97,7 @@ def _cmd_evaluate(args) -> int:
 def _cmd_sweep(args) -> int:
     cfg = _load_config(args.config)
     households = load_dataset(args.dev)
-    with Path(args.grid).open("r", encoding="utf-8") as fh:
-        try:
-            grid = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigurationError(f"{args.grid}: malformed JSON ({exc})") from exc
+    grid = read_json(args.grid)
     if not isinstance(grid, dict):
         raise ConfigurationError("grid file must map parameter names to value lists")
     template = cfg.method if cfg.method is not None else _default_method_spec()
@@ -120,21 +114,14 @@ def _cmd_sweep(args) -> int:
             "seed": args.seed if args.seed is not None else cfg.seed,
             "config_hash": cfg.hash()}
     best_path = Path(args.out).with_suffix(Path(args.out).suffix + ".best.json")
-    with best_path.open("w", encoding="utf-8") as fh:
-        json.dump(best, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(best_path, best)
     print(json.dumps(best, indent=2, sort_keys=True))
     print(f"wrote {args.out} ({len(result.rows)} rows) and {best_path}")
     return EXIT_OK
 
 
 def _cmd_report(args) -> int:
-    with Path(args.infile).open("r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigurationError(f"{args.infile}: malformed JSON ({exc})") from exc
-    text = render_report(data, args.format)
+    text = render_report(read_json(args.infile), args.format)
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
         print(f"wrote {args.out}")

@@ -80,7 +80,12 @@ def _parse_record(data: dict, line_no: int) -> tuple[UtteranceRecord, str]:
         speaker=data.get("speaker"),
         session_id=data.get("session_id"),
         cohort=data.get("cohort"),
-        views={str(k): np.asarray(v, dtype=float) for k, v in views.items()})
+        views={str(k): v for k, v in views.items()})
+    for name, vec in record.views.items():
+        # json.loads accepts NaN, Infinity and overflowing literals such as 1e999
+        if not np.isfinite(vec).all():
+            raise StructuralError(
+                f"line {line_no}: view {name!r} of {record.utt_id!r} has non-finite values")
     return record, str(data.get("group", "random"))
 
 
@@ -129,6 +134,26 @@ def load_dataset(path: str | Path) -> list[HouseholdDataset]:
         hh.validate()
         households.append(hh)
     return households
+
+
+# ---------------------------------------------------------------------------
+# JSON documents
+# ---------------------------------------------------------------------------
+
+def read_json(path: str | Path) -> Any:
+    """Parse one JSON document; malformed JSON is a ConfigurationError."""
+    with Path(path).open("r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ConfigurationError(f"{path}: malformed JSON ({exc})") from exc
+
+
+def write_json(path: str | Path, data: Any) -> None:
+    """Write data as indented JSON with sorted keys and a trailing newline."""
+    with Path(path).open("w", encoding="utf-8") as fh:
+        json.dump(data, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +273,10 @@ _RUN_CONFIG_KEYS = {"schema_version", "seed", "simulation", "method"}
 
 
 class RunConfig:
-    """Top-level config document: seed, simulation, and method sections."""
+    """Top-level config document: seed, simulation, and method sections.
+
+    One seed serves both levels: given at either, it sets the other.
+    """
 
     def __init__(self, seed: int = 0,
                  simulation: SimulationConfig | None = None,
@@ -265,18 +293,22 @@ class RunConfig:
         _reject_unknown(data, _RUN_CONFIG_KEYS, "config")
         sim = data.get("simulation")
         method = data.get("method")
-        return cls(seed=int(data.get("seed", 0)),
-                   simulation=None if sim is None else simulation_from_dict(sim),
+        if not isinstance(sim or {}, Mapping):
+            raise ConfigurationError("config: simulation must be an object")
+        seeds = {int(s) for s in (data.get("seed"), (sim or {}).get("seed"))
+                 if s is not None}
+        if len(seeds) > 1:
+            raise ConfigurationError(
+                f"config: seed {data['seed']} and simulation.seed {sim['seed']} differ")
+        seed = seeds.pop() if seeds else 0
+        if sim is not None:
+            sim = simulation_from_dict({**sim, "seed": seed})
+        return cls(seed=seed, simulation=sim,
                    method=None if method is None else method_from_dict(method))
 
     @classmethod
     def load(cls, path: str | Path) -> "RunConfig":
-        with Path(path).open("r", encoding="utf-8") as fh:
-            try:
-                data = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ConfigurationError(f"{path}: malformed JSON ({exc})") from exc
-        return cls.from_dict(data)
+        return cls.from_dict(read_json(path))
 
     def to_dict(self) -> dict:
         out: dict[str, Any] = {"schema_version": SCHEMA_VERSION, "seed": self.seed}
@@ -353,9 +385,7 @@ def report_to_dict(report: EvalReport, seed: int, cfg_hash: str,
 def write_report(report: EvalReport, path: str | Path, seed: int,
                  cfg_hash: str, include_timing: bool = False) -> dict:
     data = report_to_dict(report, seed, cfg_hash, include_timing)
-    with Path(path).open("w", encoding="utf-8") as fh:
-        json.dump(data, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, data)
     return data
 
 
@@ -410,7 +440,5 @@ def write_manifest(path: str | Path, cfg: RunConfig,
         "households": {split: dict(groups) for split, groups in counts.items()},
         "files": {"dev": "dev.jsonl", "val": "val.jsonl"},
     }
-    with Path(path).open("w", encoding="utf-8") as fh:
-        json.dump(data, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, data)
     return data

@@ -18,11 +18,10 @@ from typing import Mapping, Sequence, Union
 import numpy as np
 from scipy.linalg import lapack
 
-from .errors import ConfigurationError, StructuralError
+from .errors import ConfigurationError, NumericalError, StructuralError
 from .graph import (
     NEG_POWER_EIG_FLOOR,
     AffinityMatrix,
-    LaplacianMatrix,
     normalized_laplacian,
     propagation_operator,
     sym_matrix_power,
@@ -155,8 +154,8 @@ def _floored_power_mean(mats: Sequence[np.ndarray], p: float) -> np.ndarray:
     return sym_matrix_power(acc / len(mats), 1.0 / p, floor=_power_floor(1.0 / p))
 
 
-def pml_fuse(laplacians: Sequence[LaplacianMatrix], p: float,
-             shift: float = 0.0) -> LaplacianMatrix:
+def pml_fuse(laplacians: Sequence[np.ndarray], p: float,
+             shift: float = 0.0) -> np.ndarray:
     """Matrix power mean of the given Laplacians with exponent p.
 
     Inputs must be positive semidefinite, as every normalized Laplacian is,
@@ -172,6 +171,8 @@ def pml_fuse(laplacians: Sequence[LaplacianMatrix], p: float,
     is then handled in one eigendecomposition; re-decomposing its own matrix
     power would destroy the small eigenvalues whenever the floor inflates
     the null space by many orders of magnitude.
+
+    Raises NumericalError when the fused Laplacian has non-finite entries.
     """
     if not laplacians:
         raise ConfigurationError("pml_fuse needs at least one Laplacian")
@@ -179,13 +180,13 @@ def pml_fuse(laplacians: Sequence[LaplacianMatrix], p: float,
         raise ConfigurationError("power-mean exponent p must be nonzero")
     if shift < 0:
         raise ConfigurationError(f"shift must be >= 0, got {shift}")
-    n = laplacians[0].n
+    n = laplacians[0].shape[0]
     for lap in laplacians:
-        if lap.n != n:
-            raise StructuralError(f"laplacian size mismatch: {lap.n} != {n}")
+        if lap.shape[0] != n:
+            raise StructuralError(f"laplacian size mismatch: {lap.shape[0]} != {n}")
 
     eye = np.eye(n)
-    shifted = [lap.l + shift * eye for lap in laplacians]
+    shifted = [lap + shift * eye for lap in laplacians]
     fused = None
     if p == 1:
         fused = sum(shifted) / len(shifted)
@@ -194,7 +195,9 @@ def pml_fuse(laplacians: Sequence[LaplacianMatrix], p: float,
     if fused is None:
         fused = _floored_power_mean(shifted, p)
     fused = (fused + fused.T) / 2.0
-    return LaplacianMatrix(l=fused, complement=eye - fused)
+    if not np.isfinite(fused).all():
+        raise NumericalError("fused laplacian has non-finite entries")
+    return fused
 
 
 # ---------------------------------------------------------------------------
@@ -229,9 +232,10 @@ class FusedGraph:
 
 
 def _fuse_weights(weights: list[np.ndarray], rule: FusionRule) -> FusedGraph:
+    """The fused graph of a rule's per-view weights; the one builder of S."""
     if isinstance(rule, PowerMeanFusion):
         laplacians = [normalized_laplacian(w) for w in weights]
-        s = pml_fuse(laplacians, rule.p, rule.effective_shift).complement
+        s = np.eye(len(weights[0])) - pml_fuse(laplacians, rule.p, rule.effective_shift)
     else:
         s = propagation_operator(edgepool_fuse(weights))
     return FusedGraph(rule=rule, view_weights=tuple(weights), operator=s)

@@ -13,7 +13,7 @@ symmetric matrix powers used by graph-level fusion.
 """
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Sequence, Union
 
 import numpy as np
@@ -180,34 +180,6 @@ class AffinityMatrix:
         return self.w.shape[0]
 
 
-@dataclass(frozen=True)
-class LaplacianMatrix:
-    """Symmetric normalized Laplacian, single-view or fused.
-
-    ``complement`` is the propagation operator S: for a single view it is
-    D^{-1/2} W D^{-1/2}; for a fused Laplacian it is I - L.
-    """
-
-    l: np.ndarray
-    complement: np.ndarray = field(default=None, repr=False)
-
-    def __post_init__(self):
-        l = np.asarray(self.l, dtype=float)
-        if l.ndim != 2 or l.shape[0] != l.shape[1]:
-            raise StructuralError(f"laplacian must be square, got {l.shape}")
-        if not np.isfinite(l).all():
-            raise NumericalError("laplacian has non-finite entries")
-        if np.abs(l - l.T).max() > 1e-12:
-            raise StructuralError("laplacian not symmetric within 1e-12")
-        object.__setattr__(self, "l", l)
-        if self.complement is None:
-            object.__setattr__(self, "complement", np.eye(l.shape[0]) - l)
-
-    @property
-    def n(self) -> int:
-        return self.l.shape[0]
-
-
 # ---------------------------------------------------------------------------
 # Operations
 # ---------------------------------------------------------------------------
@@ -254,10 +226,6 @@ def _resolve_sigma(view: EmbeddingView, dist: np.ndarray, rule: ScalingRule,
             raise ConfigurationError(
                 "local scaling is not applicable to session views "
                 "(0/1 distances make KNN means degenerate)")
-        n = dist.shape[0]
-        if rule.k > n - 1:
-            raise ConfigurationError(
-                f"local k={rule.k} needs at least {rule.k + 1} nodes, have {n}")
         means = _knn_row_means(dist, rule.k)
         # mean of the pooled 2k neighbor distances of i and j
         return rule.s * (means[:, None] + means[None, :]) / 2.0
@@ -299,11 +267,9 @@ def propagation_operator(w: np.ndarray) -> np.ndarray:
     return w * np.outer(inv_sqrt, inv_sqrt)
 
 
-def normalized_laplacian(w: np.ndarray) -> LaplacianMatrix:
+def normalized_laplacian(w: np.ndarray) -> np.ndarray:
     """Symmetric normalized Laplacian L = I - D^{-1/2} W D^{-1/2} of valid weights w."""
-    s = propagation_operator(w)
-    l = np.eye(w.shape[0]) - s
-    return LaplacianMatrix(l=l, complement=s)
+    return np.eye(w.shape[0]) - propagation_operator(w)
 
 
 def sym_matrix_power(m: np.ndarray, p: float, floor: float = 0.0) -> np.ndarray:

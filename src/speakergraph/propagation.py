@@ -229,7 +229,7 @@ def run_2lpea(graph: HouseholdGraph, embeddings: np.ndarray,
     ``embeddings`` holds the primary view's raw vectors for all n nodes in
     graph order. Step 2 averages labeled + pseudo-labeled embeddings per
     class and assigns each held-out utterance to the nearest class mean by
-    cosine similarity; classes that end up empty are skipped.
+    cosine similarity.
     """
     embeddings = np.asarray(embeddings, dtype=float)
     if embeddings.ndim != 2 or embeddings.shape[0] != graph.n:

@@ -10,7 +10,6 @@ from speakergraph import (
     run_cs,
     run_csea,
 )
-from speakergraph.baselines import _class_mean_scores
 
 
 def cos(a, b):
@@ -98,13 +97,6 @@ class TestScores:
         with pytest.warns(DegeneracyWarning):
             out = run_cs(labeled, np.array([0, 1]), np.array([[0.0, 0.0]]), 2)
         assert np.all(out.scores == 0.0)
-
-    def test_empty_class_scores_minus_inf(self):
-        emb = np.array([[1.0, 0.0], [0.0, 1.0]])
-        with pytest.warns(DegeneracyWarning):
-            scores = _class_mean_scores(emb, np.array([0, 0]), np.array([[1.0, 1.0]]), 2)
-        assert scores[0, 0] == pytest.approx(1.0)
-        assert scores[0, 1] == -np.inf
 
     def test_profiles(self):
         # class 0 averages to (0.5, 0.5), class 1 is its single member

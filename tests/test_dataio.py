@@ -1,6 +1,7 @@
 """JSONL round-trips, strict configs, report rendering, CLI contract."""
 
 import json
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -52,6 +53,19 @@ def golden_report_dict():
     report = evaluate_methods(val, specs)
     cfg = RunConfig(seed=123, simulation=SimulationConfig(**GOLDEN_SIM))
     return report_to_dict(report, seed=123, cfg_hash=cfg.hash())
+
+
+def write_non_finite_heldout(households, path, literal):
+    """Save households with the JSON literal as the first voice value of the
+    first held-out record; return that record's line number and utt_id."""
+    save_dataset(households, path)
+    lines = path.read_text().splitlines()
+    index = next(i for i, line in enumerate(lines) if json.loads(line)["role"] == "heldout")
+    record = json.loads(lines[index])
+    record["views"]["voice"][0] = "VALUE"
+    lines[index] = json.dumps(record).replace('"VALUE"', literal)
+    path.write_text("\n".join(lines) + "\n")
+    return index + 1, record["utt_id"]
 
 
 class TestJsonlRoundTrip:
@@ -106,6 +120,15 @@ class TestJsonlRoundTrip:
         lines[4] = json.dumps(record)
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(StructuralError, match=record["utt_id"]):
+            load_dataset(path)
+
+    @pytest.mark.parametrize("literal", ["NaN", "1e999"])
+    def test_non_finite_embedding_names_line(self, tmp_path, literal):
+        _, val = golden_households()
+        path = tmp_path / "nonfinite.jsonl"
+        line_no, utt_id = write_non_finite_heldout(val, path, literal)
+        expected = f"line {line_no}: view 'voice' of '{utt_id}' has non-finite values"
+        with pytest.raises(StructuralError, match=re.escape(expected)):
             load_dataset(path)
 
     def test_duplicate_utt_id(self, tmp_path):
@@ -170,6 +193,18 @@ class TestRunConfig:
         a = config_hash({"x": 1, "y": [1.5, 2.5]})
         b = config_hash({"y": [1.5, 2.5], "x": 1})
         assert a == b
+
+    def test_one_seed_for_both_levels(self):
+        top = RunConfig.from_dict({"seed": 42, "simulation": {"households_per_group": 2}})
+        assert top.seed == top.simulation.seed == 42
+        inner = RunConfig.from_dict({"simulation": {"seed": 42}})
+        assert inner.seed == inner.simulation.seed == 42
+        with pytest.raises(ConfigurationError, match="differ"):
+            RunConfig.from_dict({"seed": 1, "simulation": {"seed": 2}})
+
+    def test_simulation_section_must_be_object(self):
+        with pytest.raises(ConfigurationError, match="simulation must be an object"):
+            RunConfig.from_dict({"seed": 1, "simulation": [1]})
 
     def test_schema_version_checked(self):
         with pytest.raises(ConfigurationError):
@@ -324,6 +359,43 @@ class TestCli:
         assert main(["evaluate", "--data", str(data), "--config", str(path),
                      "--out", str(tmp_path / "r.json")]) == 3
         assert "subnormal degree" in capsys.readouterr().err
+
+    def test_top_level_seed_drives_simulate(self, tmp_path):
+        cfg = json.loads(self.run_config_file(tmp_path).read_text())
+        paths = {}
+        for name, seed, sim_seed in (("top", 42, None), ("both", 42, 42), ("clash", 42, 43)):
+            doc = {**cfg, "seed": seed, "simulation": dict(cfg["simulation"])}
+            del doc["simulation"]["seed"]
+            if sim_seed is not None:
+                doc["simulation"]["seed"] = sim_seed
+            paths[name] = tmp_path / f"{name}.json"
+            paths[name].write_text(json.dumps(doc))
+        for name in ("top", "both"):
+            assert main(["simulate", "--config", str(paths[name]),
+                         "--out", str(tmp_path / name)]) == 0
+        manifest = json.loads((tmp_path / "top" / "manifest.json").read_text())
+        assert manifest["seed"] == manifest["config"]["simulation"]["seed"] == 42
+        assert ((tmp_path / "top" / "dev.jsonl").read_bytes()
+                == (tmp_path / "both" / "dev.jsonl").read_bytes())
+        assert main(["simulate", "--config", str(paths["clash"]),
+                     "--out", str(tmp_path / "clash")]) == 2
+        # without a simulation section the default simulation takes the seed
+        paths["bare"] = tmp_path / "bare.json"
+        paths["bare"].write_text(json.dumps({"seed": 42}))
+        assert main(["simulate", "--config", str(paths["bare"]),
+                     "--out", str(tmp_path / "bare")]) == 0
+        manifest = json.loads((tmp_path / "bare" / "manifest.json").read_text())
+        assert manifest["seed"] == manifest["config"]["simulation"]["seed"] == 42
+
+    @pytest.mark.parametrize("literal", ["NaN", "1e999"])
+    def test_non_finite_embedding_exits_2(self, tmp_path, capsys, literal):
+        _, val = golden_households()
+        data = tmp_path / "val.jsonl"
+        _, utt_id = write_non_finite_heldout(val, data, literal)
+        assert main(["evaluate", "--data", str(data), "--method", "CS",
+                     "--out", str(tmp_path / "r.json")]) == 2
+        err = capsys.readouterr().err
+        assert "non-finite" in err and utt_id in err
 
     def test_household_without_heldout_exits_2(self, tmp_path, capsys):
         _, households = golden_households()

@@ -14,7 +14,7 @@ from speakergraph import (
     ConfigurationError,
     EdgePoolFusion,
     EmbeddingView,
-    LaplacianMatrix,
+    NumericalError,
     PowerMeanFusion,
     SingleView,
     StructuralError,
@@ -90,44 +90,43 @@ class TestPowerMean:
     def test_single_view_identity(self, p):
         lap = self.random_laplacians(2, count=1)[0]
         fused = pml_fuse([lap], p, shift=0.0)
-        assert np.abs(fused.l - lap.l).max() < 1e-8
+        assert np.abs(fused - lap).max() < 1e-8
 
     def test_p_one_is_arithmetic_mean(self):
         laps = self.random_laplacians(3, count=3)
         fused = pml_fuse(laps, 1.0, shift=0.0)
-        mean = sum(lap.l for lap in laps) / 3
-        assert np.abs(fused.l - mean).max() < 1e-10
+        mean = sum(laps) / 3
+        assert np.abs(fused - mean).max() < 1e-10
 
     def test_harmonic_mean_of_commuting_inputs(self):
-        a = LaplacianMatrix(np.diag([1.0, 2.0]))
-        b = LaplacianMatrix(np.diag([3.0, 2.0]))
+        a = np.diag([1.0, 2.0])
+        b = np.diag([3.0, 2.0])
         fused = pml_fuse([a, b], -1.0, shift=0.0)
-        assert np.allclose(fused.l, np.diag([1.5, 2.0]), atol=1e-10)
+        assert np.allclose(fused, np.diag([1.5, 2.0]), atol=1e-10)
 
     @pytest.mark.parametrize("p", P_GRID)
     def test_diagonal_inputs_match_scalar_power_mean(self, p):
         d1 = np.array([0.3, 1.0, 2.0])
         d2 = np.array([0.8, 0.4, 1.7])
-        fused = pml_fuse([LaplacianMatrix(np.diag(d1)),
-                          LaplacianMatrix(np.diag(d2))], p, shift=0.0)
+        fused = pml_fuse([np.diag(d1), np.diag(d2)], p, shift=0.0)
         expected = np.diag(scalar_power_mean([d1, d2], p))
-        assert np.abs(fused.l - expected).max() < 1e-8
+        assert np.abs(fused - expected).max() < 1e-8
 
     @pytest.mark.parametrize("p", P_GRID)
     def test_symmetric_and_near_psd(self, p):
         laps = self.random_laplacians(4)
         shift = math.log1p(abs(p)) if p < 0 else 0.0
         fused = pml_fuse(laps, p, shift=shift)
-        assert np.abs(fused.l - fused.l.T).max() < 1e-10
-        assert np.linalg.eigvalsh(fused.l).min() >= -1e-8
+        assert np.abs(fused - fused.T).max() < 1e-10
+        assert np.linalg.eigvalsh(fused).min() >= -1e-8
 
     def test_power_ordering_on_diagonals(self):
         d1 = np.array([0.2, 1.1, 2.0])
         d2 = np.array([0.9, 0.5, 1.4])
-        laps = [LaplacianMatrix(np.diag(d1)), LaplacianMatrix(np.diag(d2))]
+        laps = [np.diag(d1), np.diag(d2)]
         spectra = []
         for p in (-5.0, -1.0, 1.0, 5.0):
-            spectra.append(np.sort(np.diagonal(pml_fuse(laps, p, shift=0.0).l)))
+            spectra.append(np.sort(np.diagonal(pml_fuse(laps, p, shift=0.0))))
         for low, high in zip(spectra, spectra[1:]):
             assert np.all(low <= high + 1e-10)
 
@@ -141,6 +140,10 @@ class TestPowerMean:
         b = self.random_laplacians(6, n=6, count=1)[0]
         with pytest.raises(StructuralError):
             pml_fuse([a, b], 1.0)
+
+    def test_non_finite_result_rejected(self):
+        with pytest.raises(NumericalError, match="non-finite"):
+            pml_fuse([np.diag([np.inf, 1.0])], 1.0)
 
     def test_rule_validation(self):
         with pytest.raises(ConfigurationError):
@@ -178,7 +181,7 @@ class TestFuseAndSubgraph:
         lap = pml_fuse([normalized_laplacian(affs["voice"].w),
                         normalized_laplacian(affs["face"].w)], 1.0, 0.0)
         s = fused.propagation_matrix()
-        assert np.abs(s - (np.eye(10) - lap.l)).max() == 0.0
+        assert np.abs(s - (np.eye(10) - lap)).max() == 0.0
 
     def test_unknown_view(self):
         with pytest.raises(ConfigurationError):
@@ -198,7 +201,7 @@ class TestFuseAndSubgraph:
         direct = pml_fuse(
             [normalized_laplacian(affs["voice"].w[np.ix_(idx, idx)]),
              normalized_laplacian(affs["face"].w[np.ix_(idx, idx)])], 2.0, 0.0)
-        assert np.abs(sub - (np.eye(6) - direct.l)).max() < 1e-12
+        assert np.abs(sub - (np.eye(6) - direct)).max() < 1e-12
 
     def test_affinity_subgraph_is_submatrix(self):
         rule = EdgePoolFusion(("voice", "face"))
@@ -242,7 +245,7 @@ def floored_reference(laps, p, shift):
     def floor(q):
         return 0.0 if q > 0 else NEG_POWER_EIG_FLOOR
 
-    shifted = [lap.l + shift * np.eye(lap.n) for lap in laps]
+    shifted = [lap + shift * np.eye(lap.shape[0]) for lap in laps]
     if len(shifted) == 1:
         m = shifted[0]
         vals, vecs = np.linalg.eigh((m + m.T) / 2.0)
@@ -259,7 +262,7 @@ def floored_reference(laps, p, shift):
 def fuse_counting_eigh(laps, p, shift):
     with mock.patch.object(np.linalg, "eigh", wraps=np.linalg.eigh) as eigh:
         fused = pml_fuse(laps, p, shift)
-    return fused.l, eigh.call_count
+    return fused, eigh.call_count
 
 
 def agreement_tolerance(shift):
@@ -294,7 +297,7 @@ class TestClosedForms:
     @given(laps=laplacian_sets(),
            shift=st.just(0.0) | st.floats(0.0, NEG_POWER_EIG_FLOOR / 2))
     def test_binding_floor_keeps_floored_result(self, laps, shift):
-        smallest = min(np.linalg.eigvalsh(lap.l + shift * np.eye(lap.n)).min()
+        smallest = min(np.linalg.eigvalsh(lap + shift * np.eye(lap.shape[0])).min()
                        for lap in laps)
         assume(smallest < NEG_POWER_EIG_FLOOR / 2)
         fused, eigh_calls = fuse_counting_eigh(laps, -1.0, shift)
@@ -304,7 +307,7 @@ class TestClosedForms:
     def test_indefinite_input_falls_back(self):
         # not PSD, so the Cholesky factorization fails and eigh floors the
         # negative eigenvalue instead
-        lap = LaplacianMatrix(np.diag([-1.0, 2.0]))
+        lap = np.diag([-1.0, 2.0])
         fused, eigh_calls = fuse_counting_eigh([lap], -1.0, 0.5)
         assert eigh_calls == 1
         assert np.allclose(fused, np.diag([NEG_POWER_EIG_FLOOR, 2.5]))
