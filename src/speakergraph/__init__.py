@@ -48,6 +48,7 @@ from .graph import (
     normalized_laplacian,
     pairwise_distances,
     propagation_operator,
+    session_affinity,
     sym_matrix_power,
 )
 from .propagation import (

@@ -18,7 +18,7 @@ from typing import Any, Mapping, Sequence
 import numpy as np
 
 from .errors import ConfigurationError, StructuralError
-from .evaluate import EvalReport, MethodSpec
+from .evaluate import EvalReport, MethodSpec, checked, checked_fields, reject_unknown
 from .fusion import EdgePoolFusion, FusionRule, PowerMeanFusion, SingleView
 from .graph import CohortScaling, LocalScaling, ScalingRule, UniversalScaling
 from .propagation import PropagationConfig
@@ -73,19 +73,24 @@ def _parse_record(data: dict, line_no: int) -> tuple[UtteranceRecord, str]:
     views = data.get("views", {})
     if not isinstance(views, dict):
         raise StructuralError(f"line {line_no}: views must be an object")
-    record = UtteranceRecord(
-        utt_id=str(data["utt_id"]),
-        household_id=str(data["household_id"]),
-        role=str(data["role"]),
-        speaker=data.get("speaker"),
-        session_id=data.get("session_id"),
-        cohort=data.get("cohort"),
-        views={str(k): v for k, v in views.items()})
-    for name, vec in record.views.items():
-        # json.loads accepts NaN, Infinity and overflowing literals such as 1e999
-        if not np.isfinite(vec).all():
+    ids = {key: data.get(key) for key in ("speaker", "session_id", "cohort")}
+    for key, value in ids.items():
+        if value is not None and not isinstance(value, str):
+            raise StructuralError(f"line {line_no}: {key} must be a string, got {value!r}")
+    utt_id = str(data["utt_id"])
+    arrays = {}
+    for name, vec in views.items():
+        try:
+            arrays[name] = np.asarray(vec, dtype=float)
+        except (TypeError, ValueError) as exc:
             raise StructuralError(
-                f"line {line_no}: view {name!r} of {record.utt_id!r} has non-finite values")
+                f"line {line_no}: view {name!r} of {utt_id!r} is malformed ({exc})") from exc
+        # json.loads accepts NaN, Infinity and overflowing literals such as 1e999
+        if not np.isfinite(arrays[name]).all():
+            raise StructuralError(
+                f"line {line_no}: view {name!r} of {utt_id!r} has non-finite values")
+    record = UtteranceRecord(utt_id=utt_id, household_id=str(data["household_id"]),
+                             role=str(data["role"]), views=arrays, **ids)
     return record, str(data.get("group", "random"))
 
 
@@ -160,24 +165,27 @@ def write_json(path: str | Path, data: Any) -> None:
 # Run configs
 # ---------------------------------------------------------------------------
 
-def _reject_unknown(data: Mapping, allowed: set[str], path: str) -> None:
-    unknown = set(data) - allowed
-    if unknown:
-        raise ConfigurationError(f"{path}: unknown keys {sorted(unknown)}")
+def _required(data: Mapping, key: str, kind, path: str):
+    if key not in data:
+        raise ConfigurationError(f"{path}.{key}: missing")
+    return checked(f"{path}.{key}", data[key], kind)
 
 
 def scaling_from_dict(data: Mapping, path: str = "scaling") -> ScalingRule:
     kind = data.get("kind")
     if kind == "universal":
-        _reject_unknown(data, {"kind", "sigma"}, path)
-        return UniversalScaling(sigma=float(data["sigma"]))
+        reject_unknown(data, {"kind", "sigma"}, path)
+        return UniversalScaling(sigma=float(_required(data, "sigma", float, path)))
     if kind == "cohort":
-        _reject_unknown(data, {"kind", "sigma_by_cohort"}, path)
-        return CohortScaling(sigma_by_cohort={str(k): float(v) for k, v
-                                              in data["sigma_by_cohort"].items()})
+        reject_unknown(data, {"kind", "sigma_by_cohort"}, path)
+        sigmas = _required(data, "sigma_by_cohort", dict, path)
+        return CohortScaling(sigma_by_cohort={
+            str(k): float(checked(f"{path}.sigma_by_cohort.{k}", v, float))
+            for k, v in sigmas.items()})
     if kind == "local":
-        _reject_unknown(data, {"kind", "k", "s"}, path)
-        return LocalScaling(k=int(data["k"]), s=float(data["s"]))
+        reject_unknown(data, {"kind", "k", "s"}, path)
+        return LocalScaling(k=_required(data, "k", int, path),
+                            s=float(_required(data, "s", float, path)))
     raise ConfigurationError(f"{path}: unknown scaling kind {kind!r}")
 
 
@@ -192,17 +200,19 @@ def scaling_to_dict(rule: ScalingRule) -> dict:
 def fusion_from_dict(data: Mapping, path: str = "fusion") -> FusionRule:
     kind = data.get("kind")
     if kind == "single_view":
-        _reject_unknown(data, {"kind", "view"}, path)
-        return SingleView(view_name=str(data["view"]))
+        reject_unknown(data, {"kind", "view"}, path)
+        return SingleView(view_name=_required(data, "view", str, path))
     if kind == "edge_pool":
-        _reject_unknown(data, {"kind", "views"}, path)
-        return EdgePoolFusion(view_names=tuple(str(v) for v in data["views"]))
+        reject_unknown(data, {"kind", "views"}, path)
+        return EdgePoolFusion(view_names=tuple(
+            str(v) for v in _required(data, "views", tuple, path)))
     if kind == "power_mean":
-        _reject_unknown(data, {"kind", "views", "p", "shift"}, path)
-        shift = data.get("shift")
-        return PowerMeanFusion(view_names=tuple(str(v) for v in data["views"]),
-                               p=float(data["p"]),
-                               shift=None if shift is None else float(shift))
+        reject_unknown(data, {"kind", "views", "p", "shift"}, path)
+        shift = checked(f"{path}.shift", data.get("shift"), float | None)
+        return PowerMeanFusion(
+            view_names=tuple(str(v) for v in _required(data, "views", tuple, path)),
+            p=float(_required(data, "p", float, path)),
+            shift=None if shift is None else float(shift))
     raise ConfigurationError(f"{path}: unknown fusion kind {kind!r}")
 
 
@@ -215,13 +225,8 @@ def fusion_to_dict(rule: FusionRule) -> dict:
             "p": rule.p, "shift": rule.shift}
 
 
-_PROPAGATION_KEYS = {"alpha", "tol", "max_iter", "solver", "step1_includes_heldout"}
-
-
 def propagation_from_dict(data: Mapping, path: str = "propagation") -> PropagationConfig:
-    _reject_unknown(data, _PROPAGATION_KEYS, path)
-    kwargs = dict(data)
-    return PropagationConfig(**kwargs)
+    return PropagationConfig(**checked_fields(data, PropagationConfig, path))
 
 
 _METHOD_KEYS = {"method", "view", "scaling", "fusion", "propagation",
@@ -229,19 +234,24 @@ _METHOD_KEYS = {"method", "view", "scaling", "fusion", "propagation",
 
 
 def method_from_dict(data: Mapping, path: str = "method") -> MethodSpec:
-    _reject_unknown(data, _METHOD_KEYS, path)
+    reject_unknown(data, _METHOD_KEYS, path)
     scaling = data.get("scaling")
     fusion = data.get("fusion")
     propagation = data.get("propagation")
+    for key, section in (("scaling", scaling), ("fusion", fusion),
+                         ("propagation", propagation)):
+        checked(f"{path}.{key}", section, dict | None)
     return MethodSpec(
-        method=str(data.get("method", "2LP")),
-        view=str(data.get("view", "voice")),
+        method=checked(f"{path}.method", data.get("method", "2LP"), str),
+        view=checked(f"{path}.view", data.get("view", "voice"), str),
         scaling=None if scaling is None else scaling_from_dict(scaling, f"{path}.scaling"),
         fusion=None if fusion is None else fusion_from_dict(fusion, f"{path}.fusion"),
         propagation=(PropagationConfig() if propagation is None
                      else propagation_from_dict(propagation, f"{path}.propagation")),
-        session_sigma=float(data.get("session_sigma", 0.25)),
-        unit_normalize=bool(data.get("unit_normalize", False)))
+        session_sigma=float(checked(f"{path}.session_sigma",
+                                    data.get("session_sigma", 0.25), float)),
+        unit_normalize=checked(f"{path}.unit_normalize",
+                               data.get("unit_normalize", False), bool))
 
 
 def method_to_dict(spec: MethodSpec) -> dict:
@@ -256,12 +266,8 @@ def method_to_dict(spec: MethodSpec) -> dict:
     }
 
 
-_SIMULATION_KEYS = {f for f in SimulationConfig.__dataclass_fields__}
-
-
 def simulation_from_dict(data: Mapping, path: str = "simulation") -> SimulationConfig:
-    _reject_unknown(data, _SIMULATION_KEYS, path)
-    kwargs = dict(data)
+    kwargs = checked_fields(data, SimulationConfig, path)
     if "dev_val_ratio" in kwargs:
         kwargs["dev_val_ratio"] = tuple(kwargs["dev_val_ratio"])
     if "groups" in kwargs:
@@ -287,15 +293,17 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "RunConfig":
+        checked("config", data, dict)
         version = data.get("schema_version", SCHEMA_VERSION)
         if version != SCHEMA_VERSION:
             raise ConfigurationError(f"unsupported schema_version {version!r}")
-        _reject_unknown(data, _RUN_CONFIG_KEYS, "config")
+        reject_unknown(data, _RUN_CONFIG_KEYS, "config")
         sim = data.get("simulation")
-        method = data.get("method")
+        method = checked("method", data.get("method"), dict | None)
         if not isinstance(sim or {}, Mapping):
             raise ConfigurationError("config: simulation must be an object")
-        seeds = {int(s) for s in (data.get("seed"), (sim or {}).get("seed"))
+        seeds = {checked(key, s, int) for key, s in (("seed", data.get("seed")),
+                                                     ("simulation.seed", (sim or {}).get("seed")))
                  if s is not None}
         if len(seeds) > 1:
             raise ConfigurationError(

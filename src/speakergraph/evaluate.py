@@ -9,8 +9,9 @@ improvement against the strongest baseline follows
 
 import itertools
 import time
-from dataclasses import dataclass, field, replace
-from typing import Iterable, Mapping, Sequence
+import types
+from dataclasses import dataclass, field, fields, replace
+from typing import Iterable, Mapping, Sequence, get_args, get_origin
 
 import numpy as np
 
@@ -25,6 +26,7 @@ from .graph import (
     ScalingRule,
     UniversalScaling,
     affinity,
+    session_affinity,
 )
 from .propagation import (
     HouseholdGraph,
@@ -145,33 +147,29 @@ def _view_matrix(records, name: str) -> np.ndarray:
 
 
 def _build_view(records, name: str, unit_normalize: bool = False) -> EmbeddingView:
-    if name == SESSION_VIEW:
-        ids = [r.session_id for r in records]
-        if any(s is None for s in ids):
-            raise StructuralError("session view requested but session ids missing")
-        return EmbeddingView.from_sessions(SESSION_VIEW, ids)
     matrix = _view_matrix(records, name)
     if unit_normalize:
         norms = np.linalg.norm(matrix, axis=1, keepdims=True)
         matrix = np.divide(matrix, norms, out=np.zeros_like(matrix),
                            where=norms > 0)
-    return EmbeddingView.from_vectors(name, matrix)
+    return EmbeddingView(name, matrix)
 
 
 def build_household_graph(ordered: OrderedHousehold, spec: MethodSpec) -> HouseholdGraph:
     """Per-view affinities under the spec's scaling, fused per the spec's rule.
 
-    Session views always use a universal bandwidth (spec.session_sigma);
+    The session view always uses the fixed bandwidth spec.session_sigma;
     cohort scaling is keyed by the household's group tag.
     """
     if spec.fusion is None:
         raise ConfigurationError("graph construction needs a fusion rule")
     affinities: dict[str, AffinityMatrix] = {}
     for name in spec.fusion.view_names:
-        view = _build_view(ordered.records, name, unit_normalize=spec.unit_normalize)
-        if view.is_session_view:
-            affinities[name] = affinity(view, UniversalScaling(spec.session_sigma))
+        if name == SESSION_VIEW:
+            affinities[name] = session_affinity(
+                [r.session_id for r in ordered.records], spec.session_sigma)
         else:
+            view = _build_view(ordered.records, name, unit_normalize=spec.unit_normalize)
             affinities[name] = affinity(view, spec.scaling, cohort_id=ordered.group)
     fused = fuse(affinities, spec.fusion)
     return HouseholdGraph(fused=fused, labels=ordered.labels,
@@ -354,38 +352,65 @@ def evaluate_methods(households: Sequence[HouseholdDataset],
 
 
 # ---------------------------------------------------------------------------
+# Config values (run configs and sweep grids)
+# ---------------------------------------------------------------------------
+
+# Python values a declared field type accepts from a config, and their JSON name.
+_JSON_KINDS = {int: ((int,), "an integer"), float: ((int, float), "a number"),
+               str: ((str,), "a string"), bool: ((bool,), "a boolean"),
+               tuple: ((list, tuple), "a list"), dict: ((dict,), "an object")}
+
+
+def checked(key: str, value, kind):
+    """Return value if it fits the declared field type ``kind``, else raise a
+    ConfigurationError naming the dotted key.
+
+    An int passes as a float and only a bool passes as a bool; None passes an
+    optional type. Types outside _JSON_KINDS are left to the constructors.
+    """
+    options = get_args(kind) if isinstance(kind, types.UnionType) else (kind,)
+    if value is None and type(None) in options:
+        return value
+    accepted = _JSON_KINDS.get(get_origin(options[0]) or options[0])
+    if accepted is not None and (not isinstance(value, accepted[0])
+                                 or isinstance(value, bool) and bool not in accepted[0]):
+        raise ConfigurationError(f"{key}: expected {accepted[1]}, got {value!r}")
+    return value
+
+
+def reject_unknown(data: Mapping, allowed: set[str], path: str) -> None:
+    unknown = set(data) - allowed
+    if unknown:
+        raise ConfigurationError(f"{path}: unknown keys {sorted(unknown)}")
+
+
+def checked_fields(data: Mapping, cls, path: str) -> dict:
+    """data as keyword arguments of dataclass cls: each key a field of cls and
+    each value of that field's declared type."""
+    kinds = {f.name: f.type for f in fields(cls)}
+    reject_unknown(data, set(kinds), path)
+    return {k: checked(f"{path}.{k}", v, kinds[k]) for k, v in data.items()}
+
+
+# ---------------------------------------------------------------------------
 # Sweeps
 # ---------------------------------------------------------------------------
 
 def apply_param(spec: MethodSpec, name: str, value) -> MethodSpec:
     """Return a copy of the spec with one dotted parameter replaced."""
-    if name == "method":
-        return replace(spec, method=str(value))
-    if name == "view":
-        return replace(spec, view=str(value))
-    if name == "session_sigma":
-        return replace(spec, session_sigma=float(value))
+    if name in ("method", "view", "session_sigma"):
+        kind = float if name == "session_sigma" else str
+        return replace(spec, **{name: kind(checked(name, value, kind))})
     head, _, tail = name.partition(".")
-    if head == "scaling":
-        if spec.scaling is None:
-            raise ConfigurationError(f"{name}: spec has no scaling rule")
-        valid = {f for f in vars(spec.scaling)}
-        if tail not in valid:
-            raise ConfigurationError(
-                f"{name}: {type(spec.scaling).__name__} has no field {tail!r}")
-        value = int(value) if tail == "k" else value
-        return replace(spec, scaling=replace(spec.scaling, **{tail: value}))
-    if head == "fusion":
-        if not isinstance(spec.fusion, PowerMeanFusion):
-            raise ConfigurationError(f"{name}: only power-mean fusion has parameters")
-        if tail not in ("p", "shift"):
-            raise ConfigurationError(f"{name}: unknown fusion field {tail!r}")
-        return replace(spec, fusion=replace(spec.fusion, **{tail: value}))
-    if head == "propagation":
-        if tail not in ("alpha", "tol", "max_iter", "solver", "step1_includes_heldout"):
-            raise ConfigurationError(f"{name}: unknown propagation field {tail!r}")
-        return replace(spec, propagation=replace(spec.propagation, **{tail: value}))
-    raise ConfigurationError(f"unknown sweep parameter {name!r}")
+    if head == "scaling" and spec.scaling is None:
+        raise ConfigurationError(f"{name}: spec has no scaling rule")
+    if head == "fusion" and not (isinstance(spec.fusion, PowerMeanFusion)
+                                 and tail in ("p", "shift")):
+        raise ConfigurationError(f"{name}: only power-mean p and shift are parameters")
+    if head not in ("scaling", "fusion", "propagation"):
+        raise ConfigurationError(f"unknown sweep parameter {name!r}")
+    part = getattr(spec, head)
+    return replace(spec, **{head: replace(part, **checked_fields({tail: value}, part, head))})
 
 
 @dataclass
@@ -406,8 +431,8 @@ def sweep(dev_households: Sequence[HouseholdDataset],
         raise ConfigurationError("sweep grid is empty")
     names = list(grid.keys())
     for name, values in grid.items():
-        if not values:
-            raise ConfigurationError(f"sweep grid for {name!r} has no values")
+        if not isinstance(values, (list, tuple)) or not values:
+            raise ConfigurationError(f"{name}: expected a non-empty list of values")
     rows: list[dict] = []
     best: tuple[float, int] | None = None
     best_spec, best_params = template, {}

@@ -1,7 +1,8 @@
 """Per-view affinity graphs over utterance embeddings.
 
 One household induces one fully connected graph per view. Edge weights come
-from a Gaussian kernel on pairwise Euclidean distances,
+from a Gaussian kernel on pairwise distances (Euclidean for vector views, 0/1
+for the session view),
 
     W[i, j] = exp(-dist(i, j)^2 / sigma[i, j]^2),
 
@@ -35,69 +36,30 @@ NEG_POWER_EIG_FLOOR = 1e-8
 
 @dataclass(frozen=True)
 class EmbeddingView:
-    """One signal modality of a household's utterances.
-
-    A vector view holds an (n, dim) float matrix, one row per utterance. A
-    session view holds one session identifier per utterance instead; its
-    pairwise distance is 0 for utterances sharing a session and 1 otherwise.
-    """
+    """One vector modality of a household's utterances: an (n, dim) float
+    matrix, one row per utterance."""
 
     name: str
-    vectors: np.ndarray | None = None
-    session_ids: tuple[str, ...] | None = None
+    vectors: np.ndarray
 
     def __post_init__(self):
-        if (self.vectors is None) == (self.session_ids is None):
+        try:
+            arr = np.asarray(self.vectors, dtype=float)
+        except ValueError as exc:
             raise StructuralError(
-                f"view {self.name!r}: exactly one of vectors/session_ids required")
-        if self.vectors is not None:
-            try:
-                arr = np.asarray(self.vectors, dtype=float)
-            except ValueError as exc:
-                raise StructuralError(
-                    f"view {self.name!r}: vectors must share one dimension "
-                    f"({exc})") from exc
-            if arr.ndim != 2:
-                raise StructuralError(
-                    f"view {self.name!r}: vectors must share one dimension "
-                    f"(got array of ndim {arr.ndim})")
-            if arr.shape[1] < 1:
-                raise StructuralError(f"view {self.name!r}: zero-dimensional vectors")
-            if not np.isfinite(arr).all():
-                raise StructuralError(f"view {self.name!r}: non-finite vector entries")
-            object.__setattr__(self, "vectors", arr)
-        else:
-            object.__setattr__(self, "session_ids", tuple(str(s) for s in self.session_ids))
-        if self.n < 2:
+                f"view {self.name!r}: vectors must share one dimension "
+                f"({exc})") from exc
+        if arr.ndim != 2:
+            raise StructuralError(
+                f"view {self.name!r}: vectors must share one dimension "
+                f"(got array of ndim {arr.ndim})")
+        if arr.shape[1] < 1:
+            raise StructuralError(f"view {self.name!r}: zero-dimensional vectors")
+        if not np.isfinite(arr).all():
+            raise StructuralError(f"view {self.name!r}: non-finite vector entries")
+        if arr.shape[0] < 2:
             raise StructuralError(f"view {self.name!r}: need at least 2 utterances")
-
-    @classmethod
-    def from_vectors(cls, name: str, vectors) -> "EmbeddingView":
-        return cls(name=name, vectors=vectors)
-
-    @classmethod
-    def from_sessions(cls, name: str, session_ids: Sequence[str]) -> "EmbeddingView":
-        return cls(name=name, session_ids=tuple(session_ids))
-
-    @property
-    def is_session_view(self) -> bool:
-        return self.session_ids is not None
-
-    @property
-    def n(self) -> int:
-        if self.vectors is not None:
-            return self.vectors.shape[0]
-        return len(self.session_ids)
-
-    @property
-    def dim(self) -> int | None:
-        return None if self.vectors is None else self.vectors.shape[1]
-
-    def scaled(self, c: float) -> "EmbeddingView":
-        """Return a copy with all vectors multiplied by c (session views reject)."""
-        if self.is_session_view:
-            raise ConfigurationError("cannot scale a session view")
-        return EmbeddingView.from_vectors(self.name, self.vectors * float(c))
+        object.__setattr__(self, "vectors", arr)
 
 
 # ---------------------------------------------------------------------------
@@ -175,26 +137,13 @@ class AffinityMatrix:
             raise StructuralError("affinity entries must lie in [0, 1]")
         object.__setattr__(self, "w", w)
 
-    @property
-    def n(self) -> int:
-        return self.w.shape[0]
-
 
 # ---------------------------------------------------------------------------
 # Operations
 # ---------------------------------------------------------------------------
 
 def pairwise_distances(view: EmbeddingView) -> np.ndarray:
-    """Symmetric zero-diagonal distance matrix for one view.
-
-    Euclidean distances for vector views; for a session view, 0 when two
-    utterances share a session id and 1 otherwise.
-    """
-    if view.is_session_view:
-        ids = np.asarray(view.session_ids, dtype=object)
-        dist = (ids[:, None] != ids[None, :]).astype(float)
-        np.fill_diagonal(dist, 0.0)
-        return dist
+    """Symmetric zero-diagonal Euclidean distance matrix for one view."""
     # squareform(pdist(...)) computes each pair once, so the result is
     # exactly symmetric by construction.
     return squareform(pdist(view.vectors, metric="euclidean"))
@@ -211,7 +160,7 @@ def _knn_row_means(dist: np.ndarray, k: int) -> np.ndarray:
     return ordered.mean(axis=1)
 
 
-def _resolve_sigma(view: EmbeddingView, dist: np.ndarray, rule: ScalingRule,
+def _resolve_sigma(dist: np.ndarray, rule: ScalingRule,
                    cohort_id: str | None) -> np.ndarray | float:
     if isinstance(rule, UniversalScaling):
         return rule.sigma
@@ -222,29 +171,41 @@ def _resolve_sigma(view: EmbeddingView, dist: np.ndarray, rule: ScalingRule,
             raise ConfigurationError(f"no sigma configured for cohort {cohort_id!r}")
         return rule.sigma_by_cohort[cohort_id]
     if isinstance(rule, LocalScaling):
-        if view.is_session_view:
-            raise ConfigurationError(
-                "local scaling is not applicable to session views "
-                "(0/1 distances make KNN means degenerate)")
         means = _knn_row_means(dist, rule.k)
         # mean of the pooled 2k neighbor distances of i and j
         return rule.s * (means[:, None] + means[None, :]) / 2.0
     raise ConfigurationError(f"unknown scaling rule {type(rule).__name__}")
 
 
-def affinity(view: EmbeddingView, rule: ScalingRule,
-             cohort_id: str | None = None) -> AffinityMatrix:
-    """Gaussian-kernel affinity matrix of one view under a scaling rule."""
-    dist = pairwise_distances(view)
-    sigma = _resolve_sigma(view, dist, rule, cohort_id)
+def _gaussian_kernel(dist: np.ndarray, sigma: np.ndarray | float) -> AffinityMatrix:
+    """exp(-(dist/sigma)^2) with the sigma floor, zero diagonal, exact symmetry."""
     if np.any(np.asarray(sigma) < SIGMA_FLOOR):
+        # stacklevel 3 names the caller of affinity / session_affinity
         warnings.warn("bandwidth clamped to sigma floor (duplicate embeddings?)",
-                      DegeneracyWarning, stacklevel=2)
+                      DegeneracyWarning, stacklevel=3)
         sigma = np.maximum(sigma, SIGMA_FLOOR)
     w = np.exp(-(dist / sigma) ** 2)
     # mirror the upper triangle so symmetry never depends on float luck
     upper = np.triu(w, 1)
     return AffinityMatrix(upper + upper.T)
+
+
+def affinity(view: EmbeddingView, rule: ScalingRule,
+             cohort_id: str | None = None) -> AffinityMatrix:
+    """Gaussian-kernel affinity matrix of one view under a scaling rule."""
+    dist = pairwise_distances(view)
+    return _gaussian_kernel(dist, _resolve_sigma(dist, rule, cohort_id))
+
+
+def session_affinity(sessions: Sequence[str | None], sigma: float) -> AffinityMatrix:
+    """Session-constraint affinity: distance 0 within a session, 1 across, under
+    one fixed bandwidth (local scaling has no meaning on 0/1 distances)."""
+    if any(s is None for s in sessions):
+        raise StructuralError("session view requested but session ids missing")
+    if not sigma > 0:
+        raise ConfigurationError(f"session sigma must be > 0, got {sigma}")
+    ids = np.asarray([str(s) for s in sessions], dtype=object)
+    return _gaussian_kernel((ids[:, None] != ids[None, :]).astype(float), sigma)
 
 
 def propagation_operator(w: np.ndarray) -> np.ndarray:

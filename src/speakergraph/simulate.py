@@ -365,10 +365,9 @@ def _build_household(pool: SpeakerPool, member_idx: list[int], household_id: str
     return household
 
 
-def generate_group(cfg: SimulationConfig, group: str,
-                   seed: int | None = None) -> list[HouseholdDataset]:
+def generate_group(cfg: SimulationConfig, group: str) -> list[HouseholdDataset]:
     """All households of one group, from that group's own speaker pool."""
-    seed = cfg.seed if seed is None else seed
+    seed = cfg.seed
     pool = generate_speakers(cfg, seed, cfg.default_pool_size(group), tag=group)
     if group == GROUP_RANDOM:
         assignments = assemble_random_households(pool, cfg, seed)
@@ -412,12 +411,10 @@ def split_dev_val(households: list[HouseholdDataset], cfg: SimulationConfig,
     return dev, val
 
 
-def generate_dataset(cfg: SimulationConfig,
-                     seed: int | None = None
+def generate_dataset(cfg: SimulationConfig
                      ) -> tuple[list[HouseholdDataset], list[HouseholdDataset]]:
     """Generate every configured group and split into dev/val."""
-    seed = cfg.seed if seed is None else seed
     households: list[HouseholdDataset] = []
     for group in cfg.groups:
-        households.extend(generate_group(cfg, group, seed))
-    return split_dev_val(households, cfg, seed)
+        households.extend(generate_group(cfg, group))
+    return split_dev_val(households, cfg, cfg.seed)

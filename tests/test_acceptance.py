@@ -61,7 +61,7 @@ def random_household_graph(rng):
     heldout = int(rng.integers(1, max(2, n // 5)))
     unlabeled = n - labeled - heldout
     labels = np.concatenate([np.arange(c), rng.integers(0, c, size=labeled - c)])
-    view = EmbeddingView.from_vectors("voice", rng.normal(size=(n, 3)))
+    view = EmbeddingView("voice", rng.normal(size=(n, 3)))
     w = affinity(view, UniversalScaling(float(rng.uniform(0.8, 2.0))))
     fused = fuse({"voice": w}, SingleView("voice"))
     return HouseholdGraph(fused=fused, labels=labels, n_unlabeled=unlabeled,
@@ -171,7 +171,7 @@ def test_criterion_02_power_mean_identities():
     rng = np.random.default_rng(7)
 
     def rand_laplacian(n=9):
-        view = EmbeddingView.from_vectors("v", rng.normal(size=(n, 3)))
+        view = EmbeddingView("v", rng.normal(size=(n, 3)))
         return normalized_laplacian(affinity(view, UniversalScaling(1.0)).w)
 
     laps = [rand_laplacian() for _ in range(3)]
@@ -233,17 +233,17 @@ def test_criterion_04_local_scaling_invariance():
         labels = np.arange(3)
 
         def predictions(vectors, scaling):
-            view = EmbeddingView.from_vectors("voice", vectors)
+            view = EmbeddingView("voice", vectors)
             fused = fuse({"voice": affinity(view, scaling)}, SingleView("voice"))
             graph = HouseholdGraph(fused=fused, labels=labels, n_unlabeled=24,
                                    n_heldout=6, class_count=3)
             return run_2lp(graph, cfg).labels
 
-        base_w = affinity(EmbeddingView.from_vectors("voice", emb), rule).w
+        base_w = affinity(EmbeddingView("voice", emb), rule).w
         base_pred = predictions(emb, rule)
         base_uni = predictions(emb, UniversalScaling(1.0))
         for c in (0.1, 10.0):
-            scaled_w = affinity(EmbeddingView.from_vectors("voice", emb * c), rule).w
+            scaled_w = affinity(EmbeddingView("voice", emb * c), rule).w
             affinity_gap = max(affinity_gap, float(np.abs(scaled_w - base_w).max()))
             if not np.array_equal(predictions(emb * c, rule), base_pred):
                 prediction_mismatch += 1

@@ -68,6 +68,30 @@ def write_non_finite_heldout(households, path, literal):
     return index + 1, record["utt_id"]
 
 
+def write_edited_record(households, path, role, edit):
+    """Save households after applying edit to the JSON object of the first
+    record with the given role; return that record's line number and utt_id."""
+    save_dataset(households, path)
+    lines = path.read_text().splitlines()
+    index = next(i for i, line in enumerate(lines) if json.loads(line)["role"] == role)
+    record = json.loads(lines[index])
+    edit(record)
+    lines[index] = json.dumps(record)
+    path.write_text("\n".join(lines) + "\n")
+    return index + 1, record["utt_id"]
+
+
+# (role of the edited record, edit, fragment the error names besides the line)
+MALFORMED_RECORDS = [
+    pytest.param("heldout", lambda r: r["views"].update(voice=["a", 1.0]),
+                 "view 'voice'", id="non-numeric-view"),
+    pytest.param("heldout", lambda r: r["views"].update(voice=[[1.0], [2.0, 3.0]]),
+                 "view 'voice'", id="ragged-view"),
+    pytest.param("enrolled", lambda r: r.update(speaker=1),
+                 "speaker must be a string", id="non-string-speaker"),
+]
+
+
 class TestJsonlRoundTrip:
     def test_save_load_value_equal(self, tmp_path):
         dev, val = golden_households()
@@ -130,6 +154,15 @@ class TestJsonlRoundTrip:
         expected = f"line {line_no}: view 'voice' of '{utt_id}' has non-finite values"
         with pytest.raises(StructuralError, match=re.escape(expected)):
             load_dataset(path)
+
+    @pytest.mark.parametrize("role, edit, fragment", MALFORMED_RECORDS)
+    def test_malformed_record_names_line(self, tmp_path, role, edit, fragment):
+        _, val = golden_households()
+        path = tmp_path / "malformed.jsonl"
+        line_no, _ = write_edited_record(val, path, role, edit)
+        with pytest.raises(StructuralError, match=re.escape(f"line {line_no}: ")) as exc:
+            load_dataset(path)
+        assert fragment in str(exc.value)
 
     def test_duplicate_utt_id(self, tmp_path):
         dev, _ = golden_households()
@@ -205,6 +238,12 @@ class TestRunConfig:
     def test_simulation_section_must_be_object(self):
         with pytest.raises(ConfigurationError, match="simulation must be an object"):
             RunConfig.from_dict({"seed": 1, "simulation": [1]})
+
+    @pytest.mark.parametrize("data, key", [([1], "config"), ({"method": 5}, "method"),
+                                           ({"method": {"scaling": "x"}}, "method.scaling")])
+    def test_config_and_sections_must_be_objects(self, data, key):
+        with pytest.raises(ConfigurationError, match=re.escape(f"{key}: expected an object")):
+            RunConfig.from_dict(data)
 
     def test_schema_version_checked(self):
         with pytest.raises(ConfigurationError):
@@ -396,6 +435,65 @@ class TestCli:
                      "--out", str(tmp_path / "r.json")]) == 2
         err = capsys.readouterr().err
         assert "non-finite" in err and utt_id in err
+
+    @pytest.mark.parametrize("role, edit, fragment", MALFORMED_RECORDS)
+    def test_malformed_record_exits_2(self, tmp_path, capsys, role, edit, fragment):
+        _, val = golden_households()
+        data = tmp_path / "val.jsonl"
+        line_no, _ = write_edited_record(val, data, role, edit)
+        assert main(["evaluate", "--data", str(data), "--method", "CS",
+                     "--out", str(tmp_path / "r.json")]) == 2
+        err = capsys.readouterr().err
+        assert f"line {line_no}: " in err and fragment in err
+
+    def test_missing_session_id_exits_2(self, tmp_path, capsys):
+        _, val = golden_households()
+        data = tmp_path / "val.jsonl"
+        write_edited_record(val, data, "heldout", lambda r: r.pop("session_id"))
+        cfg = json.loads(self.run_config_file(tmp_path).read_text())
+        cfg["method"]["fusion"] = {"kind": "edge_pool", "views": ["voice", "session"]}
+        path = tmp_path / "session.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["evaluate", "--data", str(data), "--config", str(path),
+                     "--out", str(tmp_path / "r.json")]) == 2
+        assert "session ids missing" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, document, key", [
+        ("simulate", {"seed": "abc"}, "seed"),
+        ("simulate", {"simulation": {"households_per_group": "x"}},
+         "simulation.households_per_group"),
+        ("evaluate", {"scaling": {"kind": "local", "k": "x", "s": 0.8}}, "method.scaling.k"),
+        ("evaluate", {"scaling": {"kind": "local", "s": 0.8}}, "method.scaling.k"),
+        ("evaluate", {"propagation": {"alpha": "x"}}, "method.propagation.alpha"),
+        ("sweep", {"scaling.k": ["x"]}, "scaling.k"),
+        ("sweep", {"scaling.k": 5}, "scaling.k"),
+        ("sweep", {"propagation.alpha": ["x"]}, "propagation.alpha"),
+    ], ids=["seed", "households_per_group", "k-string", "k-missing", "alpha",
+            "grid-k-string", "grid-k-scalar", "grid-alpha"])
+    def test_wrongly_typed_config_exits_2(self, tmp_path, capsys, command, document, key):
+        """The config (for simulate, evaluate) or grid (for sweep) document
+        holds one wrongly typed or missing value; the error names its key."""
+        path = tmp_path / "doc.json"
+        if command == "simulate":
+            path.write_text(json.dumps(document))
+            argv = ["simulate", "--config", str(path), "--out", str(tmp_path / "sim")]
+        else:
+            _, val = golden_households()
+            data = tmp_path / "val.jsonl"
+            save_dataset(val, data)
+            cfg = self.run_config_file(tmp_path)
+            if command == "evaluate":
+                doc = json.loads(cfg.read_text())
+                doc["method"].update(document)
+                path.write_text(json.dumps(doc))
+                argv = ["evaluate", "--data", str(data), "--config", str(path),
+                        "--out", str(tmp_path / "r.json")]
+            else:
+                path.write_text(json.dumps(document))
+                argv = ["sweep", "--dev", str(data), "--grid", str(path),
+                        "--config", str(cfg), "--out", str(tmp_path / "s.csv")]
+        assert main(argv) == 2
+        assert f"error: {key}: " in capsys.readouterr().err
 
     def test_household_without_heldout_exits_2(self, tmp_path, capsys):
         _, households = golden_households()

@@ -33,7 +33,7 @@ P_GRID = (-5.0, -2.0, -1.0, 1.0, 2.0, 5.0)
 
 
 def random_affinity(rng, n):
-    view = EmbeddingView.from_vectors("v", rng.normal(size=(n, 3)))
+    view = EmbeddingView("v", rng.normal(size=(n, 3)))
     return affinity(view, UniversalScaling(float(rng.uniform(0.5, 2.0))))
 
 

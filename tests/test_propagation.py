@@ -49,7 +49,7 @@ def cluster_household(rng, n_classes=3, labeled=2, unlabeled=5, heldout=3,
     emb = np.vstack(rows)
     truth = np.array(truth)
     l, u, h = labeled * n_classes, unlabeled * n_classes, heldout * n_classes
-    view = EmbeddingView.from_vectors("voice", emb)
+    view = EmbeddingView("voice", emb)
     # keep the kernel wide enough that within-cluster weights cannot underflow
     sigma = max(1.0, 4.0 * noise) if sigma is None else sigma
     fused = fuse({"voice": affinity(view, UniversalScaling(sigma))}, SingleView("voice"))
@@ -140,7 +140,7 @@ class TestPropagate:
         rng = np.random.default_rng(42)
         for _ in range(3):
             n = int(rng.integers(8, 30))
-            view = EmbeddingView.from_vectors("voice", rng.normal(size=(n, 3)))
+            view = EmbeddingView("voice", rng.normal(size=(n, 3)))
             fused = fuse({"voice": affinity(view, UniversalScaling(1.0))},
                          SingleView("voice"))
             labels = np.array([0, 1])
@@ -157,7 +157,7 @@ class TestPropagate:
     def test_objective_gradient_vanishes(self):
         # the fixed point minimizes ||f - y0||^2 + lam * tr(f' L f), lam = a/(1-a)
         rng = np.random.default_rng(3)
-        view = EmbeddingView.from_vectors("voice", rng.normal(size=(12, 3)))
+        view = EmbeddingView("voice", rng.normal(size=(12, 3)))
         w = affinity(view, UniversalScaling(1.0))
         fused = fuse({"voice": w}, SingleView("voice"))
         graph = HouseholdGraph(fused=fused, labels=np.array([0, 1, 1]),
@@ -353,7 +353,7 @@ class Test2LPEA:
         rule = LocalScaling(k=5, s=0.7)
 
         def predictions(vectors):
-            view = EmbeddingView.from_vectors("voice", vectors)
+            view = EmbeddingView("voice", vectors)
             fused = fuse({"voice": affinity(view, rule)}, SingleView("voice"))
             l = 6
             graph = HouseholdGraph(fused=fused, labels=truth[:l],
