@@ -204,13 +204,12 @@ def fusion_from_dict(data: Mapping, path: str = "fusion") -> FusionRule:
         return SingleView(view_name=_required(data, "view", str, path))
     if kind == "edge_pool":
         reject_unknown(data, {"kind", "views"}, path)
-        return EdgePoolFusion(view_names=tuple(
-            str(v) for v in _required(data, "views", tuple, path)))
+        return EdgePoolFusion(view_names=_required(data, "views", tuple[str, ...], path))
     if kind == "power_mean":
         reject_unknown(data, {"kind", "views", "p", "shift"}, path)
         shift = checked(f"{path}.shift", data.get("shift"), float | None)
         return PowerMeanFusion(
-            view_names=tuple(str(v) for v in _required(data, "views", tuple, path)),
+            view_names=_required(data, "views", tuple[str, ...], path),
             p=float(_required(data, "p", float, path)),
             shift=None if shift is None else float(shift))
     raise ConfigurationError(f"{path}: unknown fusion kind {kind!r}")
@@ -267,12 +266,7 @@ def method_to_dict(spec: MethodSpec) -> dict:
 
 
 def simulation_from_dict(data: Mapping, path: str = "simulation") -> SimulationConfig:
-    kwargs = checked_fields(data, SimulationConfig, path)
-    if "dev_val_ratio" in kwargs:
-        kwargs["dev_val_ratio"] = tuple(kwargs["dev_val_ratio"])
-    if "groups" in kwargs:
-        kwargs["groups"] = tuple(kwargs["groups"])
-    return SimulationConfig(**kwargs)
+    return SimulationConfig(**checked_fields(data, SimulationConfig, path))
 
 
 _RUN_CONFIG_KEYS = {"schema_version", "seed", "simulation", "method"}

@@ -366,7 +366,9 @@ def checked(key: str, value, kind):
     ConfigurationError naming the dotted key.
 
     An int passes as a float and only a bool passes as a bool; None passes an
-    optional type. Types outside _JSON_KINDS are left to the constructors.
+    optional type. A ``tuple[X, ...]`` or ``tuple[X, Y]`` is checked element
+    by element (as ``key[i]``), and by length when fixed, and returned as a
+    tuple. Types outside _JSON_KINDS are left to the constructors.
     """
     options = get_args(kind) if isinstance(kind, types.UnionType) else (kind,)
     if value is None and type(None) in options:
@@ -375,7 +377,14 @@ def checked(key: str, value, kind):
     if accepted is not None and (not isinstance(value, accepted[0])
                                  or isinstance(value, bool) and bool not in accepted[0]):
         raise ConfigurationError(f"{key}: expected {accepted[1]}, got {value!r}")
-    return value
+    if get_origin(options[0]) is not tuple:
+        return value
+    items = get_args(options[0])
+    if items[-1] is Ellipsis:
+        items = items[:1] * len(value)
+    elif len(value) != len(items):
+        raise ConfigurationError(f"{key}: expected a list of {len(items)} values, got {value!r}")
+    return tuple(checked(f"{key}[{i}]", v, k) for i, (v, k) in enumerate(zip(value, items)))
 
 
 def reject_unknown(data: Mapping, allowed: set[str], path: str) -> None:
@@ -425,7 +434,8 @@ def sweep(dev_households: Sequence[HouseholdDataset],
     """Exhaustive grid evaluation on the dev split.
 
     Returns the argmin micro-SIER spec; ties keep the first point in grid
-    order (itertools.product over the grid's key order).
+    order (itertools.product over the grid's key order). Every point's spec
+    is built before any is evaluated, so a bad grid value fails at once.
     """
     if not grid:
         raise ConfigurationError("sweep grid is empty")
@@ -433,14 +443,17 @@ def sweep(dev_households: Sequence[HouseholdDataset],
     for name, values in grid.items():
         if not isinstance(values, (list, tuple)) or not values:
             raise ConfigurationError(f"{name}: expected a non-empty list of values")
-    rows: list[dict] = []
-    best: tuple[float, int] | None = None
-    best_spec, best_params = template, {}
-    for i, combo in enumerate(itertools.product(*(grid[n] for n in names))):
+    points = []
+    for combo in itertools.product(*(grid[n] for n in names)):
         spec = template
         params = dict(zip(names, combo))
         for name, value in params.items():
             spec = apply_param(spec, name, value)
+        points.append((params, spec))
+    rows: list[dict] = []
+    best: tuple[float, int] | None = None
+    best_spec, best_params = template, {}
+    for i, (params, spec) in enumerate(points):
         report = evaluate(dev_households, spec)
         errors, total = report.counts()
         value = errors / total

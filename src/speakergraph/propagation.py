@@ -1,12 +1,14 @@
 """Label propagation with class normalization, plus the LP pipelines.
 
-The solver evolves an n-by-C score matrix by
+The scores are the fixed point (1 - alpha) * (I - alpha*S)^(-1) @ Y(0) of
 
-    Y(t+1) = alpha * S @ Y(t) + (1 - alpha) * Y(0)
+    Y(t+1) = alpha * S @ Y(t) + (1 - alpha) * Y(0),
 
-until convergence, or jumps straight to the fixed point
-(1 - alpha) * (I - alpha*S)^(-1) @ Y(0). Columns of Y(0) are normalized to
-unit sum so imbalanced label (and pseudo-label) counts cannot drown a class.
+solved directly through a Cholesky factorization of I - alpha*S, which is
+symmetric positive definite for every S the fusion rules build, or, as the
+reference solver, by running that iteration to convergence. Columns of Y(0)
+are normalized to unit sum so imbalanced label (and pseudo-label) counts
+cannot drown a class.
 The fixed point with lam = alpha / (1 - alpha) minimizes
 ||f - Y0||^2 + lam * trace(f^T L f), the usual quadratic smoothness
 objective on the graph.
@@ -15,6 +17,7 @@ objective on the graph.
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 from .baselines import PredictionResult, _argmax_with_ties, _class_mean_scores
 from .errors import ConfigurationError, NumericalError, StructuralError
@@ -22,16 +25,13 @@ from .fusion import FusedGraph
 
 ABSTAIN = -1
 
-# Households stay small, so a direct solve is the default below this size.
-CLOSED_FORM_MAX_NODES = 512
-
 
 @dataclass(frozen=True)
 class PropagationConfig:
     alpha: float = 0.9
     tol: float = 1e-6
     max_iter: int = 1000
-    solver: str = "auto"  # "auto" | "iterative" | "closed_form"
+    solver: str = "auto"  # "auto" = "closed_form" (Cholesky) | "iterative" (reference)
     # Whether the first pass of the two-step pipelines propagates over the
     # full graph (held-out nodes included) or only labeled+unlabeled.
     step1_includes_heldout: bool = False
@@ -144,22 +144,20 @@ def init_label_matrix(graph: HouseholdGraph,
     return class_normalize(y0)
 
 
-def _resolve_solver(cfg: PropagationConfig, n: int) -> str:
-    if cfg.solver != "auto":
-        return cfg.solver
-    return "closed_form" if n <= CLOSED_FORM_MAX_NODES else "iterative"
-
-
 def propagate(graph: HouseholdGraph, y0: np.ndarray,
               cfg: PropagationConfig) -> PropagationOutcome:
     """Run Y(t+1) = alpha*S@Y(t) + (1-alpha)*Y(0) to (or at) its fixed point."""
     s = graph.fused.propagation_matrix()
-    if _resolve_solver(cfg, graph.n) == "closed_form":
-        a = np.eye(graph.n) - cfg.alpha * s
+    if cfg.solver != "iterative":
+        # One n-by-n array, factored in place as its (symmetric) F-ordered transpose.
+        a = s * -cfg.alpha
+        a.flat[::graph.n + 1] += 1.0
         try:
-            y = np.linalg.solve(a, (1.0 - cfg.alpha) * y0)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError(f"(I - alpha*S) is singular: {exc}") from exc
+            factor = cho_factor(a.T, overwrite_a=True, check_finite=False)
+        except LinAlgError as exc:
+            raise NumericalError(
+                f"I - alpha*S is not positive definite at alpha={cfg.alpha}: {exc}") from exc
+        y = cho_solve(factor, (1.0 - cfg.alpha) * y0, check_finite=False)
         if not np.isfinite(y).all():
             raise NumericalError("closed-form solution has non-finite values")
         return PropagationOutcome(y=y, converged=True, iterations=0)

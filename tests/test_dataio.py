@@ -245,6 +245,21 @@ class TestRunConfig:
         with pytest.raises(ConfigurationError, match=re.escape(f"{key}: expected an object")):
             RunConfig.from_dict(data)
 
+    @pytest.mark.parametrize("data, key", [
+        ({"simulation": {"dev_val_ratio": ["a", 1]}}, "simulation.dev_val_ratio[0]"),
+        ({"simulation": {"dev_val_ratio": [1, 2, 3]}}, "simulation.dev_val_ratio"),
+        ({"simulation": {"face_outlier_blend": [0.3]}}, "simulation.face_outlier_blend"),
+        ({"simulation": {"groups": [1, 2]}}, "simulation.groups[0]"),
+        ({"method": {"fusion": {"kind": "edge_pool", "views": ["voice", 2]}}},
+         "method.fusion.views[1]"),
+        ({"method": {"fusion": {"kind": "power_mean", "views": [None], "p": 1}}},
+         "method.fusion.views[0]"),
+    ], ids=["ratio-element", "ratio-length", "blend-length", "groups-element",
+            "edge-pool-views", "power-mean-views"])
+    def test_tuple_elements_checked(self, data, key):
+        with pytest.raises(ConfigurationError, match=re.escape(f"{key}: expected")):
+            RunConfig.from_dict(data)
+
     def test_schema_version_checked(self):
         with pytest.raises(ConfigurationError):
             RunConfig.from_dict({"schema_version": 99})
@@ -468,8 +483,14 @@ class TestCli:
         ("sweep", {"scaling.k": ["x"]}, "scaling.k"),
         ("sweep", {"scaling.k": 5}, "scaling.k"),
         ("sweep", {"propagation.alpha": ["x"]}, "propagation.alpha"),
+        ("simulate", {"simulation": {"dev_val_ratio": ["a", 1]}}, "simulation.dev_val_ratio[0]"),
+        ("simulate", {"simulation": {"dev_val_ratio": [1, 2, 3]}}, "simulation.dev_val_ratio"),
+        ("simulate", {"simulation": {"face_outlier_blend": [0.3]}},
+         "simulation.face_outlier_blend"),
+        ("simulate", {"simulation": {"groups": [1, 2]}}, "simulation.groups[0]"),
     ], ids=["seed", "households_per_group", "k-string", "k-missing", "alpha",
-            "grid-k-string", "grid-k-scalar", "grid-alpha"])
+            "grid-k-string", "grid-k-scalar", "grid-alpha", "ratio-element",
+            "ratio-length", "blend-length", "groups-element"])
     def test_wrongly_typed_config_exits_2(self, tmp_path, capsys, command, document, key):
         """The config (for simulate, evaluate) or grid (for sweep) document
         holds one wrongly typed or missing value; the error names its key."""

@@ -1,6 +1,7 @@
 """SIER arithmetic, evaluation reports, and sweeps."""
 
 import importlib
+import re
 
 import numpy as np
 import pytest
@@ -216,6 +217,18 @@ class TestSweep:
             sweep(val, {}, LOCAL_2LP)
         with pytest.raises(ConfigurationError):
             sweep(val, {"scaling.s": []}, LOCAL_2LP)
+
+    def test_grid_checked_before_any_evaluation(self, monkeypatch):
+        # the package re-exports the evaluate function under the module's name
+        evaluate_module = importlib.import_module("speakergraph.evaluate")
+        _, val = tiny_dataset()
+        calls = []
+        original = evaluate_module.evaluate
+        monkeypatch.setattr(evaluate_module, "evaluate",
+                            lambda *args, **kwargs: calls.append(1) or original(*args, **kwargs))
+        with pytest.raises(ConfigurationError, match=re.escape("scaling.s: expected a number")):
+            sweep(val, {"scaling.s": [0.5, 0.8, 1.0, "x"]}, LOCAL_2LP)
+        assert len(calls) == 0
 
     def test_apply_param_paths(self):
         spec = apply_param(LOCAL_2LP, "scaling.k", 9)

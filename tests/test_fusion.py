@@ -311,3 +311,20 @@ class TestClosedForms:
         fused, eigh_calls = fuse_counting_eigh([lap], -1.0, 0.5)
         assert eigh_calls == 1
         assert np.allclose(fused, np.diag([NEG_POWER_EIG_FLOOR, 2.5]))
+
+
+class TestSpectralBound:
+    @PROPERTY
+    @given(laps=laplacian_sets(), p=st.sampled_from([1.0, -1.0, 2.0]),
+           shift=st.just(0.0) | SHIFTS)
+    def test_power_mean_spectrum_within_shifted_inputs(self, laps, p, shift):
+        # Each L_v + shift*I has its spectrum in [shift, 2 + shift] and a matrix
+        # power mean stays inside its inputs' bounds, so I - alpha*S =
+        # (1 - alpha)*I + alpha*L_p is positive definite. Round-off: the
+        # floored eigendecompositions work at condition numbers up to
+        # (2 + shift)/NEG_POWER_EIG_FLOOR, and at p = 2 the square root turns
+        # an eps-sized error in an eigenvalue of M^2 into a sqrt(eps)-sized one.
+        tolerance = 1e-6 * (2.0 + shift)
+        eigenvalues = np.linalg.eigvalsh(pml_fuse(laps, p, shift))
+        assert eigenvalues.min() >= shift - tolerance
+        assert eigenvalues.max() <= 2.0 + shift + tolerance
