@@ -25,7 +25,7 @@ from .graph import (
     LocalScaling,
     ScalingRule,
     UniversalScaling,
-    affinity,
+    ViewDistances,
     session_affinity,
 )
 from .propagation import (
@@ -146,16 +146,55 @@ def _view_matrix(records, name: str) -> np.ndarray:
         raise ConfigurationError(f"view {name!r} missing from dataset") from exc
 
 
-def _build_view(records, name: str, unit_normalize: bool = False) -> EmbeddingView:
-    matrix = _view_matrix(records, name)
-    if unit_normalize:
-        norms = np.linalg.norm(matrix, axis=1, keepdims=True)
-        matrix = np.divide(matrix, norms, out=np.zeros_like(matrix),
-                           where=norms > 0)
-    return EmbeddingView(name, matrix)
+def _widest_k(specs: Iterable[MethodSpec]) -> int:
+    return max((s.scaling.k for s in specs if isinstance(s.scaling, LocalScaling)), default=1)
 
 
-def build_household_graph(ordered: OrderedHousehold, spec: MethodSpec) -> HouseholdGraph:
+class HouseholdStages:
+    """One household's intermediate quantities, each built once and keyed
+    only by the spec fields it reads:
+
+    - the ordered arrays;
+    - each view's matrix, keyed by (view, ``unit_normalize``);
+    - each view's distances and one neighbor sort to ``k_max`` columns, under
+      the same key, kept only when ``keep_distances`` is set.
+
+    Affinities are built from these on each call and not kept.
+    """
+
+    def __init__(self, hh: HouseholdDataset, k_max: int = 1, keep_distances: bool = True):
+        self.ordered = _ordered_arrays(hh)
+        self.k_max = k_max
+        self.keep_distances = keep_distances
+        self._matrices: dict[tuple[str, bool], np.ndarray] = {}
+        self._distances: dict[tuple[str, bool], ViewDistances] = {}
+
+    def matrix(self, name: str, unit_normalize: bool = False) -> np.ndarray:
+        key = (name, unit_normalize)
+        if key not in self._matrices:
+            if unit_normalize:
+                matrix = self.matrix(name)
+                norms = np.linalg.norm(matrix, axis=1, keepdims=True)
+                matrix = np.divide(matrix, norms, out=np.zeros_like(matrix),
+                                   where=norms > 0)
+            else:
+                matrix = _view_matrix(self.ordered.records, name)
+            self._matrices[key] = matrix
+        return self._matrices[key]
+
+    def affinity(self, name: str, spec: MethodSpec) -> AffinityMatrix:
+        if name == SESSION_VIEW:
+            return session_affinity([r.session_id for r in self.ordered.records],
+                                    spec.session_sigma)
+        view_key = (name, spec.unit_normalize)
+        distances = self._distances.get(view_key) or ViewDistances(
+            EmbeddingView(name, self.matrix(*view_key)), self.k_max)
+        if self.keep_distances:
+            self._distances[view_key] = distances
+        return distances.affinity(spec.scaling, cohort_id=self.ordered.group)
+
+
+def build_household_graph(stages: HouseholdStages, spec: MethodSpec) -> HouseholdGraph:
     """Per-view affinities under the spec's scaling, fused per the spec's rule.
 
     The session view always uses the fixed bandwidth spec.session_sigma;
@@ -163,15 +202,9 @@ def build_household_graph(ordered: OrderedHousehold, spec: MethodSpec) -> Househ
     """
     if spec.fusion is None:
         raise ConfigurationError("graph construction needs a fusion rule")
-    affinities: dict[str, AffinityMatrix] = {}
-    for name in spec.fusion.view_names:
-        if name == SESSION_VIEW:
-            affinities[name] = session_affinity(
-                [r.session_id for r in ordered.records], spec.session_sigma)
-        else:
-            view = _build_view(ordered.records, name, unit_normalize=spec.unit_normalize)
-            affinities[name] = affinity(view, spec.scaling, cohort_id=ordered.group)
+    affinities = {name: stages.affinity(name, spec) for name in spec.fusion.view_names}
     fused = fuse(affinities, spec.fusion)
+    ordered = stages.ordered
     return HouseholdGraph(fused=fused, labels=ordered.labels,
                           n_unlabeled=ordered.n_unlabeled,
                           n_heldout=ordered.truth.size, class_count=ordered.class_count)
@@ -186,28 +219,47 @@ def primary_view_name(spec: MethodSpec) -> str:
     raise ConfigurationError("no vector view available (session-only graph)")
 
 
-def run_method(hh: HouseholdDataset, spec: MethodSpec) -> tuple[PredictionResult, np.ndarray]:
-    """Predictions for the household's held-out utterances, plus ground truth."""
-    ordered = _ordered_arrays(hh)
+def _graph_key(spec: MethodSpec) -> tuple:
+    """The spec fields build_household_graph reads (compared, not hashed:
+    a cohort scaling holds a dict)."""
+    return (spec.scaling, spec.fusion, spec.session_sigma, spec.unit_normalize)
+
+
+def _predictions(stages: HouseholdStages,
+                 specs: Sequence[MethodSpec]) -> list[PredictionResult]:
+    """Held-out predictions of specs that share one graph key, on one graph
+    built here and released on return."""
+    graph = None if specs[0].is_baseline else build_household_graph(stages, specs[0])
+    return [_predict(stages, spec, graph) for spec in specs]
+
+
+def _predict(stages: HouseholdStages, spec: MethodSpec,
+             graph: HouseholdGraph | None) -> PredictionResult:
+    ordered = stages.ordered
     if spec.is_baseline:
-        emb = _view_matrix(ordered.records, spec.view)
+        emb = stages.matrix(spec.view)
         l, u = ordered.labels.size, ordered.n_unlabeled
         labeled, unlabeled, heldout = emb[:l], emb[l:l + u], emb[l + u:]
         runner = {"CS": run_cs, "CSEA": run_csea}.get(spec.method)
         if runner is not None:
-            out = runner(labeled, ordered.labels, heldout, ordered.class_count)
-        else:
-            runner = {"2CS": run_2cs, "2CSEA": run_2csea}[spec.method]
-            out = runner(labeled, ordered.labels, unlabeled, heldout, ordered.class_count)
-        return out, ordered.truth
-
-    graph = build_household_graph(ordered, spec)
+            return runner(labeled, ordered.labels, heldout, ordered.class_count)
+        runner = {"2CS": run_2cs, "2CSEA": run_2csea}[spec.method]
+        return runner(labeled, ordered.labels, unlabeled, heldout, ordered.class_count)
     if spec.method == "LP":
-        return run_lp(graph, spec.propagation), ordered.truth
+        return run_lp(graph, spec.propagation)
     if spec.method == "2LP":
-        return run_2lp(graph, spec.propagation), ordered.truth
-    emb = _view_matrix(ordered.records, primary_view_name(spec))
-    return run_2lpea(graph, emb, spec.propagation), ordered.truth
+        return run_2lp(graph, spec.propagation)
+    return run_2lpea(graph, stages.matrix(primary_view_name(spec)), spec.propagation)
+
+
+def run_method(hh: HouseholdDataset, spec: MethodSpec) -> tuple[PredictionResult, np.ndarray]:
+    """Predictions for the household's held-out utterances, plus ground truth.
+
+    Runs the stages a sweep runs, but keeps no distances: each is dropped as
+    soon as its affinity is built, long before the solve.
+    """
+    stages = HouseholdStages(hh, _widest_k([spec]), keep_distances=False)
+    return _predictions(stages, [spec])[0], stages.ordered.truth
 
 
 # ---------------------------------------------------------------------------
@@ -436,6 +488,13 @@ def sweep(dev_households: Sequence[HouseholdDataset],
     Returns the argmin micro-SIER spec; ties keep the first point in grid
     order (itertools.product over the grid's key order). Every point's spec
     is built before any is evaluated, so a bad grid value fails at once.
+
+    The sweep is household-major. Each household's ordered arrays, view
+    matrices, distances and one neighbor sort (to the grid's widest k) are
+    computed once for the whole grid (see HouseholdStages). Points that share
+    a graph, that is differ only in method or propagation config, run back
+    to back on one fused graph and its one step-1 subgraph, and at most one
+    fused graph per household is held at a time.
     """
     if not grid:
         raise ConfigurationError("sweep grid is empty")
@@ -450,17 +509,36 @@ def sweep(dev_households: Sequence[HouseholdDataset],
         for name, value in params.items():
             spec = apply_param(spec, name, value)
         points.append((params, spec))
+    if not dev_households:
+        raise StructuralError("no households to evaluate")
+    specs = [spec for _, spec in points]
+    groups: list[list[int]] = []  # indices of points sharing a graph, in grid order
+    for i, spec in enumerate(specs):
+        group = next((g for g in groups if _graph_key(specs[g[0]]) == _graph_key(spec)), None)
+        if group is None:
+            groups.append([i])
+        else:
+            group.append(i)
+    k_max = _widest_k(specs)
+    errors, total = [0] * len(points), 0
+    for hh in dev_households:
+        stages = HouseholdStages(hh, k_max)
+        truth = stages.ordered.truth
+        if truth.size == 0:
+            raise StructuralError(
+                f"household {hh.household_id}: no held-out utterances to score")
+        for group in groups:
+            for i, pred in zip(group, _predictions(stages, [specs[i] for i in group])):
+                errors[i] += int(np.sum(pred.labels != truth))
+        total += truth.size
     rows: list[dict] = []
-    best: tuple[float, int] | None = None
+    best: float | None = None
     best_spec, best_params = template, {}
-    for i, (params, spec) in enumerate(points):
-        report = evaluate(dev_households, spec)
-        errors, total = report.counts()
-        value = errors / total
-        rows.append({**params, "errors": errors, "heldout": total, "sier": value})
-        if best is None or value < best[0]:
-            best = (value, i)
-            best_spec, best_params = spec, params
+    for (params, spec), point_errors in zip(points, errors):
+        value = point_errors / total
+        rows.append({**params, "errors": point_errors, "heldout": total, "sier": value})
+        if best is None or value < best:
+            best, best_spec, best_params = value, spec, params
     return SweepResult(best_spec=best_spec, best_params=best_params, rows=rows)
 
 

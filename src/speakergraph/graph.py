@@ -149,38 +149,61 @@ def pairwise_distances(view: EmbeddingView) -> np.ndarray:
     return squareform(pdist(view.vectors, metric="euclidean"))
 
 
-def _knn_row_means(dist: np.ndarray, k: int) -> np.ndarray:
-    """Vector of per-node mean k-nearest-neighbor distances, self excluded."""
-    n = dist.shape[0]
-    if not 1 <= k <= n - 1:
-        raise ConfigurationError(f"k must be in [1, {n - 1}], got {k}")
+def _nearest_distances(dist: np.ndarray, width: int) -> np.ndarray:
+    """Each node's ``width`` smallest distances to the other nodes, ascending."""
     masked = dist.copy()
     np.fill_diagonal(masked, np.inf)
-    ordered = np.sort(masked, axis=1)[:, :k]
-    return ordered.mean(axis=1)
+    # the first `width` columns hold the row's `width` smallest values, so
+    # sorting them gives exactly the first `width` columns of a full sort
+    masked.partition(width - 1, axis=1)
+    return np.sort(masked[:, :width], axis=1)
 
 
-def _resolve_sigma(dist: np.ndarray, rule: ScalingRule,
-                   cohort_id: str | None) -> np.ndarray | float:
-    if isinstance(rule, UniversalScaling):
-        return rule.sigma
-    if isinstance(rule, CohortScaling):
-        if cohort_id is None:
-            raise ConfigurationError("cohort scaling requires a cohort id")
-        if cohort_id not in rule.sigma_by_cohort:
-            raise ConfigurationError(f"no sigma configured for cohort {cohort_id!r}")
-        return rule.sigma_by_cohort[cohort_id]
-    if isinstance(rule, LocalScaling):
-        means = _knn_row_means(dist, rule.k)
-        # mean of the pooled 2k neighbor distances of i and j
-        return rule.s * (means[:, None] + means[None, :]) / 2.0
-    raise ConfigurationError(f"unknown scaling rule {type(rule).__name__}")
+class ViewDistances:
+    """One view's distance matrix and its sorted nearest-neighbor distances,
+    each computed once, from which the affinity under any bandwidth is built.
+
+    The sort keeps ``k_max`` columns, the widest local-scaling k that will be
+    asked for; a wider k sorts again.
+    """
+
+    def __init__(self, view: EmbeddingView, k_max: int = 1):
+        self.dist = pairwise_distances(view)
+        self.k_max = k_max
+        self._nearest: np.ndarray | None = None
+
+    def knn_means(self, k: int) -> np.ndarray:
+        """Vector of per-node mean k-nearest-neighbor distances, self excluded."""
+        n = self.dist.shape[0]
+        if not 1 <= k <= n - 1:
+            raise ConfigurationError(f"k must be in [1, {n - 1}], got {k}")
+        if self._nearest is None or self._nearest.shape[1] < k:
+            self._nearest = _nearest_distances(self.dist, min(max(k, self.k_max), n - 1))
+        return self._nearest[:, :k].mean(axis=1)
+
+    def affinity(self, rule: ScalingRule, cohort_id: str | None = None) -> AffinityMatrix:
+        """Gaussian-kernel affinity under a scaling rule."""
+        if isinstance(rule, UniversalScaling):
+            sigma = rule.sigma
+        elif isinstance(rule, CohortScaling):
+            if cohort_id is None:
+                raise ConfigurationError("cohort scaling requires a cohort id")
+            if cohort_id not in rule.sigma_by_cohort:
+                raise ConfigurationError(f"no sigma configured for cohort {cohort_id!r}")
+            sigma = rule.sigma_by_cohort[cohort_id]
+        elif isinstance(rule, LocalScaling):
+            means = self.knn_means(rule.k)
+            # mean of the pooled 2k neighbor distances of i and j
+            sigma = rule.s * (means[:, None] + means[None, :]) / 2.0
+        else:
+            raise ConfigurationError(f"unknown scaling rule {type(rule).__name__}")
+        return _gaussian_kernel(self.dist, sigma)
 
 
 def _gaussian_kernel(dist: np.ndarray, sigma: np.ndarray | float) -> AffinityMatrix:
     """exp(-(dist/sigma)^2) with the sigma floor, zero diagonal, exact symmetry."""
     if np.any(np.asarray(sigma) < SIGMA_FLOOR):
-        # stacklevel 3 names the caller of affinity / session_affinity
+        # stacklevel 3 names the caller of ViewDistances.affinity / session_affinity
         warnings.warn("bandwidth clamped to sigma floor (duplicate embeddings?)",
                       DegeneracyWarning, stacklevel=3)
         sigma = np.maximum(sigma, SIGMA_FLOOR)
@@ -193,8 +216,8 @@ def _gaussian_kernel(dist: np.ndarray, sigma: np.ndarray | float) -> AffinityMat
 def affinity(view: EmbeddingView, rule: ScalingRule,
              cohort_id: str | None = None) -> AffinityMatrix:
     """Gaussian-kernel affinity matrix of one view under a scaling rule."""
-    dist = pairwise_distances(view)
-    return _gaussian_kernel(dist, _resolve_sigma(dist, rule, cohort_id))
+    k = rule.k if isinstance(rule, LocalScaling) else 1
+    return ViewDistances(view, k).affinity(rule, cohort_id)
 
 
 def session_affinity(sessions: Sequence[str | None], sigma: float) -> AffinityMatrix:

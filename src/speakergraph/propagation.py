@@ -6,14 +6,22 @@ The scores are the fixed point (1 - alpha) * (I - alpha*S)^(-1) @ Y(0) of
 
 solved directly through a Cholesky factorization of I - alpha*S, which is
 symmetric positive definite for every S the fusion rules build, or, as the
-reference solver, by running that iteration to convergence. Columns of Y(0)
-are normalized to unit sum so imbalanced label (and pseudo-label) counts
-cannot drown a class.
+reference solver, by running that iteration to convergence.
+
+The iteration converges only when alpha*rho(S) < 1. The eigenvalues of S lie
+in [-1, 1] for single-view and edge-pool graphs but in [-1 - shift, 1 - shift]
+for a power mean, so a positive shift (the default when p < 0) can put one
+below -1/alpha; the iteration then raises NumericalError as soon as its step
+grows.
+
+Columns of Y(0) are normalized to unit sum so imbalanced label (and
+pseudo-label) counts cannot drown a class.
 The fixed point with lam = alpha / (1 - alpha) minimizes
 ||f - Y0||^2 + lam * trace(f^T L f), the usual quadratic smoothness
 objective on the graph.
 """
 
+import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -25,13 +33,18 @@ from .fusion import FusedGraph
 
 ABSTAIN = -1
 
+# Relative step size below which growth of the iteration's step is taken
+# for round-off, not divergence.
+_ROUNDOFF = 1e-10
+
 
 @dataclass(frozen=True)
 class PropagationConfig:
     alpha: float = 0.9
     tol: float = 1e-6
     max_iter: int = 1000
-    solver: str = "auto"  # "auto" = "closed_form" (Cholesky) | "iterative" (reference)
+    # "auto" = "closed_form" (Cholesky) | "iterative" (reference; needs alpha*rho(S) < 1)
+    solver: str = "auto"
     # Whether the first pass of the two-step pipelines propagates over the
     # full graph (held-out nodes included) or only labeled+unlabeled.
     step1_includes_heldout: bool = False
@@ -99,6 +112,12 @@ class HouseholdGraph:
         return slice(self.n_labeled + self.n_unlabeled, self.n)
 
     def without_heldout(self) -> "HouseholdGraph":
+        """The labeled+unlabeled subgraph, fused once per graph and shared by
+        every propagation config run on it."""
+        return self._core
+
+    @functools.cached_property
+    def _core(self) -> "HouseholdGraph":
         core = np.arange(self.n_labeled + self.n_unlabeled)
         return HouseholdGraph(fused=self.fused.subgraph(core), labels=self.labels,
                               n_unlabeled=self.n_unlabeled, n_heldout=0,
@@ -164,6 +183,7 @@ def propagate(graph: HouseholdGraph, y0: np.ndarray,
 
     base = (1.0 - cfg.alpha) * y0
     y = y0.copy()
+    prev_delta = np.inf
     for t in range(1, cfg.max_iter + 1):
         y_next = cfg.alpha * (s @ y) + base
         if not np.isfinite(y_next).all():
@@ -173,6 +193,13 @@ def propagate(graph: HouseholdGraph, y0: np.ndarray,
         y = y_next
         if delta < cfg.tol * max(1.0, prev_norm):
             return PropagationOutcome(y=y, converged=True, iterations=t)
+        # The step obeys dY(t+1) = alpha*S @ dY(t) with S symmetric, so its
+        # norm can grow, beyond round-off, only when alpha*rho(S) > 1.
+        if delta > prev_delta and delta > _ROUNDOFF * max(1.0, prev_norm):
+            raise NumericalError(
+                f"iteration diverges at alpha={cfg.alpha}: the step grew at iteration "
+                f"{t}, so alpha*rho(S) > 1; use the closed-form solver")
+        prev_delta = delta
     return PropagationOutcome(y=y, converged=False, iterations=cfg.max_iter)
 
 

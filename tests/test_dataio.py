@@ -348,6 +348,16 @@ class TestCli:
         assert (out1 / "dev.jsonl").read_bytes() == (out2 / "dev.jsonl").read_bytes()
         assert (out1 / "val.jsonl").read_bytes() == (out2 / "val.jsonl").read_bytes()
 
+    def test_sweep_regenerates_golden_byte_identical(self, tmp_path):
+        out = tmp_path / "sweep.csv"
+        code = main(["sweep", "--dev", str(DATA_DIR / "golden_val.jsonl"),
+                     "--grid", str(DATA_DIR / "golden_sweep_grid.json"),
+                     "--config", str(self.run_config_file(tmp_path)), "--out", str(out)])
+        assert code == 0
+        assert out.read_bytes() == (DATA_DIR / "golden_sweep.csv").read_bytes()
+        best = tmp_path / "sweep.csv.best.json"
+        assert best.read_bytes() == (DATA_DIR / "golden_sweep.csv.best.json").read_bytes()
+
     def test_evaluate_matches_golden_sier(self, tmp_path):
         cfg = self.run_config_file(tmp_path)
         out = tmp_path / "sim"

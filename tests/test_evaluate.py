@@ -1,13 +1,18 @@
 """SIER arithmetic, evaluation reports, and sweeps."""
 
 import importlib
+import itertools
 import re
+import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from speakergraph import (
     ConfigurationError,
+    EdgePoolFusion,
+    FusedGraph,
     LocalScaling,
     MethodSpec,
     NumericalError,
@@ -26,6 +31,9 @@ from speakergraph import (
     tune_cohort_sigmas,
 )
 from speakergraph.evaluate import apply_param
+
+evaluate_module = importlib.import_module("speakergraph.evaluate")
+graph_module = importlib.import_module("speakergraph.graph")
 
 
 def tiny_dataset(seed=0, groups=("random",), **overrides):
@@ -219,13 +227,15 @@ class TestSweep:
             sweep(val, {"scaling.s": []}, LOCAL_2LP)
 
     def test_grid_checked_before_any_evaluation(self, monkeypatch):
-        # the package re-exports the evaluate function under the module's name
-        evaluate_module = importlib.import_module("speakergraph.evaluate")
+        # a sweep sets up each household's stages once, before evaluating it
         _, val = tiny_dataset()
         calls = []
-        original = evaluate_module.evaluate
-        monkeypatch.setattr(evaluate_module, "evaluate",
+        original = evaluate_module.HouseholdStages
+        monkeypatch.setattr(evaluate_module, "HouseholdStages",
                             lambda *args, **kwargs: calls.append(1) or original(*args, **kwargs))
+        sweep(val, {"scaling.s": [0.5, 0.8]}, LOCAL_2LP)
+        assert len(calls) == len(val)
+        calls.clear()
         with pytest.raises(ConfigurationError, match=re.escape("scaling.s: expected a number")):
             sweep(val, {"scaling.s": [0.5, 0.8, 1.0, "x"]}, LOCAL_2LP)
         assert len(calls) == 0
@@ -247,7 +257,6 @@ class TestSweep:
     def test_unit_normalize_changes_graph_not_contract(self):
         _, val = tiny_dataset(seed=9)
         base = evaluate(val, LOCAL_2LP)
-        from dataclasses import replace
         normalized = evaluate(val, replace(LOCAL_2LP, unit_normalize=True))
         assert len(base.households) == len(normalized.households)
         # normalized-view predictions remain the same shape and range
@@ -263,3 +272,114 @@ class TestSweep:
         assert set(rule.sigma_by_cohort) == {"random", "hard"}
         for sigma in rule.sigma_by_cohort.values():
             assert sigma in (0.8, 2.0, 5.0)
+
+
+def pointwise_sweep(households, grid, template):
+    """Rows and best params of a sweep, evaluated one grid point at a time."""
+    rows, best = [], None
+    for combo in itertools.product(*grid.values()):
+        params = dict(zip(grid, combo))
+        spec = template
+        for name, value in params.items():
+            spec = apply_param(spec, name, value)
+        errors, total = evaluate(households, spec).counts()
+        rows.append({**params, "errors": errors, "heldout": total, "sier": errors / total})
+        if best is None or errors / total < best[0]:
+            best = (errors / total, params)
+    return rows, best[1]
+
+
+POWER_MEAN_LP = MethodSpec(method="LP", scaling=LocalScaling(k=4, s=0.8),
+                           fusion=PowerMeanFusion(("voice", "face"), p=1.0))
+
+EQUIVALENCE_CASES = {
+    "local-k-s-alpha": (LOCAL_2LP, {"propagation.alpha": [0.5, 0.99], "scaling.k": [3, 5],
+                                    "scaling.s": [0.5, 1.0]}),
+    "universal-sigma": (MethodSpec(method="2LP", scaling=UniversalScaling(1.0),
+                                   fusion=SingleView("voice")),
+                        {"scaling.sigma": [0.8, 2.0, 5.0], "propagation.alpha": [0.5, 0.9]}),
+    "unit-normalize": (replace(LOCAL_2LP, unit_normalize=True),
+                       {"method": ["LP", "2LP", "2LPEA"], "scaling.k": [3, 5]}),
+    "edge-pool-session-sigma": (
+        MethodSpec(method="2LP", scaling=LocalScaling(k=4, s=0.8),
+                   fusion=EdgePoolFusion(("voice", "face", "session"))),
+        {"session_sigma": [0.1, 0.25, 0.5], "propagation.alpha": [0.5, 0.9]}),
+    "power-mean-p-shift": (POWER_MEAN_LP, {"fusion.p": [1.0, -1.0, 2.0],
+                                           "fusion.shift": [0.1, 0.5]}),
+    "step1-includes-heldout": (
+        LOCAL_2LP, {"propagation.step1_includes_heldout": [True, False],
+                    "scaling.k": [3, 5], "method": ["2LP", "2LPEA"]}),
+}
+
+
+class TestSweepStages:
+    @pytest.mark.parametrize("case", sorted(EQUIVALENCE_CASES))
+    def test_rows_match_pointwise_evaluation(self, case):
+        template, grid = EQUIVALENCE_CASES[case]
+        dev, val = tiny_dataset(seed=4, groups=("random", "hard"))
+        result = sweep(dev + val, grid, template)
+        rows, best_params = pointwise_sweep(dev + val, grid, template)
+        assert result.rows == rows
+        assert result.best_params == best_params
+
+    def test_tune_cohort_sigmas_matches_pointwise_choice(self):
+        dev, val = tiny_dataset(seed=5, groups=("random", "hard"))
+        sigmas = [0.5, 1.5, 4.0]
+        template = MethodSpec(method="2LP", scaling=UniversalScaling(1.0),
+                              fusion=SingleView("voice"))
+        rule = tune_cohort_sigmas(dev + val, sigmas, template)
+        for group in ("random", "hard"):
+            members = [hh for hh in dev + val if hh.group == group]
+            _, best = pointwise_sweep(members, {"scaling.sigma": sigmas}, template)
+            assert rule.sigma_by_cohort[group] == best["scaling.sigma"]
+
+    def count_calls(self, monkeypatch, owner, name):
+        calls = []
+        original = getattr(owner, name)
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+        monkeypatch.setattr(owner, name, counting)
+        return calls
+
+    def test_each_stage_built_once_per_household(self, monkeypatch):
+        dev, val = tiny_dataset()
+        households = dev + val
+        distances = self.count_calls(monkeypatch, graph_module, "pairwise_distances")
+        graphs = self.count_calls(monkeypatch, evaluate_module, "build_household_graph")
+        subgraphs = self.count_calls(monkeypatch, FusedGraph, "subgraph")
+        grid = {"scaling.k": [3, 5, 8], "scaling.s": [0.5, 1.0, 2.0],
+                "propagation.alpha": [0.5, 0.9, 0.99]}
+        assert len(sweep(households, grid, LOCAL_2LP).rows) == 27
+        assert len(distances) == len(households)
+        assert len(graphs) == 9 * len(households)
+        assert len(subgraphs) == 9 * len(households)
+
+        distances.clear()
+        multi = MethodSpec(method="2LP", scaling=LocalScaling(k=4, s=0.8),
+                           fusion=EdgePoolFusion(("voice", "face", "session")))
+        sweep(households, {"session_sigma": [0.1, 0.5], "scaling.k": [3, 5]}, multi)
+        assert len(distances) == 2 * len(households)   # voice and face, not session
+
+        distances.clear()
+        template = MethodSpec(method="2LP", scaling=UniversalScaling(1.0),
+                              fusion=SingleView("voice"))
+        tuning = tiny_dataset(groups=("random", "hard"))[0]
+        tune_cohort_sigmas(tuning, [0.5, 1.5, 4.0], template)
+        assert len(distances) == len(tuning)
+
+    def test_one_fused_graph_held_at_a_time(self, monkeypatch):
+        _, val = tiny_dataset()
+        original = evaluate_module.build_household_graph
+        built = []
+
+        def tracking(stages, spec):
+            assert all(ref() is None for ref in built), "an earlier graph is still alive"
+            graph = original(stages, spec)
+            built.append(weakref.ref(graph.fused))
+            return graph
+        monkeypatch.setattr(evaluate_module, "build_household_graph", tracking)
+        sweep(val, {"scaling.k": [3, 5], "scaling.s": [0.5, 1.0],
+                    "propagation.alpha": [0.5, 0.9]}, LOCAL_2LP)
+        assert len(built) == 4 * len(val)

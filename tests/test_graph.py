@@ -20,7 +20,7 @@ from speakergraph import (
     session_affinity,
     sym_matrix_power,
 )
-from speakergraph.graph import SIGMA_FLOOR, _knn_row_means
+from speakergraph.graph import SIGMA_FLOOR, ViewDistances
 
 
 def line_view(points):
@@ -64,25 +64,40 @@ class TestPairwiseDistances:
 
 class TestKnnMeanDistance:
     def test_line_examples(self):
-        dist = pairwise_distances(line_view([0.0, 1.0, 3.0]))
-        assert _knn_row_means(dist, 1).tolist() == [1.0, 1.0, 2.0]
-        assert _knn_row_means(dist, 2)[2] == 2.5
+        distances = ViewDistances(line_view([0.0, 1.0, 3.0]))
+        assert distances.knn_means(1).tolist() == [1.0, 1.0, 2.0]
+        assert distances.knn_means(2)[2] == 2.5
 
     def test_matches_sort_oracle(self):
         rng = np.random.default_rng(3)
-        dist = pairwise_distances(random_view(rng, 9))
+        distances = ViewDistances(random_view(rng, 9))
+        dist = distances.dist
         for k in (1, 3, 8):
-            means = _knn_row_means(dist, k)
+            means = distances.knn_means(k)
             for i in range(9):
                 row = np.delete(dist[i], i)
                 expected = np.sort(row)[:k].mean()
                 assert means[i] == pytest.approx(expected)
 
     def test_k_out_of_range(self):
-        dist = pairwise_distances(line_view([0.0, 1.0, 3.0]))
+        distances = ViewDistances(line_view([0.0, 1.0, 3.0]), k_max=5)
         for k in (0, 3):
             with pytest.raises(ConfigurationError):
-                _knn_row_means(dist, k)
+                distances.knn_means(k)
+
+    def test_one_trimmed_sort_serves_every_k_bitwise(self):
+        # each k's mean over the first k columns of one sort to the widest k
+        # is bitwise the mean over a full sort of each row
+        rng = np.random.default_rng(5)
+        view = random_view(rng, 40)
+        shared = ViewDistances(view, k_max=20)
+        masked = pairwise_distances(view)
+        np.fill_diagonal(masked, np.inf)
+        full = np.sort(masked, axis=1)
+        for k in (1, 2, 7, 13, 20):
+            assert np.array_equal(shared.knn_means(k), full[:, :k].mean(axis=1))
+        assert shared._nearest.shape == (40, 20)
+        assert np.array_equal(shared.knn_means(39), full[:, :39].mean(axis=1))
 
     def test_duplicate_point_floors(self):
         # k=1 means are (0, 0, 1e-7): the pair bandwidth 5e-8 is clamped

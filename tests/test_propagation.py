@@ -1,5 +1,7 @@
 """Label propagation solvers and the LP / 2-LP / 2-LPEA pipelines."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -177,6 +179,35 @@ class TestPropagate:
                                n_heldout=0, class_count=2)
         with pytest.raises(NumericalError, match=r"not positive definite at alpha=0\.9"):
             propagate(graph, init_label_matrix(graph), PropagationConfig(alpha=0.9))
+
+    def test_iterative_divergence_raises_before_any_warning(self):
+        # two random weights fused by the p = -1 power mean give rho(S) = 1.187,
+        # so at alpha = 0.9 the iteration grows instead of converging
+        rng = np.random.default_rng(0)
+        weights = {}
+        for name in ("voice", "face"):
+            upper = np.triu(rng.random((8, 8)) ** 4, 1)
+            weights[name] = AffinityMatrix(upper + upper.T)
+        fused = fuse(weights, PowerMeanFusion(("voice", "face"), p=-1.0))
+        assert 0.9 * np.abs(np.linalg.eigvalsh(fused.propagation_matrix())).max() > 1.0
+        graph = HouseholdGraph(fused=fused, labels=np.array([0, 1]), n_unlabeled=4,
+                               n_heldout=2, class_count=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match=r"diverges at alpha=0\.9"):
+                propagate(graph, init_label_matrix(graph),
+                          PropagationConfig(alpha=0.9, solver="iterative"))
+
+    def test_iterative_roundoff_is_not_divergence(self):
+        # a tolerance below round-off never converges, but must not read as
+        # divergence: the step stalls at round-off level instead of growing
+        rng = np.random.default_rng(2)
+        graph, _, _ = cluster_household(rng, noise=1.0)
+        y0 = init_label_matrix(graph)
+        out = propagate(graph, y0, PropagationConfig(alpha=0.99, solver="iterative",
+                                                     tol=1e-300, max_iter=20000))
+        closed = propagate(graph, y0, PropagationConfig(alpha=0.99))
+        assert np.abs(out.y - closed.y).max() < 1e-8
 
     def test_objective_gradient_vanishes(self):
         # the fixed point minimizes ||f - y0||^2 + lam * tr(f' L f), lam = a/(1-a)
