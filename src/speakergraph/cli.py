@@ -23,7 +23,7 @@ from .dataio import (
     write_report,
 )
 from .errors import ConfigurationError, NumericalError, SpeakerGraphError
-from .evaluate import MethodSpec, evaluate_methods, sweep
+from .evaluate import BASELINE_METHODS, MethodSpec, evaluate_methods, sweep
 from .fusion import SingleView
 from .graph import LocalScaling
 from .simulate import SimulationConfig, generate_dataset
@@ -78,7 +78,7 @@ def _cmd_evaluate(args) -> int:
     specs = []
     for name in (args.method.split(",") if args.method else [template.method]):
         name = name.strip()
-        if name in ("CS", "CSEA", "2CS", "2CSEA"):
+        if name in BASELINE_METHODS:
             specs.append(MethodSpec(method=name, view=template.view))
         else:
             specs.append(replace(template, method=name))

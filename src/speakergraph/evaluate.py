@@ -10,8 +10,9 @@ improvement against the strongest baseline follows
 import itertools
 import time
 import types
+from collections import Counter
 from dataclasses import dataclass, field, fields, replace
-from typing import Iterable, Mapping, Sequence, get_args, get_origin
+from typing import Iterable, Iterator, Mapping, Sequence, get_args, get_origin
 
 import numpy as np
 
@@ -35,7 +36,7 @@ from .propagation import (
     run_2lpea,
     run_lp,
 )
-from .records import ROLE_ENROLLED, ROLE_UNLABELED, HouseholdDataset, UtteranceRecord
+from .records import ROLE_ENROLLED, ROLE_UNLABELED, HouseholdDataset
 
 SESSION_VIEW = "session"
 
@@ -105,67 +106,58 @@ class MethodSpec:
 # Per-household execution
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class OrderedHousehold:
-    """A household's records in graph node order (enrolled, unlabeled,
-    held-out), with class indices for the enrolled and held-out records."""
-
-    group: str
-    records: list[UtteranceRecord]
-    labels: np.ndarray
-    truth: np.ndarray
-    class_count: int
-    n_unlabeled: int
-
-
-def _ordered_arrays(hh: HouseholdDataset) -> OrderedHousehold:
-    records = hh.ordered()
-    speakers = hh.speakers
-    class_of = {spk: i for i, spk in enumerate(speakers)}
-    roles = [r.role for r in records]
-    l = roles.count(ROLE_ENROLLED)
-    u = roles.count(ROLE_UNLABELED)
-    labels = np.array([class_of[r.speaker] for r in records[:l]], dtype=int)
-    truth = []
-    for r in records[l + u:]:
-        if r.speaker is None:
-            raise StructuralError(f"{r.utt_id}: held-out utterance without ground truth")
-        if r.speaker not in class_of:
-            raise StructuralError(
-                f"{r.utt_id}: speaker {r.speaker!r} has zero enrolled utterances")
-        truth.append(class_of[r.speaker])
-    return OrderedHousehold(group=hh.group, records=records, labels=labels,
-                            truth=np.array(truth, dtype=int),
-                            class_count=len(speakers), n_unlabeled=u)
-
-
-def _view_matrix(records, name: str) -> np.ndarray:
-    try:
-        return np.vstack([r.views[name] for r in records])
-    except KeyError as exc:
-        raise ConfigurationError(f"view {name!r} missing from dataset") from exc
-
-
-def _widest_k(specs: Iterable[MethodSpec]) -> int:
-    return max((s.scaling.k for s in specs if isinstance(s.scaling, LocalScaling)), default=1)
+def _graph_groups(specs: Sequence[MethodSpec]) -> list[list[int]]:
+    """Indices of the specs that share a graph, grouped in order of first
+    appearance. Specs share a graph when they agree on every field
+    build_household_graph reads (compared, not hashed: a cohort scaling holds
+    a dict). Baselines build no graph; they group the same way."""
+    keys: list[tuple] = []
+    groups: list[list[int]] = []
+    for i, spec in enumerate(specs):
+        key = (spec.scaling, spec.fusion, spec.session_sigma, spec.unit_normalize)
+        if key not in keys:
+            keys.append(key)
+            groups.append([])
+        groups[keys.index(key)].append(i)
+    return groups
 
 
 class HouseholdStages:
-    """One household's intermediate quantities, each built once and keyed
-    only by the spec fields it reads:
+    """One household's quantities for a list of specs, each built once and
+    keyed only by the spec fields it reads:
 
-    - the ordered arrays;
+    - the records in graph node order (enrolled, unlabeled, held-out), with
+      class indices for the enrolled and held-out ones;
     - each view's matrix, keyed by (view, ``unit_normalize``);
-    - each view's distances and one neighbor sort to ``k_max`` columns, under
-      the same key, kept only when ``keep_distances`` is set.
+    - each view's distances and one neighbor sort to the specs' widest local
+      k, under the same key, kept only when more than one of the specs'
+      graphs reads them (see _graph_groups for which specs share one).
 
     Affinities are built from these on each call and not kept.
     """
 
-    def __init__(self, hh: HouseholdDataset, k_max: int = 1, keep_distances: bool = True):
-        self.ordered = _ordered_arrays(hh)
-        self.k_max = k_max
-        self.keep_distances = keep_distances
+    def __init__(self, hh: HouseholdDataset, specs: Sequence[MethodSpec]):
+        self.group = hh.group
+        self.records = hh.ordered()
+        class_of = {spk: i for i, spk in enumerate(hh.speakers)}
+        self.class_count = len(class_of)
+        roles = [r.role for r in self.records]
+        l = roles.count(ROLE_ENROLLED)
+        self.n_unlabeled = u = roles.count(ROLE_UNLABELED)
+        self.labels = np.array([class_of[r.speaker] for r in self.records[:l]], dtype=int)
+        for r in self.records[l + u:]:
+            if r.speaker is None:
+                raise StructuralError(f"{r.utt_id}: held-out utterance without ground truth")
+            if r.speaker not in class_of:
+                raise StructuralError(
+                    f"{r.utt_id}: speaker {r.speaker!r} has zero enrolled utterances")
+        self.truth = np.array([class_of[r.speaker] for r in self.records[l + u:]], dtype=int)
+        self.k_max = max((s.scaling.k for s in specs if isinstance(s.scaling, LocalScaling)),
+                         default=1)
+        graphs = [specs[g[0]] for g in _graph_groups(specs) if not specs[g[0]].is_baseline]
+        readers = Counter((name, spec.unit_normalize)
+                          for spec in graphs for name in spec.fusion.view_names)
+        self._shared = {key for key, count in readers.items() if count > 1}
         self._matrices: dict[tuple[str, bool], np.ndarray] = {}
         self._distances: dict[tuple[str, bool], ViewDistances] = {}
 
@@ -178,20 +170,23 @@ class HouseholdStages:
                 matrix = np.divide(matrix, norms, out=np.zeros_like(matrix),
                                    where=norms > 0)
             else:
-                matrix = _view_matrix(self.ordered.records, name)
+                try:
+                    matrix = np.vstack([r.views[name] for r in self.records])
+                except KeyError as exc:
+                    raise ConfigurationError(f"view {name!r} missing from dataset") from exc
             self._matrices[key] = matrix
         return self._matrices[key]
 
     def affinity(self, name: str, spec: MethodSpec) -> AffinityMatrix:
         if name == SESSION_VIEW:
-            return session_affinity([r.session_id for r in self.ordered.records],
+            return session_affinity([r.session_id for r in self.records],
                                     spec.session_sigma)
         view_key = (name, spec.unit_normalize)
         distances = self._distances.get(view_key) or ViewDistances(
             EmbeddingView(name, self.matrix(*view_key)), self.k_max)
-        if self.keep_distances:
+        if view_key in self._shared:
             self._distances[view_key] = distances
-        return distances.affinity(spec.scaling, cohort_id=self.ordered.group)
+        return distances.affinity(spec.scaling, cohort_id=self.group)
 
 
 def build_household_graph(stages: HouseholdStages, spec: MethodSpec) -> HouseholdGraph:
@@ -203,11 +198,9 @@ def build_household_graph(stages: HouseholdStages, spec: MethodSpec) -> Househol
     if spec.fusion is None:
         raise ConfigurationError("graph construction needs a fusion rule")
     affinities = {name: stages.affinity(name, spec) for name in spec.fusion.view_names}
-    fused = fuse(affinities, spec.fusion)
-    ordered = stages.ordered
-    return HouseholdGraph(fused=fused, labels=ordered.labels,
-                          n_unlabeled=ordered.n_unlabeled,
-                          n_heldout=ordered.truth.size, class_count=ordered.class_count)
+    return HouseholdGraph(fused=fuse(affinities, spec.fusion), labels=stages.labels,
+                          n_unlabeled=stages.n_unlabeled, n_heldout=stages.truth.size,
+                          class_count=stages.class_count)
 
 
 def primary_view_name(spec: MethodSpec) -> str:
@@ -219,32 +212,35 @@ def primary_view_name(spec: MethodSpec) -> str:
     raise ConfigurationError("no vector view available (session-only graph)")
 
 
-def _graph_key(spec: MethodSpec) -> tuple:
-    """The spec fields build_household_graph reads (compared, not hashed:
-    a cohort scaling holds a dict)."""
-    return (spec.scaling, spec.fusion, spec.session_sigma, spec.unit_normalize)
-
-
-def _predictions(stages: HouseholdStages,
-                 specs: Sequence[MethodSpec]) -> list[PredictionResult]:
-    """Held-out predictions of specs that share one graph key, on one graph
-    built here and released on return."""
-    graph = None if specs[0].is_baseline else build_household_graph(stages, specs[0])
-    return [_predict(stages, spec, graph) for spec in specs]
+def _predictions(stages: HouseholdStages, specs: Sequence[MethodSpec]
+                 ) -> Iterator[PredictionResult | SpeakerGraphError]:
+    """Yield, spec by spec, the held-out predictions of specs that share one
+    graph, or the SpeakerGraphError that stopped the spec. The graph is built
+    here and released with the generator; if building it fails, that error
+    stops every spec."""
+    try:
+        graph = None if specs[0].is_baseline else build_household_graph(stages, specs[0])
+    except SpeakerGraphError as exc:
+        yield from [exc] * len(specs)
+        return
+    for spec in specs:
+        try:
+            yield _predict(stages, spec, graph)
+        except SpeakerGraphError as exc:
+            yield exc
 
 
 def _predict(stages: HouseholdStages, spec: MethodSpec,
              graph: HouseholdGraph | None) -> PredictionResult:
-    ordered = stages.ordered
     if spec.is_baseline:
         emb = stages.matrix(spec.view)
-        l, u = ordered.labels.size, ordered.n_unlabeled
+        l, u = stages.labels.size, stages.n_unlabeled
         labeled, unlabeled, heldout = emb[:l], emb[l:l + u], emb[l + u:]
         runner = {"CS": run_cs, "CSEA": run_csea}.get(spec.method)
         if runner is not None:
-            return runner(labeled, ordered.labels, heldout, ordered.class_count)
+            return runner(labeled, stages.labels, heldout, stages.class_count)
         runner = {"2CS": run_2cs, "2CSEA": run_2csea}[spec.method]
-        return runner(labeled, ordered.labels, unlabeled, heldout, ordered.class_count)
+        return runner(labeled, stages.labels, unlabeled, heldout, stages.class_count)
     if spec.method == "LP":
         return run_lp(graph, spec.propagation)
     if spec.method == "2LP":
@@ -253,13 +249,18 @@ def _predict(stages: HouseholdStages, spec: MethodSpec,
 
 
 def run_method(hh: HouseholdDataset, spec: MethodSpec) -> tuple[PredictionResult, np.ndarray]:
-    """Predictions for the household's held-out utterances, plus ground truth.
+    """Predictions of one spec for the household's held-out utterances, plus
+    ground truth.
 
-    Runs the stages a sweep runs, but keeps no distances: each is dropped as
-    soon as its affinity is built, long before the solve.
+    Runs the stages evaluate_methods runs. With one graph to build it keeps no
+    distances: each is dropped as soon as its affinity is built, long before
+    the solve.
     """
-    stages = HouseholdStages(hh, _widest_k([spec]), keep_distances=False)
-    return _predictions(stages, [spec])[0], stages.ordered.truth
+    stages = HouseholdStages(hh, [spec])
+    outcome = next(_predictions(stages, [spec]))
+    if isinstance(outcome, SpeakerGraphError):
+        raise outcome
+    return outcome, stages.truth
 
 
 # ---------------------------------------------------------------------------
@@ -363,44 +364,64 @@ class EvalReport:
 
 def evaluate(households: Sequence[HouseholdDataset], spec: MethodSpec,
              allow_skip: bool = False) -> MethodReport:
-    """Run one method over every household and collect pooled counts.
-
-    Per-household failures (SpeakerGraphError, including a household with
-    no held-out utterances) abort the evaluation unless allow_skip is set,
-    in which case they are recorded and excluded from the pooled counts.
-    Any other exception is a defect and always propagates.
-    """
-    if not households:
-        raise StructuralError("no households to evaluate")
-    results: list[HouseholdResult] = []
-    skipped: list[tuple[str, str]] = []
-    for hh in households:
-        start = time.perf_counter()
-        try:
-            pred, truth = run_method(hh, spec)
-            if truth.size == 0:
-                raise StructuralError(
-                    f"household {hh.household_id}: no held-out utterances to score")
-        except SpeakerGraphError as exc:
-            if not allow_skip:
-                raise
-            skipped.append((hh.household_id, f"{type(exc).__name__}: {exc}"))
-            continue
-        elapsed = time.perf_counter() - start
-        results.append(HouseholdResult(
-            household_id=hh.household_id, group=hh.group,
-            errors=int(np.sum(pred.labels != truth)), heldout=truth.size,
-            ties=len(pred.ties), abstains=len(pred.abstains),
-            converged=pred.converged, seconds=elapsed))
-    if not results:
-        raise StructuralError("every household failed evaluation")
-    return MethodReport(spec=spec, households=results, skipped=skipped)
+    """Run one method over every household; see evaluate_methods."""
+    return evaluate_methods(households, [spec], allow_skip).methods[0]
 
 
 def evaluate_methods(households: Sequence[HouseholdDataset],
                      specs: Sequence[MethodSpec],
                      allow_skip: bool = False) -> EvalReport:
-    return EvalReport(methods=[evaluate(households, s, allow_skip) for s in specs])
+    """Run every spec over every household and collect pooled counts per spec.
+
+    The evaluation is household-major. Each household's ordered arrays, view
+    matrices, distances and one neighbor sort (to the specs' widest local k)
+    are computed once for all specs (see HouseholdStages). Specs that share a
+    graph, that is differ only in method or propagation config, run back to
+    back on one fused graph and its one step-1 subgraph, and at most one
+    fused graph per household is held at a time. A household's shared stage
+    and graph time counts in the ``seconds`` of the first spec that uses it.
+
+    Per-household failures (SpeakerGraphError, including a household with
+    no held-out utterances) abort the evaluation unless allow_skip is set,
+    in which case they are recorded and excluded from the pooled counts of
+    each spec they stopped: a failed solve stops its own spec, a failed
+    stage or shared graph every spec that needs it. Without allow_skip the
+    first failure in household order is raised. Any other exception is a
+    defect and always propagates.
+    """
+    if not households:
+        raise StructuralError("no households to evaluate")
+    groups = _graph_groups(specs)
+    reports = [MethodReport(spec=spec, households=[]) for spec in specs]
+    for hh in households:
+        start = time.perf_counter()
+        try:
+            stages = HouseholdStages(hh, specs)
+            truth = stages.truth
+            if truth.size == 0:
+                raise StructuralError(
+                    f"household {hh.household_id}: no held-out utterances to score")
+        except SpeakerGraphError as exc:
+            outcomes = [(i, exc) for i in range(len(specs))]
+        else:
+            outcomes = ((i, pred) for group in groups
+                        for i, pred in zip(group, _predictions(stages, [specs[i] for i in group])))
+        for i, pred in outcomes:
+            now = time.perf_counter()
+            if isinstance(pred, SpeakerGraphError):
+                if not allow_skip:
+                    raise pred
+                reports[i].skipped.append((hh.household_id, f"{type(pred).__name__}: {pred}"))
+            else:
+                reports[i].households.append(HouseholdResult(
+                    household_id=hh.household_id, group=hh.group,
+                    errors=int(np.sum(pred.labels != truth)), heldout=truth.size,
+                    ties=len(pred.ties), abstains=len(pred.abstains),
+                    converged=pred.converged, seconds=now - start))
+            start = now
+    if any(not report.households for report in reports):
+        raise StructuralError("every household failed evaluation")
+    return EvalReport(methods=reports)
 
 
 # ---------------------------------------------------------------------------
@@ -481,6 +502,25 @@ class SweepResult:
     rows: list[dict]
 
 
+def _grid_points(grid: Mapping[str, Sequence],
+                 template: MethodSpec) -> list[tuple[dict, MethodSpec]]:
+    """Each grid point's parameters and spec, in itertools.product order over
+    the grid's key order; a bad grid value raises a ConfigurationError."""
+    if not grid:
+        raise ConfigurationError("sweep grid is empty")
+    for name, values in grid.items():
+        if not isinstance(values, (list, tuple)) or not values:
+            raise ConfigurationError(f"{name}: expected a non-empty list of values")
+    points = []
+    for combo in itertools.product(*grid.values()):
+        spec = template
+        params = dict(zip(grid, combo))
+        for name, value in params.items():
+            spec = apply_param(spec, name, value)
+        points.append((params, spec))
+    return points
+
+
 def sweep(dev_households: Sequence[HouseholdDataset],
           grid: Mapping[str, Sequence], template: MethodSpec) -> SweepResult:
     """Exhaustive grid evaluation on the dev split.
@@ -488,70 +528,29 @@ def sweep(dev_households: Sequence[HouseholdDataset],
     Returns the argmin micro-SIER spec; ties keep the first point in grid
     order (itertools.product over the grid's key order). Every point's spec
     is built before any is evaluated, so a bad grid value fails at once.
-
-    The sweep is household-major. Each household's ordered arrays, view
-    matrices, distances and one neighbor sort (to the grid's widest k) are
-    computed once for the whole grid (see HouseholdStages). Points that share
-    a graph, that is differ only in method or propagation config, run back
-    to back on one fused graph and its one step-1 subgraph, and at most one
-    fused graph per household is held at a time.
+    The points run together through evaluate_methods, household by household.
     """
-    if not grid:
-        raise ConfigurationError("sweep grid is empty")
-    names = list(grid.keys())
-    for name, values in grid.items():
-        if not isinstance(values, (list, tuple)) or not values:
-            raise ConfigurationError(f"{name}: expected a non-empty list of values")
-    points = []
-    for combo in itertools.product(*(grid[n] for n in names)):
-        spec = template
-        params = dict(zip(names, combo))
-        for name, value in params.items():
-            spec = apply_param(spec, name, value)
-        points.append((params, spec))
-    if not dev_households:
-        raise StructuralError("no households to evaluate")
-    specs = [spec for _, spec in points]
-    groups: list[list[int]] = []  # indices of points sharing a graph, in grid order
-    for i, spec in enumerate(specs):
-        group = next((g for g in groups if _graph_key(specs[g[0]]) == _graph_key(spec)), None)
-        if group is None:
-            groups.append([i])
-        else:
-            group.append(i)
-    k_max = _widest_k(specs)
-    errors, total = [0] * len(points), 0
-    for hh in dev_households:
-        stages = HouseholdStages(hh, k_max)
-        truth = stages.ordered.truth
-        if truth.size == 0:
-            raise StructuralError(
-                f"household {hh.household_id}: no held-out utterances to score")
-        for group in groups:
-            for i, pred in zip(group, _predictions(stages, [specs[i] for i in group])):
-                errors[i] += int(np.sum(pred.labels != truth))
-        total += truth.size
-    rows: list[dict] = []
-    best: float | None = None
-    best_spec, best_params = template, {}
-    for (params, spec), point_errors in zip(points, errors):
-        value = point_errors / total
-        rows.append({**params, "errors": point_errors, "heldout": total, "sier": value})
-        if best is None or value < best:
-            best, best_spec, best_params = value, spec, params
-    return SweepResult(best_spec=best_spec, best_params=best_params, rows=rows)
+    points = _grid_points(grid, template)
+    report = evaluate_methods(dev_households, [spec for _, spec in points])
+    rows = []
+    for (params, _), method in zip(points, report.methods):
+        errors, heldout = method.counts()
+        rows.append({**params, "errors": errors, "heldout": heldout, "sier": errors / heldout})
+    best = min(range(len(rows)), key=lambda i: rows[i]["sier"])  # the first of equal points
+    return SweepResult(best_spec=points[best][1], best_params=points[best][0], rows=rows)
 
 
 def tune_cohort_sigmas(dev_households: Sequence[HouseholdDataset],
                        sigmas: Sequence[float],
                        template: MethodSpec) -> CohortScaling:
-    """Per-group universal-sigma sweep, packaged as a cohort scaling rule."""
+    """Per-group universal-sigma sweep, packaged as a cohort scaling rule.
+
+    The sigmas are checked as a sweep grid, with or without households."""
+    grid = {"scaling.sigma": list(sigmas)}
+    base = replace(template, scaling=UniversalScaling(1.0))  # each point replaces sigma
+    _grid_points(grid, base)
     by_group: dict[str, list[HouseholdDataset]] = {}
     for hh in dev_households:
         by_group.setdefault(hh.group, []).append(hh)
-    chosen: dict[str, float] = {}
-    base = replace(template, scaling=UniversalScaling(sigmas[0]))
-    for group in sorted(by_group):
-        result = sweep(by_group[group], {"scaling.sigma": list(sigmas)}, base)
-        chosen[group] = result.best_params["scaling.sigma"]
-    return CohortScaling(chosen)
+    return CohortScaling({group: sweep(members, grid, base).best_params["scaling.sigma"]
+                          for group, members in sorted(by_group.items())})

@@ -26,6 +26,7 @@ from speakergraph import (
     generate_dataset,
     micro_average,
     relative_improvement,
+    run_method,
     sier,
     sweep,
     tune_cohort_sigmas,
@@ -170,17 +171,15 @@ class TestEvaluate:
         assert all(h.heldout > 0 for h in report.households)
 
     def test_allow_skip_lets_defects_propagate(self, monkeypatch):
-        # the package re-exports the evaluate function under the module's name
-        evaluate_module = importlib.import_module("speakergraph.evaluate")
         _, val = tiny_dataset()
-        original = evaluate_module.run_method
+        original = evaluate_module._predict
 
         def fail_first_with(exc):
-            def run_method(hh, spec):
-                if hh is val[0]:
+            def predict(stages, spec, graph):
+                if stages.records[0].household_id == val[0].household_id:
                     raise exc
-                return original(hh, spec)
-            monkeypatch.setattr(evaluate_module, "run_method", run_method)
+                return original(stages, spec, graph)
+            monkeypatch.setattr(evaluate_module, "_predict", predict)
 
         fail_first_with(TypeError("programming error"))
         with pytest.raises(TypeError):
@@ -273,20 +272,56 @@ class TestSweep:
         for sigma in rule.sigma_by_cohort.values():
             assert sigma in (0.8, 2.0, 5.0)
 
+    @pytest.mark.parametrize("sigmas, message", [
+        ([], "scaling.sigma: expected a non-empty list of values"),
+        (["a", 1.0], "scaling.sigma: expected a number, got 'a'"),
+        ([1.0, None], "scaling.sigma: expected a number, got None"),
+    ])
+    def test_tune_cohort_sigmas_rejects_bad_sigmas(self, sigmas, message):
+        dev, _ = tiny_dataset(groups=("random", "hard"))
+        template = MethodSpec(method="2LP", scaling=UniversalScaling(1.0),
+                              fusion=SingleView("voice"))
+        for households in (dev, []):
+            with pytest.raises(ConfigurationError, match=re.escape(message)):
+                tune_cohort_sigmas(households, sigmas, template)
+
+
+def pointwise_counts(households, spec):
+    """Pooled errors and held-out count of one spec, one run_method call per
+    household."""
+    errors, total = 0, 0
+    for hh in households:
+        pred, truth = run_method(hh, spec)
+        errors += int(np.sum(pred.labels != truth))
+        total += truth.size
+    return errors, total
+
 
 def pointwise_sweep(households, grid, template):
-    """Rows and best params of a sweep, evaluated one grid point at a time."""
+    """Rows and best params of a sweep, evaluated one grid point and one
+    household at a time."""
     rows, best = [], None
     for combo in itertools.product(*grid.values()):
         params = dict(zip(grid, combo))
         spec = template
         for name, value in params.items():
             spec = apply_param(spec, name, value)
-        errors, total = evaluate(households, spec).counts()
+        errors, total = pointwise_counts(households, spec)
         rows.append({**params, "errors": errors, "heldout": total, "sier": errors / total})
         if best is None or errors / total < best[0]:
             best = (errors / total, params)
     return rows, best[1]
+
+
+def count_calls(monkeypatch, owner, name):
+    calls = []
+    original = getattr(owner, name)
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+    monkeypatch.setattr(owner, name, counting)
+    return calls
 
 
 POWER_MEAN_LP = MethodSpec(method="LP", scaling=LocalScaling(k=4, s=0.8),
@@ -333,22 +368,12 @@ class TestSweepStages:
             _, best = pointwise_sweep(members, {"scaling.sigma": sigmas}, template)
             assert rule.sigma_by_cohort[group] == best["scaling.sigma"]
 
-    def count_calls(self, monkeypatch, owner, name):
-        calls = []
-        original = getattr(owner, name)
-
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return original(*args, **kwargs)
-        monkeypatch.setattr(owner, name, counting)
-        return calls
-
     def test_each_stage_built_once_per_household(self, monkeypatch):
         dev, val = tiny_dataset()
         households = dev + val
-        distances = self.count_calls(monkeypatch, graph_module, "pairwise_distances")
-        graphs = self.count_calls(monkeypatch, evaluate_module, "build_household_graph")
-        subgraphs = self.count_calls(monkeypatch, FusedGraph, "subgraph")
+        distances = count_calls(monkeypatch, graph_module, "pairwise_distances")
+        graphs = count_calls(monkeypatch, evaluate_module, "build_household_graph")
+        subgraphs = count_calls(monkeypatch, FusedGraph, "subgraph")
         grid = {"scaling.k": [3, 5, 8], "scaling.s": [0.5, 1.0, 2.0],
                 "propagation.alpha": [0.5, 0.9, 0.99]}
         assert len(sweep(households, grid, LOCAL_2LP).rows) == 27
@@ -383,3 +408,106 @@ class TestSweepStages:
         sweep(val, {"scaling.k": [3, 5], "scaling.s": [0.5, 1.0],
                     "propagation.alpha": [0.5, 0.9]}, LOCAL_2LP)
         assert len(built) == 4 * len(val)
+
+
+SINGLE_VIEW_SPECS = ([MethodSpec(method=m) for m in ("CS", "CSEA", "2CS", "2CSEA")]
+                     + [replace(LOCAL_2LP, method=m) for m in ("LP", "2LP", "2LPEA")])
+
+MIXED_SPECS = SINGLE_VIEW_SPECS + [
+    replace(LOCAL_2LP, method="LP", unit_normalize=True),
+    replace(LOCAL_2LP, unit_normalize=True),
+    MethodSpec(method="2LP", scaling=LocalScaling(k=4, s=0.8),
+               fusion=EdgePoolFusion(("voice", "face", "session"))),
+    POWER_MEAN_LP,
+    replace(POWER_MEAN_LP, method="2LP"),
+    replace(POWER_MEAN_LP, fusion=PowerMeanFusion(("voice", "face"), p=-1.0)),
+    replace(POWER_MEAN_LP, method="2LP", fusion=PowerMeanFusion(("voice", "face"), p=-1.0)),
+]
+
+
+def household_rows(report):
+    return [(h.household_id, h.errors, h.heldout, h.ties, h.abstains, h.converged)
+            for h in report.households]
+
+
+class TestEvaluateMethods:
+    def test_matches_one_run_method_per_household_and_spec(self):
+        dev, val = tiny_dataset(seed=4, groups=("random", "hard"))
+        households = dev + val
+        report = evaluate_methods(households, MIXED_SPECS)
+        assert [m.spec for m in report.methods] == MIXED_SPECS
+        for spec, method in zip(MIXED_SPECS, report.methods):
+            expected = []
+            for hh in households:
+                pred, truth = run_method(hh, spec)
+                expected.append((hh.household_id, int(np.sum(pred.labels != truth)),
+                                 truth.size, len(pred.ties), len(pred.abstains),
+                                 pred.converged))
+            assert household_rows(method) == expected, spec.label
+            assert method.skipped == []
+
+    def test_single_view_specs_share_one_graph_per_household(self, monkeypatch):
+        dev, val = tiny_dataset()
+        households = dev + val
+        distances = count_calls(monkeypatch, graph_module, "pairwise_distances")
+        graphs = count_calls(monkeypatch, evaluate_module, "build_household_graph")
+        evaluate_methods(households, SINGLE_VIEW_SPECS)
+        assert len(graphs) == len(households)
+        assert len(distances) == len(households)
+
+    def fail_on(self, monkeypatch, owner, name, household_id, failing):
+        """Make owner.name raise NumericalError for the specs failing(spec)
+        selects on one household; the stages are the first argument."""
+        original = getattr(owner, name)
+
+        def faulty(stages, spec, *args):
+            if stages.records[0].household_id == household_id and failing(spec):
+                raise NumericalError(f"injected into {name}")
+            return original(stages, spec, *args)
+        monkeypatch.setattr(owner, name, faulty)
+
+    def test_failed_solve_skips_only_its_spec(self, monkeypatch):
+        _, val = tiny_dataset()
+        specs = SINGLE_VIEW_SPECS[4:]   # LP, 2LP and 2LPEA on one graph
+        clean = evaluate_methods(val, specs)
+        self.fail_on(monkeypatch, evaluate_module, "_predict", val[0].household_id,
+                     lambda spec: spec.method == "2LP")
+        report = evaluate_methods(val, specs, allow_skip=True)
+        assert report.methods[1].skipped == [
+            (val[0].household_id, "NumericalError: injected into _predict")]
+        assert household_rows(report.methods[1]) == household_rows(clean.methods[1])[1:]
+        for i in (0, 2):
+            assert report.methods[i].skipped == []
+            assert household_rows(report.methods[i]) == household_rows(clean.methods[i])
+
+    def test_failed_graph_skips_the_specs_that_share_it(self, monkeypatch):
+        _, val = tiny_dataset()
+        specs = MIXED_SPECS
+        clean = evaluate_methods(val, specs)
+        self.fail_on(monkeypatch, evaluate_module, "build_household_graph",
+                     val[1].household_id, lambda spec: spec.fusion == POWER_MEAN_LP.fusion)
+        report = evaluate_methods(val, specs, allow_skip=True)
+        for spec, method, clean_method in zip(specs, report.methods, clean.methods):
+            if spec.fusion == POWER_MEAN_LP.fusion:   # LP and 2LP at p=1
+                assert method.skipped == [(val[1].household_id,
+                                           "NumericalError: injected into build_household_graph")]
+                expected = [r for r in household_rows(clean_method) if r[0] != val[1].household_id]
+            else:
+                assert method.skipped == []
+                expected = household_rows(clean_method)
+            assert household_rows(method) == expected, spec.label
+
+    def test_first_failure_in_household_order_is_raised(self, monkeypatch):
+        _, val = tiny_dataset()
+        specs = [MethodSpec(method="CS"), LOCAL_2LP]
+        original = evaluate_module._predict
+
+        def faulty(stages, spec, graph):
+            household = stages.records[0].household_id
+            if (spec.method, household) in (("CS", val[1].household_id),
+                                            ("2LP", val[0].household_id)):
+                raise NumericalError(f"{spec.method} on {household}")
+            return original(stages, spec, graph)
+        monkeypatch.setattr(evaluate_module, "_predict", faulty)
+        with pytest.raises(NumericalError, match=f"2LP on {val[0].household_id}"):
+            evaluate_methods(val, specs)
