@@ -8,6 +8,7 @@ from .baselines import (
     run_cs,
     run_csea,
 )
+from .config import MethodSpec
 from .errors import (
     ConfigurationError,
     DegeneracyWarning,
@@ -18,7 +19,6 @@ from .errors import (
 from .evaluate import (
     EvalReport,
     MethodReport,
-    MethodSpec,
     SweepResult,
     evaluate,
     evaluate_methods,

@@ -11,10 +11,9 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+from .config import BASELINE_METHODS, MethodSpec, RunConfig, to_dict
 from .dataio import (
-    RunConfig,
     load_dataset,
-    method_to_dict,
     read_json,
     render_report,
     save_dataset,
@@ -23,7 +22,7 @@ from .dataio import (
     write_report,
 )
 from .errors import ConfigurationError, NumericalError, SpeakerGraphError
-from .evaluate import BASELINE_METHODS, MethodSpec, evaluate_methods, sweep
+from .evaluate import evaluate_methods, sweep
 from .fusion import SingleView
 from .graph import LocalScaling
 from .simulate import SimulationConfig, generate_dataset
@@ -43,7 +42,7 @@ def _load_config(path: str | None) -> RunConfig:
     if path is None:
         return RunConfig(seed=0, simulation=SimulationConfig(),
                          method=_default_method_spec())
-    return RunConfig.load(path)
+    return RunConfig.from_dict(read_json(path))
 
 
 def _cmd_simulate(args) -> int:
@@ -110,7 +109,7 @@ def _cmd_sweep(args) -> int:
             writer.writerow([row[n] for n in names]
                             + [row["errors"], row["heldout"], repr(row["sier"])])
     best = {"params": result.best_params,
-            "spec": method_to_dict(result.best_spec),
+            "spec": to_dict(result.best_spec),
             "seed": args.seed if args.seed is not None else cfg.seed,
             "config_hash": cfg.hash()}
     best_path = Path(args.out).with_suffix(Path(args.out).suffix + ".best.json")

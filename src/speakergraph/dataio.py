@@ -1,31 +1,24 @@
-"""Dataset files, run configs, and report rendering.
+"""Dataset files, JSON documents, and report rendering.
 
 Datasets are JSON Lines: one utterance record per line, grouped by
 household_id at load time (records need not be contiguous). Floats are
 serialized through repr, which round-trips 64-bit values exactly, so
-simulate -> save -> load -> evaluate is bit-stable. Run configs are strict
-JSON documents: unknown keys are rejected with the offending path.
+simulate -> save -> load -> evaluate is bit-stable. Run configs are read
+and written by speakergraph.config.
 """
 
 import csv
-import hashlib
 import io
 import json
-from dataclasses import asdict
 from pathlib import Path
 from typing import Any, Mapping, Sequence
 
 import numpy as np
 
+from .config import SCHEMA_VERSION, RunConfig, to_dict
 from .errors import ConfigurationError, StructuralError
-from .evaluate import EvalReport, MethodSpec, checked, checked_fields, reject_unknown
-from .fusion import EdgePoolFusion, FusionRule, PowerMeanFusion, SingleView
-from .graph import CohortScaling, LocalScaling, ScalingRule, UniversalScaling
-from .propagation import PropagationConfig
+from .evaluate import EvalReport
 from .records import HouseholdDataset, UtteranceRecord
-from .simulate import SimulationConfig
-
-SCHEMA_VERSION = 1
 
 
 # ---------------------------------------------------------------------------
@@ -63,7 +56,9 @@ _RECORD_KEYS = {"utt_id", "household_id", "group", "role", "speaker",
                 "session_id", "cohort", "views"}
 
 
-def _parse_record(data: dict, line_no: int) -> tuple[UtteranceRecord, str]:
+def _parse_record(data: Any, line_no: int) -> tuple[UtteranceRecord, str]:
+    if not isinstance(data, dict):
+        raise StructuralError(f"line {line_no}: expected a JSON object, got {data!r}")
     unknown = set(data) - _RECORD_KEYS
     if unknown:
         raise StructuralError(f"line {line_no}: unknown record keys {sorted(unknown)}")
@@ -82,7 +77,7 @@ def _parse_record(data: dict, line_no: int) -> tuple[UtteranceRecord, str]:
     for name, vec in views.items():
         try:
             arrays[name] = np.asarray(vec, dtype=float)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise StructuralError(
                 f"line {line_no}: view {name!r} of {utt_id!r} is malformed ({exc})") from exc
         # json.loads accepts NaN, Infinity and overflowing literals such as 1e999
@@ -108,7 +103,7 @@ def load_dataset(path: str | Path) -> list[HouseholdDataset]:
                 continue
             try:
                 data = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except ValueError as exc:  # JSONDecodeError, or an int literal over 4300 digits
                 raise StructuralError(f"line {line_no}: malformed JSON ({exc})") from exc
             record, group = _parse_record(data, line_no)
             if record.utt_id in seen_ids:
@@ -150,7 +145,7 @@ def read_json(path: str | Path) -> Any:
     with Path(path).open("r", encoding="utf-8") as fh:
         try:
             return json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, or an int literal over 4300 digits
             raise ConfigurationError(f"{path}: malformed JSON ({exc})") from exc
 
 
@@ -159,177 +154,6 @@ def write_json(path: str | Path, data: Any) -> None:
     with Path(path).open("w", encoding="utf-8") as fh:
         json.dump(data, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-# ---------------------------------------------------------------------------
-# Run configs
-# ---------------------------------------------------------------------------
-
-def _required(data: Mapping, key: str, kind, path: str):
-    if key not in data:
-        raise ConfigurationError(f"{path}.{key}: missing")
-    return checked(f"{path}.{key}", data[key], kind)
-
-
-def scaling_from_dict(data: Mapping, path: str = "scaling") -> ScalingRule:
-    kind = data.get("kind")
-    if kind == "universal":
-        reject_unknown(data, {"kind", "sigma"}, path)
-        return UniversalScaling(sigma=float(_required(data, "sigma", float, path)))
-    if kind == "cohort":
-        reject_unknown(data, {"kind", "sigma_by_cohort"}, path)
-        sigmas = _required(data, "sigma_by_cohort", dict, path)
-        return CohortScaling(sigma_by_cohort={
-            str(k): float(checked(f"{path}.sigma_by_cohort.{k}", v, float))
-            for k, v in sigmas.items()})
-    if kind == "local":
-        reject_unknown(data, {"kind", "k", "s"}, path)
-        return LocalScaling(k=_required(data, "k", int, path),
-                            s=float(_required(data, "s", float, path)))
-    raise ConfigurationError(f"{path}: unknown scaling kind {kind!r}")
-
-
-def scaling_to_dict(rule: ScalingRule) -> dict:
-    if isinstance(rule, UniversalScaling):
-        return {"kind": "universal", "sigma": rule.sigma}
-    if isinstance(rule, CohortScaling):
-        return {"kind": "cohort", "sigma_by_cohort": dict(rule.sigma_by_cohort)}
-    return {"kind": "local", "k": rule.k, "s": rule.s}
-
-
-def fusion_from_dict(data: Mapping, path: str = "fusion") -> FusionRule:
-    kind = data.get("kind")
-    if kind == "single_view":
-        reject_unknown(data, {"kind", "view"}, path)
-        return SingleView(view_name=_required(data, "view", str, path))
-    if kind == "edge_pool":
-        reject_unknown(data, {"kind", "views"}, path)
-        return EdgePoolFusion(view_names=_required(data, "views", tuple[str, ...], path))
-    if kind == "power_mean":
-        reject_unknown(data, {"kind", "views", "p", "shift"}, path)
-        shift = checked(f"{path}.shift", data.get("shift"), float | None)
-        return PowerMeanFusion(
-            view_names=_required(data, "views", tuple[str, ...], path),
-            p=float(_required(data, "p", float, path)),
-            shift=None if shift is None else float(shift))
-    raise ConfigurationError(f"{path}: unknown fusion kind {kind!r}")
-
-
-def fusion_to_dict(rule: FusionRule) -> dict:
-    if isinstance(rule, SingleView):
-        return {"kind": "single_view", "view": rule.view_name}
-    if isinstance(rule, EdgePoolFusion):
-        return {"kind": "edge_pool", "views": list(rule.view_names)}
-    return {"kind": "power_mean", "views": list(rule.view_names),
-            "p": rule.p, "shift": rule.shift}
-
-
-def propagation_from_dict(data: Mapping, path: str = "propagation") -> PropagationConfig:
-    return PropagationConfig(**checked_fields(data, PropagationConfig, path))
-
-
-_METHOD_KEYS = {"method", "view", "scaling", "fusion", "propagation",
-                "session_sigma", "unit_normalize"}
-
-
-def method_from_dict(data: Mapping, path: str = "method") -> MethodSpec:
-    reject_unknown(data, _METHOD_KEYS, path)
-    scaling = data.get("scaling")
-    fusion = data.get("fusion")
-    propagation = data.get("propagation")
-    for key, section in (("scaling", scaling), ("fusion", fusion),
-                         ("propagation", propagation)):
-        checked(f"{path}.{key}", section, dict | None)
-    return MethodSpec(
-        method=checked(f"{path}.method", data.get("method", "2LP"), str),
-        view=checked(f"{path}.view", data.get("view", "voice"), str),
-        scaling=None if scaling is None else scaling_from_dict(scaling, f"{path}.scaling"),
-        fusion=None if fusion is None else fusion_from_dict(fusion, f"{path}.fusion"),
-        propagation=(PropagationConfig() if propagation is None
-                     else propagation_from_dict(propagation, f"{path}.propagation")),
-        session_sigma=float(checked(f"{path}.session_sigma",
-                                    data.get("session_sigma", 0.25), float)),
-        unit_normalize=checked(f"{path}.unit_normalize",
-                               data.get("unit_normalize", False), bool))
-
-
-def method_to_dict(spec: MethodSpec) -> dict:
-    return {
-        "method": spec.method,
-        "view": spec.view,
-        "scaling": None if spec.scaling is None else scaling_to_dict(spec.scaling),
-        "fusion": None if spec.fusion is None else fusion_to_dict(spec.fusion),
-        "propagation": asdict(spec.propagation),
-        "session_sigma": spec.session_sigma,
-        "unit_normalize": spec.unit_normalize,
-    }
-
-
-def simulation_from_dict(data: Mapping, path: str = "simulation") -> SimulationConfig:
-    return SimulationConfig(**checked_fields(data, SimulationConfig, path))
-
-
-_RUN_CONFIG_KEYS = {"schema_version", "seed", "simulation", "method"}
-
-
-class RunConfig:
-    """Top-level config document: seed, simulation, and method sections.
-
-    One seed serves both levels: given at either, it sets the other.
-    """
-
-    def __init__(self, seed: int = 0,
-                 simulation: SimulationConfig | None = None,
-                 method: MethodSpec | None = None):
-        self.seed = seed
-        self.simulation = simulation
-        self.method = method
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "RunConfig":
-        checked("config", data, dict)
-        version = data.get("schema_version", SCHEMA_VERSION)
-        if version != SCHEMA_VERSION:
-            raise ConfigurationError(f"unsupported schema_version {version!r}")
-        reject_unknown(data, _RUN_CONFIG_KEYS, "config")
-        sim = data.get("simulation")
-        method = checked("method", data.get("method"), dict | None)
-        if not isinstance(sim or {}, Mapping):
-            raise ConfigurationError("config: simulation must be an object")
-        seeds = {checked(key, s, int) for key, s in (("seed", data.get("seed")),
-                                                     ("simulation.seed", (sim or {}).get("seed")))
-                 if s is not None}
-        if len(seeds) > 1:
-            raise ConfigurationError(
-                f"config: seed {data['seed']} and simulation.seed {sim['seed']} differ")
-        seed = seeds.pop() if seeds else 0
-        if sim is not None:
-            sim = simulation_from_dict({**sim, "seed": seed})
-        return cls(seed=seed, simulation=sim,
-                   method=None if method is None else method_from_dict(method))
-
-    @classmethod
-    def load(cls, path: str | Path) -> "RunConfig":
-        return cls.from_dict(read_json(path))
-
-    def to_dict(self) -> dict:
-        out: dict[str, Any] = {"schema_version": SCHEMA_VERSION, "seed": self.seed}
-        if self.simulation is not None:
-            sim = asdict(self.simulation)
-            sim["dev_val_ratio"] = list(sim["dev_val_ratio"])
-            sim["groups"] = list(sim["groups"])
-            out["simulation"] = sim
-        if self.method is not None:
-            out["method"] = method_to_dict(self.method)
-        return out
-
-    def hash(self) -> str:
-        return config_hash(self.to_dict())
-
-
-def config_hash(config: Mapping) -> str:
-    canonical = json.dumps(config, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +170,7 @@ def report_to_dict(report: EvalReport, seed: int, cfg_hash: str,
             "method": m.spec.method,
             "label": m.spec.label,
             "family": m.spec.family,
-            "spec": method_to_dict(m.spec),
+            "spec": to_dict(m.spec),
             "households": [
                 {
                     "household_id": h.household_id,

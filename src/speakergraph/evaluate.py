@@ -9,97 +9,30 @@ improvement against the strongest baseline follows
 
 import itertools
 import time
-import types
 from collections import Counter
-from dataclasses import dataclass, field, fields, replace
-from typing import Iterable, Iterator, Mapping, Sequence, get_args, get_origin
+from dataclasses import dataclass, field, replace
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .baselines import PredictionResult, run_2cs, run_2csea, run_cs, run_csea
+# MethodSpec and the method names stay importable from this module.
+from .config import BASELINE_METHODS, LP_METHODS, METHODS, MethodSpec, apply_param
 from .errors import ConfigurationError, SpeakerGraphError, StructuralError
-from .fusion import FusionRule, PowerMeanFusion, SingleView, fuse
+from .fusion import fuse
 from .graph import (
     AffinityMatrix,
     CohortScaling,
     EmbeddingView,
     LocalScaling,
-    ScalingRule,
     UniversalScaling,
     ViewDistances,
     session_affinity,
 )
-from .propagation import (
-    HouseholdGraph,
-    PropagationConfig,
-    run_2lp,
-    run_2lpea,
-    run_lp,
-)
+from .propagation import HouseholdGraph, run_2lp, run_2lpea, run_lp
 from .records import ROLE_ENROLLED, ROLE_UNLABELED, HouseholdDataset
 
 SESSION_VIEW = "session"
-
-BASELINE_METHODS = ("CS", "CSEA", "2CS", "2CSEA")
-LP_METHODS = ("LP", "2LP", "2LPEA")
-METHODS = BASELINE_METHODS + LP_METHODS
-
-
-@dataclass(frozen=True)
-class MethodSpec:
-    """One scoring method plus everything needed to run it on a household."""
-
-    method: str
-    view: str = "voice"
-    scaling: ScalingRule | None = None
-    fusion: FusionRule | None = None
-    propagation: PropagationConfig = field(default_factory=PropagationConfig)
-    # Bandwidth for the 0/1 session distance. Must stay well below 1 so the
-    # cross-session kernel value is negligible; otherwise max-pool fusion
-    # floods the graph with a constant floor that drowns the voice edges.
-    session_sigma: float = 0.25
-    # L2-normalize vector views before building graphs (distances become
-    # chord distances on the unit sphere). Off by default.
-    unit_normalize: bool = False
-
-    def __post_init__(self):
-        if self.method not in METHODS:
-            raise ConfigurationError(
-                f"unknown method {self.method!r}; expected one of {METHODS}")
-        if self.is_baseline:
-            if self.scaling is not None or self.fusion is not None:
-                raise ConfigurationError(
-                    f"{self.method} is a baseline; scaling/fusion must be absent")
-        else:
-            if self.scaling is None or self.fusion is None:
-                raise ConfigurationError(
-                    f"{self.method} requires both a scaling rule and a fusion rule")
-        if not self.session_sigma > 0:
-            raise ConfigurationError("session_sigma must be > 0")
-
-    @property
-    def is_baseline(self) -> bool:
-        return self.method in BASELINE_METHODS
-
-    @property
-    def family(self) -> str:
-        """Row group for Table-style reports: baseline, or the scaling kind."""
-        if self.is_baseline:
-            return "baseline"
-        return {UniversalScaling: "universal", CohortScaling: "cohort",
-                LocalScaling: "local"}[type(self.scaling)]
-
-    @property
-    def label(self) -> str:
-        if self.is_baseline:
-            return f"{self.method}/{self.view}"
-        if isinstance(self.fusion, SingleView):
-            views = self.fusion.view_name
-        else:
-            views = "+".join(self.fusion.view_names)
-            if isinstance(self.fusion, PowerMeanFusion):
-                views += f"(pmean p={self.fusion.p:g})"
-        return f"{self.method}/{self.family}/{views}"
 
 
 # ---------------------------------------------------------------------------
@@ -425,75 +358,8 @@ def evaluate_methods(households: Sequence[HouseholdDataset],
 
 
 # ---------------------------------------------------------------------------
-# Config values (run configs and sweep grids)
-# ---------------------------------------------------------------------------
-
-# Python values a declared field type accepts from a config, and their JSON name.
-_JSON_KINDS = {int: ((int,), "an integer"), float: ((int, float), "a number"),
-               str: ((str,), "a string"), bool: ((bool,), "a boolean"),
-               tuple: ((list, tuple), "a list"), dict: ((dict,), "an object")}
-
-
-def checked(key: str, value, kind):
-    """Return value if it fits the declared field type ``kind``, else raise a
-    ConfigurationError naming the dotted key.
-
-    An int passes as a float and only a bool passes as a bool; None passes an
-    optional type. A ``tuple[X, ...]`` or ``tuple[X, Y]`` is checked element
-    by element (as ``key[i]``), and by length when fixed, and returned as a
-    tuple. Types outside _JSON_KINDS are left to the constructors.
-    """
-    options = get_args(kind) if isinstance(kind, types.UnionType) else (kind,)
-    if value is None and type(None) in options:
-        return value
-    accepted = _JSON_KINDS.get(get_origin(options[0]) or options[0])
-    if accepted is not None and (not isinstance(value, accepted[0])
-                                 or isinstance(value, bool) and bool not in accepted[0]):
-        raise ConfigurationError(f"{key}: expected {accepted[1]}, got {value!r}")
-    if get_origin(options[0]) is not tuple:
-        return value
-    items = get_args(options[0])
-    if items[-1] is Ellipsis:
-        items = items[:1] * len(value)
-    elif len(value) != len(items):
-        raise ConfigurationError(f"{key}: expected a list of {len(items)} values, got {value!r}")
-    return tuple(checked(f"{key}[{i}]", v, k) for i, (v, k) in enumerate(zip(value, items)))
-
-
-def reject_unknown(data: Mapping, allowed: set[str], path: str) -> None:
-    unknown = set(data) - allowed
-    if unknown:
-        raise ConfigurationError(f"{path}: unknown keys {sorted(unknown)}")
-
-
-def checked_fields(data: Mapping, cls, path: str) -> dict:
-    """data as keyword arguments of dataclass cls: each key a field of cls and
-    each value of that field's declared type."""
-    kinds = {f.name: f.type for f in fields(cls)}
-    reject_unknown(data, set(kinds), path)
-    return {k: checked(f"{path}.{k}", v, kinds[k]) for k, v in data.items()}
-
-
-# ---------------------------------------------------------------------------
 # Sweeps
 # ---------------------------------------------------------------------------
-
-def apply_param(spec: MethodSpec, name: str, value) -> MethodSpec:
-    """Return a copy of the spec with one dotted parameter replaced."""
-    if name in ("method", "view", "session_sigma"):
-        kind = float if name == "session_sigma" else str
-        return replace(spec, **{name: kind(checked(name, value, kind))})
-    head, _, tail = name.partition(".")
-    if head == "scaling" and spec.scaling is None:
-        raise ConfigurationError(f"{name}: spec has no scaling rule")
-    if head == "fusion" and not (isinstance(spec.fusion, PowerMeanFusion)
-                                 and tail in ("p", "shift")):
-        raise ConfigurationError(f"{name}: only power-mean p and shift are parameters")
-    if head not in ("scaling", "fusion", "propagation"):
-        raise ConfigurationError(f"unknown sweep parameter {name!r}")
-    part = getattr(spec, head)
-    return replace(spec, **{head: replace(part, **checked_fields({tail: value}, part, head))})
-
 
 @dataclass
 class SweepResult:

@@ -17,7 +17,6 @@ of pooled pairwise profile distances (the most confusable quartile);
 splitmix64 mix, so households can be generated independently.
 """
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -92,17 +91,21 @@ class SimulationConfig:
         if self.num_cohorts < 1:
             raise ConfigurationError("need at least 1 cohort")
         for name in ("within_speaker_sigma", "between_speaker_spread",
-                     "cohort_offset_scale", "session_mean_size"):
+                     "cohort_offset_scale", "session_mean_size", "face_within_sigma",
+                     "session_offset_sigma"):
             if getattr(self, name) < 0:
                 raise ConfigurationError(f"{name} must be >= 0")
-        if self.face_within_sigma < 0:
-            raise ConfigurationError("face_within_sigma must be >= 0")
+        for name, low in (("voice_dim", 1), ("face_dim", 1), ("labeled_per_speaker", 1),
+                          ("unlabeled_per_household", 0), ("heldout_per_speaker", 0)):
+            if getattr(self, name) < low:
+                raise ConfigurationError(f"{name} must be >= {low}")
         object.__setattr__(self, "face_outlier_blend", tuple(self.face_outlier_blend))
         lo, hi = self.face_outlier_blend
         if not 0.0 < lo <= hi <= 1.0:
             raise ConfigurationError("face_outlier_blend must satisfy 0 < lo <= hi <= 1")
+        # ceiling division in ints: a count may lie beyond the float range
         needed = (self.labeled_per_speaker + self.heldout_per_speaker
-                  + math.ceil(self.unlabeled_per_household / self.speakers_per_household))
+                  - (-self.unlabeled_per_household // self.speakers_per_household))
         if self.utterances_per_speaker < needed:
             raise ConfigurationError(
                 f"utterances_per_speaker must be >= {needed} to cover "

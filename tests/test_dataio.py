@@ -1,5 +1,6 @@
 """JSONL round-trips, strict configs, report rendering, CLI contract."""
 
+import copy
 import json
 import re
 from dataclasses import replace
@@ -7,27 +8,28 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from speakergraph import (
     ConfigurationError,
     MethodSpec,
     SimulationConfig,
+    SpeakerGraphError,
     StructuralError,
     evaluate_methods,
     generate_dataset,
 )
-from speakergraph.cli import main
+from speakergraph.cli import _load_config, main
+from speakergraph.config import RunConfig, config_hash, from_dict, to_dict
 from speakergraph.dataio import (
-    RunConfig,
-    config_hash,
     load_dataset,
-    method_from_dict,
-    method_to_dict,
     render_report,
     report_to_dict,
     save_dataset,
     write_report,
 )
+from speakergraph.evaluate import _grid_points
 from speakergraph.fusion import SingleView
 from speakergraph.graph import LocalScaling
 
@@ -37,6 +39,47 @@ GOLDEN_SIM = dict(seed=123, households_per_group=2, speakers_per_household=3,
                   utterances_per_speaker=20, voice_dim=5, face_dim=5,
                   labeled_per_speaker=2, unlabeled_per_household=8,
                   heldout_per_speaker=3, groups=("random", "hard"))
+
+
+LOCAL = {"kind": "local", "k": 4, "s": 0.8}
+VOICE = {"kind": "single_view", "view": "voice"}
+# Run configs whose config_hash must not change, one per scaling and fusion
+# kind (local scaling and single-view fusion are the TestCli config's).
+CONFIGS = {
+    "test-cli": {"schema_version": 1, "seed": 123,
+                 "simulation": {**GOLDEN_SIM, "groups": list(GOLDEN_SIM["groups"])},
+                 "method": {"method": "2LP", "scaling": LOCAL, "fusion": VOICE}},
+    "universal": {"seed": 5, "method": {"method": "LP", "fusion": VOICE,
+                                        "scaling": {"kind": "universal", "sigma": 2.5}}},
+    "cohort": {"method": {"method": "2LP", "fusion": VOICE,
+                          "scaling": {"kind": "cohort",
+                                      "sigma_by_cohort": {"random": 1.5, "hard": 0.75}}}},
+    "edge-pool": {"method": {"method": "2LPEA", "scaling": {"kind": "local", "k": 10, "s": 0.5},
+                             "fusion": {"kind": "edge_pool", "views": ["voice", "face", "session"]},
+                             "session_sigma": 0.3, "unit_normalize": True}},
+    "power-mean": {"method": {"method": "LP", "scaling": LOCAL,
+                              "fusion": {"kind": "power_mean", "views": ["voice", "face"],
+                                         "p": -1.0}}},
+    "power-mean-shift": {"method": {"method": "2LP", "scaling": LOCAL,
+                                    "fusion": {"kind": "power_mean", "views": ["voice", "face"],
+                                               "p": 2.0, "shift": 0.5}}},
+    "propagation": {"method": {"method": "2LP", "scaling": LOCAL, "fusion": VOICE,
+                               "propagation": {"alpha": 0.5, "tol": 1e-8, "max_iter": 50,
+                                               "solver": "iterative",
+                                               "step1_includes_heldout": True}}},
+    "baseline": {"seed": 7, "method": {"method": "CSEA", "view": "face"}},
+}
+PINNED_HASHES = {
+    "test-cli": "dbc09ed0fb19550e5c6b2ca312b0b8bd8e955ac5765826b7096ada41f407f7a8",
+    "universal": "c6a61d7325e3a37af58ef11854a9b9e975a9b6fa25d17d56eb7bdd49852420bf",
+    "cohort": "56c1c9ad2ad21bb3bb85756eae03aff0de3a53a95d32d2e5a4b44c26807ec7fc",
+    "edge-pool": "31b5997ec1a9d72e8df5d6b58ac71af8c22dbcb946941f5c501fece3c9717bae",
+    "power-mean": "6ef734e882903b7715bb4d20545e521ea02427ccb0b309c024d1d6cb193912f5",
+    "power-mean-shift": "51b8f39ff25d903e19ea97c1b82879733a74a2d2aec67c8469ed87c3b01715d7",
+    "propagation": "43628eeb3f12f2a6eef41da7c8694cef82db7a1cef6747d7c849737d7d828111",
+    "baseline": "39af35343a01fa0ec163a06e6c70399a65f4fd65cf91f9888fb107ca21c9746a",
+    "cli-default": "6694e88adedcfd68a0c64b57b771b497f394841a3cf74538faadd07c23d7a2e1",
+}
 
 
 def golden_households():
@@ -89,7 +132,12 @@ MALFORMED_RECORDS = [
                  "view 'voice'", id="ragged-view"),
     pytest.param("enrolled", lambda r: r.update(speaker=1),
                  "speaker must be a string", id="non-string-speaker"),
+    pytest.param("heldout", lambda r: r["views"]["voice"].__setitem__(0, 10 ** 400),
+                 "view 'voice'", id="integer-beyond-float"),
 ]
+
+# JSONL lines that are valid JSON but not a record object
+NON_OBJECT_LINES = ["5", "null", "true", '"abc"', "[1]"]
 
 
 class TestJsonlRoundTrip:
@@ -164,6 +212,24 @@ class TestJsonlRoundTrip:
             load_dataset(path)
         assert fragment in str(exc.value)
 
+    def test_overlong_integer_is_malformed(self, tmp_path):
+        path = tmp_path / "long.jsonl"
+        path.write_text('{"utt_id": ' + "1" * 5000 + "}\n")
+        with pytest.raises(StructuralError, match="line 1: malformed JSON"):
+            load_dataset(path)
+
+    @pytest.mark.parametrize("line", NON_OBJECT_LINES)
+    def test_non_object_line_names_line(self, tmp_path, line):
+        dev, _ = golden_households()
+        path = tmp_path / "scalar.jsonl"
+        save_dataset(dev[:1], path)
+        line_no = len(path.read_text().splitlines()) + 1
+        with path.open("a") as fh:
+            fh.write(line + "\n")
+        with pytest.raises(StructuralError,
+                           match=re.escape(f"line {line_no}: expected a JSON object, got ")):
+            load_dataset(path)
+
     def test_duplicate_utt_id(self, tmp_path):
         dev, _ = golden_households()
         path = tmp_path / "dup.jsonl"
@@ -219,7 +285,7 @@ class TestRunConfig:
         spec = MethodSpec(method="2LP", scaling=LocalScaling(k=7, s=0.4),
                           fusion=SingleView("voice"),
                           session_sigma=0.3)
-        again = method_from_dict(method_to_dict(spec))
+        again = from_dict(MethodSpec, to_dict(spec), "method")
         assert again == spec
 
     def test_config_hash_stable_under_key_order(self):
@@ -235,12 +301,13 @@ class TestRunConfig:
         with pytest.raises(ConfigurationError, match="differ"):
             RunConfig.from_dict({"seed": 1, "simulation": {"seed": 2}})
 
-    def test_simulation_section_must_be_object(self):
-        with pytest.raises(ConfigurationError, match="simulation must be an object"):
-            RunConfig.from_dict({"seed": 1, "simulation": [1]})
-
     @pytest.mark.parametrize("data, key", [([1], "config"), ({"method": 5}, "method"),
-                                           ({"method": {"scaling": "x"}}, "method.scaling")])
+                                           ({"method": {"scaling": "x"}}, "method.scaling"),
+                                           ({"seed": 1, "simulation": [1]}, "simulation"),
+                                           ({"simulation": []}, "simulation"),
+                                           ({"simulation": 0}, "simulation"),
+                                           ({"simulation": ""}, "simulation"),
+                                           ({"simulation": False}, "simulation")])
     def test_config_and_sections_must_be_objects(self, data, key):
         with pytest.raises(ConfigurationError, match=re.escape(f"{key}: expected an object")):
             RunConfig.from_dict(data)
@@ -263,6 +330,45 @@ class TestRunConfig:
     def test_schema_version_checked(self):
         with pytest.raises(ConfigurationError):
             RunConfig.from_dict({"schema_version": 99})
+
+    @pytest.mark.parametrize("fusion, key", [
+        ({"kind": "power_mean", "views": ["voice"], "p": float("nan")}, "method.fusion.p"),
+        ({"kind": "power_mean", "views": ["voice"], "p": -1.0, "shift": float("inf")},
+         "method.fusion.shift"),
+        ({"kind": "power_mean", "views": ["voice"], "p": -10 ** 400}, "method.fusion.p"),
+    ], ids=["p-nan", "shift-inf", "p-beyond-float"])
+    def test_numbers_must_be_finite(self, fusion, key):
+        method = {"scaling": {"kind": "local", "k": 4, "s": 0.8}, "fusion": fusion}
+        with pytest.raises(ConfigurationError,
+                           match=re.escape(f"{key}: expected a finite number")):
+            RunConfig.from_dict({"method": method})
+
+    def test_counts_beyond_float_range(self):
+        with pytest.raises(ConfigurationError, match="utterances_per_speaker must be >= "):
+            RunConfig.from_dict({"simulation": {"unlabeled_per_household": 10 ** 400}})
+
+    @pytest.mark.parametrize("name", sorted(PINNED_HASHES))
+    def test_configs_keep_their_hashes(self, name):
+        cfg = _load_config(None) if name == "cli-default" else RunConfig.from_dict(CONFIGS[name])
+        assert cfg.hash() == PINNED_HASHES[name]
+        assert RunConfig.from_dict(cfg.to_dict()) == cfg
+
+    @pytest.mark.parametrize("path, value", [
+        ("simulation.within_speaker_sigma", 2), ("method.session_sigma", 1),
+        ("method.scaling.s", 1), ("method.fusion.p", 2), ("method.fusion.shift", 1),
+        ("method.propagation.tol", 1)])
+    def test_int_and_float_hash_alike(self, path, value):
+        def config(number):
+            doc = {**copy.deepcopy(CONFIGS["power-mean-shift"]), "simulation": {}}
+            doc["method"]["propagation"] = {}
+            *sections, key = path.split(".")
+            node = doc
+            for section in sections:
+                node = node[section]
+            node[key] = number
+            return RunConfig.from_dict(doc)
+        assert config(value) == config(float(value))
+        assert config(value).hash() == config(float(value)).hash()
 
 
 class TestReportRendering:
@@ -328,13 +434,8 @@ class TestGoldenFiles:
 
 class TestCli:
     def run_config_file(self, tmp_path):
-        cfg = {"schema_version": 1, "seed": 123,
-               "simulation": {**GOLDEN_SIM, "groups": list(GOLDEN_SIM["groups"])},
-               "method": {"method": "2LP",
-                          "scaling": {"kind": "local", "k": 4, "s": 0.8},
-                          "fusion": {"kind": "single_view", "view": "voice"}}}
         path = tmp_path / "run.json"
-        path.write_text(json.dumps(cfg))
+        path.write_text(json.dumps(CONFIGS["test-cli"]))
         return path
 
     def test_simulate_twice_same_manifest_hash(self, tmp_path):
@@ -387,7 +488,7 @@ class TestCli:
                          "--config", str(path), "--method", "LP,2LP",
                          "--out", str(report_path)]) == 0
             reports[name] = json.loads(report_path.read_text())["methods"]
-        spec = RunConfig.load(norm_cfg).method
+        spec = RunConfig.from_dict(json.loads(norm_cfg.read_text())).method
         expected = evaluate_methods(load_dataset(out / "val.jsonl"),
                                     [replace(spec, method=m) for m in ("LP", "2LP")])
         assert reports["norm"] == report_to_dict(expected, 0, "")["methods"]
@@ -470,6 +571,34 @@ class TestCli:
                      "--out", str(tmp_path / "r.json")]) == 2
         err = capsys.readouterr().err
         assert f"line {line_no}: " in err and fragment in err
+
+    def test_overlong_integer_in_config_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "long.json"
+        path.write_text('{"seed": ' + "1" * 5000 + "}")
+        assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "sim")]) == 2
+        assert "malformed JSON" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line", NON_OBJECT_LINES)
+    def test_non_object_line_exits_2(self, tmp_path, capsys, line):
+        data = tmp_path / "val.jsonl"
+        data.write_text(line + "\n")
+        assert main(["evaluate", "--data", str(data), "--method", "CS",
+                     "--out", str(tmp_path / "r.json")]) == 2
+        assert "error: line 1: expected a JSON object" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value", [
+        ("session_offset_sigma", -0.1), ("unlabeled_per_household", -1), ("voice_dim", 0),
+        ("face_dim", 0), ("voice_dim", -1), ("heldout_per_speaker", -1),
+        ("labeled_per_speaker", 0)])
+    def test_simulation_out_of_range_exits_2(self, tmp_path, capsys, key, value):
+        cfg = json.loads(self.run_config_file(tmp_path).read_text())
+        cfg["simulation"][key] = value
+        path = tmp_path / "range.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "sim"
+        assert main(["simulate", "--config", str(path), "--out", str(out)]) == 2
+        assert f"error: {key} must be >= " in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_session_id_exits_2(self, tmp_path, capsys):
         _, val = golden_households()
@@ -590,3 +719,93 @@ class TestCli:
         main(["simulate", "--config", str(cfg), "--out", str(out), "--seed", "7"])
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["seed"] == 7
+
+
+# ---------------------------------------------------------------------------
+# Arbitrary JSON at the boundaries
+# ---------------------------------------------------------------------------
+
+FUZZ = settings(max_examples=100, deadline=None, derandomize=True)
+
+# records of one household; the first two, as two lines, load as a dataset
+RECORDS = [
+    {"utt_id": "u1", "household_id": "h", "group": "random", "role": "enrolled",
+     "speaker": "a", "session_id": "s1", "cohort": "0",
+     "views": {"voice": [0.5, 1.0], "face": [1.0, 0.0]}},
+    {"utt_id": "u2", "household_id": "h", "group": "random", "role": "heldout",
+     "speaker": "a", "session_id": "s1", "views": {"voice": [0.25, 1.5], "face": [0.0, 1.0]}},
+    {"utt_id": "u3", "household_id": "h", "role": "unlabeled", "views": {"voice": [1.0, 2.0]}},
+]
+WORDS = ["local", "universal", "cohort", "single_view", "edge_pool", "power_mean", "voice",
+         "face", "session", "CS", "LP", "2LP", "2LPEA", "iterative", "enrolled", "heldout"]
+GRID_NAMES = ["method", "view", "session_sigma", "unit_normalize", "scaling", "scaling.k",
+              "scaling.s", "scaling.sigma", "fusion", "fusion.view", "fusion.p", "propagation",
+              "propagation.alpha", "propagation.max_iter", "propagation.solver", "nonsense"]
+
+
+def objects_in(tree):
+    """tree and every JSON object nested in it."""
+    if isinstance(tree, dict):
+        yield tree
+        for value in tree.values():
+            yield from objects_in(value)
+
+
+def json_trees(seeds):
+    """Arbitrary JSON values: scalars (NaN and infinities included), lists and
+    objects keyed mostly by the seeds' keys, and the seeds with the value of
+    one key, at any depth, replaced by such a value."""
+    objects = [obj for seed in seeds for obj in objects_in(seed)]
+    keys = st.sampled_from(sorted({key for obj in objects for key in obj})) | st.text(max_size=3)
+    scalars = (st.none() | st.booleans() | st.integers() | st.floats()
+               | st.text(max_size=3) | st.sampled_from(WORDS))
+    trees = st.recursive(scalars | st.sampled_from(objects),
+                         lambda children: (st.lists(children, max_size=3)
+                                           | st.dictionaries(keys, children, max_size=3)),
+                         max_leaves=8)
+
+    @st.composite
+    def edited(draw):
+        doc = copy.deepcopy(draw(st.sampled_from(seeds)))
+        obj, key = draw(st.sampled_from([(obj, key) for obj in objects_in(doc) for key in obj]))
+        obj[key] = draw(trees)
+        return doc
+    return trees | edited()
+
+
+CONFIG_TREES = json_trees(list(CONFIGS.values()))
+
+
+class TestAnyJson:
+    """Any JSON input ends in success or a SpeakerGraphError."""
+
+    @FUZZ
+    @given(doc=CONFIG_TREES)
+    def test_run_config(self, doc):
+        try:
+            cfg = RunConfig.from_dict(doc)
+        except SpeakerGraphError:
+            return
+        json.dumps(cfg.to_dict(), allow_nan=False)
+        assert RunConfig.from_dict(cfg.to_dict()) == cfg
+
+    @FUZZ
+    @given(grid=st.dictionaries(st.sampled_from(GRID_NAMES) | st.text(max_size=3),
+                                st.lists(CONFIG_TREES, max_size=3) | CONFIG_TREES, max_size=3))
+    def test_sweep_grid(self, grid):
+        template = RunConfig.from_dict(CONFIGS["test-cli"]).method
+        try:
+            points = _grid_points(grid, template)
+        except SpeakerGraphError:
+            return
+        assert len(points) == np.prod([len(values) for values in grid.values()])
+
+    @FUZZ
+    @given(lines=st.lists(json_trees(RECORDS), min_size=1, max_size=2))
+    def test_jsonl_dataset(self, tmp_path_factory, lines):
+        path = tmp_path_factory.getbasetemp() / "fuzz.jsonl"
+        path.write_text("".join(json.dumps(line) + "\n" for line in lines))
+        try:
+            load_dataset(path)
+        except SpeakerGraphError:
+            pass

@@ -31,7 +31,7 @@ from speakergraph import (
     sweep,
     tune_cohort_sigmas,
 )
-from speakergraph.evaluate import apply_param
+from speakergraph.config import apply_param
 
 evaluate_module = importlib.import_module("speakergraph.evaluate")
 graph_module = importlib.import_module("speakergraph.graph")
