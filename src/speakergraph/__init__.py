@@ -49,7 +49,6 @@ from .graph import (
     pairwise_distances,
     propagation_operator,
     session_affinity,
-    sym_matrix_power,
 )
 from .propagation import (
     ABSTAIN,

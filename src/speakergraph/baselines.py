@@ -29,10 +29,10 @@ class PredictionResult:
     iterations: int = 0
 
 
-def _normalize_rows(x: np.ndarray, warn: bool = True) -> np.ndarray:
+def _normalize_rows(x: np.ndarray) -> np.ndarray:
     norms = np.linalg.norm(x, axis=1)
     zero = norms == 0.0
-    if zero.any() and warn:
+    if zero.any():
         warnings.warn("zero-norm embedding: its cosine similarities are 0",
                       DegeneracyWarning, stacklevel=3)
     out = np.zeros_like(x, dtype=float)

@@ -19,13 +19,10 @@ import numpy as np
 from scipy.linalg import lapack
 
 from .errors import ConfigurationError, NumericalError, StructuralError
-from .graph import (
-    NEG_POWER_EIG_FLOOR,
-    AffinityMatrix,
-    normalized_laplacian,
-    propagation_operator,
-    sym_matrix_power,
-)
+from .graph import AffinityMatrix, normalized_laplacian, propagation_operator
+
+# Eigenvalue floor applied before negative matrix powers.
+NEG_POWER_EIG_FLOOR = 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -140,18 +137,51 @@ def _harmonic_mean(mats: Sequence[np.ndarray]) -> np.ndarray | None:
     return _floor_free_spd_inverse(acc)
 
 
-def _floored_power_mean(mats: Sequence[np.ndarray], p: float) -> np.ndarray:
-    """Power mean by eigendecomposition, eigenvalues floored per _power_floor."""
-    if len(mats) == 1:
-        m = mats[0]
+def _floored_eigh(m: np.ndarray, q: float) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues of a symmetric m, ascending and floored per _power_floor(q),
+    and its eigenvectors; NumericalError when the decomposition fails or a
+    materially negative eigenvalue meets a non-integer power q."""
+    if np.abs(m - m.T).max() > 1e-10:
+        raise StructuralError("matrix power requires a symmetric input")
+    try:
         vals, vecs = np.linalg.eigh((m + m.T) / 2.0)
-        powered = np.maximum(vals, _power_floor(p)) ** p
-        back = np.maximum(powered, _power_floor(1.0 / p)) ** (1.0 / p)
-        return (vecs * back) @ vecs.T
-    acc = np.zeros_like(mats[0])
-    for m in mats:
-        acc += sym_matrix_power(m, p, floor=_power_floor(p))
-    return sym_matrix_power(acc / len(mats), 1.0 / p, floor=_power_floor(1.0 / p))
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"eigendecomposition failed: {exc}") from exc
+    if q != int(q) and vals[0] < -1e-8:
+        raise NumericalError(
+            f"eigenvalue {vals[0]:.3e} < -1e-8 with non-integer power {q}")
+    return np.maximum(vals, _power_floor(q)), vecs
+
+
+def _floored_power_mean(mats: Sequence[np.ndarray], p: float) -> np.ndarray:
+    """Power mean by floored eigendecompositions; NumericalError when
+    round-off leaves the inputs' floored spectral range, which bounds the
+    root's eigenvalues in exact arithmetic."""
+    decomposed = [_floored_eigh(m, p) for m in mats]
+    low = min(vals[0] for vals, _ in decomposed)
+    high = max(vals[-1] for vals, _ in decomposed)
+    if len(decomposed) == 1:
+        # The mean of one input is its own power, so its eigenbasis is the
+        # input's; re-decomposing it would destroy the small eigenvalues
+        # whenever the floor inflates the null space by many orders.
+        vals, vecs = decomposed[0]
+        means = np.maximum(vals ** p, _power_floor(1.0 / p))
+    else:
+        acc = np.zeros_like(mats[0])
+        for vals, vecs in decomposed:
+            out = (vecs * vals ** p) @ vecs.T
+            acc += (out + out.T) / 2.0
+        means, vecs = _floored_eigh(acc / len(mats), 1.0 / p)
+    root = means ** (1.0 / p)
+    # Tolerance 1e-6 of the range's top, about 100 * sqrt(eps): at p = 2 the
+    # square root turns an eps-sized error in the mean into a sqrt(eps)-sized one.
+    tolerance = 1e-6 * high
+    if not (low - tolerance <= root.min() and root.max() <= high + tolerance):
+        raise NumericalError(
+            f"power mean with p={p} has eigenvalues in [{root.min():.6g}, "
+            f"{root.max():.6g}], outside its inputs' range [{low:.6g}, {high:.6g}]")
+    out = (vecs * root) @ vecs.T
+    return (out + out.T) / 2.0
 
 
 def pml_fuse(laplacians: Sequence[np.ndarray], p: float,
@@ -167,10 +197,8 @@ def pml_fuse(laplacians: Sequence[np.ndarray], p: float,
     inverse proves that no eigenvalue lies below NEG_POWER_EIG_FLOOR.
     Every other p, and p = -1 when that proof fails (for instance shift=0,
     where each L_v is singular), uses eigendecompositions with eigenvalues
-    floored at NEG_POWER_EIG_FLOOR before negative powers. A single input
-    is then handled in one eigendecomposition; re-decomposing its own matrix
-    power would destroy the small eigenvalues whenever the floor inflates
-    the null space by many orders of magnitude.
+    floored at NEG_POWER_EIG_FLOOR before negative powers; it raises
+    NumericalError when round-off leaves the inputs' floored spectral range.
 
     Raises NumericalError when the fused Laplacian has non-finite entries.
     """

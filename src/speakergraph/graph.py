@@ -8,9 +8,9 @@ for the session view),
 
 where the bandwidth sigma is a global constant (universal scaling), a
 per-cohort constant, or locally adapted from the mean distance to the K
-nearest neighbors of both endpoints. The module also derives the symmetric
-normalized Laplacian I - D^{-1/2} W D^{-1/2} and provides regularized
-symmetric matrix powers used by graph-level fusion.
+nearest neighbors of both endpoints. The module also derives the propagation
+operator D^{-1/2} W D^{-1/2} and the symmetric normalized Laplacian
+I - D^{-1/2} W D^{-1/2} that graph-level fusion combines.
 """
 
 import warnings
@@ -25,9 +25,6 @@ from .errors import ConfigurationError, DegeneracyWarning, NumericalError, Struc
 # Bandwidths below this are clamped to keep the kernel exponent finite when
 # duplicate embeddings collapse a KNN mean to zero.
 SIGMA_FLOOR = 1e-6
-
-# Eigenvalue floor applied before negative matrix powers.
-NEG_POWER_EIG_FLOOR = 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -254,33 +251,3 @@ def propagation_operator(w: np.ndarray) -> np.ndarray:
 def normalized_laplacian(w: np.ndarray) -> np.ndarray:
     """Symmetric normalized Laplacian L = I - D^{-1/2} W D^{-1/2} of valid weights w."""
     return np.eye(w.shape[0]) - propagation_operator(w)
-
-
-def sym_matrix_power(m: np.ndarray, p: float, floor: float = 0.0) -> np.ndarray:
-    """U max(lambda, floor)^p U^T for a symmetric matrix m = U diag(lambda) U^T.
-
-    Raises NumericalError when a materially negative eigenvalue meets a
-    non-integer power, or when a nonpositive eigenvalue survives the floor
-    under a negative power.
-    """
-    m = np.asarray(m, dtype=float)
-    if p == 0:
-        raise ConfigurationError("matrix power p must be nonzero")
-    if floor < 0:
-        raise ConfigurationError(f"eigenvalue floor must be >= 0, got {floor}")
-    if np.abs(m - m.T).max() > 1e-10:
-        raise StructuralError("matrix power requires a symmetric input")
-    try:
-        vals, vecs = np.linalg.eigh((m + m.T) / 2.0)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"eigendecomposition failed: {exc}") from exc
-    if p != int(p) and vals.min() < -1e-8:
-        raise NumericalError(
-            f"eigenvalue {vals.min():.3e} < -1e-8 with non-integer power {p}")
-    floored = np.maximum(vals, floor)
-    if p < 0 and floored.min() <= 0.0:
-        raise NumericalError(
-            "nonpositive eigenvalue under negative power; raise the floor")
-    powered = floored ** p
-    out = (vecs * powered) @ vecs.T
-    return (out + out.T) / 2.0

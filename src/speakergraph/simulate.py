@@ -79,7 +79,7 @@ class SimulationConfig:
     heldout_per_speaker: int = 10
     dev_val_ratio: tuple[int, int] = (1, 2)
     pool_speakers: int | None = None
-    groups: tuple[str, ...] = ()
+    groups: tuple[str, ...] | None = None
 
     def __post_init__(self):
         if self.speakers_per_household < 2:
@@ -113,10 +113,14 @@ class SimulationConfig:
         d, v = self.dev_val_ratio
         if d < 1 or v < 1:
             raise ConfigurationError("dev_val_ratio parts must be >= 1")
-        if not self.groups:
+        if self.groups is None:
             groups = (GROUP_RANDOM, GROUP_HARD) + tuple(
                 cohort_group(str(i)) for i in range(self.num_cohorts))
             object.__setattr__(self, "groups", groups)
+        elif not self.groups or len(set(self.groups)) < len(self.groups):
+            # a repeated group would repeat its household ids
+            raise ConfigurationError(
+                f"groups must be nonempty and distinct, got {list(self.groups)}")
 
     def default_pool_size(self, group: str) -> int:
         if self.pool_speakers is not None:

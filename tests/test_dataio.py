@@ -600,6 +600,18 @@ class TestCli:
         assert f"error: {key} must be >= " in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("groups", [["random", "random"], []], ids=["repeated", "empty"])
+    def test_simulation_groups_exit_2(self, tmp_path, capsys, groups):
+        # a repeated group wrote repeated household ids that evaluate rejected
+        cfg = json.loads(self.run_config_file(tmp_path).read_text())
+        cfg["simulation"]["groups"] = groups
+        path = tmp_path / "groups.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "sim"
+        assert main(["simulate", "--config", str(path), "--out", str(out)]) == 2
+        assert "error: groups must be nonempty and distinct" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_session_id_exits_2(self, tmp_path, capsys):
         _, val = golden_households()
         data = tmp_path / "val.jsonl"

@@ -25,9 +25,8 @@ from speakergraph import (
     normalized_laplacian,
     pml_fuse,
     propagation_operator,
-    sym_matrix_power,
 )
-from speakergraph.graph import NEG_POWER_EIG_FLOOR
+from speakergraph.fusion import NEG_POWER_EIG_FLOOR
 
 P_GRID = (-5.0, -2.0, -1.0, 1.0, 2.0, 5.0)
 
@@ -92,6 +91,20 @@ class TestPowerMean:
         fused = pml_fuse([lap], p, shift=0.0)
         assert np.abs(fused - lap).max() < 1e-8
 
+    @pytest.mark.parametrize("count", (1, 2))
+    @pytest.mark.parametrize("p", (-3.0, -0.5, 0.5, 2.0))
+    def test_identity_inputs_any_power(self, p, count):
+        eye = np.eye(4)
+        assert np.allclose(pml_fuse([eye] * count, p), eye, atol=1e-12)
+
+    @pytest.mark.parametrize("count", (1, 2))
+    def test_invalid_inputs_rejected(self, count):
+        # the eigendecomposition route checks every input alike
+        with pytest.raises(NumericalError, match="non-integer power 0.5"):
+            pml_fuse([np.diag([-1.0, 2.0])] * count, 0.5)
+        with pytest.raises(StructuralError, match="symmetric"):
+            pml_fuse([np.array([[1.0, 0.1], [0.0, 1.0]])] * count, 2.0)
+
     def test_p_one_is_arithmetic_mean(self):
         laps = self.random_laplacians(3, count=3)
         fused = pml_fuse(laps, 1.0, shift=0.0)
@@ -104,7 +117,7 @@ class TestPowerMean:
         fused = pml_fuse([a, b], -1.0, shift=0.0)
         assert np.allclose(fused, np.diag([1.5, 2.0]), atol=1e-10)
 
-    @pytest.mark.parametrize("p", P_GRID)
+    @pytest.mark.parametrize("p", (*P_GRID, 0.5, -0.5))
     def test_diagonal_inputs_match_scalar_power_mean(self, p):
         d1 = np.array([0.3, 1.0, 2.0])
         d2 = np.array([0.8, 0.4, 1.7])
@@ -241,22 +254,35 @@ def laplacian_sets(draw):
 
 
 def floored_reference(laps, p, shift):
-    """The power mean through floored eigendecompositions only."""
+    """The power mean through floored numpy eigendecompositions only."""
     def floor(q):
         return 0.0 if q > 0 else NEG_POWER_EIG_FLOOR
 
+    def power(m, q):
+        vals, vecs = np.linalg.eigh((m + m.T) / 2.0)
+        return vecs, np.maximum(vals, floor(q)) ** q
+
     shifted = [lap + shift * np.eye(lap.shape[0]) for lap in laps]
     if len(shifted) == 1:
-        m = shifted[0]
-        vals, vecs = np.linalg.eigh((m + m.T) / 2.0)
-        back = np.maximum(np.maximum(vals, floor(p)) ** p, floor(1.0 / p)) ** (1.0 / p)
-        fused = (vecs * back) @ vecs.T
+        vecs, powered = power(shifted[0], p)
+        fused = (vecs * np.maximum(powered, floor(1.0 / p)) ** (1.0 / p)) @ vecs.T
     else:
         acc = np.zeros_like(shifted[0])
         for m in shifted:
-            acc += sym_matrix_power(m, p, floor=floor(p))
-        fused = sym_matrix_power(acc / len(shifted), 1.0 / p, floor=floor(1.0 / p))
+            vecs, powered = power(m, p)
+            out = (vecs * powered) @ vecs.T
+            acc += (out + out.T) / 2.0
+        vecs, root = power(acc / len(shifted), 1.0 / p)
+        fused = (vecs * root) @ vecs.T
     return (fused + fused.T) / 2.0
+
+
+def floored_range(laps, p, shift):
+    """Smallest floored and largest eigenvalue of the shifted inputs."""
+    spectra = [np.linalg.eigvalsh(lap + shift * np.eye(lap.shape[0])) for lap in laps]
+    floor = 0.0 if p > 0 else NEG_POWER_EIG_FLOOR
+    return (max(min(vals.min() for vals in spectra), floor),
+            max(vals.max() for vals in spectra))
 
 
 def fuse_counting_eigh(laps, p, shift):
@@ -313,18 +339,50 @@ class TestClosedForms:
         assert np.allclose(fused, np.diag([NEG_POWER_EIG_FLOOR, 2.5]))
 
 
+class TestEigenRoute:
+    @PROPERTY
+    @given(laps=laplacian_sets(), shift=st.just(0.0) | SHIFTS)
+    def test_matches_floored_reference(self, laps, shift):
+        for p in P_GRID:
+            if p == 1.0:
+                continue
+            try:
+                fused, eigh_calls = fuse_counting_eigh(laps, p, shift)
+            except NumericalError:
+                continue  # TestSpectralBound checks that a raise is due
+            if eigh_calls:
+                assert np.array_equal(fused, floored_reference(laps, p, shift))
+
+
 class TestSpectralBound:
     @PROPERTY
-    @given(laps=laplacian_sets(), p=st.sampled_from([1.0, -1.0, 2.0]),
-           shift=st.just(0.0) | SHIFTS)
-    def test_power_mean_spectrum_within_shifted_inputs(self, laps, p, shift):
-        # Each L_v + shift*I has its spectrum in [shift, 2 + shift] and a matrix
-        # power mean stays inside its inputs' bounds, so I - alpha*S =
-        # (1 - alpha)*I + alpha*L_p is positive definite. Round-off: the
-        # floored eigendecompositions work at condition numbers up to
-        # (2 + shift)/NEG_POWER_EIG_FLOOR, and at p = 2 the square root turns
-        # an eps-sized error in an eigenvalue of M^2 into a sqrt(eps)-sized one.
-        tolerance = 1e-6 * (2.0 + shift)
-        eigenvalues = np.linalg.eigvalsh(pml_fuse(laps, p, shift))
-        assert eigenvalues.min() >= shift - tolerance
-        assert eigenvalues.max() <= 2.0 + shift + tolerance
+    @given(laps=laplacian_sets(), shift=st.just(0.0) | SHIFTS)
+    def test_power_mean_spectrum_within_shifted_inputs(self, laps, shift):
+        # A matrix power mean stays inside its inputs' spectral bounds, and
+        # each L_v + shift*I has its spectrum in [shift, 2 + shift], so
+        # I - alpha*S = (1 - alpha)*I + alpha*L_p is positive definite. The
+        # eigendecomposition route raises where round-off leaves the bounds,
+        # as at p = -2 and tiny shifts, where the floored null space
+        # dominates the mean; p in {1, -1, 2} stays inside on these inputs.
+        for p in (1.0, -1.0, 2.0, -2.0, 5.0, -5.0):
+            low, high = floored_range(laps, p, shift)
+            try:
+                fused = pml_fuse(laps, p, shift)
+            except NumericalError:
+                assert p not in (1.0, -1.0, 2.0)
+                continue
+            # pml_fuse allows 1e-6 * high and the final product adds round-off
+            tolerance = 2e-6 * high
+            eigenvalues = np.linalg.eigvalsh(fused)
+            assert eigenvalues.min() >= low - tolerance
+            assert eigenvalues.max() <= high + tolerance
+
+    def test_round_off_past_the_range_raises(self):
+        # at shift 1e-8 the inverse squares reach 1e16, and the eigenvalues
+        # of their mean that the root maps to the top of the range drown in
+        # round-off: unchecked, the root's top eigenvalue is 3.9 here, above
+        # both inputs' 1.49
+        rng = np.random.default_rng(0)
+        laps = [normalized_laplacian(random_affinity(rng, 8).w) for _ in range(2)]
+        with pytest.raises(NumericalError, match=r"p=-2\.0 .* outside its inputs' range"):
+            pml_fuse(laps, -2.0, 1e-8)

@@ -1,4 +1,4 @@
-"""Affinity construction, scaling rules, Laplacians, matrix powers."""
+"""Affinity construction, scaling rules, Laplacians."""
 
 import numpy as np
 import pytest
@@ -18,7 +18,6 @@ from speakergraph import (
     pairwise_distances,
     propagation_operator,
     session_affinity,
-    sym_matrix_power,
 )
 from speakergraph.graph import SIGMA_FLOOR, ViewDistances
 
@@ -255,37 +254,3 @@ class TestNormalizedLaplacian:
                                      [0.0, 1.0, 1.0, 0.0]]))
         with pytest.raises(NumericalError, match="node 0"):
             propagation_operator(w.w)
-
-
-class TestSymMatrixPower:
-    def test_identity_any_power(self):
-        eye = np.eye(4)
-        for p in (-3.0, -0.5, 0.5, 2.0):
-            assert np.allclose(sym_matrix_power(eye, p), eye, atol=1e-12)
-
-    def test_scalar_square_roots(self):
-        out = sym_matrix_power(np.diag([1.0, 4.0]), 0.5)
-        assert np.allclose(out, np.diag([1.0, 2.0]), atol=1e-12)
-
-    def test_floor_then_invert(self):
-        out = sym_matrix_power(np.diag([0.0, 2.0]), -1.0, floor=0.5)
-        assert np.allclose(out, np.diag([2.0, 0.5]), atol=1e-12)
-
-    def test_zero_power_rejected(self):
-        with pytest.raises(ConfigurationError):
-            sym_matrix_power(np.eye(2), 0.0)
-
-    def test_negative_eigenvalue_noninteger_power(self):
-        with pytest.raises(NumericalError):
-            sym_matrix_power(np.diag([-1.0, 2.0]), 0.5)
-
-    def test_negative_power_needs_positive_floor(self):
-        with pytest.raises(NumericalError):
-            sym_matrix_power(np.diag([0.0, 2.0]), -1.0, floor=0.0)
-
-    def test_p_one_is_identity_map(self):
-        # floor=0 clamps negative eigenvalues, so the identity holds on PSD inputs
-        rng = np.random.default_rng(9)
-        base = rng.normal(size=(6, 6))
-        m = base @ base.T
-        assert np.abs(sym_matrix_power(m, 1.0) - m).max() < 1e-10
