@@ -10,7 +10,6 @@ where p interpolates between min-like (p << 0), harmonic (p = -1),
 arithmetic (p = 1) and max-like (p >> 0) pooling of the view spectra.
 """
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence, Union
@@ -90,14 +89,20 @@ FusionRule = Union[SingleView, EdgePoolFusion, PowerMeanFusion]
 
 def edgepool_fuse(matrices: Sequence[np.ndarray]) -> np.ndarray:
     """Elementwise maximum across views' weights; keeps symmetry and the zero
-    diagonal. A single matrix is returned as it is."""
+    diagonal. A single matrix is returned as it is; with more, the inputs are
+    left unchanged and the maximum is accumulated in one new array."""
     if not matrices:
         raise ConfigurationError("edgepool_fuse needs at least one matrix")
     n = matrices[0].shape[0]
     for m in matrices:
         if m.shape[0] != n:
             raise StructuralError(f"affinity size mismatch: {m.shape[0]} != {n}")
-    return functools.reduce(np.maximum, matrices)
+    if len(matrices) == 1:
+        return matrices[0]
+    fused = np.maximum(matrices[0], matrices[1])
+    for m in matrices[2:]:
+        np.maximum(fused, m, out=fused)
+    return fused
 
 
 def _power_floor(p: float) -> float:
@@ -253,9 +258,15 @@ class FusedGraph:
         """S for label propagation: D^{-1/2} W D^{-1/2}, or I - L when fused."""
         return self.operator
 
-    def subgraph(self, indices: np.ndarray) -> "FusedGraph":
-        """The rule applied to the per-view principal submatrices on indices."""
-        idx = np.ix_(indices, indices)
+    def subgraph(self, indices: np.ndarray | slice) -> "FusedGraph":
+        """The rule applied to the per-view principal submatrices on indices.
+
+        ``indices`` is an index array or a slice. A slice takes views of this
+        graph's weights rather than copies; an index array copies them.
+        """
+        # np.ix_ keeps the copy C-ordered: w[indices][:, indices] would be
+        # Fortran-ordered, and its row sums, the degrees, would add in another order
+        idx = (indices, indices) if isinstance(indices, slice) else np.ix_(indices, indices)
         return _fuse_weights([w[idx] for w in self.view_weights], self.rule)
 
 

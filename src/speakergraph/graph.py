@@ -190,24 +190,36 @@ class ViewDistances:
             sigma = rule.sigma_by_cohort[cohort_id]
         elif isinstance(rule, LocalScaling):
             means = self.knn_means(rule.k)
-            # mean of the pooled 2k neighbor distances of i and j
-            sigma = rule.s * (means[:, None] + means[None, :]) / 2.0
+            # mean of the pooled 2k neighbor distances of i and j, built in one
+            # buffer; m_i + m_j commutes, so sigma is exactly symmetric
+            sigma = np.add.outer(means, means)
+            sigma *= rule.s
+            sigma /= 2.0
         else:
             raise ConfigurationError(f"unknown scaling rule {type(rule).__name__}")
         return _gaussian_kernel(self.dist, sigma)
 
 
 def _gaussian_kernel(dist: np.ndarray, sigma: np.ndarray | float) -> AffinityMatrix:
-    """exp(-(dist/sigma)^2) with the sigma floor, zero diagonal, exact symmetry."""
-    if np.any(np.asarray(sigma) < SIGMA_FLOOR):
+    """exp(-(dist/sigma)^2) with the sigma floor and a zero diagonal, computed
+    in one n x n buffer.
+
+    ``dist`` and an array ``sigma`` must be exactly symmetric, as squareform
+    distances and s * (m_i + m_j) / 2 are: every step is elementwise, so the
+    kernel is then exactly symmetric too, and AffinityMatrix checks that it is.
+    An array ``sigma`` is that buffer: it is overwritten with the kernel.
+    """
+    if np.min(sigma) < SIGMA_FLOOR:
         # stacklevel 3 names the caller of ViewDistances.affinity / session_affinity
         warnings.warn("bandwidth clamped to sigma floor (duplicate embeddings?)",
                       DegeneracyWarning, stacklevel=3)
         sigma = np.maximum(sigma, SIGMA_FLOOR)
-    w = np.exp(-(dist / sigma) ** 2)
-    # mirror the upper triangle so symmetry never depends on float luck
-    upper = np.triu(w, 1)
-    return AffinityMatrix(upper + upper.T)
+    w = np.divide(dist, sigma, out=sigma if isinstance(sigma, np.ndarray) else None)
+    np.square(w, out=w)
+    np.negative(w, out=w)
+    np.exp(w, out=w)
+    np.fill_diagonal(w, 0.0)
+    return AffinityMatrix(w)
 
 
 def affinity(view: EmbeddingView, rule: ScalingRule,
@@ -219,13 +231,21 @@ def affinity(view: EmbeddingView, rule: ScalingRule,
 
 def session_affinity(sessions: Sequence[str | None], sigma: float) -> AffinityMatrix:
     """Session-constraint affinity: distance 0 within a session, 1 across, under
-    one fixed bandwidth (local scaling has no meaning on 0/1 distances)."""
+    one fixed bandwidth (local scaling has no meaning on 0/1 distances).
+
+    Ids are compared by ``str()``: two ids are one session when their strings
+    are equal, character for character.
+    """
     if any(s is None for s in sessions):
         raise StructuralError("session view requested but session ids missing")
     if not sigma > 0:
         raise ConfigurationError(f"session sigma must be > 0, got {sigma}")
-    ids = np.asarray([str(s) for s in sessions], dtype=object)
-    return _gaussian_kernel((ids[:, None] != ids[None, :]).astype(float), sigma)
+    # integer codes, one per distinct string; comparing them costs a fraction
+    # of comparing the strings. np.unique would not do: its fixed-width str
+    # dtype drops trailing NULs and so merges "a" with "a\x00".
+    codes: dict[str, int] = {}
+    ids = np.array([codes.setdefault(str(s), len(codes)) for s in sessions], dtype=np.intp)
+    return _gaussian_kernel(np.not_equal.outer(ids, ids).astype(float), sigma)
 
 
 def propagation_operator(w: np.ndarray) -> np.ndarray:
@@ -245,7 +265,9 @@ def propagation_operator(w: np.ndarray) -> np.ndarray:
         raise NumericalError(
             f"node {bad[0]} has subnormal degree {degrees[bad[0]]:.3e} (kernel underflow)")
     inv_sqrt = 1.0 / np.sqrt(degrees)
-    return w * np.outer(inv_sqrt, inv_sqrt)
+    s = np.outer(inv_sqrt, inv_sqrt)
+    s *= w
+    return s
 
 
 def normalized_laplacian(w: np.ndarray) -> np.ndarray:

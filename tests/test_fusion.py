@@ -1,5 +1,6 @@
 """Edge-pool and power-mean fusion."""
 
+import functools
 import math
 from unittest import mock
 
@@ -78,6 +79,17 @@ class TestEdgePool:
         assert np.all(fused >= a) and np.all(fused >= b)             # monotone
         expected = np.maximum(a, b)
         assert np.array_equal(fused, expected)                       # exact max
+
+    @pytest.mark.parametrize("views", [3, 4])
+    def test_many_views_leave_inputs_unchanged(self, views):
+        rng = np.random.default_rng(views)
+        mats = [random_affinity(rng, 9).w for _ in range(views)]
+        before = [m.copy() for m in mats]
+        fused = edgepool_fuse(mats)
+        assert np.array_equal(fused, functools.reduce(np.maximum, before))
+        for m, original in zip(mats, before):
+            assert np.array_equal(m, original)
+            assert not np.shares_memory(fused, m)
 
 
 class TestPowerMean:
@@ -215,6 +227,21 @@ class TestFuseAndSubgraph:
             [normalized_laplacian(affs["voice"].w[np.ix_(idx, idx)]),
              normalized_laplacian(affs["face"].w[np.ix_(idx, idx)])], 2.0, 0.0)
         assert np.abs(sub - (np.eye(6) - direct)).max() < 1e-12
+
+    @pytest.mark.parametrize("rule", [SingleView("voice"), EdgePoolFusion(("voice", "face")),
+                                      PowerMeanFusion(("voice", "face"), p=2.0)])
+    def test_slice_subgraph_equals_index_subgraph(self, rule):
+        # m = 257 rows cross numpy's 128-element pairwise-summation block, so
+        # degree sums over a strided view must still add in the same order
+        _, fused = self.build(rule, n=300)
+        by_slice = fused.subgraph(slice(0, 257))
+        by_index = fused.subgraph(np.arange(257))
+        assert np.array_equal(by_slice.propagation_matrix(), by_index.propagation_matrix())
+        for view, copy, parent in zip(by_slice.view_weights, by_index.view_weights,
+                                      fused.view_weights):
+            assert np.array_equal(view, copy)
+            assert np.shares_memory(view, parent)
+            assert not np.shares_memory(copy, parent)
 
     def test_affinity_subgraph_is_submatrix(self):
         rule = EdgePoolFusion(("voice", "face"))

@@ -1,7 +1,12 @@
 """Affinity construction, scaling rules, Laplacians."""
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from speakergraph import (
     AffinityMatrix,
@@ -208,6 +213,65 @@ class TestAffinity:
             AffinityMatrix(np.array([[0.1, 0.5], [0.5, 0.0]]))
         with pytest.raises(StructuralError):
             AffinityMatrix(np.array([[0.0, 1.5], [1.5, 0.0]]))
+
+
+def reference_kernel(dist, sigma):
+    """The kernel as first written: exp(-(d/sigma)^2) with the sigma floor, then
+    the upper triangle mirrored into the lower one."""
+    sigma = np.maximum(sigma, SIGMA_FLOOR)
+    w = np.exp(-(dist / sigma) ** 2)
+    upper = np.triu(w, 1)
+    return upper + upper.T
+
+
+@st.composite
+def kernel_cases(draw):
+    """A view of n in [2, 60] rows drawn from a smaller pool, so rows repeat,
+    and a universal, cohort or local rule with its reference sigma."""
+    n = draw(st.integers(2, 60))
+    dim = draw(st.integers(1, 4))
+    pool = draw(hnp.arrays(float, (draw(st.integers(1, n)), dim),
+                           elements=st.floats(-5.0, 5.0)))
+    rows = draw(st.lists(st.integers(0, len(pool) - 1), min_size=n, max_size=n))
+    view = EmbeddingView("voice", pool[rows])
+    kind = draw(st.sampled_from(["universal", "cohort", "local"]))
+    if kind == "local":
+        rule = LocalScaling(k=draw(st.integers(1, n - 1)), s=draw(st.floats(0.1, 3.0)))
+        means = ViewDistances(view, rule.k).knn_means(rule.k)
+        sigma = rule.s * (means[:, None] + means[None, :]) / 2.0
+    else:
+        sigma = draw(st.floats(1e-8, 10.0))
+        rule = UniversalScaling(sigma) if kind == "universal" else CohortScaling({"g": sigma})
+    return view, rule, sigma
+
+
+SESSION_IDS = st.sampled_from(["a", "a\x00", "\x00", "", "b", "ab"]) | st.text(max_size=3)
+
+
+class TestKernelMatchesReference:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(kernel_cases())
+    def test_kernel_bitwise_symmetric_zero_diagonal(self, case):
+        view, rule, sigma = case
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DegeneracyWarning)
+            w = affinity(view, rule, cohort_id="g").w
+        assert np.array_equal(w, reference_kernel(pairwise_distances(view), sigma))
+        assert np.array_equal(w, w.T)
+        assert np.all(np.diagonal(w) == 0.0)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.lists(SESSION_IDS, min_size=2, max_size=60), st.floats(0.05, 5.0))
+    def test_session_matches_string_comparison(self, sessions, sigma):
+        ids = np.asarray([str(s) for s in sessions], dtype=object)
+        dist = (ids[:, None] != ids[None, :]).astype(float)
+        assert np.array_equal(session_affinity(sessions, sigma).w,
+                              reference_kernel(dist, sigma))
+
+    def test_session_ids_differing_by_trailing_nul_stay_distinct(self):
+        w = session_affinity(["a", "a\x00", "a"], 0.5).w
+        assert w[0, 2] == 1.0
+        assert w[0, 1] == w[1, 2] == np.exp(-4.0)
 
 
 class TestNormalizedLaplacian:

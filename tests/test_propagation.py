@@ -78,6 +78,19 @@ class TestHouseholdGraph:
         with pytest.raises(StructuralError):
             graph_from_w(w, labels=[0, 2], n_unlabeled=0, n_heldout=0, class_count=2)
 
+    @pytest.mark.parametrize("rule", FUSION_RULES)
+    def test_step1_weights_are_views_of_the_graph(self, rule):
+        rng = np.random.default_rng(3)
+        views = {name: EmbeddingView(name, rng.normal(size=(12, 3))) for name in ("voice", "face")}
+        fused = fuse({name: affinity(v, UniversalScaling(2.0)) for name, v in views.items()}, rule)
+        graph = HouseholdGraph(fused=fused, labels=np.array([0, 1, 0, 1]), n_unlabeled=5,
+                               n_heldout=3, class_count=2)
+        step1 = graph.without_heldout().fused
+        assert step1.node_count == 9
+        for core, full in zip(step1.view_weights, fused.view_weights):
+            assert np.shares_memory(core, full)
+            assert np.array_equal(core, full[:9, :9])
+
 
 class TestInitLabelMatrix:
     def test_one_label_per_class(self):
