@@ -2,12 +2,12 @@
 
 Four variants: score a held-out utterance against each speaker's labeled
 utterances and average (CS), or against the per-speaker mean embedding
-(CSEA); the 2-step variants first pseudo-label the unlabeled pool with the
-same method and then re-score with labels and pseudo-labels together.
+(CSEA); 2CS and 2CSEA pseudo-label the unlabeled pool with CS or CSEA and
+re-score under _two_step, the two-step rule that 2LP and 2LPEA share.
 """
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DegeneracyWarning, StructuralError
@@ -69,21 +69,21 @@ def _class_mean_scores(embeddings: np.ndarray, classes: np.ndarray,
     return cosine_matrix(queries, means)
 
 
-def _check_inputs(labeled: np.ndarray, classes: np.ndarray, class_count: int):
+def _check_inputs(labeled, classes, class_count: int) -> tuple[np.ndarray, np.ndarray]:
+    labeled = np.asarray(labeled, dtype=float)
     classes = np.asarray(classes, dtype=int)
     if labeled.shape[0] != classes.size:
         raise StructuralError("one class per labeled embedding required")
     present = np.unique(classes)
     if present.size != class_count or present.min() < 0 or present.max() >= class_count:
         raise StructuralError("every class needs at least one labeled embedding")
+    return labeled, classes
 
 
 def run_cs(labeled: np.ndarray, classes: np.ndarray, heldout: np.ndarray,
            class_count: int) -> PredictionResult:
     """CS: average cosine against each class's labeled utterances."""
-    labeled = np.asarray(labeled, dtype=float)
-    classes = np.asarray(classes, dtype=int)
-    _check_inputs(labeled, classes, class_count)
+    labeled, classes = _check_inputs(labeled, classes, class_count)
     sims = cosine_matrix(np.atleast_2d(heldout), labeled)
     scores = np.column_stack([sims[:, classes == c].mean(axis=1)
                               for c in range(class_count)])
@@ -93,29 +93,40 @@ def run_cs(labeled: np.ndarray, classes: np.ndarray, heldout: np.ndarray,
 def run_csea(labeled: np.ndarray, classes: np.ndarray, heldout: np.ndarray,
              class_count: int) -> PredictionResult:
     """CSEA: cosine against per-class mean embeddings."""
-    labeled = np.asarray(labeled, dtype=float)
-    classes = np.asarray(classes, dtype=int)
-    _check_inputs(labeled, classes, class_count)
+    labeled, classes = _check_inputs(labeled, classes, class_count)
     return _argmax_with_ties(_class_mean_scores(labeled, classes, heldout, class_count))
 
 
-def _two_step(scorer, labeled, classes, unlabeled, heldout, class_count):
-    labeled = np.asarray(labeled, dtype=float)
-    classes = np.asarray(classes, dtype=int)
+def _two_step(has_pool: bool, step1, step2) -> PredictionResult:
+    """The two-step rule. ``step2(pseudo)`` scores the held-out utterances with
+    ``step1()``'s labels for the unlabeled pool, or with the labels alone
+    (pseudo=None) if there is no pool. Both steps must converge; iterations add up."""
+    if not has_pool:
+        return step2(None)
+    first = step1()
+    second = step2(first.labels)
+    return replace(second, converged=first.converged and second.converged,
+                   iterations=first.iterations + second.iterations)
+
+
+def _two_step_cosine(scorer, labeled, classes, unlabeled, heldout, class_count):
     unlabeled = np.atleast_2d(np.asarray(unlabeled, dtype=float))
-    if unlabeled.size == 0:
-        return scorer(labeled, classes, heldout, class_count)
-    pseudo = scorer(labeled, classes, unlabeled, class_count).labels
-    ext_emb = np.vstack([labeled, unlabeled])
-    ext_cls = np.concatenate([classes, pseudo])
-    return scorer(ext_emb, ext_cls, heldout, class_count)
+
+    def step2(pseudo):
+        if pseudo is None:
+            return scorer(labeled, classes, heldout, class_count)
+        return scorer(np.vstack([labeled, unlabeled]), np.concatenate([classes, pseudo]),
+                      heldout, class_count)
+
+    return _two_step(unlabeled.size > 0,
+                     lambda: scorer(labeled, classes, unlabeled, class_count), step2)
 
 
 def run_2cs(labeled, classes, unlabeled, heldout, class_count) -> PredictionResult:
     """2-step CS: pseudo-label the unlabeled pool with CS, then re-score."""
-    return _two_step(run_cs, labeled, classes, unlabeled, heldout, class_count)
+    return _two_step_cosine(run_cs, labeled, classes, unlabeled, heldout, class_count)
 
 
 def run_2csea(labeled, classes, unlabeled, heldout, class_count) -> PredictionResult:
     """2-step CSEA: pseudo-label with CSEA, then re-average the profiles."""
-    return _two_step(run_csea, labeled, classes, unlabeled, heldout, class_count)
+    return _two_step_cosine(run_csea, labeled, classes, unlabeled, heldout, class_count)

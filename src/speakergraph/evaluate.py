@@ -137,8 +137,6 @@ def build_household_graph(stages: HouseholdStages, spec: MethodSpec) -> Househol
 
 
 def primary_view_name(spec: MethodSpec) -> str:
-    if spec.is_baseline or spec.fusion is None:
-        return spec.view
     for name in spec.fusion.view_names:
         if name != SESSION_VIEW:
             return name

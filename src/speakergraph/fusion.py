@@ -161,7 +161,8 @@ def _floored_eigh(m: np.ndarray, q: float) -> tuple[np.ndarray, np.ndarray]:
 def _floored_power_mean(mats: Sequence[np.ndarray], p: float) -> np.ndarray:
     """Power mean by floored eigendecompositions; NumericalError when
     round-off leaves the inputs' floored spectral range, which bounds the
-    root's eigenvalues in exact arithmetic."""
+    root's eigenvalues in exact arithmetic, or when a mean of several negative
+    powers is too ill-conditioned for its root to be trusted."""
     decomposed = [_floored_eigh(m, p) for m in mats]
     low = min(vals[0] for vals, _ in decomposed)
     high = max(vals[-1] for vals, _ in decomposed)
@@ -185,6 +186,15 @@ def _floored_power_mean(mats: Sequence[np.ndarray], p: float) -> np.ndarray:
         raise NumericalError(
             f"power mean with p={p} has eigenvalues in [{root.min():.6g}, "
             f"{root.max():.6g}], outside its inputs' range [{low:.6g}, {high:.6g}]")
+    if p < 0 and len(decomposed) > 1:
+        # eigh errs by about eps times the mean's top eigenvalue, so the root's
+        # relative error is about cond(mean) * eps / |p|. Tolerance: 1e-6, as in the
+        # range check. For normalized Laplacians at the default shift log(1 + |p|)
+        # the estimate is below 1e-14 for |p| <= 10 and passes 1e-6 at p = -69.
+        estimate = means[-1] / means[0] * np.finfo(float).eps / -p
+        if estimate > 1e-6:
+            raise NumericalError(f"power mean with p={p} is ill-conditioned (estimated "
+                                 f"relative error {estimate:.3g}); use a larger shift")
     out = (vecs * root) @ vecs.T
     return (out + out.T) / 2.0
 
@@ -203,7 +213,9 @@ def pml_fuse(laplacians: Sequence[np.ndarray], p: float,
     Every other p, and p = -1 when that proof fails (for instance shift=0,
     where each L_v is singular), uses eigendecompositions with eigenvalues
     floored at NEG_POWER_EIG_FLOOR before negative powers; it raises
-    NumericalError when round-off leaves the inputs' floored spectral range.
+    NumericalError when round-off leaves the inputs' floored spectral range,
+    and, for p < 0 and several inputs, when the mean's condition number puts
+    the root's estimated relative error above 1e-6 (a larger shift helps).
 
     Raises NumericalError when the fused Laplacian has non-finite entries.
     """

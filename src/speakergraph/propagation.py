@@ -27,7 +27,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
-from .baselines import PredictionResult, _argmax_with_ties, _class_mean_scores
+from .baselines import PredictionResult, _argmax_with_ties, _class_mean_scores, _two_step
 from .errors import ConfigurationError, NumericalError, StructuralError
 from .fusion import FusedGraph
 
@@ -214,38 +214,30 @@ def predict(y: np.ndarray, rows: slice | np.ndarray | None = None) -> Prediction
                    abstains=tuple(np.flatnonzero(abstain).tolist()))
 
 
-def run_lp(graph: HouseholdGraph, cfg: PropagationConfig) -> PredictionResult:
-    """Single propagation over the full graph; read off the held-out rows."""
-    outcome = propagate(graph, init_label_matrix(graph), cfg)
-    pred = predict(outcome.y, graph.heldout_slice)
-    return replace(pred, converged=outcome.converged, iterations=outcome.iterations)
+def run_lp(graph: HouseholdGraph, cfg: PropagationConfig,
+           pseudo: np.ndarray | None = None) -> PredictionResult:
+    """Single propagation over the full graph; read off the held-out rows.
+    ``pseudo`` labels the unlabeled nodes as in init_label_matrix: 2LP's step 2."""
+    outcome = propagate(graph, init_label_matrix(graph, pseudo), cfg)
+    return replace(predict(outcome.y, graph.heldout_slice), converged=outcome.converged,
+                   iterations=outcome.iterations)
 
 
-def _step1_pseudo_labels(graph: HouseholdGraph,
-                         cfg: PropagationConfig) -> tuple[np.ndarray, PropagationOutcome]:
-    """First-pass hard labels for the unlabeled nodes."""
+def _step1(graph: HouseholdGraph, cfg: PropagationConfig) -> PredictionResult:
+    """Step 1 of 2LP and 2LPEA: propagation over the labeled+unlabeled subgraph
+    (the full graph under step1_includes_heldout), read off the unlabeled rows."""
     step1 = graph if cfg.step1_includes_heldout else graph.without_heldout()
     outcome = propagate(step1, init_label_matrix(step1), cfg)
-    pred = predict(outcome.y, step1.unlabeled_slice)
-    return pred.labels, outcome
+    return replace(predict(outcome.y, step1.unlabeled_slice), converged=outcome.converged,
+                   iterations=outcome.iterations)
 
 
 def run_2lp(graph: HouseholdGraph, cfg: PropagationConfig) -> PredictionResult:
-    """Two-step propagation: pseudo-label unlabeled nodes, then re-propagate.
-
-    Step 1 runs on the labeled+unlabeled subgraph; its argmax labels join
-    the true labels in a re-normalized Y(0) for a second pass over the full
-    graph. Abstaining pseudo-labels leave their node unlabeled again.
-    """
-    if graph.n_unlabeled == 0:
-        return run_lp(graph, cfg)
-    pseudo, step1_out = _step1_pseudo_labels(graph, cfg)
-    y0 = init_label_matrix(graph, pseudo=pseudo)
-    outcome = propagate(graph, y0, cfg)
-    pred = predict(outcome.y, graph.heldout_slice)
-    return replace(pred,
-                   converged=step1_out.converged and outcome.converged,
-                   iterations=step1_out.iterations + outcome.iterations)
+    """Two-step propagation: LP with step 1's labels as pseudo-labels, which
+    join the true labels in a re-normalized Y(0). Abstaining pseudo-labels
+    leave their node unlabeled again."""
+    return _two_step(graph.n_unlabeled > 0, lambda: _step1(graph, cfg),
+                     lambda pseudo: run_lp(graph, cfg, pseudo))
 
 
 def run_2lpea(graph: HouseholdGraph, embeddings: np.ndarray,
@@ -259,18 +251,13 @@ def run_2lpea(graph: HouseholdGraph, embeddings: np.ndarray,
     """
     embeddings = np.asarray(embeddings, dtype=float)
     if embeddings.ndim != 2 or embeddings.shape[0] != graph.n:
-        raise StructuralError(
-            f"need one primary-view embedding per node "
-            f"({graph.n}), got shape {embeddings.shape}")
-    if graph.n_unlabeled > 0:
-        pseudo, step1_out = _step1_pseudo_labels(graph, cfg)
-        converged, iterations = step1_out.converged, step1_out.iterations
-    else:
-        pseudo = np.zeros(0, dtype=int)
-        converged, iterations = True, 0
+        raise StructuralError(f"need one primary-view embedding per node ({graph.n}), "
+                              f"got shape {embeddings.shape}")
 
-    core = graph.n_labeled + graph.n_unlabeled
-    scores = _class_mean_scores(embeddings[:core], np.concatenate([graph.labels, pseudo]),
-                                embeddings[graph.heldout_slice], graph.class_count)
-    pred = _argmax_with_ties(scores)
-    return replace(pred, converged=converged, iterations=iterations)
+    def step2(pseudo):
+        classes = graph.labels if pseudo is None else np.concatenate([graph.labels, pseudo])
+        return _argmax_with_ties(_class_mean_scores(
+            embeddings[:classes.size], classes, embeddings[graph.heldout_slice],
+            graph.class_count))
+
+    return _two_step(graph.n_unlabeled > 0, lambda: _step1(graph, cfg), step2)

@@ -244,30 +244,38 @@ def build_speaker_profiles(pool: SpeakerPool, cap: int = 100) -> np.ndarray:
                       for spk in pool.speakers])
 
 
-def hard_threshold(profiles: np.ndarray) -> float:
-    """25th percentile of all pairwise profile distances (linear interpolation)."""
+def _profile_distances(profiles: np.ndarray) -> tuple[np.ndarray, float]:
+    """Pairwise profile distances and the hard_threshold they give."""
     n = profiles.shape[0]
     if n < 2:
         raise StructuralError("need at least 2 profiles for a threshold")
     diffs = profiles[:, None, :] - profiles[None, :, :]
     dist = np.sqrt((diffs ** 2).sum(axis=2))
-    pair_values = dist[np.triu_indices(n, k=1)]
-    return float(np.percentile(pair_values, 25.0))
+    return dist, float(np.percentile(dist[np.triu_indices(n, k=1)], 25.0))
+
+
+def hard_threshold(profiles: np.ndarray) -> float:
+    """25th percentile of all pairwise profile distances (linear interpolation)."""
+    return _profile_distances(profiles)[1]
+
+
+def _partition(candidates: list[int], cfg: SimulationConfig, rng: np.random.Generator,
+               source: str) -> list[list[int]]:
+    """Shuffle the candidate speakers and cut them into households."""
+    k = cfg.speakers_per_household
+    need = cfg.households_per_group * k
+    if len(candidates) < need:
+        raise StructuralError(f"{source} has {len(candidates)} speakers, need {need}")
+    order = rng.permutation(len(candidates))
+    return [sorted(candidates[j] for j in order[i * k:(i + 1) * k])
+            for i in range(cfg.households_per_group)]
 
 
 def assemble_random_households(pool: SpeakerPool, cfg: SimulationConfig,
                                seed: int) -> list[list[int]]:
     """Partition a shuffled pool into households of the configured size."""
     rng = np.random.default_rng(mix64(seed, _text_seed("assemble-random")))
-    need = cfg.households_per_group * cfg.speakers_per_household
-    if len(pool.speakers) < need:
-        raise StructuralError(
-            f"pool of {len(pool.speakers)} speakers cannot fill "
-            f"{cfg.households_per_group} households")
-    order = rng.permutation(len(pool.speakers))
-    k = cfg.speakers_per_household
-    return [sorted(order[i * k:(i + 1) * k].tolist())
-            for i in range(cfg.households_per_group)]
+    return _partition(list(range(len(pool.speakers))), cfg, rng, "pool")
 
 
 def assemble_hard_households(pool: SpeakerPool, cfg: SimulationConfig,
@@ -275,10 +283,7 @@ def assemble_hard_households(pool: SpeakerPool, cfg: SimulationConfig,
     """Greedily grow households whose profile distances all fall below the
     confusability threshold; speakers are used at most once."""
     rng = np.random.default_rng(mix64(seed, _text_seed("assemble-hard")))
-    profiles = build_speaker_profiles(pool)
-    tau = hard_threshold(profiles)
-    diffs = profiles[:, None, :] - profiles[None, :, :]
-    dist = np.sqrt((diffs ** 2).sum(axis=2))
+    dist, tau = _profile_distances(build_speaker_profiles(pool))
 
     order = rng.permutation(len(pool.speakers)).tolist()
     used: set[int] = set()
@@ -311,14 +316,7 @@ def assemble_cohort_households(pool: SpeakerPool, cohort_id: str,
     """Uniformly sample households from one cohort's speakers."""
     rng = np.random.default_rng(mix64(seed, _text_seed(f"assemble-cohort-{cohort_id}")))
     candidates = [i for i, s in enumerate(pool.speakers) if s.cohort == cohort_id]
-    need = cfg.households_per_group * cfg.speakers_per_household
-    if len(candidates) < need:
-        raise StructuralError(
-            f"cohort {cohort_id!r} has {len(candidates)} speakers, need {need}")
-    order = rng.permutation(len(candidates))
-    k = cfg.speakers_per_household
-    return [sorted(candidates[order[i * k + j]] for j in range(k))
-            for i in range(cfg.households_per_group)]
+    return _partition(candidates, cfg, rng, f"cohort {cohort_id!r}")
 
 
 def _build_household(pool: SpeakerPool, member_idx: list[int], household_id: str,
@@ -329,23 +327,16 @@ def _build_household(pool: SpeakerPool, member_idx: list[int], household_id: str
 
     chosen: dict[str, dict[str, np.ndarray]] = {}
     leftover_keys: list[tuple[int, int]] = []
+    # SimulationConfig guarantees enough utterances for every role and the pool
+    need = cfg.labeled_per_speaker + cfg.heldout_per_speaker
     for si, spk in enumerate(members):
-        m = spk.voice.shape[0]
-        need = cfg.labeled_per_speaker + cfg.heldout_per_speaker
-        if m < need:
-            raise StructuralError(
-                f"speaker {spk.speaker_id} has {m} utterances, needs {need}")
-        perm = rng.permutation(m)
+        perm = rng.permutation(spk.voice.shape[0])
         heldout = perm[:cfg.heldout_per_speaker]
         enrolled = perm[cfg.heldout_per_speaker:need]
         chosen[spk.speaker_id] = {"heldout": np.sort(heldout),
                                   "enrolled": np.sort(enrolled)}
         leftover_keys.extend((si, int(j)) for j in np.sort(perm[need:]))
 
-    if len(leftover_keys) < cfg.unlabeled_per_household:
-        raise StructuralError(
-            f"household {household_id}: only {len(leftover_keys)} utterances "
-            f"left for an unlabeled pool of {cfg.unlabeled_per_household}")
     pick = rng.choice(len(leftover_keys), size=cfg.unlabeled_per_household,
                       replace=False)
     unlabeled = {leftover_keys[i] for i in pick}

@@ -446,6 +446,16 @@ class TestEvaluateMethods:
             assert household_rows(method) == expected, spec.label
             assert method.skipped == []
 
+    def test_without_a_pool_each_two_step_method_is_its_step_2(self):
+        dev, val = tiny_dataset(seed=5, groups=("random", "hard"), unlabeled_per_household=0)
+        report = evaluate_methods(dev + val, SINGLE_VIEW_SPECS)
+        rows = {m.spec.method: [(h.household_id, h.errors, h.ties, h.abstains, h.converged)
+                                for h in m.households] for m in report.methods}
+        assert len(rows["CS"]) == len(dev + val)
+        for two_step, step2 in (("2CS", "CS"), ("2CSEA", "CSEA"), ("2LP", "LP"),
+                                ("2LPEA", "CSEA")):
+            assert rows[two_step] == rows[step2], two_step
+
     def test_single_view_specs_share_one_graph_per_household(self, monkeypatch):
         dev, val = tiny_dataset()
         households = dev + val

@@ -413,3 +413,15 @@ class TestSpectralBound:
         laps = [normalized_laplacian(random_affinity(rng, 8).w) for _ in range(2)]
         with pytest.raises(NumericalError, match=r"p=-2\.0 .* outside its inputs' range"):
             pml_fuse(laps, -2.0, 1e-8)
+
+    def test_ill_conditioned_mean_inside_the_range_raises(self):
+        # The 3-node complete graph's Laplacian L has eigenvalues 0, 1.5, 1.5,
+        # so the mean of [L, L] is L + shift*I. At p = -5 and shift 0.01 the
+        # powers span 0.13 to 1e10, and the root's 1.51 came out as 1.50999752,
+        # inside the range, with no error.
+        lap = normalized_laplacian(AffinityMatrix(np.ones((3, 3)) - np.eye(3)).w)
+        with pytest.raises(NumericalError, match=r"p=-5\.0 is ill-conditioned .*larger shift"):
+            pml_fuse([lap, lap], -5.0, 0.01)
+        # the default shift, log 6, leaves the mean well conditioned
+        fused = pml_fuse([lap, lap], -5.0, math.log(6.0))
+        assert np.abs(fused - (lap + math.log(6.0) * np.eye(3))).max() < 1e-12

@@ -1,6 +1,7 @@
 """Label propagation solvers and the LP / 2-LP / 2-LPEA pipelines."""
 
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,19 +19,24 @@ from speakergraph import (
     LocalScaling,
     NumericalError,
     PowerMeanFusion,
+    PredictionResult,
     PropagationConfig,
     SingleView,
     StructuralError,
     UniversalScaling,
     affinity,
     class_normalize,
+    cosine_matrix,
     fuse,
     init_label_matrix,
     predict,
     propagate,
     propagation_operator,
+    run_2cs,
+    run_2csea,
     run_2lp,
     run_2lpea,
+    run_cs,
     run_csea,
     run_lp,
 )
@@ -431,3 +437,114 @@ class Test2LPEA:
         base = predictions(emb)
         for c in (0.1, 10.0):
             assert np.array_equal(predictions(emb * c), base)
+
+
+# ---------------------------------------------------------------------------
+# The two-step rule against the four methods' separate implementations
+# ---------------------------------------------------------------------------
+
+def separate_argmax(scores):
+    labels = np.argmax(scores, axis=1)
+    ties = tuple(np.flatnonzero(
+        (scores == scores.max(axis=1)[:, None]).sum(axis=1) > 1).tolist())
+    return PredictionResult(labels=labels, scores=scores, ties=ties)
+
+
+def separate_two_step_cosine(scorer, labeled, classes, unlabeled, heldout, class_count):
+    if unlabeled.size == 0:
+        return scorer(labeled, classes, heldout, class_count)
+    pseudo = scorer(labeled, classes, unlabeled, class_count).labels
+    return scorer(np.vstack([labeled, unlabeled]), np.concatenate([classes, pseudo]),
+                  heldout, class_count)
+
+
+def separate_lp(graph, cfg, y0=None):
+    outcome = propagate(graph, init_label_matrix(graph) if y0 is None else y0, cfg)
+    return replace(predict(outcome.y, graph.heldout_slice), converged=outcome.converged,
+                   iterations=outcome.iterations)
+
+
+def separate_step1(graph, cfg):
+    step1 = graph if cfg.step1_includes_heldout else graph.without_heldout()
+    outcome = propagate(step1, init_label_matrix(step1), cfg)
+    return predict(outcome.y, step1.unlabeled_slice).labels, outcome
+
+
+def separate_2lp(graph, cfg):
+    if graph.n_unlabeled == 0:
+        return separate_lp(graph, cfg)
+    pseudo, first = separate_step1(graph, cfg)
+    second = separate_lp(graph, cfg, init_label_matrix(graph, pseudo=pseudo))
+    return replace(second, converged=first.converged and second.converged,
+                   iterations=first.iterations + second.iterations)
+
+
+def separate_2lpea(graph, emb, cfg):
+    if graph.n_unlabeled > 0:
+        pseudo, first = separate_step1(graph, cfg)
+        converged, iterations = first.converged, first.iterations
+    else:
+        pseudo = np.zeros(0, dtype=int)
+        converged, iterations = True, 0
+    core = emb[:graph.n_labeled + graph.n_unlabeled]
+    classes = np.concatenate([graph.labels, pseudo])
+    means = np.stack([core[classes == c].mean(axis=0) for c in range(graph.class_count)])
+    pred = separate_argmax(cosine_matrix(emb[graph.heldout_slice], means))
+    return replace(pred, converged=converged, iterations=iterations)
+
+
+def blob_household(rng, n_classes, labeled, unlabeled, heldout, noise, orphans):
+    """One blob per class, plus ``orphans`` unlabeled and as many held-out nodes
+    in a far blob that no label reaches, so that propagation abstains there.
+    Returns the graph and the embeddings in graph order."""
+    centers = rng.normal(scale=10.0, size=(n_classes, 3))
+    far = np.full(3, 1e4)
+    rows, sizes = [], []
+    for count, extra in ((labeled, 0), (unlabeled, orphans), (heldout, orphans)):
+        block = [centers[c] + rng.normal(scale=noise, size=3)
+                 for c in range(n_classes) for _ in range(count)]
+        block += [far + rng.normal(scale=0.5, size=3) for _ in range(extra)]
+        rows += block
+        sizes.append(len(block))
+    emb = np.vstack(rows)
+    # wide enough that no node within a blob is isolated
+    kernel = affinity(EmbeddingView("voice", emb), UniversalScaling(2.0 * noise + 2.0))
+    graph = HouseholdGraph(fused=fuse({"voice": kernel}, SingleView("voice")),
+                           labels=np.repeat(np.arange(n_classes), labeled),
+                           n_unlabeled=sizes[1], n_heldout=sizes[2], class_count=n_classes)
+    return graph, emb
+
+
+class TestTwoStepRule:
+    @staticmethod
+    def assert_same(got, expected):
+        assert got.labels.dtype == expected.labels.dtype
+        assert np.array_equal(got.labels, expected.labels)
+        assert np.array_equal(got.scores, expected.scores)
+        assert got.ties == expected.ties
+        assert got.abstains == expected.abstains
+        assert got.converged == expected.converged
+        assert got.iterations == expected.iterations
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), n_classes=st.integers(2, 3),
+           labeled=st.integers(1, 2), unlabeled=st.integers(0, 6),
+           heldout=st.integers(1, 3), noise=st.floats(0.3, 6.0),
+           orphans=st.sampled_from([0, 2]), solver=st.sampled_from(["auto", "iterative"]),
+           step1_includes_heldout=st.booleans(), alpha=st.sampled_from([0.5, 0.9, 0.99]),
+           max_iter=st.sampled_from([3, 1000]))
+    def test_methods_match_their_separate_implementations(
+            self, seed, n_classes, labeled, unlabeled, heldout, noise, orphans, solver,
+            step1_includes_heldout, alpha, max_iter):
+        graph, emb = blob_household(np.random.default_rng(seed), n_classes, labeled,
+                                    unlabeled, heldout, noise, orphans)
+        cfg = PropagationConfig(alpha=alpha, max_iter=max_iter, solver=solver,
+                                step1_includes_heldout=step1_includes_heldout)
+        l, u = graph.n_labeled, graph.n_unlabeled
+        split = (emb[:l], graph.labels, emb[l:l + u], emb[graph.heldout_slice],
+                 graph.class_count)
+        self.assert_same(run_2cs(*split), separate_two_step_cosine(run_cs, *split))
+        self.assert_same(run_2csea(*split), separate_two_step_cosine(run_csea, *split))
+        self.assert_same(run_lp(graph, cfg), separate_lp(graph, cfg))
+        self.assert_same(run_2lp(graph, cfg), separate_2lp(graph, cfg))
+        self.assert_same(run_2lpea(graph, emb, cfg), separate_2lpea(graph, emb, cfg))
