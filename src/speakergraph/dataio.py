@@ -8,6 +8,7 @@ and written by speakergraph.config.
 """
 
 import csv
+import dataclasses
 import io
 import json
 from pathlib import Path
@@ -17,7 +18,7 @@ import numpy as np
 
 from .config import SCHEMA_VERSION, RunConfig, to_dict
 from .errors import ConfigurationError, StructuralError
-from .evaluate import EvalReport
+from .evaluate import EvalReport, HouseholdResult, MethodReport
 from .records import HouseholdDataset, UtteranceRecord
 
 
@@ -171,24 +172,9 @@ def report_to_dict(report: EvalReport, seed: int, cfg_hash: str,
             "label": m.spec.label,
             "family": m.spec.family,
             "spec": to_dict(m.spec),
-            "households": [
-                {
-                    "household_id": h.household_id,
-                    "group": h.group,
-                    "errors": h.errors,
-                    "heldout": h.heldout,
-                    "sier": h.sier,
-                    "ties": h.ties,
-                    "abstains": h.abstains,
-                    "converged": h.converged,
-                    **({"seconds": h.seconds} if include_timing else {}),
-                }
-                for h in m.households
-            ],
-            "groups": {g: {"errors": m.counts(g)[0], "heldout": m.counts(g)[1],
-                           "sier": m.micro_sier(g)} for g in m.groups},
-            "overall": {"errors": m.counts()[0], "heldout": m.counts()[1],
-                        "sier": m.micro_sier()},
+            "households": [_household_row(h, include_timing) for h in m.households],
+            "groups": {g: _counts_cell(m, g) for g in m.groups},
+            "overall": _counts_cell(m),
         }
         if m.skipped:
             entry["skipped"] = [{"household_id": hid, "error": msg}
@@ -208,6 +194,19 @@ def report_to_dict(report: EvalReport, seed: int, cfg_hash: str,
     return out
 
 
+def _household_row(h: HouseholdResult, include_timing: bool) -> dict:
+    row = dataclasses.asdict(h)
+    row["sier"] = h.sier
+    if not include_timing:
+        del row["seconds"]
+    return row
+
+
+def _counts_cell(m: MethodReport, group: str | None = None) -> dict:
+    errors, heldout = m.counts(group)
+    return {"errors": errors, "heldout": heldout, "sier": m.micro_sier(group)}
+
+
 def write_report(report: EvalReport, path: str | Path, seed: int,
                  cfg_hash: str, include_timing: bool = False) -> dict:
     data = report_to_dict(report, seed, cfg_hash, include_timing)
@@ -219,37 +218,30 @@ def render_report(data: Mapping, fmt: str) -> str:
     """Render a serialized report as json, csv, or a markdown table."""
     if fmt == "json":
         return json.dumps(data, indent=2, sort_keys=True)
+    if fmt not in ("csv", "md"):
+        raise ConfigurationError(f"unknown report format {fmt!r}")
     groups = sorted({g for m in data["methods"] for g in m["groups"]})
+    rows = [(m["label"], m["family"],
+             [_fmt_pct(m["groups"].get(g, {}).get("sier")) for g in groups]
+             + [_fmt_pct(m["overall"]["sier"])])
+            for m in data["methods"]]
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerow(["label", "family"] + groups + ["overall"])
-        for m in data["methods"]:
-            row = [m["label"], m["family"]]
-            row += [_fmt_pct(m["groups"].get(g, {}).get("sier")) for g in groups]
-            row.append(_fmt_pct(m["overall"]["sier"]))
-            writer.writerow(row)
+        writer.writerows([label, family, *cells] for label, family, cells in rows)
         return buf.getvalue()
-    if fmt == "md":
-        lines = ["| method | " + " | ".join(groups) + " | overall |",
-                 "|---" * (len(groups) + 2) + "|"]
-        for m in data["methods"]:
-            cells = [_fmt_pct(m["groups"].get(g, {}).get("sier")) for g in groups]
-            cells.append(_fmt_pct(m["overall"]["sier"]))
-            lines.append("| " + m["label"] + " | " + " | ".join(cells) + " |")
-        improvements = data.get("improvement_vs_best_baseline_pct")
-        if improvements:
-            lines.append("")
-            lines.append("| improvement (%) | " + " | ".join(groups) + " |  |")
-            lines.append("|---" * (len(groups) + 2) + "|")
-            for family, row in improvements.items():
-                cells = ["n/a" if row.get(g) is None else f"{row[g]:.1f}"
-                         for g in groups]
-                lines.append("| " + family + " | " + " | ".join(cells) + " |  |")
-            lines.append("")
-            lines.append(f"_{data['footnote']}_")
-        return "\n".join(lines) + "\n"
-    raise ConfigurationError(f"unknown report format {fmt!r}")
+    separator = "|---" * (len(groups) + 2) + "|"
+    lines = ["| method | " + " | ".join(groups) + " | overall |", separator]
+    lines += ["| " + " | ".join([label, *cells]) + " |" for label, _, cells in rows]
+    improvements = data.get("improvement_vs_best_baseline_pct")
+    if improvements:
+        lines += ["", "| improvement (%) | " + " | ".join(groups) + " |  |", separator]
+        for family, row in improvements.items():
+            cells = ["n/a" if row.get(g) is None else f"{row[g]:.1f}" for g in groups]
+            lines.append("| " + family + " | " + " | ".join(cells) + " |  |")
+        lines += ["", f"_{data['footnote']}_"]
+    return "\n".join(lines) + "\n"
 
 
 def _fmt_pct(value) -> str:

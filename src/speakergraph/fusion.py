@@ -142,16 +142,21 @@ def _harmonic_mean(mats: Sequence[np.ndarray]) -> np.ndarray | None:
     return _floor_free_spd_inverse(acc)
 
 
-def _floored_eigh(m: np.ndarray, q: float) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues of a symmetric m, ascending and floored per _power_floor(q),
-    and its eigenvectors; NumericalError when the decomposition fails or a
-    materially negative eigenvalue meets a non-integer power q."""
-    if np.abs(m - m.T).max() > 1e-10:
-        raise StructuralError("matrix power requires a symmetric input")
+def _eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     try:
-        vals, vecs = np.linalg.eigh((m + m.T) / 2.0)
+        return np.linalg.eigh(m)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigendecomposition failed: {exc}") from exc
+
+
+def _floored_eigh(m: np.ndarray, q: float) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues of a symmetric input m, ascending and floored per
+    _power_floor(q), and its eigenvectors; NumericalError when the
+    decomposition fails or a materially negative eigenvalue meets a
+    non-integer power q."""
+    if np.abs(m - m.T).max() > 1e-10:
+        raise StructuralError("matrix power requires a symmetric input")
+    vals, vecs = _eigh((m + m.T) / 2.0)
     if q != int(q) and vals[0] < -1e-8:
         raise NumericalError(
             f"eigenvalue {vals[0]:.3e} < -1e-8 with non-integer power {q}")
@@ -171,13 +176,16 @@ def _floored_power_mean(mats: Sequence[np.ndarray], p: float) -> np.ndarray:
         # input's; re-decomposing it would destroy the small eigenvalues
         # whenever the floor inflates the null space by many orders.
         vals, vecs = decomposed[0]
-        means = np.maximum(vals ** p, _power_floor(1.0 / p))
+        means = vals ** p
     else:
         acc = np.zeros_like(mats[0])
         for vals, vecs in decomposed:
             out = (vecs * vals ** p) @ vecs.T
             acc += (out + out.T) / 2.0
-        means, vecs = _floored_eigh(acc / len(mats), 1.0 / p)
+        # Not an input: positive semidefinite in exact arithmetic and exactly
+        # symmetric, so a negative eigenvalue is round-off for the checks below
+        means, vecs = _eigh(acc / len(mats))
+    means = np.maximum(means, _power_floor(1.0 / p))
     root = means ** (1.0 / p)
     # Tolerance 1e-6 of the range's top, about 100 * sqrt(eps): at p = 2 the
     # square root turns an eps-sized error in the mean into a sqrt(eps)-sized one.
@@ -185,7 +193,8 @@ def _floored_power_mean(mats: Sequence[np.ndarray], p: float) -> np.ndarray:
     if not (low - tolerance <= root.min() and root.max() <= high + tolerance):
         raise NumericalError(
             f"power mean with p={p} has eigenvalues in [{root.min():.6g}, "
-            f"{root.max():.6g}], outside its inputs' range [{low:.6g}, {high:.6g}]")
+            f"{root.max():.6g}], outside its inputs' range [{low:.6g}, {high:.6g}]"
+            + ("; use a larger shift" if p < 0 else ""))
     if p < 0 and len(decomposed) > 1:
         # eigh errs by about eps times the mean's top eigenvalue, so the root's
         # relative error is about cond(mean) * eps / |p|. Tolerance: 1e-6, as in the
@@ -215,7 +224,8 @@ def pml_fuse(laplacians: Sequence[np.ndarray], p: float,
     floored at NEG_POWER_EIG_FLOOR before negative powers; it raises
     NumericalError when round-off leaves the inputs' floored spectral range,
     and, for p < 0 and several inputs, when the mean's condition number puts
-    the root's estimated relative error above 1e-6 (a larger shift helps).
+    the root's estimated relative error above 1e-6. For p < 0 both errors
+    suggest a larger shift.
 
     Raises NumericalError when the fused Laplacian has non-finite entries.
     """
@@ -251,15 +261,15 @@ def pml_fuse(laplacians: Sequence[np.ndarray], p: float,
 
 @dataclass(frozen=True)
 class FusedGraph:
-    """Propagation operator S of a fusion rule, plus the per-view weights.
-
-    ``view_weights`` hold the weight matrices of the rule's views, in the
-    rule's order, so that node subsets can be re-fused: a submatrix of S is
-    not the operator of the subgraph, which must be re-normalized.
+    """Propagation operator S of a fusion rule, plus the ``weights`` that
+    re-fuse its subgraphs: the pooled matrix for single-view and edge-pool
+    rules, whose blocks pool the views' blocks, and each view's matrix in the
+    rule's order for a power mean, whose Laplacians need each view's degrees.
+    A block of S is not a subgraph's operator, which must be re-normalized.
     """
 
     rule: FusionRule
-    view_weights: tuple[np.ndarray, ...]
+    weights: tuple[np.ndarray, ...]
     operator: np.ndarray
 
     @property
@@ -270,26 +280,21 @@ class FusedGraph:
         """S for label propagation: D^{-1/2} W D^{-1/2}, or I - L when fused."""
         return self.operator
 
-    def subgraph(self, indices: np.ndarray | slice) -> "FusedGraph":
-        """The rule applied to the per-view principal submatrices on indices.
-
-        ``indices`` is an index array or a slice. A slice takes views of this
-        graph's weights rather than copies; an index array copies them.
-        """
-        # np.ix_ keeps the copy C-ordered: w[indices][:, indices] would be
-        # Fortran-ordered, and its row sums, the degrees, would add in another order
-        idx = (indices, indices) if isinstance(indices, slice) else np.ix_(indices, indices)
-        return _fuse_weights([w[idx] for w in self.view_weights], self.rule)
+    def subgraph(self, size: int) -> "FusedGraph":
+        """The rule applied to the leading size x size block of the weights,
+        taken as views of this graph's weights rather than copies."""
+        return _fuse_weights([w[:size, :size] for w in self.weights], self.rule)
 
 
 def _fuse_weights(weights: list[np.ndarray], rule: FusionRule) -> FusedGraph:
-    """The fused graph of a rule's per-view weights; the one builder of S."""
+    """The fused graph of a rule's weights, per view or pooled; the one builder of S."""
     if isinstance(rule, PowerMeanFusion):
         laplacians = [normalized_laplacian(w) for w in weights]
         s = np.eye(len(weights[0])) - pml_fuse(laplacians, rule.p, rule.effective_shift)
     else:
-        s = propagation_operator(edgepool_fuse(weights))
-    return FusedGraph(rule=rule, view_weights=tuple(weights), operator=s)
+        weights = [edgepool_fuse(weights)]
+        s = propagation_operator(weights[0])
+    return FusedGraph(rule=rule, weights=tuple(weights), operator=s)
 
 
 def fuse(affinities: Mapping[str, AffinityMatrix], rule: FusionRule) -> FusedGraph:

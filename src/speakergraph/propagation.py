@@ -118,9 +118,8 @@ class HouseholdGraph:
 
     @functools.cached_property
     def _core(self) -> "HouseholdGraph":
-        # a slice, so the step-1 weights are views of this graph's weights
-        core = slice(0, self.n_labeled + self.n_unlabeled)
-        return HouseholdGraph(fused=self.fused.subgraph(core), labels=self.labels,
+        core = self.fused.subgraph(self.n_labeled + self.n_unlabeled)
+        return HouseholdGraph(fused=core, labels=self.labels,
                               n_unlabeled=self.n_unlabeled, n_heldout=0,
                               class_count=self.class_count)
 

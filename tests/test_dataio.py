@@ -3,7 +3,7 @@
 import copy
 import json
 import re
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +29,7 @@ from speakergraph.dataio import (
     save_dataset,
     write_report,
 )
-from speakergraph.evaluate import _grid_points
+from speakergraph.evaluate import HouseholdResult, _grid_points
 from speakergraph.fusion import SingleView
 from speakergraph.graph import LocalScaling
 
@@ -390,6 +390,12 @@ class TestReportRendering:
         rows = [r for r in text.strip().splitlines()]
         assert len(rows) == 1 + len(data["methods"])
 
+    @pytest.mark.parametrize("fmt", ["md", "csv"])
+    def test_rendering_matches_golden(self, fmt):
+        data = json.loads((DATA_DIR / "golden_report.json").read_text())
+        golden = (DATA_DIR / f"golden_report.{fmt}").read_bytes()
+        assert render_report(data, fmt).encode("utf-8") == golden
+
     def test_unknown_format(self):
         with pytest.raises(ConfigurationError):
             render_report(golden_report_dict(), "xml")
@@ -398,6 +404,15 @@ class TestReportRendering:
         data = golden_report_dict()
         assert data["seed"] == 123
         assert len(data["config_hash"]) == 64
+
+    def test_household_rows_are_the_result_fields_plus_sier(self):
+        _, val = golden_households()
+        report = evaluate_methods(val[:1], [MethodSpec(method="CS")])
+        keys = {f.name for f in fields(HouseholdResult)} | {"sier"}
+        timed = report_to_dict(report, seed=1, cfg_hash="x", include_timing=True)
+        assert set(timed["methods"][0]["households"][0]) == keys
+        plain = report_to_dict(report, seed=1, cfg_hash="x")
+        assert set(plain["methods"][0]["households"][0]) == keys - {"seconds"}
 
     def test_report_bytes_deterministic(self, tmp_path):
         _, val = golden_households()

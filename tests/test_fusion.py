@@ -2,6 +2,7 @@
 
 import functools
 import math
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -213,32 +214,35 @@ class TestFuseAndSubgraph:
             self.build(SingleView("nope"))
 
     @staticmethod
-    def fused_submatrices(affs, rule, idx):
-        subs = {name: AffinityMatrix(a.w[np.ix_(idx, idx)]) for name, a in affs.items()}
-        return fuse(subs, rule).propagation_matrix()
+    def fused_leading_blocks(affs, rule, m):
+        """fuse of C-contiguous copies of every view's leading m x m block."""
+        blocks = {name: AffinityMatrix(np.ascontiguousarray(a.w[:m, :m]))
+                  for name, a in affs.items()}
+        return fuse(blocks, rule)
 
     def test_subgraph_refuses_from_views(self):
         rule = PowerMeanFusion(("voice", "face"), p=2.0)
         affs, fused = self.build(rule, n=9)
-        idx = np.arange(6)
-        sub = fused.subgraph(idx).propagation_matrix()
-        assert np.array_equal(sub, self.fused_submatrices(affs, rule, idx))
+        sub = fused.subgraph(6).propagation_matrix()
+        assert np.array_equal(sub, self.fused_leading_blocks(affs, rule, 6).propagation_matrix())
         direct = pml_fuse(
-            [normalized_laplacian(affs["voice"].w[np.ix_(idx, idx)]),
-             normalized_laplacian(affs["face"].w[np.ix_(idx, idx)])], 2.0, 0.0)
+            [normalized_laplacian(affs["voice"].w[:6, :6]),
+             normalized_laplacian(affs["face"].w[:6, :6])], 2.0, 0.0)
         assert np.abs(sub - (np.eye(6) - direct)).max() < 1e-12
 
     @pytest.mark.parametrize("rule", [SingleView("voice"), EdgePoolFusion(("voice", "face")),
                                       PowerMeanFusion(("voice", "face"), p=2.0)])
-    def test_slice_subgraph_equals_index_subgraph(self, rule):
+    def test_core_slice_equals_fused_leading_blocks(self, rule):
         # m = 257 rows cross numpy's 128-element pairwise-summation block, so
-        # degree sums over a strided view must still add in the same order
-        _, fused = self.build(rule, n=300)
-        by_slice = fused.subgraph(slice(0, 257))
-        by_index = fused.subgraph(np.arange(257))
-        assert np.array_equal(by_slice.propagation_matrix(), by_index.propagation_matrix())
-        for view, copy, parent in zip(by_slice.view_weights, by_index.view_weights,
-                                      fused.view_weights):
+        # degree sums over a strided view must add in a contiguous copy's order
+        affs, fused = self.build(rule, n=300)
+        core = fused.subgraph(257)
+        copies = self.fused_leading_blocks(affs, rule, 257)
+        assert np.array_equal(core.propagation_matrix(), copies.propagation_matrix())
+        # pooling rules keep the pooled matrix; a power mean keeps every view's
+        views = len(rule.view_names) if isinstance(rule, PowerMeanFusion) else 1
+        assert len(core.weights) == len(copies.weights) == len(fused.weights) == views
+        for view, copy, parent in zip(core.weights, copies.weights, fused.weights):
             assert np.array_equal(view, copy)
             assert np.shares_memory(view, parent)
             assert not np.shares_memory(copy, parent)
@@ -246,11 +250,21 @@ class TestFuseAndSubgraph:
     def test_affinity_subgraph_is_submatrix(self):
         rule = EdgePoolFusion(("voice", "face"))
         affs, fused = self.build(rule, n=9)
-        idx = np.array([0, 2, 3, 7])
-        sub = fused.subgraph(idx).propagation_matrix()
-        assert np.array_equal(sub, self.fused_submatrices(affs, rule, idx))
-        pooled = np.maximum(affs["voice"].w, affs["face"].w)[np.ix_(idx, idx)]
+        sub = fused.subgraph(4).propagation_matrix()
+        assert np.array_equal(sub, self.fused_leading_blocks(affs, rule, 4).propagation_matrix())
+        pooled = np.maximum(affs["voice"].w, affs["face"].w)[:4, :4]
         assert np.array_equal(sub, propagation_operator(pooled))
+
+    def test_edge_pool_keeps_only_the_pooled_weights(self):
+        rng = np.random.default_rng(1)
+        affs = {name: random_affinity(rng, 12) for name in ("voice", "face", "session")}
+        views = [weakref.ref(a.w) for a in affs.values()]
+        pooled = np.maximum(np.maximum(affs["voice"].w, affs["face"].w), affs["session"].w)
+        fused = fuse(affs, EdgePoolFusion(tuple(affs)))
+        del affs
+        assert all(view() is None for view in views)
+        assert len(fused.weights) == 1
+        assert np.array_equal(fused.weights[0], pooled)
 
 
 # ---------------------------------------------------------------------------
@@ -413,6 +427,18 @@ class TestSpectralBound:
         laps = [normalized_laplacian(random_affinity(rng, 8).w) for _ in range(2)]
         with pytest.raises(NumericalError, match=r"p=-2\.0 .* outside its inputs' range"):
             pml_fuse(laps, -2.0, 1e-8)
+
+    def test_round_off_below_zero_in_the_mean_is_not_blamed_on_the_power(self):
+        # For [L, L] on the 3-node complete graph at shift 1e-8 the inverse
+        # squares span 1.5^-2 to 1e16, and eigh returns -1.19 as an eigenvalue
+        # of their mean, which is positive definite in exact arithmetic. The
+        # mean's decomposition once rejected it as a negative eigenvalue "with
+        # non-integer power -0.5"; the range check reports it instead.
+        lap = normalized_laplacian(AffinityMatrix(np.ones((3, 3)) - np.eye(3)).w)
+        with pytest.raises(NumericalError, match=r"p=-2\.0 .* outside its inputs' range "
+                                                 r".*larger shift") as exc:
+            pml_fuse([lap, lap], -2.0, 1e-8)
+        assert "non-integer" not in str(exc.value)
 
     def test_ill_conditioned_mean_inside_the_range_raises(self):
         # The 3-node complete graph's Laplacian L has eigenvalues 0, 1.5, 1.5,

@@ -93,7 +93,7 @@ class TestHouseholdGraph:
                                n_heldout=3, class_count=2)
         step1 = graph.without_heldout().fused
         assert step1.node_count == 9
-        for core, full in zip(step1.view_weights, fused.view_weights):
+        for core, full in zip(step1.weights, fused.weights):
             assert np.shares_memory(core, full)
             assert np.array_equal(core, full[:9, :9])
 
@@ -193,7 +193,7 @@ class TestPropagate:
     def test_indefinite_system_raises(self):
         # S = [[0, 2], [2, 0]] gives I - 0.9*S the eigenvalues 1 +- 1.8
         s = np.array([[0.0, 2.0], [2.0, 0.0]])
-        fused = FusedGraph(rule=SingleView("w"), view_weights=(s,), operator=s)
+        fused = FusedGraph(rule=SingleView("w"), weights=(s,), operator=s)
         graph = HouseholdGraph(fused=fused, labels=np.array([0, 1]), n_unlabeled=0,
                                n_heldout=0, class_count=2)
         with pytest.raises(NumericalError, match=r"not positive definite at alpha=0\.9"):
@@ -338,7 +338,7 @@ class TestPipelines:
         l, u, h = graph.n_labeled, graph.n_unlabeled, graph.n_heldout
         perm = np.concatenate([rng.permutation(l), l + rng.permutation(u),
                                l + u + rng.permutation(h)])
-        w = graph.fused.view_weights[0][np.ix_(perm, perm)]
+        w = graph.fused.weights[0][np.ix_(perm, perm)]
         permuted = graph_from_w(w, graph.labels[perm[:l]], u, h, graph.class_count)
         out = run_2lp(permuted, cfg).labels
         inverse = np.argsort(perm[l + u:] - (l + u))
