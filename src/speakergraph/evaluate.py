@@ -350,8 +350,9 @@ def evaluate_methods(households: Sequence[HouseholdDataset],
                     ties=len(pred.ties), abstains=len(pred.abstains),
                     converged=pred.converged, seconds=now - start))
             start = now
-    if any(not report.households for report in reports):
-        raise StructuralError("every household failed evaluation")
+    failed = [report.spec.label for report in reports if not report.households]
+    if failed:
+        raise StructuralError(f"every household failed evaluation for {', '.join(failed)}")
     return EvalReport(methods=reports)
 
 

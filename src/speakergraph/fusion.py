@@ -18,7 +18,7 @@ import numpy as np
 from scipy.linalg import lapack
 
 from .errors import ConfigurationError, NumericalError, StructuralError
-from .graph import AffinityMatrix, normalized_laplacian, propagation_operator
+from .graph import AffinityMatrix, _by_row_blocks, normalized_laplacian, propagation_operator
 
 # Eigenvalue floor applied before negative matrix powers.
 NEG_POWER_EIG_FLOOR = 1e-8
@@ -90,7 +90,8 @@ FusionRule = Union[SingleView, EdgePoolFusion, PowerMeanFusion]
 def edgepool_fuse(matrices: Sequence[np.ndarray]) -> np.ndarray:
     """Elementwise maximum across views' weights; keeps symmetry and the zero
     diagonal. A single matrix is returned as it is; with more, the inputs are
-    left unchanged and the maximum is accumulated in one new array."""
+    left unchanged and the maximum is accumulated in one new array, by row
+    blocks (see graph._by_row_blocks)."""
     if not matrices:
         raise ConfigurationError("edgepool_fuse needs at least one matrix")
     n = matrices[0].shape[0]
@@ -99,9 +100,15 @@ def edgepool_fuse(matrices: Sequence[np.ndarray]) -> np.ndarray:
             raise StructuralError(f"affinity size mismatch: {m.shape[0]} != {n}")
     if len(matrices) == 1:
         return matrices[0]
-    fused = np.maximum(matrices[0], matrices[1])
-    for m in matrices[2:]:
-        np.maximum(fused, m, out=fused)
+    fused = np.empty_like(matrices[0])
+
+    def rows(a, b):
+        out = fused[a:b]
+        np.maximum(matrices[0][a:b], matrices[1][a:b], out=out)
+        for m in matrices[2:]:
+            np.maximum(out, m[a:b], out=out)
+
+    _by_row_blocks(n, rows)
     return fused
 
 

@@ -30,6 +30,7 @@ from scipy.linalg import LinAlgError, cho_factor, cho_solve
 from .baselines import PredictionResult, _argmax_with_ties, _class_mean_scores, _two_step
 from .errors import ConfigurationError, NumericalError, StructuralError
 from .fusion import FusedGraph
+from .graph import _by_row_blocks
 
 ABSTAIN = -1
 
@@ -168,9 +169,16 @@ def propagate(graph: HouseholdGraph, y0: np.ndarray,
     """Run Y(t+1) = alpha*S@Y(t) + (1-alpha)*Y(0) to (or at) its fixed point."""
     s = graph.fused.propagation_matrix()
     if cfg.solver != "iterative":
-        # One n-by-n array, factored in place as its (symmetric) F-ordered transpose.
-        a = s * -cfg.alpha
-        a.flat[::graph.n + 1] += 1.0
+        # One n-by-n array, built by row blocks (see graph._by_row_blocks) and
+        # factored in place as its (symmetric) F-ordered transpose.
+        a = np.empty((graph.n, graph.n))
+
+        def rows(start, stop):
+            np.multiply(s[start:stop], -cfg.alpha, out=a[start:stop])
+            idx = np.arange(start, stop)
+            a[idx, idx] += 1.0
+
+        _by_row_blocks(graph.n, rows)
         try:
             factor = cho_factor(a.T, overwrite_a=True, check_finite=False)
         except LinAlgError as exc:

@@ -507,6 +507,17 @@ class TestEvaluateMethods:
                 expected = household_rows(clean_method)
             assert household_rows(method) == expected, spec.label
 
+    def test_error_names_only_the_specs_that_lost_every_household(self, monkeypatch):
+        _, val = tiny_dataset()
+        specs = [MethodSpec(method="CS"), LOCAL_2LP]
+        for household in val:
+            self.fail_on(monkeypatch, evaluate_module, "_predict", household.household_id,
+                         lambda spec: spec.method == "2LP")
+        with pytest.raises(StructuralError) as raised:
+            evaluate_methods(val, specs, allow_skip=True)
+        assert str(raised.value) == f"every household failed evaluation for {LOCAL_2LP.label}"
+        assert specs[0].label not in str(raised.value)
+
     def test_first_failure_in_household_order_is_raised(self, monkeypatch):
         _, val = tiny_dataset()
         specs = [MethodSpec(method="CS"), LOCAL_2LP]

@@ -7,7 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -294,6 +294,10 @@ def laplacian_sets(draw):
     return laps
 
 
+# The normalized Laplacian of the 3-node path graph.
+PATH_LAPLACIAN = normalized_laplacian(np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]]))
+
+
 def floored_reference(laps, p, shift):
     """The power mean through floored numpy eigendecompositions only."""
     def floor(q):
@@ -332,13 +336,14 @@ def fuse_counting_eigh(laps, p, shift):
     return fused, eigh.call_count
 
 
-def agreement_tolerance(shift):
+def routes_agree(err, shift):
     # Both routes carry a forward error of order eps * cond(L_v + shift*I),
-    # and a normalized Laplacian's spectrum lies in [0, 2]. From shift ~1e-3
-    # up this is the flat 1e-10.
+    # and a normalized Laplacian's spectrum lies in [0, 2]: err must stay below
+    # max(1e-10, 100 * eps * (2 + shift) / shift), the flat 1e-10 from shift
+    # ~1e-3 up. Multiplied out, because that quotient overflows at a subnormal shift.
     if shift == 0.0:
-        return 1e-10
-    return max(1e-10, 100 * np.finfo(float).eps * (2.0 + shift) / shift)
+        return err < 1e-10
+    return err < 1e-10 or err * shift < 100 * np.finfo(float).eps * (2.0 + shift)
 
 
 class TestClosedForms:
@@ -351,6 +356,7 @@ class TestClosedForms:
 
     @PROPERTY
     @given(laps=laplacian_sets(), shift=SHIFTS)
+    @example(laps=[PATH_LAPLACIAN], shift=5e-324)
     def test_harmonic_mean_matches_floored_reference(self, laps, shift):
         fused, eigh_calls = fuse_counting_eigh(laps, -1.0, shift)
         if shift >= 1e-6:
@@ -358,7 +364,7 @@ class TestClosedForms:
             # Cholesky inverses' infinity norms stay below sqrt(n)/shift
             assert eigh_calls == 0
         reference = floored_reference(laps, -1.0, shift)
-        assert np.abs(fused - reference).max() < agreement_tolerance(shift)
+        assert routes_agree(np.abs(fused - reference).max(), shift)
 
     @PROPERTY
     @given(laps=laplacian_sets(),

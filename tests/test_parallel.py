@@ -1,0 +1,284 @@
+"""Row-block passes over large households: the threaded path equals the inline
+one bit for bit, checks the same invariants, survives a fork and keeps its
+threads away from the public API and from warnings."""
+
+import contextlib
+import inspect
+import os
+import signal
+import sys
+import threading
+import time
+import warnings
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+
+from speakergraph import (
+    AffinityMatrix,
+    CohortScaling,
+    DegeneracyWarning,
+    EdgePoolFusion,
+    EmbeddingView,
+    LocalScaling,
+    NumericalError,
+    PropagationConfig,
+    SpeakerGraphError,
+    StructuralError,
+    UniversalScaling,
+    fuse,
+    pairwise_distances,
+    session_affinity,
+)
+from speakergraph import graph, propagation
+from speakergraph.graph import ViewDistances
+from speakergraph.propagation import HouseholdGraph, init_label_matrix, propagate
+
+
+@contextlib.contextmanager
+def row_blocks(workers=3):
+    """Every n x n pass of two or more rows on a fresh pool of ``workers``
+    threads, whatever the CPUs allowed; the pool is shut down on exit."""
+    with mock.patch.multiple(graph, _PARALLEL_MIN_ROWS=2, _pool=None, _pool_workers=0,
+                             _allowed_cpus=lambda: workers):
+        try:
+            yield
+        finally:
+            if graph._pool is not None:
+                graph._pool.shutdown()
+
+
+def inline():
+    """Every n x n pass as one call on the calling thread."""
+    return mock.patch.object(graph, "_PARALLEL_MIN_ROWS", sys.maxsize)
+
+
+def same(a, b):
+    if isinstance(a, np.ndarray) and isinstance(b, np.ndarray):
+        return a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b)
+    return a == b
+
+
+def i_minus_alpha_s(household, alpha):
+    """The matrix propagate hands to its Cholesky factorization."""
+    seen = []
+    real = propagation.cho_factor
+
+    def spy(a, **kwargs):
+        seen.append(a.copy())
+        return real(a, **kwargs)
+
+    with mock.patch.object(propagation, "cho_factor", spy), \
+            contextlib.suppress(NumericalError):
+        propagate(household, init_label_matrix(household), PropagationConfig(alpha=alpha))
+    return seen[0]
+
+
+def every_pass(vectors, sessions, k, s, sigma, alpha):
+    """What each row-block pass builds, by name; a SpeakerGraphError's type
+    and message where one stopped the pass."""
+    view = EmbeddingView("voice", vectors)
+    distances = ViewDistances(view, k)
+    out = {"distances": pairwise_distances(view), "knn": distances.knn_means(k)}
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DegeneracyWarning)
+        affinities = {
+            "universal": distances.affinity(UniversalScaling(sigma)),
+            "cohort": distances.affinity(CohortScaling({"g": sigma}), cohort_id="g"),
+            "local": distances.affinity(LocalScaling(k, s)),
+            "session": session_affinity(sessions, sigma)}
+    out.update((name, a.w) for name, a in affinities.items())
+    pooled = ("universal", "local", "session")
+    try:
+        fused = fuse(affinities, EdgePoolFusion(pooled))
+    except SpeakerGraphError as exc:
+        out["S"] = type(exc), str(exc)
+        return out
+    out["pool"], out["S"] = fused.weights[0], fused.operator
+    household = HouseholdGraph(fused, labels=[0, 1], n_unlabeled=len(vectors) - 2,
+                               n_heldout=0, class_count=2)
+    out["I - alpha S"] = i_minus_alpha_s(household, alpha)
+    return out
+
+
+@st.composite
+def households(draw):
+    """n in [2, 90] vectors drawn from a smaller pool, so rows repeat, with
+    session ids, a local k and s, a bandwidth and an alpha."""
+    n = draw(st.integers(2, 90))
+    dim = draw(st.integers(1, 5))
+    pool = draw(hnp.arrays(float, (draw(st.integers(1, n)), dim),
+                           elements=st.floats(-5.0, 5.0)))
+    rows = draw(st.lists(st.integers(0, len(pool) - 1), min_size=n, max_size=n))
+    sessions = draw(st.lists(st.sampled_from("abc"), min_size=n, max_size=n))
+    return (pool[rows], sessions, draw(st.integers(1, n - 1)), draw(st.floats(0.1, 3.0)),
+            draw(st.floats(1e-8, 10.0)), draw(st.floats(0.05, 0.99)))
+
+
+class TestRowBlocksMatchInline:
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(households(), st.integers(2, 4))
+    def test_every_pass_bitwise(self, case, workers):
+        with inline():
+            expected = every_pass(*case)
+        with row_blocks(workers):
+            threaded = every_pass(*case)
+            assert graph._pool is not None
+        assert expected.keys() == threaded.keys()
+        for name in expected:
+            assert same(expected[name], threaded[name]), name
+
+    def test_blocks_cover_the_rows_in_order(self):
+        with row_blocks(2):
+            spans = graph._by_row_blocks(21, lambda a, b: (a, b))
+        assert len(spans) == 8
+        assert [a for a, _ in spans] == [0] + [b for _, b in spans[:-1]]
+        assert spans[-1][1] == 21
+
+    def test_below_the_threshold_one_call_on_the_calling_thread(self):
+        calls = []
+        n = graph._PARALLEL_MIN_ROWS - 1
+        graph._by_row_blocks(n, lambda a, b: calls.append((a, b, threading.get_ident())))
+        assert calls == [(0, n, threading.get_ident())]
+
+    def test_one_allowed_cpu_runs_inline(self):
+        with row_blocks(workers=1):
+            assert graph._row_pool(1000) is None
+            assert graph._pool is None
+
+
+def valid_weights(n=300):
+    rng = np.random.default_rng(0)
+    upper = np.triu(rng.uniform(size=(n, n)), 1)
+    return upper + upper.T
+
+
+def with_pair(value, i=5, j=290):
+    w = valid_weights()
+    w[i, j] = w[j, i] = value
+    return w
+
+
+PATHS = {"inline": inline, "row blocks": row_blocks}
+
+
+@pytest.mark.parametrize("path", PATHS)
+class TestAffinityChecks:
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite(self, path, value):
+        with PATHS[path](), pytest.raises(StructuralError, match="non-finite"):
+            AffinityMatrix(with_pair(value))
+
+    def test_asymmetric_pair_far_from_the_diagonal(self, path):
+        w = valid_weights()
+        w[5, 290] = np.nextafter(w[290, 5], 1.0)
+        with PATHS[path](), pytest.raises(StructuralError, match="not exactly symmetric"):
+            AffinityMatrix(w)
+
+    @pytest.mark.parametrize("value", [-0.25, 1.5])
+    def test_out_of_range(self, path, value):
+        with PATHS[path](), pytest.raises(StructuralError, match=r"lie in \[0, 1\]"):
+            AffinityMatrix(with_pair(value))
+
+    def test_nonzero_diagonal(self, path):
+        w = valid_weights()
+        w[150, 150] = 0.5
+        with PATHS[path](), pytest.raises(StructuralError, match="diagonal must be zero"):
+            AffinityMatrix(w)
+
+    def test_valid_weights_pass(self, path):
+        w = valid_weights()
+        with PATHS[path]():
+            assert AffinityMatrix(w).w is w
+
+
+def large_view(n=600):
+    return EmbeddingView("voice", np.random.default_rng(1).normal(size=(n, 8)))
+
+
+def public_code():
+    """Code objects of every public function and public method in speakergraph."""
+    codes = set()
+    for name, module in list(sys.modules.items()):
+        if name != "speakergraph" and not name.startswith("speakergraph."):
+            continue
+        for attr, value in vars(module).items():
+            if attr.startswith("_") or getattr(value, "__module__", None) != name:
+                continue
+            if inspect.isfunction(value):
+                codes.add(value.__code__)
+            elif inspect.isclass(value):
+                for member_name, member in vars(value).items():
+                    member = getattr(member, "fget", None) or getattr(member, "func", member)
+                    if not member_name.startswith("_") and inspect.isfunction(member):
+                        codes.add(member.__code__)
+    return codes
+
+
+class TestThreadsStayOutOfTheWay:
+    def test_workers_call_no_public_function(self):
+        public = public_code()
+        ran, public_calls = [], []
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_globals.get("__name__", "").startswith("speakergraph"):
+                ran.append(frame.f_code.co_name)
+                if frame.f_code in public:
+                    public_calls.append(frame.f_code.co_name)
+
+        threading.setprofile(profile)
+        try:
+            with row_blocks(2):
+                voice = ViewDistances(large_view(), 20).affinity(LocalScaling(20, 0.5))
+                affinities = {"voice": voice, "session": session_affinity(["a", "b"] * 300, 0.5)}
+                household = HouseholdGraph(fuse(affinities, EdgePoolFusion(tuple(affinities))),
+                                           labels=[0, 1], n_unlabeled=598, n_heldout=0,
+                                           class_count=2)
+                i_minus_alpha_s(household, 0.9)
+        finally:
+            threading.setprofile(None)
+        assert ran
+        assert public_calls == []
+
+    @pytest.mark.parametrize("path", PATHS)
+    def test_sigma_floor_warning_names_the_caller(self, path):
+        view = EmbeddingView("voice", np.zeros((300, 2)))
+        with PATHS[path](), warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            ViewDistances(view, 1).affinity(LocalScaling(1, 1.0))
+            session_affinity(["a"] * 300, 1e-7)
+        assert [(w.category, w.filename) for w in caught] == [(DegeneracyWarning, __file__)] * 2
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_forked_child_builds_a_large_graph(self):
+        view = large_view()
+        rule = LocalScaling(10, 0.5)
+        with row_blocks(2):
+            parent = ViewDistances(view, 10).affinity(rule).w
+            assert graph._pool is not None
+            with warnings.catch_warnings():
+                # forking a process with threads warns from Python 3.12 on
+                warnings.simplefilter("ignore", DeprecationWarning)
+                pid = os.fork()
+            if pid == 0:
+                code = 1
+                try:
+                    child = ViewDistances(view, 10).affinity(rule).w
+                    code = 0 if np.array_equal(child, parent) else 3
+                finally:
+                    os._exit(code)
+        deadline = time.monotonic() + 60.0
+        while True:
+            done, status = os.waitpid(pid, os.WNOHANG)
+            if done:
+                break
+            if time.monotonic() > deadline:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+                pytest.fail("the forked child did not finish building within 60 s")
+            time.sleep(0.05)
+        assert os.waitstatus_to_exitcode(status) == 0
