@@ -273,7 +273,8 @@ class EvalReport:
         return sorted(out)
 
     def improvements(self) -> dict[str, dict[str, float | None]]:
-        """Best-in-family improvement vs. the best baseline, per group column."""
+        """Best-in-family improvement vs. the best baseline, per group column;
+        None where the baselines or the family have no households in the group."""
         baselines = [m for m in self.methods if m.spec.is_baseline]
         others: dict[str, list[MethodReport]] = {}
         for m in self.methods:
@@ -285,10 +286,10 @@ class EvalReport:
         for family, reports in sorted(others.items()):
             row: dict[str, float | None] = {}
             for group in self.groups:
-                base = min(m.micro_sier(group) for m in baselines)
-                best = min(m.micro_sier(group) for m in reports)
-                row[group] = (None if base == 0
-                              else 100.0 * relative_improvement(base, best))
+                base = [m.micro_sier(group) for m in baselines if group in m.groups]
+                best = [m.micro_sier(group) for m in reports if group in m.groups]
+                row[group] = (None if not best or min(base, default=0) == 0
+                              else 100.0 * relative_improvement(min(base), min(best)))
             table[family] = row
         return table
 

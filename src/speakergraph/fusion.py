@@ -18,7 +18,8 @@ import numpy as np
 from scipy.linalg import lapack
 
 from .errors import ConfigurationError, NumericalError, StructuralError
-from .graph import AffinityMatrix, _by_row_blocks, normalized_laplacian, propagation_operator
+from .graph import (AffinityMatrix, _by_row_blocks, _exactly_symmetric, normalized_laplacian,
+                    propagation_operator)
 
 # Eigenvalue floor applied before negative matrix powers.
 NEG_POWER_EIG_FLOOR = 1e-8
@@ -161,8 +162,6 @@ def _floored_eigh(m: np.ndarray, q: float) -> tuple[np.ndarray, np.ndarray]:
     _power_floor(q), and its eigenvectors; NumericalError when the
     decomposition fails or a materially negative eigenvalue meets a
     non-integer power q."""
-    if np.abs(m - m.T).max() > 1e-10:
-        raise StructuralError("matrix power requires a symmetric input")
     vals, vecs = _eigh((m + m.T) / 2.0)
     if q != int(q) and vals[0] < -1e-8:
         raise NumericalError(
@@ -219,8 +218,9 @@ def pml_fuse(laplacians: Sequence[np.ndarray], p: float,
              shift: float = 0.0) -> np.ndarray:
     """Matrix power mean of the given Laplacians with exponent p.
 
-    Inputs must be positive semidefinite, as every normalized Laplacian is,
-    so clamping eigenvalues at 0 for p > 0 only removes round-off.
+    Inputs must be symmetric to 1e-10 (else StructuralError, at every p) and
+    positive semidefinite, as every normalized Laplacian is, so clamping
+    eigenvalues at 0 for p > 0 only removes round-off.
 
     p = 1 is the arithmetic mean plus shift*I and needs no decomposition.
     p = -1 is the Cholesky inverse of the mean of the Cholesky inverses of
@@ -243,9 +243,13 @@ def pml_fuse(laplacians: Sequence[np.ndarray], p: float,
     if shift < 0:
         raise ConfigurationError(f"shift must be >= 0, got {shift}")
     n = laplacians[0].shape[0]
+    if n == 0:
+        raise StructuralError("pml_fuse needs non-empty Laplacians")
     for lap in laplacians:
         if lap.shape[0] != n:
             raise StructuralError(f"laplacian size mismatch: {lap.shape[0]} != {n}")
+        if not _exactly_symmetric(lap) and np.abs(lap - lap.T).max() > 1e-10:
+            raise StructuralError("matrix power requires a symmetric input")
 
     eye = np.eye(n)
     shifted = [lap + shift * eye for lap in laplacians]

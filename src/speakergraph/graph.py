@@ -12,9 +12,9 @@ nearest neighbors of both endpoints. The module also derives the propagation
 operator D^{-1/2} W D^{-1/2} and the symmetric normalized Laplacian
 I - D^{-1/2} W D^{-1/2} that graph-level fusion combines.
 
-The n x n passes of a large household (distances, neighbor sorts, kernels,
-their checks and the operator) run as row blocks on one thread per allowed
-CPU; see _by_row_blocks.
+The n x n passes (distances, neighbor sorts, kernels, their checks and the
+operator) run as the same row blocks at every household size, on one thread
+per allowed CPU for a large household; see _by_row_blocks.
 """
 
 import contextvars
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence, TypeVar, Union
 
 import numpy as np
-from scipy.spatial.distance import cdist, pdist, squareform
+from scipy.spatial.distance import cdist
 
 from .errors import ConfigurationError, DegeneracyWarning, NumericalError, StructuralError
 
@@ -34,8 +34,8 @@ from .errors import ConfigurationError, DegeneracyWarning, NumericalError, Struc
 # duplicate embeddings collapse a KNN mean to zero.
 SIGMA_FLOOR = 1e-6
 
-# Matrices with fewer rows than this run each n x n pass as one whole-matrix
-# call on the calling thread. On 2 vCPUs, building voice, face and session
+# Matrices with fewer rows than this run the row blocks of each n x n pass on
+# the calling thread. On 2 vCPUs, building voice, face and session
 # kernels (local scaling, 16-dim vectors), their edge pool and two operators
 # took a median 20.1 ms by row blocks on two threads against 14.5 ms inline
 # at n = 368, 29.4 against 30.9 ms at n = 512 and 36.1 against 43.5 ms at
@@ -44,8 +44,11 @@ _PARALLEL_MIN_ROWS = 512
 # More blocks than threads, so that passes over a triangle, whose first rows
 # cost the most, still keep every thread busy.
 _BLOCKS_PER_WORKER = 4
-# Rows per tile of the symmetry check.
-_SYMMETRY_TILE = 128
+# Fewest rows per block, so that a small household's block count does not grow
+# with the host's CPUs: on the single-view benchmark (n = 368) with 64 CPUs
+# patched in, blocks of 1.4, 16, 32 and 64 rows took 57.0, 28.0, 26.0 and
+# 25.1 ms per household against 24.7 ms with the host's 2 CPUs (8 blocks).
+_MIN_BLOCK_ROWS = 32
 
 
 # ---------------------------------------------------------------------------
@@ -54,7 +57,6 @@ _SYMMETRY_TILE = 128
 
 _T = TypeVar("_T")
 _pool: ThreadPoolExecutor | None = None
-_pool_workers = 0  # 0 until first use; then the allowed CPUs, 1 meaning no pool
 _pool_lock = threading.Lock()
 
 
@@ -66,24 +68,19 @@ def _allowed_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _row_pool(n: int) -> ThreadPoolExecutor | None:
-    """The thread pool for an n-row pass, created on first use; None when the
-    pass runs inline: below _PARALLEL_MIN_ROWS or with one allowed CPU."""
-    global _pool, _pool_workers
-    if n < _PARALLEL_MIN_ROWS:
-        return None
+def _row_pool(workers: int) -> ThreadPoolExecutor:
+    """The thread pool, created on first use with ``workers`` threads."""
+    global _pool
     with _pool_lock:
-        if not _pool_workers:
-            _pool_workers = _allowed_cpus()
-            if _pool_workers > 1:
-                _pool = ThreadPoolExecutor(_pool_workers, thread_name_prefix="speakergraph-rows")
+        if _pool is None:
+            _pool = ThreadPoolExecutor(workers, thread_name_prefix="speakergraph-rows")
         return _pool
 
 
 def _reset_pool_after_fork() -> None:
     # A forked child has only the forking thread: the parent's pool is dead.
-    global _pool, _pool_workers, _pool_lock
-    _pool, _pool_workers, _pool_lock = None, 0, threading.Lock()
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
 
 
 if hasattr(os, "register_at_fork"):
@@ -92,23 +89,27 @@ if hasattr(os, "register_at_fork"):
 
 def _by_row_blocks(n: int, rows: Callable[[int, int], _T]) -> list[_T]:
     """``rows(start, stop)`` over contiguous row ranges that cover range(n),
-    with the results in row order.
+    with the results in row order: _BLOCKS_PER_WORKER per allowed CPU, fewer
+    where a block would have under _MIN_BLOCK_ROWS rows, none at n = 0.
 
-    Inline (see _row_pool) this is the single call ``rows(0, n)``. Otherwise
-    the ranges run on the pool, each in a copy of the caller's context, so
-    numpy's error state carries over. Callers allocate the output and have
-    each range write its own rows with elementwise ops and per-row reductions
-    only, so the result is bitwise the same for any split. ``rows`` calls no
-    public speakergraph function, whose tracing wrappers assume one thread,
-    and never this one: a worker waiting on its own pool can deadlock it.
+    From _PARALLEL_MIN_ROWS rows and with more than one allowed CPU the
+    ranges run on the pool, each in a copy of the caller's context, so
+    numpy's error state carries over; otherwise they run in row order on the
+    calling thread. Callers allocate the output and have each range write
+    its own rows with elementwise ops and per-row reductions only, so the
+    result is bitwise the same for any split. ``rows`` calls no public
+    speakergraph function, whose tracing wrappers assume one thread, and
+    never this one: a worker waiting on its own pool can deadlock it.
     """
-    pool = _row_pool(n)
-    if pool is None:
-        return [rows(0, n)]
-    count = _BLOCKS_PER_WORKER * _pool_workers
+    workers = _allowed_cpus()
+    count = max(1, min(_BLOCKS_PER_WORKER * workers, n // _MIN_BLOCK_ROWS))
     bounds = sorted({n * i // count for i in range(count + 1)})
+    spans = list(zip(bounds, bounds[1:]))
+    if n < _PARALLEL_MIN_ROWS or workers == 1:
+        return [rows(start, stop) for start, stop in spans]
+    pool = _row_pool(workers)
     futures = [pool.submit(contextvars.copy_context().run, rows, start, stop)
-               for start, stop in zip(bounds, bounds[1:])]
+               for start, stop in spans]
     wait(futures)
     return [f.result() for f in futures]
 
@@ -206,8 +207,7 @@ class AffinityMatrix:
 
     The checks run by row blocks (see _by_row_blocks) and build no n x n
     temporary: one min/max pass, whose NaN or infinity marks a non-finite
-    entry, and a symmetry check of each row tile against its transposed
-    column tile.
+    entry, and the symmetry check of _exactly_symmetric.
     """
 
     w: np.ndarray
@@ -217,12 +217,14 @@ class AffinityMatrix:
         if w.ndim != 2 or w.shape[0] != w.shape[1]:
             raise StructuralError(f"affinity matrix must be square, got {w.shape}")
         n = w.shape[0]
+        if n == 0:
+            raise StructuralError("affinity matrix is empty")
         extremes = np.array(_by_row_blocks(n, lambda a, b: (w[a:b].min(), w[a:b].max())))
         lo, hi = extremes[:, 0].min(), extremes[:, 1].max()
         in_range = 0.0 <= lo and hi <= 1.0
         if not in_range and not (np.isfinite(lo) and np.isfinite(hi)):
             raise StructuralError("affinity matrix has non-finite entries")
-        if not all(_by_row_blocks(n, lambda a, b: _symmetric_rows(w, a, b))):
+        if not _exactly_symmetric(w):
             raise StructuralError("affinity matrix is not exactly symmetric")
         if np.any(np.diagonal(w) != 0.0):
             raise StructuralError("affinity matrix diagonal must be zero")
@@ -231,15 +233,12 @@ class AffinityMatrix:
         object.__setattr__(self, "w", w)
 
 
-def _symmetric_rows(w: np.ndarray, start: int, stop: int) -> bool:
-    """Whether rows start:stop of w equal their columns on and right of the
-    diagonal, compared one row tile at a time; over a cover of range(n) by
-    row ranges this checks every pair i < j once."""
-    for top in range(start, stop, _SYMMETRY_TILE):
-        bottom = min(top + _SYMMETRY_TILE, stop)
-        if not np.array_equal(w[top:bottom, top:], w[top:, top:bottom].T):
-            return False
-    return True
+def _exactly_symmetric(w: np.ndarray) -> bool:
+    """Whether square w equals its transpose, checked by row blocks: each
+    compares its rows, from the diagonal on, with its columns, so every pair
+    i < j is compared once and no temporary outgrows a block."""
+    return all(_by_row_blocks(
+        w.shape[0], lambda a, b: np.array_equal(w[a:b, a:], w[a:, a:b].T)))
 
 
 # ---------------------------------------------------------------------------
@@ -249,16 +248,12 @@ def _symmetric_rows(w: np.ndarray, start: int, stop: int) -> bool:
 def pairwise_distances(view: EmbeddingView) -> np.ndarray:
     """Symmetric zero-diagonal Euclidean distance matrix for one view.
 
-    Inline (see _by_row_blocks) this is ``squareform(pdist(x))``, which
-    computes each pair once and so is exactly symmetric. Otherwise each row
-    block takes cdist to the columns from its first row on, and a second pass
-    mirrors that upper part into the lower one; cdist's distances equal
-    pdist's bit for bit.
+    Each row block takes cdist to the columns from its first row on, and a
+    second pass mirrors that upper part into the lower one, so each pair is
+    computed once and the matrix is exactly symmetric.
     """
     x = view.vectors
     n = x.shape[0]
-    if _row_pool(n) is None:
-        return squareform(pdist(x, metric="euclidean"))
     dist = np.empty((n, n))
 
     def upper(a, b):
@@ -367,7 +362,7 @@ def _gaussian_kernel(n: int, scaled: Callable[[np.ndarray, int, int], object]
     one n x n buffer; ``scaled(out, start, stop)`` writes rows start:stop of
     dist/sigma into ``out``, those rows of the buffer.
 
-    dist and sigma must be exactly symmetric, as squareform distances and
+    dist and sigma must be exactly symmetric, as pairwise_distances and
     s * (m_i + m_j) / 2 are: every step is elementwise, so the kernel is then
     exactly symmetric too, and AffinityMatrix checks that it is.
     """
@@ -379,10 +374,9 @@ def _gaussian_kernel(n: int, scaled: Callable[[np.ndarray, int, int], object]
         np.square(out, out=out)
         np.negative(out, out=out)
         np.exp(out, out=out)
-        idx = np.arange(a, b)
-        w[idx, idx] = 0.0
 
     _by_row_blocks(n, rows)
+    np.fill_diagonal(w, 0.0)
     return AffinityMatrix(w)
 
 

@@ -172,13 +172,9 @@ def propagate(graph: HouseholdGraph, y0: np.ndarray,
         # One n-by-n array, built by row blocks (see graph._by_row_blocks) and
         # factored in place as its (symmetric) F-ordered transpose.
         a = np.empty((graph.n, graph.n))
-
-        def rows(start, stop):
-            np.multiply(s[start:stop], -cfg.alpha, out=a[start:stop])
-            idx = np.arange(start, stop)
-            a[idx, idx] += 1.0
-
-        _by_row_blocks(graph.n, rows)
+        _by_row_blocks(graph.n, lambda start, stop: np.multiply(
+            s[start:stop], -cfg.alpha, out=a[start:stop]))
+        a.flat[::graph.n + 1] += 1.0
         try:
             factor = cho_factor(a.T, overwrite_a=True, check_finite=False)
         except LinAlgError as exc:

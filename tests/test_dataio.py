@@ -510,6 +510,27 @@ class TestCli:
         assert all(m["spec"]["unit_normalize"] for m in reports["norm"])
         assert reports["norm"] != reports["plain"]
 
+    def test_method_skipped_on_a_whole_group_still_reports(self, tmp_path):
+        # cohort scaling with no sigma for "hard" skips 2LP on every hard
+        # household; the improvement cell for "hard" is then n/a
+        cfg = json.loads(self.run_config_file(tmp_path).read_text())
+        cfg["method"]["scaling"] = {"kind": "cohort", "sigma_by_cohort": {"random": 1.0}}
+        path = tmp_path / "cohort.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "sim"
+        assert main(["simulate", "--config", str(path), "--out", str(out)]) == 0
+        report_path = tmp_path / "report.json"
+        assert main(["evaluate", "--data", str(out / "val.jsonl"), "--config", str(path),
+                     "--method", "CS,2LP", "--allow-skip", "--out", str(report_path)]) == 0
+        data = json.loads(report_path.read_text())
+        cs, lp = data["methods"]
+        assert set(cs["groups"]) == {"hard", "random"} and set(lp["groups"]) == {"random"}
+        assert all(hid.startswith("hard-") for hid in (s["household_id"] for s in lp["skipped"]))
+        row = data["improvement_vs_best_baseline_pct"]["cohort"]
+        assert row["hard"] is None
+        assert ("| cohort | n/a | " + ("n/a" if row["random"] is None else f"{row['random']:.1f}")
+                in render_report(data, "md"))
+
     def test_one_household_per_group_exits_2(self, tmp_path, capsys):
         cfg = json.loads(self.run_config_file(tmp_path).read_text())
         cfg["simulation"]["households_per_group"] = 1

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from speakergraph import (
+    CohortScaling,
     ConfigurationError,
     EdgePoolFusion,
     FusedGraph,
@@ -138,6 +139,17 @@ class TestEvaluate:
             assert table["local"]["random"] == pytest.approx(expected)
         else:
             assert table["local"]["random"] is None
+
+    def test_improvements_only_compare_reports_with_the_group(self):
+        _, val = tiny_dataset(seed=3, groups=("random", "hard"))
+        cohort = MethodSpec(method="2LP", scaling=CohortScaling({"random": 1.0}),
+                            fusion=SingleView("voice"))
+        report = evaluate_methods(val, [MethodSpec(method="CS"), cohort], allow_skip=True)
+        assert report.methods[1].groups == ["random"]
+        row = report.improvements()["cohort"]
+        assert row["hard"] is None
+        assert row["random"] == pytest.approx(100 * relative_improvement(
+            report.methods[0].micro_sier("random"), report.methods[1].micro_sier("random")))
 
     def test_allow_skip_records_failures(self):
         dev, val = tiny_dataset()

@@ -112,11 +112,20 @@ class TestPowerMean:
 
     @pytest.mark.parametrize("count", (1, 2))
     def test_invalid_inputs_rejected(self, count):
-        # the eigendecomposition route checks every input alike
+        # every input is checked alike, at every p
         with pytest.raises(NumericalError, match="non-integer power 0.5"):
             pml_fuse([np.diag([-1.0, 2.0])] * count, 0.5)
-        with pytest.raises(StructuralError, match="symmetric"):
-            pml_fuse([np.array([[1.0, 0.1], [0.0, 1.0]])] * count, 2.0)
+        for p in (1.0, -1.0, 2.0, -2.0):
+            with pytest.raises(StructuralError, match="symmetric"):
+                pml_fuse([np.array([[1.0, 0.1], [0.0, 1.0]])] * count, p)
+            with pytest.raises(StructuralError, match="non-empty"):
+                pml_fuse([np.zeros((0, 0))] * count, p)
+
+    @pytest.mark.parametrize("p", (1.0, -1.0, 2.0, -2.0))
+    def test_round_off_asymmetry_accepted_at_every_p(self, p):
+        lap = self.random_laplacians(7, n=3, count=1)[0]
+        lap[0, 2] = np.nextafter(lap[2, 0], 1.0)
+        assert np.isfinite(pml_fuse([lap], p, shift=0.5)).all()
 
     def test_p_one_is_arithmetic_mean(self):
         laps = self.random_laplacians(3, count=3)

@@ -158,6 +158,12 @@ class TestAffinity:
         with pytest.raises(ConfigurationError):
             affinity(view, rule)
 
+    def test_empty_matrices_rejected(self):
+        with pytest.raises(StructuralError, match="empty"):
+            AffinityMatrix(np.zeros((0, 0)))
+        with pytest.raises(StructuralError, match="empty"):
+            session_affinity([], 0.25)
+
     def test_local_k_too_large(self):
         with pytest.raises(ConfigurationError):
             affinity(line_view([0.0, 1.0, 3.0]), LocalScaling(k=3, s=1.0))

@@ -1,6 +1,7 @@
-"""Row-block passes over large households: the threaded path equals the inline
-one bit for bit, checks the same invariants, survives a fork and keeps its
-threads away from the public API and from warnings."""
+"""Row-block passes: the blocks of every household run on the calling thread
+below the size threshold and on the pool above it; the threaded path equals
+the inline one bit for bit, checks the same invariants, survives a fork and
+keeps its threads away from the public API and from warnings."""
 
 import contextlib
 import inspect
@@ -17,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from scipy.spatial.distance import pdist, squareform
 
 from speakergraph import (
     AffinityMatrix,
@@ -40,10 +42,11 @@ from speakergraph.propagation import HouseholdGraph, init_label_matrix, propagat
 
 
 @contextlib.contextmanager
-def row_blocks(workers=3):
-    """Every n x n pass of two or more rows on a fresh pool of ``workers``
-    threads, whatever the CPUs allowed; the pool is shut down on exit."""
-    with mock.patch.multiple(graph, _PARALLEL_MIN_ROWS=2, _pool=None, _pool_workers=0,
+def row_blocks(workers=3, min_rows=2):
+    """``workers`` allowed CPUs, whatever the machine's, blocks of one row or
+    more, so that small households split too, and passes of ``min_rows`` rows
+    or more on a fresh pool; the pool is shut down on exit."""
+    with mock.patch.multiple(graph, _PARALLEL_MIN_ROWS=min_rows, _MIN_BLOCK_ROWS=1, _pool=None,
                              _allowed_cpus=lambda: workers):
         try:
             yield
@@ -53,8 +56,8 @@ def row_blocks(workers=3):
 
 
 def inline():
-    """Every n x n pass as one call on the calling thread."""
-    return mock.patch.object(graph, "_PARALLEL_MIN_ROWS", sys.maxsize)
+    """Every n x n pass by the blocks of two allowed CPUs, on the calling thread."""
+    return row_blocks(workers=2, min_rows=sys.maxsize)
 
 
 def same(a, b):
@@ -139,16 +142,55 @@ class TestRowBlocksMatchInline:
         assert [a for a, _ in spans] == [0] + [b for _, b in spans[:-1]]
         assert spans[-1][1] == 21
 
-    def test_below_the_threshold_one_call_on_the_calling_thread(self):
-        calls = []
-        n = graph._PARALLEL_MIN_ROWS - 1
-        graph._by_row_blocks(n, lambda a, b: calls.append((a, b, threading.get_ident())))
-        assert calls == [(0, n, threading.get_ident())]
+    @pytest.mark.parametrize("workers, n", [(3, graph._PARALLEL_MIN_ROWS - 1), (1, 1000)])
+    def test_inline_runs_the_same_blocks_in_row_order(self, workers, n):
+        # below the threshold, or with one allowed CPU, on the calling thread
+        def span(a, b):
+            return a, b, threading.get_ident()
 
-    def test_one_allowed_cpu_runs_inline(self):
-        with row_blocks(workers=1):
-            assert graph._row_pool(1000) is None
+        with row_blocks(workers, min_rows=n):
+            threaded = graph._by_row_blocks(n, span)
+        with row_blocks(workers, min_rows=graph._PARALLEL_MIN_ROWS):
+            calls = graph._by_row_blocks(n, span)
             assert graph._pool is None
+        assert len(calls) == graph._BLOCKS_PER_WORKER * workers
+        assert [c[:2] for c in calls] == [t[:2] for t in threaded]
+        assert {c[2] for c in calls} == {threading.get_ident()}
+        if workers > 1:
+            assert threading.get_ident() not in {t[2] for t in threaded}
+
+    def test_no_rows_no_blocks(self):
+        assert graph._by_row_blocks(0, lambda a, b: (a, b)) == []
+
+    @pytest.mark.parametrize("n, blocks", [(1, 1), (63, 1), (64, 2), (368, 11), (511, 15)])
+    def test_small_households_keep_whole_blocks_on_many_cpus(self, n, blocks):
+        with mock.patch.multiple(graph, _pool=None, _allowed_cpus=lambda: 64):
+            spans = graph._by_row_blocks(n, lambda a, b: (a, b))
+            assert graph._pool is None
+        assert len(spans) == blocks == max(1, n // graph._MIN_BLOCK_ROWS)
+        assert [a for a, _ in spans] == [0] + [b for _, b in spans[:-1]]
+        assert spans[-1][1] == n
+        assert min(b - a for a, b in spans) >= min(n, graph._MIN_BLOCK_ROWS)
+
+
+class TestDistancesMatchPdist:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_bitwise_symmetric_zero_diagonal(self, data):
+        n = data.draw(st.integers(2, 70))
+        dim = data.draw(st.integers(1, 80))
+        scale = data.draw(st.sampled_from([1e-8, 1.0, 1e8]))
+        pool = data.draw(hnp.arrays(float, (data.draw(st.integers(1, min(n, 10))), dim),
+                                    elements=st.floats(-5.0, 5.0)))
+        rows = data.draw(st.lists(st.integers(0, len(pool) - 1), min_size=n, max_size=n))
+        view = EmbeddingView("voice", pool[rows] * scale)
+        expected = squareform(pdist(view.vectors))
+        for path in (inline, row_blocks):
+            with path():
+                dist = pairwise_distances(view)
+            assert same(dist, expected), path.__name__
+            assert np.array_equal(dist, dist.T)
+            assert not np.diagonal(dist).any()
 
 
 def valid_weights(n=300):
