@@ -57,9 +57,10 @@ class MethodSpec:
                 raise ConfigurationError(
                     f"{self.method} is a baseline; scaling/fusion must be absent")
         else:
-            if self.scaling is None or self.fusion is None:
+            if not (isinstance(self.scaling, ScalingRule) and isinstance(self.fusion, FusionRule)):
                 raise ConfigurationError(
-                    f"{self.method} requires both a scaling rule and a fusion rule")
+                    f"{self.method} requires both a scaling rule and a fusion rule, got "
+                    f"{type(self.scaling).__name__} and {type(self.fusion).__name__}")
         if not self.session_sigma > 0:
             raise ConfigurationError("session_sigma must be > 0")
 

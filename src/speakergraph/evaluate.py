@@ -15,19 +15,18 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .baselines import PredictionResult, run_2cs, run_2csea, run_cs, run_csea
+from .baselines import PredictionResult, _normalize_rows, run_2cs, run_2csea, run_cs, run_csea
 # MethodSpec and the method names stay importable from this module.
 from .config import BASELINE_METHODS, LP_METHODS, METHODS, MethodSpec, apply_param
 from .errors import ConfigurationError, SpeakerGraphError, StructuralError
-from .fusion import fuse
+from .fusion import _fuse_weights
 from .graph import (
-    AffinityMatrix,
     CohortScaling,
     EmbeddingView,
     LocalScaling,
     UniversalScaling,
     ViewDistances,
-    session_affinity,
+    _session_kernel,
 )
 from .propagation import HouseholdGraph, run_2lp, run_2lpea, run_lp
 from .records import ROLE_ENROLLED, ROLE_UNLABELED, HouseholdDataset
@@ -98,10 +97,7 @@ class HouseholdStages:
         key = (name, unit_normalize)
         if key not in self._matrices:
             if unit_normalize:
-                matrix = self.matrix(name)
-                norms = np.linalg.norm(matrix, axis=1, keepdims=True)
-                matrix = np.divide(matrix, norms, out=np.zeros_like(matrix),
-                                   where=norms > 0)
+                matrix = _normalize_rows(self.matrix(name))
             else:
                 try:
                     matrix = np.vstack([r.views[name] for r in self.records])
@@ -110,10 +106,9 @@ class HouseholdStages:
             self._matrices[key] = matrix
         return self._matrices[key]
 
-    def affinity(self, name: str, spec: MethodSpec) -> AffinityMatrix:
+    def affinity(self, name: str, spec: MethodSpec) -> np.ndarray:
         if name == SESSION_VIEW:
-            return session_affinity([r.session_id for r in self.records],
-                                    spec.session_sigma)
+            return _session_kernel([r.session_id for r in self.records], spec.session_sigma)
         view_key = (name, spec.unit_normalize)
         distances = self._distances.get(view_key) or ViewDistances(
             EmbeddingView(name, self.matrix(*view_key)), self.k_max)
@@ -128,10 +123,8 @@ def build_household_graph(stages: HouseholdStages, spec: MethodSpec) -> Househol
     The session view always uses the fixed bandwidth spec.session_sigma;
     cohort scaling is keyed by the household's group tag.
     """
-    if spec.fusion is None:
-        raise ConfigurationError("graph construction needs a fusion rule")
-    affinities = {name: stages.affinity(name, spec) for name in spec.fusion.view_names}
-    return HouseholdGraph(fused=fuse(affinities, spec.fusion), labels=stages.labels,
+    weights = [stages.affinity(name, spec) for name in spec.fusion.view_names]
+    return HouseholdGraph(fused=_fuse_weights(weights, spec.fusion), labels=stages.labels,
                           n_unlabeled=stages.n_unlabeled, n_heldout=stages.truth.size,
                           class_count=stages.class_count)
 

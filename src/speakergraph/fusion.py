@@ -18,8 +18,7 @@ import numpy as np
 from scipy.linalg import lapack
 
 from .errors import ConfigurationError, NumericalError, StructuralError
-from .graph import (AffinityMatrix, _by_row_blocks, _exactly_symmetric, normalized_laplacian,
-                    propagation_operator)
+from .graph import AffinityMatrix, _by_row_blocks, normalized_laplacian, propagation_operator
 
 # Eigenvalue floor applied before negative matrix powers.
 NEG_POWER_EIG_FLOOR = 1e-8
@@ -248,11 +247,16 @@ def pml_fuse(laplacians: Sequence[np.ndarray], p: float,
     for lap in laplacians:
         if lap.shape[0] != n:
             raise StructuralError(f"laplacian size mismatch: {lap.shape[0]} != {n}")
-        if not _exactly_symmetric(lap) and np.abs(lap - lap.T).max() > 1e-10:
+        # exact equality first: it is cheaper, and inf - inf would warn
+        if not np.array_equal(lap, lap.T) and np.abs(lap - lap.T).max() > 1e-10:
             raise StructuralError("matrix power requires a symmetric input")
+    return _pml_fuse([np.array(lap, dtype=float) for lap in laplacians], p, shift)
 
-    eye = np.eye(n)
-    shifted = [lap + shift * eye for lap in laplacians]
+
+def _pml_fuse(shifted: list[np.ndarray], p: float, shift: float) -> np.ndarray:
+    """pml_fuse of checked Laplacians that it owns: it shifts them in place."""
+    for lap in shifted:
+        lap.flat[::lap.shape[0] + 1] += shift
     fused = None
     if p == 1:
         fused = sum(shifted) / len(shifted)
@@ -298,10 +302,11 @@ class FusedGraph:
 
 
 def _fuse_weights(weights: list[np.ndarray], rule: FusionRule) -> FusedGraph:
-    """The fused graph of a rule's weights, per view or pooled; the one builder of S."""
+    """The fused graph of a rule's weights, per view or pooled; the one builder
+    of S. The weights are kernels, trusted as graph.propagation_operator says."""
     if isinstance(rule, PowerMeanFusion):
         laplacians = [normalized_laplacian(w) for w in weights]
-        s = np.eye(len(weights[0])) - pml_fuse(laplacians, rule.p, rule.effective_shift)
+        s = np.eye(len(weights[0])) - _pml_fuse(laplacians, rule.p, rule.effective_shift)
     else:
         weights = [edgepool_fuse(weights)]
         s = propagation_operator(weights[0])

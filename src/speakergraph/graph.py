@@ -12,13 +12,16 @@ nearest neighbors of both endpoints. The module also derives the propagation
 operator D^{-1/2} W D^{-1/2} and the symmetric normalized Laplacian
 I - D^{-1/2} W D^{-1/2} that graph-level fusion combines.
 
-The n x n passes (distances, neighbor sorts, kernels, their checks and the
-operator) run as the same row blocks at every household size, on one thread
-per allowed CPU for a large household; see _by_row_blocks.
+The n x n passes (distances, neighbor sorts, kernels and the operator) run
+as the same row blocks at every household size, on one thread per allowed CPU
+for a large household; see _by_row_blocks. Kernels are valid by construction
+(see _gaussian_kernel): only the public affinity and session_affinity check
+theirs, as an AffinityMatrix.
 """
 
 import contextvars
 import os
+import sys
 import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor, wait
@@ -203,12 +206,7 @@ ScalingRule = Union[UniversalScaling, CohortScaling, LocalScaling]
 
 @dataclass(frozen=True)
 class AffinityMatrix:
-    """Symmetric nonnegative edge-weight matrix with zero diagonal.
-
-    The checks run by row blocks (see _by_row_blocks) and build no n x n
-    temporary: one min/max pass, whose NaN or infinity marks a non-finite
-    entry, and the symmetry check of _exactly_symmetric.
-    """
+    """Symmetric nonnegative edge-weight matrix with zero diagonal."""
 
     w: np.ndarray
 
@@ -216,29 +214,19 @@ class AffinityMatrix:
         w = np.asarray(self.w, dtype=float)
         if w.ndim != 2 or w.shape[0] != w.shape[1]:
             raise StructuralError(f"affinity matrix must be square, got {w.shape}")
-        n = w.shape[0]
-        if n == 0:
+        if w.size == 0:
             raise StructuralError("affinity matrix is empty")
-        extremes = np.array(_by_row_blocks(n, lambda a, b: (w[a:b].min(), w[a:b].max())))
-        lo, hi = extremes[:, 0].min(), extremes[:, 1].max()
+        lo, hi = w.min(), w.max()
         in_range = 0.0 <= lo and hi <= 1.0
         if not in_range and not (np.isfinite(lo) and np.isfinite(hi)):
             raise StructuralError("affinity matrix has non-finite entries")
-        if not _exactly_symmetric(w):
+        if not np.array_equal(w, w.T):
             raise StructuralError("affinity matrix is not exactly symmetric")
         if np.any(np.diagonal(w) != 0.0):
             raise StructuralError("affinity matrix diagonal must be zero")
         if not in_range:
             raise StructuralError("affinity entries must lie in [0, 1]")
         object.__setattr__(self, "w", w)
-
-
-def _exactly_symmetric(w: np.ndarray) -> bool:
-    """Whether square w equals its transpose, checked by row blocks: each
-    compares its rows, from the diagonal on, with its columns, so every pair
-    i < j is compared once and no temporary outgrows a block."""
-    return all(_by_row_blocks(
-        w.shape[0], lambda a, b: np.array_equal(w[a:b, a:], w[a:, a:b].T)))
 
 
 # ---------------------------------------------------------------------------
@@ -308,8 +296,8 @@ class ViewDistances:
             self._nearest = _nearest_distances(self.dist, min(max(k, self.k_max), n - 1))
         return self._nearest[:, :k].mean(axis=1)
 
-    def affinity(self, rule: ScalingRule, cohort_id: str | None = None) -> AffinityMatrix:
-        """Gaussian-kernel affinity under a scaling rule, built by row blocks
+    def affinity(self, rule: ScalingRule, cohort_id: str | None = None) -> np.ndarray:
+        """Gaussian-kernel weights under a scaling rule, built by row blocks
         in one n x n buffer: under local scaling each block writes its rows of
         sigma there and the kernel overwrites them."""
         dist = self.dist
@@ -347,24 +335,27 @@ class ViewDistances:
 
 
 def _below_sigma_floor(least_sigma: float) -> bool:
-    """Whether the bandwidth must be clamped to SIGMA_FLOOR; warns if so."""
+    """Whether the bandwidth must be clamped to SIGMA_FLOOR; warns, naming the
+    first caller outside this module, if so."""
     if not least_sigma < SIGMA_FLOOR:
         return False
-    # stacklevel 3 names the caller of ViewDistances.affinity / session_affinity
+    level, frame = 1, sys._getframe()
+    while frame.f_globals.get("__name__") == __name__:
+        level, frame = level + 1, frame.f_back
     warnings.warn("bandwidth clamped to sigma floor (duplicate embeddings?)",
-                  DegeneracyWarning, stacklevel=3)
+                  DegeneracyWarning, stacklevel=level)
     return True
 
 
 def _gaussian_kernel(n: int, scaled: Callable[[np.ndarray, int, int], object]
-                     ) -> AffinityMatrix:
+                     ) -> np.ndarray:
     """exp(-(dist/sigma)^2) with a zero diagonal, computed by row blocks in
     one n x n buffer; ``scaled(out, start, stop)`` writes rows start:stop of
     dist/sigma into ``out``, those rows of the buffer.
 
     dist and sigma must be exactly symmetric, as pairwise_distances and
-    s * (m_i + m_j) / 2 are: every step is elementwise, so the kernel is then
-    exactly symmetric too, and AffinityMatrix checks that it is.
+    s * (m_i + m_j) / 2 are; every step is elementwise, so the kernel is a
+    valid affinity, except for NaNs where overflowing distances give inf/inf.
     """
     w = np.empty((n, n))
 
@@ -377,14 +368,14 @@ def _gaussian_kernel(n: int, scaled: Callable[[np.ndarray, int, int], object]
 
     _by_row_blocks(n, rows)
     np.fill_diagonal(w, 0.0)
-    return AffinityMatrix(w)
+    return w
 
 
 def affinity(view: EmbeddingView, rule: ScalingRule,
              cohort_id: str | None = None) -> AffinityMatrix:
     """Gaussian-kernel affinity matrix of one view under a scaling rule."""
     k = rule.k if isinstance(rule, LocalScaling) else 1
-    return ViewDistances(view, k).affinity(rule, cohort_id)
+    return AffinityMatrix(ViewDistances(view, k).affinity(rule, cohort_id))
 
 
 def session_affinity(sessions: Sequence[str | None], sigma: float) -> AffinityMatrix:
@@ -392,9 +383,14 @@ def session_affinity(sessions: Sequence[str | None], sigma: float) -> AffinityMa
     one fixed bandwidth (local scaling has no meaning on 0/1 distances).
 
     Ids are compared by ``str()``: two ids are one session when their strings
-    are equal, character for character. The kernel is built by row blocks
-    from one integer code per id (see _gaussian_kernel).
+    are equal, character for character.
     """
+    return AffinityMatrix(_session_kernel(sessions, sigma))
+
+
+def _session_kernel(sessions: Sequence[str | None], sigma: float) -> np.ndarray:
+    """The weights of session_affinity, built by row blocks from one integer
+    code per id (see _gaussian_kernel)."""
     if any(s is None for s in sessions):
         raise StructuralError("session view requested but session ids missing")
     if not sigma > 0:
@@ -418,12 +414,14 @@ def propagation_operator(w: np.ndarray) -> np.ndarray:
     """S = D^{-1/2} W D^{-1/2} with degree checks; the degrees and S are each
     one pass by row blocks (see _by_row_blocks).
 
-    ``w`` holds the weights of a valid affinity: an AffinityMatrix, or a
-    principal submatrix or elementwise maximum of such matrices.
+    ``w`` holds kernels of this module (or principal submatrices or elementwise
+    maxima of them), valid but for _gaussian_kernel's NaNs, which raise here.
     """
     n = w.shape[0]
     degrees = np.empty(n)
     _by_row_blocks(n, lambda a, b: w[a:b].sum(axis=1, out=degrees[a:b]))
+    if not np.isfinite(degrees).all():
+        raise StructuralError("affinity matrix has non-finite entries")
     bad = np.flatnonzero(degrees <= 0.0)
     if bad.size:
         raise StructuralError(f"node {bad[0]} has zero degree (disconnected)")

@@ -3,6 +3,7 @@
 import importlib
 import itertools
 import re
+import warnings
 import weakref
 from dataclasses import replace
 
@@ -12,6 +13,7 @@ import pytest
 from speakergraph import (
     CohortScaling,
     ConfigurationError,
+    DegeneracyWarning,
     EdgePoolFusion,
     FusedGraph,
     LocalScaling,
@@ -35,6 +37,7 @@ from speakergraph import (
 from speakergraph.config import apply_param
 
 evaluate_module = importlib.import_module("speakergraph.evaluate")
+fusion_module = importlib.import_module("speakergraph.fusion")
 graph_module = importlib.import_module("speakergraph.graph")
 
 
@@ -96,6 +99,12 @@ class TestMethodSpec:
     def test_unknown_method(self):
         with pytest.raises(ConfigurationError):
             MethodSpec(method="PLDA")
+
+    @pytest.mark.parametrize("scaling, fusion", [(LocalScaling(k=4, s=0.5), object()),
+                                                 (object(), SingleView("voice"))])
+    def test_lp_rules_must_be_known_rules(self, scaling, fusion):
+        with pytest.raises(ConfigurationError, match="requires both a scaling rule and a fusion"):
+            MethodSpec(method="LP", scaling=scaling, fusion=fusion)
 
     def test_family_labels(self):
         assert MethodSpec(method="CS").family == "baseline"
@@ -425,9 +434,7 @@ class TestSweepStages:
 SINGLE_VIEW_SPECS = ([MethodSpec(method=m) for m in ("CS", "CSEA", "2CS", "2CSEA")]
                      + [replace(LOCAL_2LP, method=m) for m in ("LP", "2LP", "2LPEA")])
 
-MIXED_SPECS = SINGLE_VIEW_SPECS + [
-    replace(LOCAL_2LP, method="LP", unit_normalize=True),
-    replace(LOCAL_2LP, unit_normalize=True),
+MULTI_VIEW_SPECS = [
     MethodSpec(method="2LP", scaling=LocalScaling(k=4, s=0.8),
                fusion=EdgePoolFusion(("voice", "face", "session"))),
     POWER_MEAN_LP,
@@ -435,6 +442,11 @@ MIXED_SPECS = SINGLE_VIEW_SPECS + [
     replace(POWER_MEAN_LP, fusion=PowerMeanFusion(("voice", "face"), p=-1.0)),
     replace(POWER_MEAN_LP, method="2LP", fusion=PowerMeanFusion(("voice", "face"), p=-1.0)),
 ]
+
+MIXED_SPECS = SINGLE_VIEW_SPECS + [
+    replace(LOCAL_2LP, method="LP", unit_normalize=True),
+    replace(LOCAL_2LP, unit_normalize=True),
+] + MULTI_VIEW_SPECS
 
 
 def household_rows(report):
@@ -544,3 +556,44 @@ class TestEvaluateMethods:
         monkeypatch.setattr(evaluate_module, "_predict", faulty)
         with pytest.raises(NumericalError, match=f"2LP on {val[0].household_id}"):
             evaluate_methods(val, specs)
+
+
+class TestTrustedPath:
+    """The evaluation path checks its inputs where they come in and trusts
+    the kernels and Laplacians it builds from them."""
+
+    def test_no_public_checks_on_the_evaluation_path(self, monkeypatch):
+        _, val = tiny_dataset()
+        checked = count_calls(monkeypatch, graph_module.AffinityMatrix, "__post_init__")
+        fused = count_calls(monkeypatch, fusion_module, "pml_fuse")
+        report = evaluate_methods(val, MULTI_VIEW_SPECS)
+        assert all(len(m.households) == len(val) for m in report.methods)
+        assert checked == [] and fused == []
+
+    @pytest.mark.parametrize("fusion", [
+        SingleView("voice"), EdgePoolFusion(("voice", "face")),
+        PowerMeanFusion(("voice", "face"), p=1.0), PowerMeanFusion(("voice", "face"), p=-1.0),
+    ], ids=["single-view", "edge-pool", "power-mean-1", "power-mean-minus-1"])
+    def test_overflowing_distances_end_in_a_structural_error(self, fusion):
+        # distances overflow to inf, so local scaling divides inf by inf
+        _, val = tiny_dataset()
+        for hh in val:
+            for record in hh.utterances:
+                record.views["voice"] = record.views["voice"] * 1e160
+        spec = MethodSpec(method="LP", scaling=LocalScaling(k=4, s=0.8), fusion=fusion)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            with pytest.raises(StructuralError, match="affinity matrix has non-finite entries"):
+                evaluate_methods(val, [spec])
+
+    def test_unit_normalize_warns_on_a_zero_norm_row(self):
+        _, val = tiny_dataset()
+        zeroed = val[0].utterances[0]
+        zeroed.views["voice"] = np.zeros_like(zeroed.views["voice"])
+        stages = evaluate_module.HouseholdStages(val[0], [replace(LOCAL_2LP, unit_normalize=True)])
+        with pytest.warns(DegeneracyWarning, match="zero-norm"):
+            normalized = stages.matrix("voice", unit_normalize=True)
+        row = stages.records.index(zeroed)
+        assert not normalized[row].any()
+        norms = np.linalg.norm(np.delete(normalized, row, axis=0), axis=1)
+        assert np.allclose(norms, 1.0)

@@ -324,3 +324,10 @@ class TestNormalizedLaplacian:
                                      [0.0, 1.0, 1.0, 0.0]]))
         with pytest.raises(NumericalError, match="node 0"):
             propagation_operator(w.w)
+
+    def test_non_finite_weights(self):
+        # a NaN pair, as inf/inf gives a kernel where distances overflow
+        w = np.ones((4, 4)) - np.eye(4)
+        w[0, 2] = w[2, 0] = np.nan
+        with pytest.raises(StructuralError, match="non-finite"):
+            propagation_operator(w)

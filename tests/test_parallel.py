@@ -32,11 +32,12 @@ from speakergraph import (
     SpeakerGraphError,
     StructuralError,
     UniversalScaling,
+    affinity,
     fuse,
     pairwise_distances,
     session_affinity,
 )
-from speakergraph import graph, propagation
+from speakergraph import fusion, graph, propagation
 from speakergraph.graph import ViewDistances
 from speakergraph.propagation import HouseholdGraph, init_label_matrix, propagate
 
@@ -82,22 +83,28 @@ def i_minus_alpha_s(household, alpha):
 
 
 def every_pass(vectors, sessions, k, s, sigma, alpha):
-    """What each row-block pass builds, by name; a SpeakerGraphError's type
-    and message where one stopped the pass."""
+    """What each row-block pass builds, by name, along the evaluation path,
+    which checks no kernel; a SpeakerGraphError's type and message where one
+    stopped the pass."""
     view = EmbeddingView("voice", vectors)
     distances = ViewDistances(view, k)
     out = {"distances": pairwise_distances(view), "knn": distances.knn_means(k)}
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DegeneracyWarning)
-        affinities = {
+        kernels = {
             "universal": distances.affinity(UniversalScaling(sigma)),
             "cohort": distances.affinity(CohortScaling({"g": sigma}), cohort_id="g"),
             "local": distances.affinity(LocalScaling(k, s)),
-            "session": session_affinity(sessions, sigma)}
-    out.update((name, a.w) for name, a in affinities.items())
+            "session": graph._session_kernel(sessions, sigma)}
+    for name, w in kernels.items():
+        # what AffinityMatrix would check holds by construction
+        assert np.array_equal(w, w.T), name
+        assert not np.diagonal(w).any(), name
+        assert ((0.0 <= w) & (w <= 1.0)).all(), name
+    out.update(kernels)
     pooled = ("universal", "local", "session")
     try:
-        fused = fuse(affinities, EdgePoolFusion(pooled))
+        fused = fusion._fuse_weights([kernels[name] for name in pooled], EdgePoolFusion(pooled))
     except SpeakerGraphError as exc:
         out["S"] = type(exc), str(exc)
         return out
@@ -275,7 +282,8 @@ class TestThreadsStayOutOfTheWay:
         threading.setprofile(profile)
         try:
             with row_blocks(2):
-                voice = ViewDistances(large_view(), 20).affinity(LocalScaling(20, 0.5))
+                voice = AffinityMatrix(
+                    ViewDistances(large_view(), 20).affinity(LocalScaling(20, 0.5)))
                 affinities = {"voice": voice, "session": session_affinity(["a", "b"] * 300, 0.5)}
                 household = HouseholdGraph(fuse(affinities, EdgePoolFusion(tuple(affinities))),
                                            labels=[0, 1], n_unlabeled=598, n_heldout=0,
@@ -292,15 +300,16 @@ class TestThreadsStayOutOfTheWay:
         with PATHS[path](), warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             ViewDistances(view, 1).affinity(LocalScaling(1, 1.0))
+            affinity(view, LocalScaling(1, 1.0))
             session_affinity(["a"] * 300, 1e-7)
-        assert [(w.category, w.filename) for w in caught] == [(DegeneracyWarning, __file__)] * 2
+        assert [(w.category, w.filename) for w in caught] == [(DegeneracyWarning, __file__)] * 3
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
     def test_forked_child_builds_a_large_graph(self):
         view = large_view()
         rule = LocalScaling(10, 0.5)
         with row_blocks(2):
-            parent = ViewDistances(view, 10).affinity(rule).w
+            parent = ViewDistances(view, 10).affinity(rule)
             assert graph._pool is not None
             with warnings.catch_warnings():
                 # forking a process with threads warns from Python 3.12 on
@@ -309,7 +318,7 @@ class TestThreadsStayOutOfTheWay:
             if pid == 0:
                 code = 1
                 try:
-                    child = ViewDistances(view, 10).affinity(rule).w
+                    child = ViewDistances(view, 10).affinity(rule)
                     code = 0 if np.array_equal(child, parent) else 3
                 finally:
                     os._exit(code)
