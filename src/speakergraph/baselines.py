@@ -29,12 +29,25 @@ class PredictionResult:
     iterations: int = 0
 
 
+# Below this norm the squares of a row's entries lose precision or vanish.
+_SQRT_TINY = np.sqrt(np.finfo(float).tiny)
+
+
 def _normalize_rows(x: np.ndarray) -> np.ndarray:
-    norms = np.linalg.norm(x, axis=1)
+    """Rows scaled to unit norm at any magnitude; zero rows stay zero."""
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(x, axis=1)
+    # Where the squares overflowed or underflowed, recompute the norm as
+    # m * ||x / m|| with m the row's max-abs; every other row keeps its bits.
+    redo = np.flatnonzero(np.isinf(norms) | (norms < _SQRT_TINY))
+    if redo.size:
+        peaks = np.abs(x[redo]).max(axis=1)
+        redo, peaks = redo[peaks > 0.0], peaks[peaks > 0.0]
+        norms[redo] = peaks * np.linalg.norm(x[redo] / peaks[:, None], axis=1)
     zero = norms == 0.0
     if zero.any():
-        warnings.warn("zero-norm embedding: its cosine similarities are 0",
-                      DegeneracyWarning, stacklevel=3)
+        warnings.warn("zero-norm embedding cannot be normalized; it is kept as the "
+                      "zero vector", DegeneracyWarning, stacklevel=3)
     out = np.zeros_like(x, dtype=float)
     nz = ~zero
     out[nz] = x[nz] / norms[nz, None]

@@ -10,6 +10,7 @@ where p interpolates between min-like (p << 0), harmonic (p = -1),
 arithmetic (p = 1) and max-like (p >> 0) pooling of the view spectra.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence, Union
@@ -116,37 +117,76 @@ def _power_floor(p: float) -> float:
     return 0.0 if p > 0 else NEG_POWER_EIG_FLOOR
 
 
+def _upper_inverse(m: np.ndarray) -> np.ndarray | None:
+    """Upper triangle of the Cholesky inverse of m, whose strict lower
+    triangle is zero (dpotrf zeroes it and dpotri fills only the upper), or
+    None when m is not numerically positive definite."""
+    factor, info = lapack.dpotrf(m)
+    if info != 0:
+        return None
+    inv, info = lapack.dpotri(factor, overwrite_c=True)
+    return inv if info == 0 else None
+
+
 def _floor_free_spd_inverse(m: np.ndarray) -> np.ndarray | None:
-    """Cholesky inverse of m, or None when the eigenvalue floor could bind.
+    """_upper_inverse(m), or None when the eigenvalue floor could bind.
 
     None means m is not numerically positive definite, or the inverse's
     infinity norm exceeds 1/NEG_POWER_EIG_FLOOR. That norm bounds the
     inverse's largest eigenvalue, so within it every eigenvalue of m is at
     least the floor and flooring would have changed nothing.
     """
-    factor, info = lapack.dpotrf(m)
-    if info != 0:
+    inv = _upper_inverse(m)
+    if inv is None:
         return None
-    inv, info = lapack.dpotri(factor, overwrite_c=True)
-    if info != 0:
-        return None
-    # dpotrf zeroed the strict lower triangle and dpotri fills only the upper
-    inv += np.triu(inv, 1).T
-    if not np.abs(inv).sum(axis=1).max() <= 1.0 / NEG_POWER_EIG_FLOOR:
+    # row i of the symmetric inverse is row i plus column i, less the diagonal
+    mags = np.abs(inv)
+    if not (mags.sum(axis=1) + mags.sum(axis=0) - mags.diagonal()).max() \
+            <= 1.0 / NEG_POWER_EIG_FLOOR:
         return None
     return inv
 
 
-def _harmonic_mean(mats: Sequence[np.ndarray]) -> np.ndarray | None:
-    """(mean_v M_v^{-1})^{-1} by Cholesky, or None when a floor could bind."""
+def _mean_of_inverses(mats: Sequence[np.ndarray]) -> np.ndarray | None:
+    """H = mean_v M_v^{-1} by Cholesky, or None when a floor could bind on an
+    M_v or on H^{-1}, the harmonic mean.
+
+    H is checked without inverting it: by Weyl's inequality its smallest
+    eigenvalue is at least mean_v 1/||M_v||_inf, so when that bound is at
+    least NEG_POWER_EIG_FLOOR, flooring H's eigenvalues would change nothing.
+    Only the upper triangles of the inverses are summed, and mirrored once.
+    """
     acc = np.zeros_like(mats[0])
+    bound = 0.0
     for m in mats:
         inv = _floor_free_spd_inverse(m)
         if inv is None:
             return None
         acc += inv
+        bound += 1.0 / np.abs(m).sum(axis=1).max()
+    if not bound / len(mats) >= NEG_POWER_EIG_FLOOR:
+        return None
+    acc += np.triu(acc, 1).T
     acc /= len(mats)
-    return _floor_free_spd_inverse(acc)
+    return acc
+
+
+def _harmonic_laplacian(h: np.ndarray) -> np.ndarray:
+    """The Cholesky inverse of H from _mean_of_inverses, whose floor proof
+    covers it; NumericalError when H is not numerically positive definite."""
+    inv = _upper_inverse(h)
+    if inv is None:
+        raise NumericalError("harmonic mean of the Laplacians is not numerically "
+                             "positive definite; use a larger shift")
+    inv += np.triu(inv, 1).T
+    return _symmetric_finite(inv)
+
+
+def _symmetric_finite(fused: np.ndarray) -> np.ndarray:
+    fused = (fused + fused.T) / 2.0
+    if not np.isfinite(fused).all():
+        raise NumericalError("fused laplacian has non-finite entries")
+    return fused
 
 
 def _eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -222,18 +262,21 @@ def pml_fuse(laplacians: Sequence[np.ndarray], p: float,
     eigenvalues at 0 for p > 0 only removes round-off.
 
     p = 1 is the arithmetic mean plus shift*I and needs no decomposition.
-    p = -1 is the Cholesky inverse of the mean of the Cholesky inverses of
-    L_v + shift*I, taken whenever every factorization succeeds and every
-    inverse proves that no eigenvalue lies below NEG_POWER_EIG_FLOOR.
-    Every other p, and p = -1 when that proof fails (for instance shift=0,
+    p = -1 is the Cholesky inverse of H, the mean of the Cholesky inverses of
+    L_v + shift*I, taken whenever every factorization succeeds, every inverse
+    proves that no eigenvalue of its L_v + shift*I lies below
+    NEG_POWER_EIG_FLOOR, and a Weyl bound proves the same of H (see
+    _mean_of_inverses); it raises NumericalError if H then fails to factor.
+    Every other p, and p = -1 when a proof fails (for instance shift=0,
     where each L_v is singular), uses eigendecompositions with eigenvalues
     floored at NEG_POWER_EIG_FLOOR before negative powers; it raises
     NumericalError when round-off leaves the inputs' floored spectral range,
     and, for p < 0 and several inputs, when the mean's condition number puts
-    the root's estimated relative error above 1e-6. For p < 0 both errors
+    the root's estimated relative error above 1e-6. For p < 0 these errors
     suggest a larger shift.
 
-    Raises NumericalError when the fused Laplacian has non-finite entries.
+    Raises StructuralError unless every input is a square matrix, and
+    NumericalError when the fused Laplacian has non-finite entries.
     """
     if not laplacians:
         raise ConfigurationError("pml_fuse needs at least one Laplacian")
@@ -241,6 +284,10 @@ def pml_fuse(laplacians: Sequence[np.ndarray], p: float,
         raise ConfigurationError("power-mean exponent p must be nonzero")
     if shift < 0:
         raise ConfigurationError(f"shift must be >= 0, got {shift}")
+    laplacians = [np.array(lap, dtype=float) for lap in laplacians]
+    for lap in laplacians:
+        if lap.ndim != 2 or lap.shape[0] != lap.shape[1]:
+            raise StructuralError(f"laplacian must be a square matrix, got shape {lap.shape}")
     n = laplacians[0].shape[0]
     if n == 0:
         raise StructuralError("pml_fuse needs non-empty Laplacians")
@@ -250,24 +297,26 @@ def pml_fuse(laplacians: Sequence[np.ndarray], p: float,
         # exact equality first: it is cheaper, and inf - inf would warn
         if not np.array_equal(lap, lap.T) and np.abs(lap - lap.T).max() > 1e-10:
             raise StructuralError("matrix power requires a symmetric input")
-    return _pml_fuse([np.array(lap, dtype=float) for lap in laplacians], p, shift)
+    h = _shift_and_invert(laplacians, p, shift)
+    if h is not None:
+        return _harmonic_laplacian(h)
+    return _shifted_power_mean(laplacians, p)
 
 
-def _pml_fuse(shifted: list[np.ndarray], p: float, shift: float) -> np.ndarray:
-    """pml_fuse of checked Laplacians that it owns: it shifts them in place."""
-    for lap in shifted:
+def _shift_and_invert(laplacians: list[np.ndarray], p: float,
+                      shift: float) -> np.ndarray | None:
+    """Adds shift to the diagonals of checked Laplacians that the caller owns;
+    returns H = mean_v (L_v + shift*I)^{-1} when p = -1 and its floor proofs
+    hold (see _mean_of_inverses), else None."""
+    for lap in laplacians:
         lap.flat[::lap.shape[0] + 1] += shift
-    fused = None
-    if p == 1:
-        fused = sum(shifted) / len(shifted)
-    elif p == -1:
-        fused = _harmonic_mean(shifted)
-    if fused is None:
-        fused = _floored_power_mean(shifted, p)
-    fused = (fused + fused.T) / 2.0
-    if not np.isfinite(fused).all():
-        raise NumericalError("fused laplacian has non-finite entries")
-    return fused
+    return _mean_of_inverses(laplacians) if p == -1 else None
+
+
+def _shifted_power_mean(shifted: list[np.ndarray], p: float) -> np.ndarray:
+    """The power mean of shifted Laplacians where _shift_and_invert gave no H."""
+    fused = sum(shifted) / len(shifted) if p == 1 else _floored_power_mean(shifted, p)
+    return _symmetric_finite(fused)
 
 
 # ---------------------------------------------------------------------------
@@ -276,24 +325,52 @@ def _pml_fuse(shifted: list[np.ndarray], p: float, shift: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FusedGraph:
-    """Propagation operator S of a fusion rule, plus the ``weights`` that
-    re-fuse its subgraphs: the pooled matrix for single-view and edge-pool
-    rules, whose blocks pool the views' blocks, and each view's matrix in the
-    rule's order for a power mean, whose Laplacians need each view's degrees.
-    A block of S is not a subgraph's operator, which must be re-normalized.
+    """The operator of a fusion rule, plus the ``weights`` that re-fuse its
+    subgraphs: the pooled matrix for single-view and edge-pool rules, whose
+    blocks pool the views' blocks, and each view's matrix in the rule's order
+    for a power mean, whose Laplacians need each view's degrees. A block of
+    the operator is not a subgraph's operator, which must be re-normalized.
+
+    ``operator`` is S, except for a ``harmonic`` graph (p = -1 whose floor
+    proofs hold), where it is H = mean_v (L_v + shift*I)^{-1}, the inverse of
+    the fused Laplacian; S = I - H^{-1} is then built only on request.
     """
 
     rule: FusionRule
     weights: tuple[np.ndarray, ...]
     operator: np.ndarray
+    harmonic: bool = False
 
     @property
     def node_count(self) -> int:
         return self.operator.shape[0]
 
     def propagation_matrix(self) -> np.ndarray:
-        """S for label propagation: D^{-1/2} W D^{-1/2}, or I - L when fused."""
-        return self.operator
+        """S for label propagation: D^{-1/2} W D^{-1/2}, or I - L when fused;
+        a harmonic graph builds it on the first call, from H's inverse."""
+        return self._harmonic_s if self.harmonic else self.operator
+
+    @functools.cached_property
+    def _harmonic_s(self) -> np.ndarray:
+        return np.eye(self.node_count) - _harmonic_laplacian(self.operator)
+
+    def system(self, alpha: float, y0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(A, B) such that A y = B holds at the propagation fixed point
+        y = (1 - alpha) (I - alpha*S)^{-1} Y0, with A symmetric positive
+        definite: A = I - alpha*S and B = (1 - alpha) Y0, or for a harmonic
+        graph that system times H, A = (1 - alpha) H + alpha I and
+        B = (1 - alpha) H Y0. A is a new array, built by row blocks (see
+        graph._by_row_blocks)."""
+        if self.harmonic:
+            m, scale, diagonal, b = self.operator, 1.0 - alpha, alpha, self.operator @ y0
+        else:
+            m, scale, diagonal, b = self.propagation_matrix(), -alpha, 1.0, y0
+        n = self.node_count
+        a = np.empty((n, n))
+        _by_row_blocks(n, lambda start, stop: np.multiply(
+            m[start:stop], scale, out=a[start:stop]))
+        a.flat[::n + 1] += diagonal
+        return a, (1.0 - alpha) * b
 
     def subgraph(self, size: int) -> "FusedGraph":
         """The rule applied to the leading size x size block of the weights,
@@ -303,10 +380,14 @@ class FusedGraph:
 
 def _fuse_weights(weights: list[np.ndarray], rule: FusionRule) -> FusedGraph:
     """The fused graph of a rule's weights, per view or pooled; the one builder
-    of S. The weights are kernels, trusted as graph.propagation_operator says."""
+    of S and H. The weights are kernels, trusted as graph.propagation_operator
+    says."""
     if isinstance(rule, PowerMeanFusion):
         laplacians = [normalized_laplacian(w) for w in weights]
-        s = np.eye(len(weights[0])) - _pml_fuse(laplacians, rule.p, rule.effective_shift)
+        h = _shift_and_invert(laplacians, rule.p, rule.effective_shift)
+        if h is not None:
+            return FusedGraph(rule=rule, weights=tuple(weights), operator=h, harmonic=True)
+        s = np.eye(len(weights[0])) - _shifted_power_mean(laplacians, rule.p)
     else:
         weights = [edgepool_fuse(weights)]
         s = propagation_operator(weights[0])

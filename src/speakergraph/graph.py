@@ -444,5 +444,11 @@ def propagation_operator(w: np.ndarray) -> np.ndarray:
 
 
 def normalized_laplacian(w: np.ndarray) -> np.ndarray:
-    """Symmetric normalized Laplacian L = I - D^{-1/2} W D^{-1/2} of valid weights w."""
-    return np.eye(w.shape[0]) - propagation_operator(w)
+    """Symmetric normalized Laplacian L = I - D^{-1/2} W D^{-1/2} of valid weights w,
+    built in S's array."""
+    lap = propagation_operator(w)
+    # 0 - x keeps S's +0 entries +0 where np.negative would make them -0: at
+    # shift 0 the sign of a zero can decide whether dpotrf succeeds
+    np.subtract(0.0, lap, out=lap)
+    lap.flat[::lap.shape[0] + 1] += 1.0
+    return lap

@@ -5,7 +5,9 @@ The scores are the fixed point (1 - alpha) * (I - alpha*S)^(-1) @ Y(0) of
     Y(t+1) = alpha * S @ Y(t) + (1 - alpha) * Y(0),
 
 solved directly through a Cholesky factorization of I - alpha*S, which is
-symmetric positive definite for every S the fusion rules build, or, as the
+symmetric positive definite for every S the fusion rules build (a harmonic
+power mean, which holds H = (I - S)^(-1), factors H (I - alpha*S) =
+(1 - alpha) H + alpha I instead; see FusedGraph.system), or, as the
 reference solver, by running that iteration to convergence.
 
 The iteration converges only when alpha*rho(S) < 1. The eigenvalues of S lie
@@ -30,7 +32,6 @@ from scipy.linalg import LinAlgError, cho_factor, cho_solve
 from .baselines import PredictionResult, _argmax_with_ties, _class_mean_scores, _two_step
 from .errors import ConfigurationError, NumericalError, StructuralError
 from .fusion import FusedGraph
-from .graph import _by_row_blocks
 
 ABSTAIN = -1
 
@@ -167,24 +168,20 @@ def init_label_matrix(graph: HouseholdGraph,
 def propagate(graph: HouseholdGraph, y0: np.ndarray,
               cfg: PropagationConfig) -> PropagationOutcome:
     """Run Y(t+1) = alpha*S@Y(t) + (1-alpha)*Y(0) to (or at) its fixed point."""
-    s = graph.fused.propagation_matrix()
     if cfg.solver != "iterative":
-        # One n-by-n array, built by row blocks (see graph._by_row_blocks) and
-        # factored in place as its (symmetric) F-ordered transpose.
-        a = np.empty((graph.n, graph.n))
-        _by_row_blocks(graph.n, lambda start, stop: np.multiply(
-            s[start:stop], -cfg.alpha, out=a[start:stop]))
-        a.flat[::graph.n + 1] += 1.0
+        a, b = graph.fused.system(cfg.alpha, y0)
         try:
+            # a is symmetric, so its F-ordered transpose is factored in place
             factor = cho_factor(a.T, overwrite_a=True, check_finite=False)
         except LinAlgError as exc:
             raise NumericalError(
                 f"I - alpha*S is not positive definite at alpha={cfg.alpha}: {exc}") from exc
-        y = cho_solve(factor, (1.0 - cfg.alpha) * y0, check_finite=False)
+        y = cho_solve(factor, b, check_finite=False)
         if not np.isfinite(y).all():
             raise NumericalError("closed-form solution has non-finite values")
         return PropagationOutcome(y=y, converged=True, iterations=0)
 
+    s = graph.fused.propagation_matrix()
     base = (1.0 - cfg.alpha) * y0
     y = y0.copy()
     prev_delta = np.inf

@@ -159,6 +159,21 @@ class TestInvariances:
         assert np.array_equal(base.labels, scaled.labels)
         assert np.abs(base.scores - scaled.scores).max() < 1e-12
 
+    @pytest.mark.parametrize("exponent", (520, -520, -600))
+    def test_labels_survive_extreme_power_of_two_scales(self, exponent):
+        # The squared norm overflows at 2^520 and is subnormal at 2^-520 and 0
+        # at 2^-600; cosine is scale-invariant and power-of-two scaling is exact.
+        # pytest turns any RuntimeWarning into an error.
+        rng = np.random.default_rng(8)
+        labeled, classes, _, heldout = random_household(rng, heldout=12)
+        scale = 2.0 ** exponent
+        for scorer in (run_cs, run_csea):
+            base = scorer(labeled, classes, heldout, 3)
+            scaled = scorer(labeled * scale, classes, heldout * scale, 3)
+            assert np.array_equal(base.labels, scaled.labels)
+            assert base.ties == scaled.ties == ()
+            assert np.abs(base.scores - scaled.scores).max() < 1e-12
+
     def test_two_step_reduces_when_no_unlabeled(self):
         rng = np.random.default_rng(6)
         labeled, classes, _, heldout = random_household(rng)

@@ -586,12 +586,25 @@ class TestTrustedPath:
             with pytest.raises(StructuralError, match="affinity matrix has non-finite entries"):
                 evaluate_methods(val, [spec])
 
+    @pytest.mark.parametrize("method, graphs", [("LP", 1), ("2LP", 2)])
+    def test_harmonic_graph_inverts_each_view_once(self, monkeypatch, method, graphs):
+        # a p = -1 graph holds H = mean_v (L_v + shift*I)^{-1}: one Cholesky
+        # inverse per view of each graph (2LP's step 1 fuses a second), and
+        # H itself is factored for the solve, not inverted
+        _, val = tiny_dataset()
+        inverses = count_calls(monkeypatch, fusion_module.lapack, "dpotri")
+        spec = replace(POWER_MEAN_LP, method=method,
+                       fusion=PowerMeanFusion(("voice", "face"), p=-1.0))
+        evaluate_methods(val[:1], [spec])
+        assert len(inverses) == 2 * graphs
+
     def test_unit_normalize_warns_on_a_zero_norm_row(self):
         _, val = tiny_dataset()
         zeroed = val[0].utterances[0]
         zeroed.views["voice"] = np.zeros_like(zeroed.views["voice"])
         stages = evaluate_module.HouseholdStages(val[0], [replace(LOCAL_2LP, unit_normalize=True)])
-        with pytest.warns(DegeneracyWarning, match="zero-norm"):
+        with pytest.warns(DegeneracyWarning,
+                          match="cannot be normalized; it is kept as the zero vector"):
             normalized = stages.matrix("voice", unit_normalize=True)
         row = stages.records.index(zeroed)
         assert not normalized[row].any()

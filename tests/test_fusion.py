@@ -10,6 +10,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from scipy.linalg import lapack
 
 from speakergraph import (
     AffinityMatrix,
@@ -120,6 +121,13 @@ class TestPowerMean:
                 pml_fuse([np.array([[1.0, 0.1], [0.0, 1.0]])] * count, p)
             with pytest.raises(StructuralError, match="non-empty"):
                 pml_fuse([np.zeros((0, 0))] * count, p)
+
+    @pytest.mark.parametrize("p", (1.0, -1.0, 2.0, -2.0))
+    @pytest.mark.parametrize("shape", ((3,), (3, 4), (2, 2, 2), ()))
+    def test_non_square_input_rejected(self, p, shape):
+        for laps in ([np.ones(shape)], [np.eye(3), np.ones(shape)]):
+            with pytest.raises(StructuralError, match="square matrix"):
+                pml_fuse(laps, p)
 
     @pytest.mark.parametrize("p", (1.0, -1.0, 2.0, -2.0))
     def test_round_off_asymmetry_accepted_at_every_p(self, p):
@@ -385,6 +393,31 @@ class TestClosedForms:
         fused, eigh_calls = fuse_counting_eigh(laps, -1.0, shift)
         assert eigh_calls > 0
         assert np.array_equal(fused, floored_reference(laps, -1.0, shift))
+
+    def test_floor_binding_on_the_mean_hands_over(self):
+        # at shift 1e9 every view's inverse passes its proof, but H = mean_v
+        # (L_v + shift*I)^{-1} has eigenvalues near 1e-9, below the floor: the
+        # eigendecomposition route floors them and rejects the root of 1e8
+        # against inputs near 1e9
+        rng = np.random.default_rng(9)
+        affs = {"voice": random_affinity(rng, 8), "face": random_affinity(rng, 8)}
+        laps = [normalized_laplacian(a.w) for a in affs.values()]
+        with mock.patch.object(np.linalg, "eigh", wraps=np.linalg.eigh) as eigh, \
+                mock.patch.object(lapack, "dpotri", wraps=lapack.dpotri) as dpotri:
+            with pytest.raises(NumericalError, match="outside its inputs' range"):
+                pml_fuse(laps, -1.0, 1e9)
+            assert dpotri.call_count == 2 and eigh.call_count > 0
+            with pytest.raises(NumericalError, match="outside its inputs' range"):
+                fuse(affs, PowerMeanFusion(("voice", "face"), p=-1.0, shift=1e9))
+
+    def test_loose_weyl_bound_hands_over(self):
+        # H = diag(0.5 + 5e-10, 0.5 + 5e-10) is far above the floor, but the
+        # bound mean_v 1/||M_v||_inf = 1e-9 cannot prove it
+        laps = [np.diag([1e9, 1.0]), np.diag([1.0, 1e9])]
+        fused, eigh_calls = fuse_counting_eigh(laps, -1.0, 0.0)
+        assert eigh_calls > 0
+        assert np.array_equal(fused, floored_reference(laps, -1.0, 0.0))
+        assert np.allclose(fused, np.diag([2.0, 2.0]) / (1.0 + 1e-9), rtol=1e-12, atol=0)
 
     def test_indefinite_input_falls_back(self):
         # not PSD, so the Cholesky factorization fails and eigh floors the

@@ -1,5 +1,6 @@
 """Label propagation solvers and the LP / 2-LP / 2-LPEA pipelines."""
 
+import math
 import warnings
 from dataclasses import replace
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import cho_factor, cho_solve
 
 from speakergraph import (
     ABSTAIN,
@@ -29,6 +31,8 @@ from speakergraph import (
     cosine_matrix,
     fuse,
     init_label_matrix,
+    normalized_laplacian,
+    pml_fuse,
     predict,
     propagate,
     propagation_operator,
@@ -260,6 +264,73 @@ class TestPropagate:
                        {"max_iter": 0}, {"solver": "magic"}):
             with pytest.raises(ConfigurationError):
                 PropagationConfig(**kwargs)
+
+
+def random_affinity(rng, n, sigma=1.0):
+    return affinity(EmbeddingView("v", rng.normal(size=(n, 3))), UniversalScaling(sigma))
+
+
+def harmonic_reference(weights, shift, y0, alpha):
+    """pml_fuse, S = I - L and one Cholesky solve of (I - alpha*S) y = (1 - alpha) Y0."""
+    n = y0.shape[0]
+    s = np.eye(n) - pml_fuse([normalized_laplacian(w) for w in weights], -1.0, shift)
+    return cho_solve(cho_factor(np.eye(n) - alpha * s), (1.0 - alpha) * y0)
+
+
+def harmonic_graph(weights, shift, n_heldout=2, class_count=3):
+    rule = PowerMeanFusion(tuple(f"v{i}" for i in range(len(weights))), p=-1.0, shift=shift)
+    fused = fuse({name: AffinityMatrix(w) for name, w in zip(rule.view_names, weights)}, rule)
+    n = fused.node_count
+    return HouseholdGraph(fused=fused, labels=np.arange(class_count),
+                          n_unlabeled=n - class_count - n_heldout, n_heldout=n_heldout,
+                          class_count=class_count)
+
+
+class TestHarmonicGraph:
+    """A p = -1 power mean holds H = mean_v (L_v + shift*I)^{-1} and solves
+    ((1 - alpha) H + alpha I) y = (1 - alpha) H Y0, which is (I - alpha*S) y =
+    (1 - alpha) Y0 multiplied by H."""
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(n=st.integers(6, 30), views=st.integers(2, 3), seed=st.integers(0, 2**32 - 1),
+           shift=st.sampled_from([math.log(2.0), 1e-2, 1e-3]))
+    def test_solve_matches_fused_laplacian_solve(self, n, views, seed, shift):
+        rng = np.random.default_rng(seed)
+        weights = [random_affinity(rng, n, float(rng.uniform(0.5, 2.0))).w
+                   for _ in range(views)]
+        graph = harmonic_graph(weights, shift)
+        assert graph.fused.harmonic
+        y0 = init_label_matrix(graph)
+        for alpha in (0.5, 0.9, 0.99, 0.999999):
+            y = propagate(graph, y0, PropagationConfig(alpha=alpha)).y
+            reference = harmonic_reference(weights, shift, y0, alpha)
+            assert np.abs(y - reference).max() <= 1e-12 * np.abs(reference).max()
+            assert np.array_equal(np.argmax(y, axis=1), np.argmax(reference, axis=1))
+
+    def test_s_is_built_on_request_from_h(self):
+        rng = np.random.default_rng(4)
+        weights = [random_affinity(rng, 9).w for _ in range(2)]
+        fused = harmonic_graph(weights, math.log(2.0)).fused
+        assert fused.harmonic and "_harmonic_s" not in vars(fused)
+        s = fused.propagation_matrix()
+        laplacians = [normalized_laplacian(w) for w in weights]
+        assert np.array_equal(s, np.eye(9) - pml_fuse(laplacians, -1.0, math.log(2.0)))
+        assert fused.propagation_matrix() is s
+
+    def test_iterative_solver_matches_closed_form(self):
+        # at alpha = 0.5 the iteration converges: rho(S) <= 1 + shift
+        rng = np.random.default_rng(5)
+        graph = harmonic_graph([random_affinity(rng, 14).w for _ in range(2)], math.log(2.0))
+        assert graph.fused.harmonic
+        y0 = init_label_matrix(graph)
+        closed = propagate(graph, y0, PropagationConfig(alpha=0.5))
+        iterative = propagate(graph, y0, PropagationConfig(alpha=0.5, solver="iterative",
+                                                          tol=1e-12, max_iter=10000))
+        assert iterative.converged
+        assert np.abs(iterative.y - closed.y).max() < 1e-10
+        for rows in (graph.unlabeled_slice, graph.heldout_slice):
+            assert np.array_equal(predict(iterative.y, rows).labels,
+                                  predict(closed.y, rows).labels)
 
 
 class TestPredict:
