@@ -82,22 +82,26 @@ def _class_mean_scores(embeddings: np.ndarray, classes: np.ndarray,
     return cosine_matrix(queries, means)
 
 
-def _check_inputs(labeled, classes, class_count: int) -> tuple[np.ndarray, np.ndarray]:
+def _check_inputs(labeled, classes, heldout,
+                  class_count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     labeled = np.asarray(labeled, dtype=float)
     classes = np.asarray(classes, dtype=int)
+    heldout = np.atleast_2d(np.asarray(heldout, dtype=float))
     if labeled.shape[0] != classes.size:
         raise StructuralError("one class per labeled embedding required")
+    if not (np.isfinite(labeled).all() and np.isfinite(heldout).all()):
+        raise StructuralError("embeddings must be finite")
     present = np.unique(classes)
     if present.size != class_count or present.min() < 0 or present.max() >= class_count:
         raise StructuralError("every class needs at least one labeled embedding")
-    return labeled, classes
+    return labeled, classes, heldout
 
 
 def run_cs(labeled: np.ndarray, classes: np.ndarray, heldout: np.ndarray,
            class_count: int) -> PredictionResult:
     """CS: average cosine against each class's labeled utterances."""
-    labeled, classes = _check_inputs(labeled, classes, class_count)
-    sims = cosine_matrix(np.atleast_2d(heldout), labeled)
+    labeled, classes, heldout = _check_inputs(labeled, classes, heldout, class_count)
+    sims = cosine_matrix(heldout, labeled)
     scores = np.column_stack([sims[:, classes == c].mean(axis=1)
                               for c in range(class_count)])
     return _argmax_with_ties(scores)
@@ -106,7 +110,7 @@ def run_cs(labeled: np.ndarray, classes: np.ndarray, heldout: np.ndarray,
 def run_csea(labeled: np.ndarray, classes: np.ndarray, heldout: np.ndarray,
              class_count: int) -> PredictionResult:
     """CSEA: cosine against per-class mean embeddings."""
-    labeled, classes = _check_inputs(labeled, classes, class_count)
+    labeled, classes, heldout = _check_inputs(labeled, classes, heldout, class_count)
     return _argmax_with_ties(_class_mean_scores(labeled, classes, heldout, class_count))
 
 

@@ -16,10 +16,11 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence, Union
 
 import numpy as np
-from scipy.linalg import lapack
+from scipy.linalg import LinAlgError, cho_factor, cho_solve, lapack
 
 from .errors import ConfigurationError, NumericalError, StructuralError
-from .graph import AffinityMatrix, _by_row_blocks, normalized_laplacian, propagation_operator
+from .graph import (AffinityMatrix, _by_row_blocks, _identity_minus, normalized_laplacian,
+                    propagation_operator)
 
 # Eigenvalue floor applied before negative matrix powers.
 NEG_POWER_EIG_FLOOR = 1e-8
@@ -179,11 +180,12 @@ def _harmonic_laplacian(h: np.ndarray) -> np.ndarray:
         raise NumericalError("harmonic mean of the Laplacians is not numerically "
                              "positive definite; use a larger shift")
     inv += np.triu(inv, 1).T
-    return _symmetric_finite(inv)
+    # dpotri fills a Fortran-ordered array; its transpose is the same matrix in
+    # C order, the order of every other S, so that S @ Y rounds as it does for them
+    return _finite(inv.T)
 
 
-def _symmetric_finite(fused: np.ndarray) -> np.ndarray:
-    fused = (fused + fused.T) / 2.0
+def _finite(fused: np.ndarray) -> np.ndarray:
     if not np.isfinite(fused).all():
         raise NumericalError("fused laplacian has non-finite entries")
     return fused
@@ -197,11 +199,11 @@ def _eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _floored_eigh(m: np.ndarray, q: float) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues of a symmetric input m, ascending and floored per
+    """Eigenvalues of an exactly symmetric input m, ascending and floored per
     _power_floor(q), and its eigenvectors; NumericalError when the
     decomposition fails or a materially negative eigenvalue meets a
     non-integer power q."""
-    vals, vecs = _eigh((m + m.T) / 2.0)
+    vals, vecs = _eigh(m)
     if q != int(q) and vals[0] < -1e-8:
         raise NumericalError(
             f"eigenvalue {vals[0]:.3e} < -1e-8 with non-integer power {q}")
@@ -230,7 +232,11 @@ def _floored_power_mean(mats: Sequence[np.ndarray], p: float) -> np.ndarray:
         # Not an input: positive semidefinite in exact arithmetic and exactly
         # symmetric, so a negative eigenvalue is round-off for the checks below
         means, vecs = _eigh(acc / len(mats))
-    means = np.maximum(means, _power_floor(1.0 / p))
+    # For p < 0 a floor on the mean's top eigenvalue, exact to about eps, floors
+    # every power: the shift made them tiny. Below the top it floors round-off.
+    floor = _power_floor(1.0 / p)
+    hint = "" if p > 0 else f"; use a {'smaller' if means[-1] < floor else 'larger'} shift"
+    means = np.maximum(means, floor)
     root = means ** (1.0 / p)
     # Tolerance 1e-6 of the range's top, about 100 * sqrt(eps): at p = 2 the
     # square root turns an eps-sized error in the mean into a sqrt(eps)-sized one.
@@ -238,8 +244,7 @@ def _floored_power_mean(mats: Sequence[np.ndarray], p: float) -> np.ndarray:
     if not (low - tolerance <= root.min() and root.max() <= high + tolerance):
         raise NumericalError(
             f"power mean with p={p} has eigenvalues in [{root.min():.6g}, "
-            f"{root.max():.6g}], outside its inputs' range [{low:.6g}, {high:.6g}]"
-            + ("; use a larger shift" if p < 0 else ""))
+            f"{root.max():.6g}], outside its inputs' range [{low:.6g}, {high:.6g}]{hint}")
     if p < 0 and len(decomposed) > 1:
         # eigh errs by about eps times the mean's top eigenvalue, so the root's
         # relative error is about cond(mean) * eps / |p|. Tolerance: 1e-6, as in the
@@ -248,7 +253,7 @@ def _floored_power_mean(mats: Sequence[np.ndarray], p: float) -> np.ndarray:
         estimate = means[-1] / means[0] * np.finfo(float).eps / -p
         if estimate > 1e-6:
             raise NumericalError(f"power mean with p={p} is ill-conditioned (estimated "
-                                 f"relative error {estimate:.3g}); use a larger shift")
+                                 f"relative error {estimate:.3g}){hint}")
     out = (vecs * root) @ vecs.T
     return (out + out.T) / 2.0
 
@@ -259,7 +264,8 @@ def pml_fuse(laplacians: Sequence[np.ndarray], p: float,
 
     Inputs must be symmetric to 1e-10 (else StructuralError, at every p) and
     positive semidefinite, as every normalized Laplacian is, so clamping
-    eigenvalues at 0 for p > 0 only removes round-off.
+    eigenvalues at 0 for p > 0 only removes round-off. An inexactly symmetric
+    input is replaced by (L + L^T)/2 here; every route keeps exact symmetry.
 
     p = 1 is the arithmetic mean plus shift*I and needs no decomposition.
     p = -1 is the Cholesky inverse of H, the mean of the Cholesky inverses of
@@ -273,7 +279,8 @@ def pml_fuse(laplacians: Sequence[np.ndarray], p: float,
     NumericalError when round-off leaves the inputs' floored spectral range,
     and, for p < 0 and several inputs, when the mean's condition number puts
     the root's estimated relative error above 1e-6. For p < 0 these errors
-    suggest a larger shift.
+    suggest a larger shift, or a smaller one where the floor binds on the
+    top eigenvalue of the mean of powers.
 
     Raises StructuralError unless every input is a square matrix, and
     NumericalError when the fused Laplacian has non-finite entries.
@@ -291,32 +298,30 @@ def pml_fuse(laplacians: Sequence[np.ndarray], p: float,
     n = laplacians[0].shape[0]
     if n == 0:
         raise StructuralError("pml_fuse needs non-empty Laplacians")
-    for lap in laplacians:
+    for i, lap in enumerate(laplacians):
         if lap.shape[0] != n:
             raise StructuralError(f"laplacian size mismatch: {lap.shape[0]} != {n}")
         # exact equality first: it is cheaper, and inf - inf would warn
-        if not np.array_equal(lap, lap.T) and np.abs(lap - lap.T).max() > 1e-10:
-            raise StructuralError("matrix power requires a symmetric input")
-    h = _shift_and_invert(laplacians, p, shift)
-    if h is not None:
-        return _harmonic_laplacian(h)
-    return _shifted_power_mean(laplacians, p)
+        if not np.array_equal(lap, lap.T):
+            if np.abs(lap - lap.T).max() > 1e-10:
+                raise StructuralError("matrix power requires a symmetric input")
+            laplacians[i] = (lap + lap.T) / 2.0
+    fused, harmonic = _power_mean(laplacians, p, shift)
+    return _harmonic_laplacian(fused) if harmonic else fused
 
 
-def _shift_and_invert(laplacians: list[np.ndarray], p: float,
-                      shift: float) -> np.ndarray | None:
-    """Adds shift to the diagonals of checked Laplacians that the caller owns;
-    returns H = mean_v (L_v + shift*I)^{-1} when p = -1 and its floor proofs
-    hold (see _mean_of_inverses), else None."""
+def _power_mean(laplacians: list[np.ndarray], p: float,
+                shift: float) -> tuple[np.ndarray, bool]:
+    """The power mean of exactly symmetric Laplacians that the caller owns and
+    that it shifts in place: (H, True), H = mean_v (L_v + shift*I)^{-1} being
+    the inverse of the fused Laplacian, when p = -1 and its floor proofs hold
+    (see _mean_of_inverses), else (the fused Laplacian, False)."""
     for lap in laplacians:
         lap.flat[::lap.shape[0] + 1] += shift
-    return _mean_of_inverses(laplacians) if p == -1 else None
-
-
-def _shifted_power_mean(shifted: list[np.ndarray], p: float) -> np.ndarray:
-    """The power mean of shifted Laplacians where _shift_and_invert gave no H."""
-    fused = sum(shifted) / len(shifted) if p == 1 else _floored_power_mean(shifted, p)
-    return _symmetric_finite(fused)
+    if p == -1 and (h := _mean_of_inverses(laplacians)) is not None:
+        return h, True
+    fused = sum(laplacians) / len(laplacians) if p == 1 else _floored_power_mean(laplacians, p)
+    return _finite(fused), False
 
 
 # ---------------------------------------------------------------------------
@@ -352,25 +357,33 @@ class FusedGraph:
 
     @functools.cached_property
     def _harmonic_s(self) -> np.ndarray:
-        return np.eye(self.node_count) - _harmonic_laplacian(self.operator)
+        return _identity_minus(_harmonic_laplacian(self.operator))
 
-    def system(self, alpha: float, y0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(A, B) such that A y = B holds at the propagation fixed point
-        y = (1 - alpha) (I - alpha*S)^{-1} Y0, with A symmetric positive
-        definite: A = I - alpha*S and B = (1 - alpha) Y0, or for a harmonic
-        graph that system times H, A = (1 - alpha) H + alpha I and
-        B = (1 - alpha) H Y0. A is a new array, built by row blocks (see
-        graph._by_row_blocks)."""
+    def solve(self, alpha: float, y0: np.ndarray) -> np.ndarray:
+        """The propagation fixed point y = (1 - alpha) (I - alpha*S)^{-1} Y0,
+        by a Cholesky factorization of A = I - alpha*S, or for a harmonic
+        graph of that system times H, A = (1 - alpha) H + alpha I, with
+        right-hand side (1 - alpha) H Y0. A is built by row blocks (see
+        graph._by_row_blocks) and factored in place; NumericalError when it
+        is not positive definite or y is not finite."""
         if self.harmonic:
             m, scale, diagonal, b = self.operator, 1.0 - alpha, alpha, self.operator @ y0
         else:
             m, scale, diagonal, b = self.propagation_matrix(), -alpha, 1.0, y0
         n = self.node_count
         a = np.empty((n, n))
-        _by_row_blocks(n, lambda start, stop: np.multiply(
-            m[start:stop], scale, out=a[start:stop]))
+        _by_row_blocks(n, lambda i, j: np.multiply(m[i:j], scale, out=a[i:j]))
         a.flat[::n + 1] += diagonal
-        return a, (1.0 - alpha) * b
+        try:
+            # a is symmetric, so its F-ordered transpose is factored in place
+            factor = cho_factor(a.T, overwrite_a=True, check_finite=False)
+        except LinAlgError as exc:
+            raise NumericalError(
+                f"I - alpha*S is not positive definite at alpha={alpha}: {exc}") from exc
+        y = cho_solve(factor, (1.0 - alpha) * b, check_finite=False)
+        if not np.isfinite(y).all():
+            raise NumericalError("closed-form solution has non-finite values")
+        return y
 
     def subgraph(self, size: int) -> "FusedGraph":
         """The rule applied to the leading size x size block of the weights,
@@ -382,16 +395,13 @@ def _fuse_weights(weights: list[np.ndarray], rule: FusionRule) -> FusedGraph:
     """The fused graph of a rule's weights, per view or pooled; the one builder
     of S and H. The weights are kernels, trusted as graph.propagation_operator
     says."""
-    if isinstance(rule, PowerMeanFusion):
-        laplacians = [normalized_laplacian(w) for w in weights]
-        h = _shift_and_invert(laplacians, rule.p, rule.effective_shift)
-        if h is not None:
-            return FusedGraph(rule=rule, weights=tuple(weights), operator=h, harmonic=True)
-        s = np.eye(len(weights[0])) - _shifted_power_mean(laplacians, rule.p)
-    else:
-        weights = [edgepool_fuse(weights)]
-        s = propagation_operator(weights[0])
-    return FusedGraph(rule=rule, weights=tuple(weights), operator=s)
+    if not isinstance(rule, PowerMeanFusion):
+        pooled = edgepool_fuse(weights)
+        return FusedGraph(rule=rule, weights=(pooled,), operator=propagation_operator(pooled))
+    fused, harmonic = _power_mean([normalized_laplacian(w) for w in weights], rule.p,
+                                  rule.effective_shift)
+    return FusedGraph(rule=rule, weights=tuple(weights), harmonic=harmonic,
+                      operator=fused if harmonic else _identity_minus(fused))
 
 
 def fuse(affinities: Mapping[str, AffinityMatrix], rule: FusionRule) -> FusedGraph:

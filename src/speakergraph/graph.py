@@ -362,7 +362,9 @@ def _gaussian_kernel(n: int, scaled: Callable[[np.ndarray, int, int], object]
     def rows(a, b):
         out = w[a:b]
         scaled(out, a, b)
-        np.square(out, out=out)
+        # a square that overflows to inf is the right limit: exp(-inf) = 0
+        with np.errstate(over="ignore"):
+            np.square(out, out=out)
         np.negative(out, out=out)
         np.exp(out, out=out)
 
@@ -446,9 +448,13 @@ def propagation_operator(w: np.ndarray) -> np.ndarray:
 def normalized_laplacian(w: np.ndarray) -> np.ndarray:
     """Symmetric normalized Laplacian L = I - D^{-1/2} W D^{-1/2} of valid weights w,
     built in S's array."""
-    lap = propagation_operator(w)
-    # 0 - x keeps S's +0 entries +0 where np.negative would make them -0: at
-    # shift 0 the sign of a zero can decide whether dpotrf succeeds
-    np.subtract(0.0, lap, out=lap)
-    lap.flat[::lap.shape[0] + 1] += 1.0
-    return lap
+    return _identity_minus(propagation_operator(w))
+
+
+def _identity_minus(m: np.ndarray) -> np.ndarray:
+    """I - m in m's array, bitwise equal to an identity minus m: 0 - x keeps
+    +0 entries +0 where np.negative would make them -0 (at shift 0 the sign
+    of a zero can decide whether dpotrf succeeds), and -x + 1 rounds as 1 - x."""
+    np.subtract(0.0, m, out=m)
+    m.flat[::m.shape[0] + 1] += 1.0
+    return m

@@ -4,11 +4,11 @@ The scores are the fixed point (1 - alpha) * (I - alpha*S)^(-1) @ Y(0) of
 
     Y(t+1) = alpha * S @ Y(t) + (1 - alpha) * Y(0),
 
-solved directly through a Cholesky factorization of I - alpha*S, which is
-symmetric positive definite for every S the fusion rules build (a harmonic
-power mean, which holds H = (I - S)^(-1), factors H (I - alpha*S) =
-(1 - alpha) H + alpha I instead; see FusedGraph.system), or, as the
-reference solver, by running that iteration to convergence.
+solved directly by FusedGraph.solve, through a Cholesky factorization of
+I - alpha*S, which is symmetric positive definite for every S the fusion
+rules build (a harmonic power mean, which holds H = (I - S)^(-1), factors
+H (I - alpha*S) = (1 - alpha) H + alpha I instead), or, as the reference
+solver, by running that iteration to convergence.
 
 The iteration converges only when alpha*rho(S) < 1. The eigenvalues of S lie
 in [-1, 1] for single-view and edge-pool graphs but in [-1 - shift, 1 - shift]
@@ -27,7 +27,6 @@ import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 from .baselines import PredictionResult, _argmax_with_ties, _class_mean_scores, _two_step
 from .errors import ConfigurationError, NumericalError, StructuralError
@@ -169,17 +168,7 @@ def propagate(graph: HouseholdGraph, y0: np.ndarray,
               cfg: PropagationConfig) -> PropagationOutcome:
     """Run Y(t+1) = alpha*S@Y(t) + (1-alpha)*Y(0) to (or at) its fixed point."""
     if cfg.solver != "iterative":
-        a, b = graph.fused.system(cfg.alpha, y0)
-        try:
-            # a is symmetric, so its F-ordered transpose is factored in place
-            factor = cho_factor(a.T, overwrite_a=True, check_finite=False)
-        except LinAlgError as exc:
-            raise NumericalError(
-                f"I - alpha*S is not positive definite at alpha={cfg.alpha}: {exc}") from exc
-        y = cho_solve(factor, b, check_finite=False)
-        if not np.isfinite(y).all():
-            raise NumericalError("closed-form solution has non-finite values")
-        return PropagationOutcome(y=y, converged=True, iterations=0)
+        return PropagationOutcome(graph.fused.solve(cfg.alpha, y0), converged=True, iterations=0)
 
     s = graph.fused.propagation_matrix()
     base = (1.0 - cfg.alpha) * y0

@@ -5,6 +5,7 @@ import pytest
 
 from speakergraph import (
     DegeneracyWarning,
+    StructuralError,
     run_2cs,
     run_2csea,
     run_cs,
@@ -105,6 +106,24 @@ class TestScores:
         out = run_csea(emb, np.array([0, 0, 1]), heldout, 2)
         assert out.scores[0] == pytest.approx(
             [cos(heldout[0], [0.5, 0.5]), cos(heldout[0], [2.0, -1.0])])
+
+
+class TestInputs:
+    @pytest.mark.parametrize("bad", (np.inf, -np.inf, np.nan))
+    @pytest.mark.parametrize("where", ("labeled", "unlabeled", "heldout"))
+    def test_non_finite_embeddings_rejected(self, where, bad):
+        # an inf row once scored NaN against every class and came back as
+        # label 0 with no tie flag, under only a numpy RuntimeWarning
+        rows = {"labeled": np.array([[1.0, 0.0], [0.0, 1.0]]),
+                "unlabeled": np.array([[1.0, 1.0]]), "heldout": np.array([[1.0, 2.0]])}
+        rows[where][0, 0] = bad
+        classes = np.array([0, 1])
+        for one, two in ((run_cs, run_2cs), (run_csea, run_2csea)):
+            if where != "unlabeled":
+                with pytest.raises(StructuralError, match="embeddings must be finite"):
+                    one(rows["labeled"], classes, rows["heldout"], 2)
+            with pytest.raises(StructuralError, match="embeddings must be finite"):
+                two(rows["labeled"], classes, rows["unlabeled"], rows["heldout"], 2)
 
 
 class TestOracles:

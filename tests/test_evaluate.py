@@ -20,6 +20,7 @@ from speakergraph import (
     MethodSpec,
     NumericalError,
     PowerMeanFusion,
+    PropagationConfig,
     SimulationConfig,
     SingleView,
     StructuralError,
@@ -585,6 +586,31 @@ class TestTrustedPath:
             warnings.simplefilter("ignore", RuntimeWarning)
             with pytest.raises(StructuralError, match="affinity matrix has non-finite entries"):
                 evaluate_methods(val, [spec])
+
+    @pytest.mark.parametrize("solver", ("auto", "iterative"))
+    def test_no_identity_matrix_on_the_evaluation_path(self, monkeypatch, solver):
+        # I - M is formed in M's array, never as np.eye(n) - M; 2LP at p = -1
+        # diverges under the iteration, so the iterative run takes LP alone
+        _, val = tiny_dataset()
+        eyes = count_calls(monkeypatch, np, "eye")
+        methods = ("LP", "2LP") if solver == "auto" else ("LP",)
+        specs = [replace(POWER_MEAN_LP, method=method, fusion=PowerMeanFusion(("voice", "face"), p),
+                         propagation=PropagationConfig(solver=solver))
+                 for p in (1.0, -1.0, 2.0) for method in methods]
+        report = evaluate_methods(val, specs)
+        assert all(len(m.households) == len(val) for m in report.methods)
+        assert eyes == []
+
+    def test_overflowing_kernel_exponent_ends_in_zero_degree(self):
+        # finite distances near 1e153 over sigma 0.01 square to inf: every
+        # weight is exp(-inf) = 0, with no RuntimeWarning on the way
+        _, val = tiny_dataset()
+        for hh in val:
+            for record in hh.utterances:
+                record.views["voice"] = record.views["voice"] * 1e153
+        spec = MethodSpec(method="LP", scaling=UniversalScaling(0.01), fusion=SingleView("voice"))
+        with pytest.raises(StructuralError, match="zero degree"):
+            evaluate_methods(val, [spec])
 
     @pytest.mark.parametrize("method, graphs", [("LP", 1), ("2LP", 2)])
     def test_harmonic_graph_inverts_each_view_once(self, monkeypatch, method, graphs):

@@ -133,7 +133,10 @@ class TestPowerMean:
     def test_round_off_asymmetry_accepted_at_every_p(self, p):
         lap = self.random_laplacians(7, n=3, count=1)[0]
         lap[0, 2] = np.nextafter(lap[2, 0], 1.0)
-        assert np.isfinite(pml_fuse([lap], p, shift=0.5)).all()
+        fused = pml_fuse([lap], p, shift=0.5)
+        assert np.isfinite(fused).all()
+        # symmetrized once, at the boundary; every route keeps exact symmetry
+        assert np.array_equal(fused, fused.T)
 
     def test_p_one_is_arithmetic_mean(self):
         laps = self.random_laplacians(3, count=3)
@@ -487,6 +490,19 @@ class TestSpectralBound:
                                                  r".*larger shift") as exc:
             pml_fuse([lap, lap], -2.0, 1e-8)
         assert "non-integer" not in str(exc.value)
+
+    def test_shift_hint_points_the_right_way(self):
+        rng = np.random.default_rng(0)
+        laps = [normalized_laplacian(random_affinity(rng, 8).w) for _ in range(2)]
+        # at shift 1e9 every power of the mean of the inverses is about 1e-9,
+        # so the floor binds on all of them: the shift is too large
+        with pytest.raises(NumericalError, match=r"p=-1\.0 .* outside its inputs' range "
+                                                 r".*; use a smaller shift$"):
+            pml_fuse(laps, -1.0, 1e9)
+        # at shift 1e-8 round-off drowns the mean's small eigenvalues
+        with pytest.raises(NumericalError, match=r"p=-2\.0 .* outside its inputs' range "
+                                                 r".*; use a larger shift$"):
+            pml_fuse(laps, -2.0, 1e-8)
 
     def test_ill_conditioned_mean_inside_the_range_raises(self):
         # The 3-node complete graph's Laplacian L has eigenvalues 0, 1.5, 1.5,

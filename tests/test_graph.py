@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -24,7 +24,7 @@ from speakergraph import (
     propagation_operator,
     session_affinity,
 )
-from speakergraph.graph import SIGMA_FLOOR, ViewDistances
+from speakergraph.graph import SIGMA_FLOOR, ViewDistances, _identity_minus
 
 
 def line_view(points):
@@ -204,6 +204,16 @@ class TestAffinity:
         uni = UniversalScaling(1.0)
         assert np.abs(affinity(view, uni).w - affinity(scaled_view, uni).w).max() > 1e-3
 
+    def test_overflowing_kernel_exponent_gives_zero_weights(self):
+        # finite distances near 1e153 over sigma 0.01 square to inf, and
+        # exp(-inf) = 0 is the right weight, reached without a warning
+        view = EmbeddingView("voice", np.random.default_rng(3).normal(size=(6, 3)) * 1e153)
+        assert np.isfinite(pairwise_distances(view)).all()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            w = affinity(view, UniversalScaling(0.01)).w
+        assert not w.any()
+
     def test_monotone_in_distance(self):
         view = line_view([0.0, 1.0, 2.5, 4.0])
         w = affinity(view, UniversalScaling(1.7)).w
@@ -308,6 +318,17 @@ class TestNormalizedLaplacian:
         assert np.abs((np.eye(12) - lap) - s).max() < 1e-12
         eigs = np.linalg.eigvalsh(lap)
         assert eigs.min() > -1e-9 and eigs.max() < 2.0 + 1e-9
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(hnp.arrays(float, st.integers(1, 6).map(lambda n: (n, n)), elements=st.one_of(
+        st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -2.2e-308, 1.0, -1.0]),
+        st.floats(allow_nan=False))))
+    @example(np.array([[1.0, -0.0], [0.0, -5e-324]]))
+    def test_identity_minus_is_bitwise_eye_minus(self, m):
+        expected = np.eye(m.shape[0]) - m
+        out = _identity_minus(m)
+        # compared as bits, so that -0 differs from +0
+        assert out.view(np.uint64).tolist() == expected.view(np.uint64).tolist()
 
     def test_zero_degree_node(self):
         w = np.array([[0.0, 0.0, 0.0],

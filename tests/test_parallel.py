@@ -37,7 +37,7 @@ from speakergraph import (
     pairwise_distances,
     session_affinity,
 )
-from speakergraph import fusion, graph, propagation
+from speakergraph import fusion, graph
 from speakergraph.graph import ViewDistances
 from speakergraph.propagation import HouseholdGraph, init_label_matrix, propagate
 
@@ -68,15 +68,15 @@ def same(a, b):
 
 
 def i_minus_alpha_s(household, alpha):
-    """The matrix propagate hands to its Cholesky factorization."""
+    """The matrix that FusedGraph.solve hands to its Cholesky factorization."""
     seen = []
-    real = propagation.cho_factor
+    real = fusion.cho_factor
 
     def spy(a, **kwargs):
         seen.append(a.copy())
         return real(a, **kwargs)
 
-    with mock.patch.object(propagation, "cho_factor", spy), \
+    with mock.patch.object(fusion, "cho_factor", spy), \
             contextlib.suppress(NumericalError):
         propagate(household, init_label_matrix(household), PropagationConfig(alpha=alpha))
     return seen[0]
