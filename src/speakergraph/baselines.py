@@ -3,14 +3,13 @@
 Four variants: score a held-out utterance against each speaker's labeled
 utterances and average (CS), or against the per-speaker mean embedding
 (CSEA); 2CS and 2CSEA pseudo-label the unlabeled pool with CS or CSEA and
-re-score under _two_step, the two-step rule that 2LP and 2LPEA share.
+re-score under _two_step, which 2LP shares; 2LPEA is 2CSEA with LP's step 1.
 """
 
-import warnings
 from dataclasses import dataclass, replace
 import numpy as np
 
-from .errors import DegeneracyWarning, StructuralError
+from .errors import StructuralError, _warn_degeneracy
 
 
 @dataclass(frozen=True)
@@ -41,13 +40,13 @@ def _normalize_rows(x: np.ndarray) -> np.ndarray:
     # m * ||x / m|| with m the row's max-abs; every other row keeps its bits.
     redo = np.flatnonzero(np.isinf(norms) | (norms < _SQRT_TINY))
     if redo.size:
-        peaks = np.abs(x[redo]).max(axis=1)
+        peaks = np.abs(x[redo]).max(axis=1, initial=0.0)
         redo, peaks = redo[peaks > 0.0], peaks[peaks > 0.0]
         norms[redo] = peaks * np.linalg.norm(x[redo] / peaks[:, None], axis=1)
     zero = norms == 0.0
     if zero.any():
-        warnings.warn("zero-norm embedding cannot be normalized; it is kept as the "
-                      "zero vector", DegeneracyWarning, stacklevel=3)
+        _warn_degeneracy("zero-norm embedding cannot be normalized; it is kept as the "
+                         "zero vector")
     out = np.zeros_like(x, dtype=float)
     nz = ~zero
     out[nz] = x[nz] / norms[nz, None]
@@ -61,6 +60,9 @@ def cosine_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return _normalize_rows(a) @ _normalize_rows(b).T
 
 
+ABSTAIN = -1  # the label of a row that no class reaches
+
+
 def _argmax_with_ties(scores: np.ndarray) -> PredictionResult:
     """Per-row argmax with lowest-index tie-break; rows with a tied maximum
     are flagged."""
@@ -69,17 +71,6 @@ def _argmax_with_ties(scores: np.ndarray) -> PredictionResult:
     ties = tuple(np.flatnonzero(
         (scores == row_max[:, None]).sum(axis=1) > 1).tolist())
     return PredictionResult(labels=labels, scores=scores, ties=ties)
-
-
-def _class_mean_scores(embeddings: np.ndarray, classes: np.ndarray,
-                       queries: np.ndarray, class_count: int) -> np.ndarray:
-    """Cosine of each query to each class's mean embedding.
-
-    Every class must have at least one member: ``run_csea`` checks this, and
-    step 2 of ``run_2lpea`` always includes each class's labeled nodes.
-    """
-    means = np.stack([embeddings[classes == c].mean(axis=0) for c in range(class_count)])
-    return cosine_matrix(queries, means)
 
 
 def _check_inputs(labeled, classes, heldout,
@@ -111,7 +102,8 @@ def run_csea(labeled: np.ndarray, classes: np.ndarray, heldout: np.ndarray,
              class_count: int) -> PredictionResult:
     """CSEA: cosine against per-class mean embeddings."""
     labeled, classes, heldout = _check_inputs(labeled, classes, heldout, class_count)
-    return _argmax_with_ties(_class_mean_scores(labeled, classes, heldout, class_count))
+    means = np.stack([labeled[classes == c].mean(axis=0) for c in range(class_count)])
+    return _argmax_with_ties(cosine_matrix(heldout, means))
 
 
 def _two_step(has_pool: bool, step1, step2) -> PredictionResult:
@@ -126,17 +118,23 @@ def _two_step(has_pool: bool, step1, step2) -> PredictionResult:
                    iterations=first.iterations + second.iterations)
 
 
-def _two_step_cosine(scorer, labeled, classes, unlabeled, heldout, class_count):
-    unlabeled = np.atleast_2d(np.asarray(unlabeled, dtype=float))
+def _two_step_cosine(scorer, labeled, classes, unlabeled, heldout, class_count,
+                     step1=None) -> PredictionResult:
+    """_two_step with ``scorer`` as step 2; ``step1`` (default: ``scorer``)
+    pseudo-labels the pool, where ABSTAIN leaves an utterance unlabeled."""
+    unlabeled = np.asarray(unlabeled, dtype=float)
+    has_pool = len(unlabeled) > 0
+    unlabeled = np.atleast_2d(unlabeled)
 
     def step2(pseudo):
         if pseudo is None:
             return scorer(labeled, classes, heldout, class_count)
-        return scorer(np.vstack([labeled, unlabeled]), np.concatenate([classes, pseudo]),
-                      heldout, class_count)
+        keep = pseudo != ABSTAIN
+        return scorer(np.vstack([labeled, unlabeled[keep]]),
+                      np.concatenate([classes, pseudo[keep]]), heldout, class_count)
 
-    return _two_step(unlabeled.size > 0,
-                     lambda: scorer(labeled, classes, unlabeled, class_count), step2)
+    return _two_step(has_pool, step1 or (lambda: scorer(labeled, classes, unlabeled,
+                                                        class_count)), step2)
 
 
 def run_2cs(labeled, classes, unlabeled, heldout, class_count) -> PredictionResult:

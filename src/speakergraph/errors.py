@@ -5,6 +5,9 @@ exit with 2, numerical failures with 3, and I/O failures (plain OSError)
 with 4.
 """
 
+import sys
+import warnings
+
 
 class SpeakerGraphError(Exception):
     """Base class for all errors raised by this package."""
@@ -24,3 +27,13 @@ class NumericalError(SpeakerGraphError):
 
 class DegeneracyWarning(UserWarning):
     """Degenerate data was handled by a documented guard (clamps, zero norms)."""
+
+
+def _warn_degeneracy(message: str) -> None:
+    """Warn with DegeneracyWarning, naming the first caller outside the
+    module that calls this."""
+    frame = sys._getframe(1)
+    module, level = frame.f_globals.get("__name__"), 2
+    while frame.f_globals.get("__name__") == module:
+        level, frame = level + 1, frame.f_back
+    warnings.warn(message, DegeneracyWarning, stacklevel=level)

@@ -21,9 +21,7 @@ theirs, as an AffinityMatrix.
 
 import contextvars
 import os
-import sys
 import threading
-import warnings
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence, TypeVar, Union
@@ -31,7 +29,7 @@ from typing import Callable, Mapping, Sequence, TypeVar, Union
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .errors import ConfigurationError, DegeneracyWarning, NumericalError, StructuralError
+from .errors import ConfigurationError, NumericalError, StructuralError, _warn_degeneracy
 
 # Bandwidths below this are clamped to keep the kernel exponent finite when
 # duplicate embeddings collapse a KNN mean to zero.
@@ -339,11 +337,7 @@ def _below_sigma_floor(least_sigma: float) -> bool:
     first caller outside this module, if so."""
     if not least_sigma < SIGMA_FLOOR:
         return False
-    level, frame = 1, sys._getframe()
-    while frame.f_globals.get("__name__") == __name__:
-        level, frame = level + 1, frame.f_back
-    warnings.warn("bandwidth clamped to sigma floor (duplicate embeddings?)",
-                  DegeneracyWarning, stacklevel=level)
+    _warn_degeneracy("bandwidth clamped to sigma floor (duplicate embeddings?)")
     return True
 
 

@@ -28,11 +28,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .baselines import PredictionResult, _argmax_with_ties, _class_mean_scores, _two_step
+from .baselines import (ABSTAIN, PredictionResult, _argmax_with_ties, _two_step,
+                        _two_step_cosine, run_csea)
 from .errors import ConfigurationError, NumericalError, StructuralError
 from .fusion import FusedGraph
-
-ABSTAIN = -1
 
 # Relative step size below which growth of the iteration's step is taken
 # for round-off, not divergence.
@@ -203,22 +202,26 @@ def predict(y: np.ndarray, rows: slice | np.ndarray | None = None) -> Prediction
                    abstains=tuple(np.flatnonzero(abstain).tolist()))
 
 
+def _propagated(graph: HouseholdGraph, cfg: PropagationConfig, rows: slice,
+                pseudo: np.ndarray | None = None) -> PredictionResult:
+    """Propagate from init_label_matrix(graph, pseudo); read off ``rows``."""
+    outcome = propagate(graph, init_label_matrix(graph, pseudo), cfg)
+    return replace(predict(outcome.y, rows), converged=outcome.converged,
+                   iterations=outcome.iterations)
+
+
 def run_lp(graph: HouseholdGraph, cfg: PropagationConfig,
            pseudo: np.ndarray | None = None) -> PredictionResult:
     """Single propagation over the full graph; read off the held-out rows.
     ``pseudo`` labels the unlabeled nodes as in init_label_matrix: 2LP's step 2."""
-    outcome = propagate(graph, init_label_matrix(graph, pseudo), cfg)
-    return replace(predict(outcome.y, graph.heldout_slice), converged=outcome.converged,
-                   iterations=outcome.iterations)
+    return _propagated(graph, cfg, graph.heldout_slice, pseudo)
 
 
 def _step1(graph: HouseholdGraph, cfg: PropagationConfig) -> PredictionResult:
     """Step 1 of 2LP and 2LPEA: propagation over the labeled+unlabeled subgraph
     (the full graph under step1_includes_heldout), read off the unlabeled rows."""
     step1 = graph if cfg.step1_includes_heldout else graph.without_heldout()
-    outcome = propagate(step1, init_label_matrix(step1), cfg)
-    return replace(predict(outcome.y, step1.unlabeled_slice), converged=outcome.converged,
-                   iterations=outcome.iterations)
+    return _propagated(step1, cfg, step1.unlabeled_slice)
 
 
 def run_2lp(graph: HouseholdGraph, cfg: PropagationConfig) -> PredictionResult:
@@ -231,22 +234,18 @@ def run_2lp(graph: HouseholdGraph, cfg: PropagationConfig) -> PredictionResult:
 
 def run_2lpea(graph: HouseholdGraph, embeddings: np.ndarray,
               cfg: PropagationConfig) -> PredictionResult:
-    """Propagation for pseudo-labels, class-mean cosine scoring for held-out.
+    """2CSEA with propagation's step 1: CSEA over the labeled and
+    pseudo-labeled embeddings scores the held-out utterances; abstaining
+    pseudo-labels stay unlabeled.
 
-    ``embeddings`` holds the primary view's raw vectors for all n nodes in
-    graph order. Step 2 averages labeled + pseudo-labeled embeddings per
-    class and assigns each held-out utterance to the nearest class mean by
-    cosine similarity.
+    ``embeddings`` holds the primary view's finite raw vectors for all n
+    nodes in graph order.
     """
     embeddings = np.asarray(embeddings, dtype=float)
     if embeddings.ndim != 2 or embeddings.shape[0] != graph.n:
         raise StructuralError(f"need one primary-view embedding per node ({graph.n}), "
                               f"got shape {embeddings.shape}")
-
-    def step2(pseudo):
-        classes = graph.labels if pseudo is None else np.concatenate([graph.labels, pseudo])
-        return _argmax_with_ties(_class_mean_scores(
-            embeddings[:classes.size], classes, embeddings[graph.heldout_slice],
-            graph.class_count))
-
-    return _two_step(graph.n_unlabeled > 0, lambda: _step1(graph, cfg), step2)
+    return _two_step_cosine(run_csea, embeddings[:graph.n_labeled], graph.labels,
+                            embeddings[graph.unlabeled_slice],
+                            embeddings[graph.heldout_slice], graph.class_count,
+                            step1=lambda: _step1(graph, cfg))

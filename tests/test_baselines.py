@@ -1,5 +1,7 @@
 """Cosine-scoring baselines against brute-force oracles."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -98,6 +100,17 @@ class TestScores:
         with pytest.warns(DegeneracyWarning):
             out = run_cs(labeled, np.array([0, 1]), np.array([[0.0, 0.0]]), 2)
         assert np.all(out.scores == 0.0)
+
+    @pytest.mark.parametrize("scorer", (run_cs, run_csea, run_2cs, run_2csea))
+    def test_zero_norm_warning_names_the_caller(self, scorer):
+        labeled, classes = np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([0, 1])
+        pool = (np.array([[1.0, 1.0]]),) if scorer in (run_2cs, run_2csea) else ()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            scorer(labeled, classes, *pool, np.zeros((1, 2)), 2)
+        assert caught
+        assert [(w.category, w.filename) for w in caught] == \
+            [(DegeneracyWarning, __file__)] * len(caught)
 
     def test_profiles(self):
         # class 0 averages to (0.5, 0.5), class 1 is its single member

@@ -703,6 +703,18 @@ class TestCli:
         assert main(argv) == 2
         assert f"error: {key}: " in capsys.readouterr().err
 
+    def test_session_with_two_speakers_exits_2(self, tmp_path, capsys):
+        _, households = golden_households()
+        first, *rest = households[0].utterances
+        other = next(u for u in rest if u.speaker not in (None, first.speaker))
+        other.session_id = first.session_id
+        data = tmp_path / "val.jsonl"
+        save_dataset(households, data)
+        assert main(["evaluate", "--data", str(data), "--method", "CS",
+                     "--out", str(tmp_path / "r.json")]) == 2
+        assert (f"session {first.session_id!r} mixes speakers "
+                f"{first.speaker!r} and {other.speaker!r}") in capsys.readouterr().err
+
     def test_household_without_heldout_exits_2(self, tmp_path, capsys):
         _, households = golden_households()
         empty = households[0]

@@ -114,6 +114,16 @@ class TestMethodSpec:
                          fusion=SingleView("voice"))
         assert uni.family == "universal"
 
+    def test_labels_name_the_fused_views(self):
+        # reports and perfbench metric names use these labels
+        pool = MethodSpec(method="2LP", scaling=LocalScaling(k=4, s=0.8),
+                          fusion=EdgePoolFusion(("voice", "face", "session")))
+        assert pool.label == "2LP/local/voice+face+session"
+        assert POWER_MEAN_LP.label == "LP/local/voice+face(pmean p=1)"
+        harmonic = replace(POWER_MEAN_LP, scaling=UniversalScaling(1.0),
+                           fusion=PowerMeanFusion(("voice", "face"), p=-0.5))
+        assert harmonic.label == "LP/universal/voice+face(pmean p=-0.5)"
+
 
 class TestEvaluate:
     def test_single_household_equals_sier(self):
@@ -623,6 +633,22 @@ class TestTrustedPath:
                        fusion=PowerMeanFusion(("voice", "face"), p=-1.0))
         evaluate_methods(val[:1], [spec])
         assert len(inverses) == 2 * graphs
+
+    def test_speaker_renamed_after_validation_is_a_structural_error(self):
+        # a held-out speaker with no enrolled utterances once ended in a KeyError
+        _, val = tiny_dataset()
+        val[0].validate()
+        val[0].by_role("heldout")[0].speaker = "ghost"
+        with pytest.raises(StructuralError,
+                           match="speaker 'ghost' has zero enrolled utterances"):
+            run_method(val[0], MethodSpec(method="CS"))
+
+    def test_run_method_raises_the_household_error(self):
+        _, val = tiny_dataset()
+        spec = MethodSpec(method="LP", scaling=CohortScaling({"elsewhere": 1.0}),
+                          fusion=SingleView("voice"))
+        with pytest.raises(ConfigurationError, match="no sigma configured for cohort"):
+            run_method(val[0], spec)
 
     def test_unit_normalize_warns_on_a_zero_norm_row(self):
         _, val = tiny_dataset()

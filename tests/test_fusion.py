@@ -445,6 +445,15 @@ class TestEigenRoute:
             if eigh_calls:
                 assert np.array_equal(fused, floored_reference(laps, p, shift))
 
+    @pytest.mark.parametrize("p", (2.0, 3.0, 4.0, 5.0, 7.0))
+    def test_null_eigenvalue_at_shift_0_is_rounded_off_to_the_power_1_over_p(self, p):
+        # the null eigenvalue of the mean of powers is round-off of about
+        # n*eps*lambda_max^p; its p-th root is left as it is, not snapped to 0
+        lap = normalized_laplacian(np.ones((3, 3)) - np.eye(3))
+        top = np.linalg.eigvalsh(lap).max()
+        least = np.linalg.eigvalsh(pml_fuse([lap, lap], p)).min()
+        assert abs(least) <= (3 * np.finfo(float).eps) ** (1.0 / p) * top
+
 
 class TestSpectralBound:
     @PROPERTY

@@ -65,6 +65,16 @@ class TestPairwiseDistances:
         with pytest.raises(StructuralError):
             EmbeddingView("voice", [[1.0, 2.0]])
 
+    @pytest.mark.parametrize("vectors, message", [
+        (np.zeros((3, 2, 2)), "vectors must share one dimension"),
+        (np.zeros((3, 0)), "zero-dimensional vectors"),
+        ([[1.0, np.inf], [0.0, 1.0]], "non-finite vector entries"),
+        ([[np.nan, 0.0], [0.0, 1.0]], "non-finite vector entries"),
+    ], ids=["3-d", "zero-width", "inf", "nan"])
+    def test_malformed_vectors_rejected(self, vectors, message):
+        with pytest.raises(StructuralError, match=f"view 'voice': {message}"):
+            EmbeddingView("voice", vectors)
+
 
 class TestKnnMeanDistance:
     def test_line_examples(self):

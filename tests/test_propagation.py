@@ -14,6 +14,7 @@ from speakergraph import (
     ABSTAIN,
     AffinityMatrix,
     ConfigurationError,
+    DegeneracyWarning,
     EdgePoolFusion,
     EmbeddingView,
     FusedGraph,
@@ -490,6 +491,29 @@ class Test2LPEA:
         graph, emb, _ = cluster_household(rng)
         with pytest.raises(StructuralError):
             run_2lpea(graph, emb[:-1], PropagationConfig())
+
+    @pytest.mark.parametrize("bad", (np.inf, -np.inf, np.nan))
+    def test_non_finite_embeddings_raise(self, bad):
+        # step 2 once scored an inf held-out row [nan, nan] and returned
+        # label 0 with no tie flag
+        emb = np.array([[0.0, 0.0], [5.0, 5.0], [0.5, 0.0], [0.0, 0.5], [5.0, 4.5]])
+        kernel = affinity(EmbeddingView("voice", emb), UniversalScaling(3.0))
+        graph = HouseholdGraph(fused=fuse({"voice": kernel}, SingleView("voice")),
+                               labels=[0, 1], n_unlabeled=1, n_heldout=2, class_count=2)
+        emb[3, 0] = bad
+        with pytest.raises(StructuralError, match="embeddings must be finite"):
+            run_2lpea(graph, emb, PropagationConfig())
+
+    def test_step1_runs_for_zero_width_embeddings(self):
+        # the pool has rows but no entries; step 1 must still run, and step 2
+        # scores zero vectors (once numpy's ValueError) with a warning
+        graph, emb, _ = cluster_household(np.random.default_rng(16))
+        cfg = PropagationConfig(solver="iterative")
+        step1 = graph.without_heldout()
+        first = propagate(step1, init_label_matrix(step1), cfg)
+        with pytest.warns(DegeneracyWarning, match="zero-norm"):
+            pred = run_2lpea(graph, emb[:, :0], cfg)
+        assert pred.iterations == first.iterations > 0
 
     def test_local_scaling_prediction_scale_invariance(self):
         rng = np.random.default_rng(15)
