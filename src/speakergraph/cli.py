@@ -38,20 +38,23 @@ def _default_method_spec() -> MethodSpec:
                       fusion=SingleView("voice"))
 
 
-def _load_config(path: str | None) -> RunConfig:
+def _load_config(path: str | None, seed: int | None = None) -> RunConfig:
+    """The run config at path or the default one, with seed set at both levels."""
     if path is None:
-        return RunConfig(seed=0, simulation=SimulationConfig(),
-                         method=_default_method_spec())
-    return RunConfig.from_dict(read_json(path))
+        cfg = RunConfig(seed=0, simulation=SimulationConfig(), method=_default_method_spec())
+    else:
+        cfg = RunConfig.from_dict(read_json(path))
+    if seed is not None:
+        cfg.seed = seed
+        if cfg.simulation is not None:
+            cfg.simulation = replace(cfg.simulation, seed=seed)
+    return cfg
 
 
 def _cmd_simulate(args) -> int:
-    cfg = _load_config(args.config)
+    cfg = _load_config(args.config, args.seed)
     if cfg.simulation is None:
         cfg.simulation = SimulationConfig(seed=cfg.seed)
-    if args.seed is not None:
-        cfg.seed = args.seed
-        cfg.simulation = replace(cfg.simulation, seed=args.seed)
     dev, val = generate_dataset(cfg.simulation)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -71,7 +74,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    cfg = _load_config(args.config)
+    cfg = _load_config(args.config, args.seed)
     households = load_dataset(args.data)
     template = cfg.method if cfg.method is not None else _default_method_spec()
     specs = []
@@ -81,9 +84,8 @@ def _cmd_evaluate(args) -> int:
             specs.append(MethodSpec(method=name, view=template.view))
         else:
             specs.append(replace(template, method=name))
-    seed = args.seed if args.seed is not None else cfg.seed
     report = evaluate_methods(households, specs, allow_skip=args.allow_skip)
-    data = write_report(report, args.out, seed=seed, cfg_hash=cfg.hash(),
+    data = write_report(report, args.out, seed=cfg.seed, cfg_hash=cfg.hash(),
                         include_timing=args.timing)
     for entry in data["methods"]:
         print(f"{entry['label']}: micro-SIER "
@@ -94,7 +96,7 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    cfg = _load_config(args.config)
+    cfg = _load_config(args.config, args.seed)
     households = load_dataset(args.dev)
     grid = read_json(args.grid)
     if not isinstance(grid, dict):
@@ -110,7 +112,7 @@ def _cmd_sweep(args) -> int:
                             + [row["errors"], row["heldout"], repr(row["sier"])])
     best = {"params": result.best_params,
             "spec": to_dict(result.best_spec),
-            "seed": args.seed if args.seed is not None else cfg.seed,
+            "seed": cfg.seed,
             "config_hash": cfg.hash()}
     best_path = Path(args.out).with_suffix(Path(args.out).suffix + ".best.json")
     write_json(best_path, best)

@@ -31,9 +31,8 @@ class DegeneracyWarning(UserWarning):
 
 def _warn_degeneracy(message: str) -> None:
     """Warn with DegeneracyWarning, naming the first caller outside the
-    module that calls this."""
-    frame = sys._getframe(1)
-    module, level = frame.f_globals.get("__name__"), 2
-    while frame.f_globals.get("__name__") == module:
+    speakergraph package."""
+    frame, level = sys._getframe(1), 2
+    while frame.f_globals.get("__name__", "").partition(".")[0] == "speakergraph":
         level, frame = level + 1, frame.f_back
     warnings.warn(message, DegeneracyWarning, stacklevel=level)

@@ -16,11 +16,11 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence, Union
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve, lapack
+from scipy.linalg import lapack
 
 from .errors import ConfigurationError, NumericalError, StructuralError
-from .graph import (AffinityMatrix, _by_row_blocks, _identity_minus, normalized_laplacian,
-                    propagation_operator)
+from .graph import (AffinityMatrix, _by_row_blocks, _identity_minus, _mirror_upper,
+                    normalized_laplacian, propagation_operator)
 
 # Eigenvalue floor applied before negative matrix powers.
 NEG_POWER_EIG_FLOOR = 1e-8
@@ -118,56 +118,42 @@ def _power_floor(p: float) -> float:
     return 0.0 if p > 0 else NEG_POWER_EIG_FLOOR
 
 
-def _upper_inverse(m: np.ndarray) -> np.ndarray | None:
-    """Upper triangle of the Cholesky inverse of m, whose strict lower
-    triangle is zero (dpotrf zeroes it and dpotri fills only the upper), or
-    None when m is not numerically positive definite."""
+def _spd_inverse(m: np.ndarray) -> np.ndarray | None:
+    """The Cholesky inverse of m in C order, or None when m is not numerically
+    positive definite. dpotri fills the upper triangle of a Fortran-ordered
+    array; mirrored, its transpose is the same matrix in C order, the order of
+    every other S, so that S @ Y rounds as it does for them."""
     factor, info = lapack.dpotrf(m)
     if info != 0:
         return None
     inv, info = lapack.dpotri(factor, overwrite_c=True)
-    return inv if info == 0 else None
+    return _mirror_upper(inv).T if info == 0 else None
 
 
-def _floor_free_spd_inverse(m: np.ndarray) -> np.ndarray | None:
-    """_upper_inverse(m), or None when the eigenvalue floor could bind.
-
-    None means m is not numerically positive definite, or the inverse's
-    infinity norm exceeds 1/NEG_POWER_EIG_FLOOR. That norm bounds the
-    inverse's largest eigenvalue, so within it every eigenvalue of m is at
-    least the floor and flooring would have changed nothing.
-    """
-    inv = _upper_inverse(m)
-    if inv is None:
-        return None
-    # row i of the symmetric inverse is row i plus column i, less the diagonal
-    mags = np.abs(inv)
-    if not (mags.sum(axis=1) + mags.sum(axis=0) - mags.diagonal()).max() \
-            <= 1.0 / NEG_POWER_EIG_FLOOR:
-        return None
-    return inv
+def _inf_norm(m: np.ndarray) -> float:
+    return np.abs(m).sum(axis=1).max()
 
 
 def _mean_of_inverses(mats: Sequence[np.ndarray]) -> np.ndarray | None:
     """H = mean_v M_v^{-1} by Cholesky, or None when a floor could bind on an
     M_v or on H^{-1}, the harmonic mean.
 
+    Each inverse's infinity norm bounds its largest eigenvalue, so within
+    1/NEG_POWER_EIG_FLOOR every eigenvalue of its M_v is at least the floor.
     H is checked without inverting it: by Weyl's inequality its smallest
     eigenvalue is at least mean_v 1/||M_v||_inf, so when that bound is at
     least NEG_POWER_EIG_FLOOR, flooring H's eigenvalues would change nothing.
-    Only the upper triangles of the inverses are summed, and mirrored once.
     """
     acc = np.zeros_like(mats[0])
     bound = 0.0
     for m in mats:
-        inv = _floor_free_spd_inverse(m)
-        if inv is None:
+        inv = _spd_inverse(m)
+        if inv is None or not _inf_norm(inv) <= 1.0 / NEG_POWER_EIG_FLOOR:
             return None
         acc += inv
-        bound += 1.0 / np.abs(m).sum(axis=1).max()
+        bound += 1.0 / _inf_norm(m)
     if not bound / len(mats) >= NEG_POWER_EIG_FLOOR:
         return None
-    acc += np.triu(acc, 1).T
     acc /= len(mats)
     return acc
 
@@ -175,14 +161,11 @@ def _mean_of_inverses(mats: Sequence[np.ndarray]) -> np.ndarray | None:
 def _harmonic_laplacian(h: np.ndarray) -> np.ndarray:
     """The Cholesky inverse of H from _mean_of_inverses, whose floor proof
     covers it; NumericalError when H is not numerically positive definite."""
-    inv = _upper_inverse(h)
+    inv = _spd_inverse(h)
     if inv is None:
         raise NumericalError("harmonic mean of the Laplacians is not numerically "
                              "positive definite; use a larger shift")
-    inv += np.triu(inv, 1).T
-    # dpotri fills a Fortran-ordered array; its transpose is the same matrix in
-    # C order, the order of every other S, so that S @ Y rounds as it does for them
-    return _finite(inv.T)
+    return _finite(inv)
 
 
 def _finite(fused: np.ndarray) -> np.ndarray:
@@ -380,13 +363,13 @@ class FusedGraph:
         a = np.empty((n, n))
         _by_row_blocks(n, lambda i, j: np.multiply(m[i:j], scale, out=a[i:j]))
         a.flat[::n + 1] += diagonal
-        try:
-            # a is symmetric, so its F-ordered transpose is factored in place
-            factor = cho_factor(a.T, overwrite_a=True, check_finite=False)
-        except LinAlgError as exc:
+        # a is symmetric, so its F-ordered transpose is factored in place
+        factor, info = lapack.dpotrf(a.T, overwrite_a=True, clean=False)
+        if info != 0:
             raise NumericalError(
-                f"I - alpha*S is not positive definite at alpha={alpha}: {exc}") from exc
-        y = cho_solve(factor, (1.0 - alpha) * b, check_finite=False)
+                f"I - alpha*S is not positive definite at alpha={alpha}: "
+                f"{info}-th leading minor of the array is not positive definite")
+        y, _ = lapack.dpotrs(factor, (1.0 - alpha) * b)
         if not np.isfinite(y).all():
             raise NumericalError("closed-form solution has non-finite values")
         return y

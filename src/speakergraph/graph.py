@@ -234,8 +234,8 @@ class AffinityMatrix:
 def pairwise_distances(view: EmbeddingView) -> np.ndarray:
     """Symmetric zero-diagonal Euclidean distance matrix for one view.
 
-    Each row block takes cdist to the columns from its first row on, and a
-    second pass mirrors that upper part into the lower one, so each pair is
+    Each row block takes cdist to the columns from its first row on, and
+    _mirror_upper copies that upper part into the lower one, so each pair is
     computed once and the matrix is exactly symmetric.
     """
     x = view.vectors
@@ -245,12 +245,22 @@ def pairwise_distances(view: EmbeddingView) -> np.ndarray:
     def upper(a, b):
         dist[a:b, a:] = cdist(x[a:b], x[a:], metric="euclidean")
 
-    def lower(a, b):
-        dist[a:b, :a] = dist[:a, a:b].T
-
     _by_row_blocks(n, upper)
-    _by_row_blocks(n, lower)
-    return dist
+    return _mirror_upper(dist)
+
+
+def _mirror_upper(m: np.ndarray) -> np.ndarray:
+    """m with its strict upper triangle copied exactly into the lower one, in
+    place, by row blocks: each block copies the columns left of it from the
+    rows above, then mirrors its own diagonal block."""
+
+    def rows(a, b):
+        m[a:b, :a] = m[:a, a:b].T
+        block = m[a:b, a:b]
+        np.copyto(block, block.T, where=np.tri(b - a, k=-1, dtype=bool))
+
+    _by_row_blocks(m.shape[0], rows)
+    return m
 
 
 def _nearest_distances(dist: np.ndarray, width: int) -> np.ndarray:

@@ -780,6 +780,22 @@ class TestCli:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["seed"] == 7
 
+    def test_seed_reaches_the_config_hash_of_every_command(self, tmp_path):
+        # evaluate and sweep once wrote "seed": 7 beside the seed-0 config's hash
+        assert main(["simulate", "--out", str(tmp_path / "sim"), "--seed", "7"]) == 0
+        assert main(["evaluate", "--data", str(DATA_DIR / "golden_val.jsonl"), "--method", "CS",
+                     "--out", str(tmp_path / "report.json"), "--seed", "7"]) == 0
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({"scaling.s": [0.5]}))
+        assert main(["sweep", "--dev", str(DATA_DIR / "golden_val.jsonl"), "--grid", str(grid),
+                     "--out", str(tmp_path / "sweep.csv"), "--seed", "7"]) == 0
+        hashes = [json.loads((tmp_path / name).read_text())["config_hash"]
+                  for name in ("sim/manifest.json", "report.json", "sweep.csv.best.json")]
+        assert hashes[0] == hashes[1] == hashes[2]
+        assert main(["evaluate", "--data", str(DATA_DIR / "golden_val.jsonl"), "--method", "CS",
+                     "--out", str(tmp_path / "unseeded.json")]) == 0
+        assert json.loads((tmp_path / "unseeded.json").read_text())["config_hash"] != hashes[0]
+
 
 # ---------------------------------------------------------------------------
 # Arbitrary JSON at the boundaries

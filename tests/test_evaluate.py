@@ -662,3 +662,22 @@ class TestTrustedPath:
         assert not normalized[row].any()
         norms = np.linalg.norm(np.delete(normalized, row, axis=0), axis=1)
         assert np.allclose(norms, 1.0)
+
+    @pytest.mark.parametrize("case", ["zero norm", "sigma floor"])
+    def test_warnings_through_evaluate_methods_name_the_caller(self, case):
+        # they once named lines of evaluate.py: the unit normalization and the kernel
+        _, val = tiny_dataset()
+        hh = val[0]
+        if case == "zero norm":
+            hh.utterances[0].views["voice"] = np.zeros_like(hh.utterances[0].views["voice"])
+            spec = replace(LOCAL_2LP, unit_normalize=True)
+        else:
+            for record in hh.utterances:
+                record.views["voice"] = np.ones_like(record.views["voice"])
+            spec = LOCAL_2LP
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            evaluate_methods([hh], [spec])
+        assert caught
+        assert [(w.category, w.filename) for w in caught] == \
+            [(DegeneracyWarning, __file__)] * len(caught)

@@ -29,6 +29,7 @@ from speakergraph import (
     pml_fuse,
     propagation_operator,
 )
+from speakergraph import fusion
 from speakergraph.fusion import NEG_POWER_EIG_FLOOR
 
 P_GRID = (-5.0, -2.0, -1.0, 1.0, 2.0, 5.0)
@@ -37,6 +38,11 @@ P_GRID = (-5.0, -2.0, -1.0, 1.0, 2.0, 5.0)
 def random_affinity(rng, n):
     view = EmbeddingView("v", rng.normal(size=(n, 3)))
     return affinity(view, UniversalScaling(float(rng.uniform(0.5, 2.0))))
+
+
+def same_bits(a, b):
+    """Equal values and sign bits, so that +0 and -0 differ."""
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
 
 
 def scalar_power_mean(columns, p):
@@ -300,9 +306,9 @@ WEIGHTS = st.just(0.0) | st.floats(1e-3, 1.0)
 
 
 @st.composite
-def laplacian_sets(draw):
-    """1-3 normalized Laplacians of one random graph size n in [3, 20]."""
-    n = draw(st.integers(3, 20))
+def laplacian_sets(draw, min_n=3, max_n=20):
+    """1-3 normalized Laplacians of one random graph size n in [min_n, max_n]."""
+    n = draw(st.integers(min_n, max_n))
     laps = []
     for _ in range(draw(st.integers(1, 3))):
         upper = np.triu(draw(hnp.arrays(float, (n, n), elements=WEIGHTS)), 1)
@@ -348,6 +354,49 @@ def floored_range(laps, p, shift):
     floor = 0.0 if p > 0 else NEG_POWER_EIG_FLOOR
     return (max(min(vals.min() for vals in spectra), floor),
             max(vals.max() for vals in spectra))
+
+
+def upper_triangle_mean_of_inverses(mats):
+    """H = mean_v M_v^{-1} summed from the upper triangles that dpotri fills
+    and mirrored once, with each inverse's infinity norm read from its upper
+    triangle: the earlier route, which fusion._mean_of_inverses must equal bit
+    for bit, or None where its floor proofs fail."""
+    acc = np.zeros_like(mats[0])
+    bound = 0.0
+    for m in mats:
+        factor, info = lapack.dpotrf(m)
+        if info != 0:
+            return None
+        inv, info = lapack.dpotri(factor, overwrite_c=True)
+        if info != 0:
+            return None
+        mags = np.abs(inv)
+        if not (mags.sum(axis=1) + mags.sum(axis=0) - mags.diagonal()).max() \
+                <= 1.0 / NEG_POWER_EIG_FLOOR:
+            return None
+        acc += inv
+        bound += 1.0 / np.abs(m).sum(axis=1).max()
+    if not bound / len(mats) >= NEG_POWER_EIG_FLOOR:
+        return None
+    acc += np.triu(acc, 1).T
+    acc /= len(mats)
+    return acc
+
+
+def mpmath_power_mean(laps, p, shift):
+    """The power mean of the shifted Laplacians by 50-digit mpmath
+    eigendecompositions, rounded to floats."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        def power(m, q):
+            vals, vecs = mpmath.eigsy(m)
+            return vecs * mpmath.diag([v ** q for v in vals]) * vecs.T
+
+        n = laps[0].shape[0]
+        powers = [power(mpmath.matrix(lap.tolist()) + shift * mpmath.eye(n), p)
+                  for lap in laps]
+        mean = sum(powers[1:], powers[0]) / len(powers)
+        return np.array(power(mean, 1 / mpmath.mpf(p)).tolist(), dtype=float)
 
 
 def fuse_counting_eigh(laps, p, shift):
@@ -422,6 +471,17 @@ class TestClosedForms:
         assert np.array_equal(fused, floored_reference(laps, -1.0, 0.0))
         assert np.allclose(fused, np.diag([2.0, 2.0]) / (1.0 + 1e-9), rtol=1e-12, atol=0)
 
+    @PROPERTY
+    @given(laps=laplacian_sets(), shift=SHIFTS)
+    def test_mean_of_inverses_equals_the_upper_triangle_route(self, laps, shift):
+        shifted = [lap + shift * np.eye(lap.shape[0]) for lap in laps]
+        expected = upper_triangle_mean_of_inverses([m.copy() for m in shifted])
+        h = fusion._mean_of_inverses(shifted)
+        assert (h is None) == (expected is None)
+        if h is not None:
+            assert h.flags.c_contiguous
+            assert same_bits(h, expected)
+
     def test_indefinite_input_falls_back(self):
         # not PSD, so the Cholesky factorization fails and eigh floors the
         # negative eigenvalue instead
@@ -453,6 +513,19 @@ class TestEigenRoute:
         top = np.linalg.eigvalsh(lap).max()
         least = np.linalg.eigvalsh(pml_fuse([lap, lap], p)).min()
         assert abs(least) <= (3 * np.finfo(float).eps) ** (1.0 / p) * top
+
+
+class TestMpmathReference:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(laps=laplacian_sets(2, 6), p=st.sampled_from((-2.0, -1.0, -0.5, 0.5, 1.0, 2.0, 3.0)),
+           shift=st.floats(0.1, 5.0))
+    def test_agrees_to_a_relative_1e_10(self, laps, p, shift):
+        reference = mpmath_power_mean(laps, p, shift)
+        try:
+            fused = pml_fuse(laps, p, shift)
+        except NumericalError:
+            return  # TestSpectralBound checks that a raise is due
+        assert np.abs(fused - reference).max() <= 1e-10 * np.abs(reference).max()
 
 
 class TestSpectralBound:

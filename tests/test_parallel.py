@@ -28,6 +28,7 @@ from speakergraph import (
     EmbeddingView,
     LocalScaling,
     NumericalError,
+    PowerMeanFusion,
     PropagationConfig,
     SpeakerGraphError,
     StructuralError,
@@ -43,12 +44,13 @@ from speakergraph.propagation import HouseholdGraph, init_label_matrix, propagat
 
 
 @contextlib.contextmanager
-def row_blocks(workers=3, min_rows=2):
-    """``workers`` allowed CPUs, whatever the machine's, blocks of one row or
-    more, so that small households split too, and passes of ``min_rows`` rows
-    or more on a fresh pool; the pool is shut down on exit."""
-    with mock.patch.multiple(graph, _PARALLEL_MIN_ROWS=min_rows, _MIN_BLOCK_ROWS=1, _pool=None,
-                             _allowed_cpus=lambda: workers):
+def row_blocks(workers=3, min_rows=2, block_rows=1):
+    """``workers`` allowed CPUs, whatever the machine's, blocks of
+    ``block_rows`` rows or more (by default one, so that small households
+    split too), and passes of ``min_rows`` rows or more on a fresh pool; the
+    pool is shut down on exit."""
+    with mock.patch.multiple(graph, _PARALLEL_MIN_ROWS=min_rows, _MIN_BLOCK_ROWS=block_rows,
+                             _pool=None, _allowed_cpus=lambda: workers):
         try:
             yield
         finally:
@@ -70,13 +72,13 @@ def same(a, b):
 def i_minus_alpha_s(household, alpha):
     """The matrix that FusedGraph.solve hands to its Cholesky factorization."""
     seen = []
-    real = fusion.cho_factor
+    real = fusion.lapack.dpotrf
 
     def spy(a, **kwargs):
         seen.append(a.copy())
         return real(a, **kwargs)
 
-    with mock.patch.object(fusion, "cho_factor", spy), \
+    with mock.patch.object(fusion.lapack, "dpotrf", spy), \
             contextlib.suppress(NumericalError):
         propagate(household, init_label_matrix(household), PropagationConfig(alpha=alpha))
     return seen[0]
@@ -102,6 +104,14 @@ def every_pass(vectors, sessions, k, s, sigma, alpha):
         assert not np.diagonal(w).any(), name
         assert ((0.0 <= w) & (w <= 1.0)).all(), name
     out.update(kernels)
+    try:
+        # p = -1 holds H, whose view inverses and S mirror their upper triangles
+        harmonic = fusion._fuse_weights([kernels["universal"], kernels["local"]],
+                                        PowerMeanFusion(("universal", "local"), p=-1.0))
+        out["harmonic"], out["H"] = harmonic.harmonic, harmonic.operator
+        out["power-mean S"] = harmonic.propagation_matrix()
+    except SpeakerGraphError as exc:
+        out["H"] = type(exc), str(exc)
     pooled = ("universal", "local", "session")
     try:
         fused = fusion._fuse_weights([kernels[name] for name in pooled], EdgePoolFusion(pooled))
@@ -198,6 +208,22 @@ class TestDistancesMatchPdist:
             assert same(dist, expected), path.__name__
             assert np.array_equal(dist, dist.T)
             assert not np.diagonal(dist).any()
+
+
+class TestMirrorUpper:
+    @pytest.mark.parametrize("min_rows", [sys.maxsize, 1], ids=["inline", "pool"])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_equals_triu_plus_its_transpose(self, min_rows, order):
+        # n from 1 to past the fourth block boundary, as distances (C order) and
+        # dpotri's inverses (F order) are mirrored
+        rng = np.random.default_rng(3)
+        with row_blocks(3, min_rows, block_rows=graph._MIN_BLOCK_ROWS):
+            for n in range(1, 4 * graph._MIN_BLOCK_ROWS + 2):
+                m = np.asarray(rng.normal(size=(n, n)), order=order)
+                expected = np.triu(m) + np.triu(m, 1).T
+                m[np.tril_indices(n, -1)] = np.nan
+                assert graph._mirror_upper(m) is m
+                assert same(m, expected), n
 
 
 def valid_weights(n=300):

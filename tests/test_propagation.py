@@ -504,6 +504,20 @@ class Test2LPEA:
         with pytest.raises(StructuralError, match="embeddings must be finite"):
             run_2lpea(graph, emb, PropagationConfig())
 
+    def test_zero_norm_warning_names_the_caller(self):
+        # it once named the line of propagation.py that scores step 2
+        emb = np.array([[0.0, 1.0], [5.0, 5.0], [0.5, 1.0], [0.0, 0.5], [5.0, 4.5]])
+        kernel = affinity(EmbeddingView("voice", emb), UniversalScaling(3.0))
+        graph = HouseholdGraph(fused=fuse({"voice": kernel}, SingleView("voice")),
+                               labels=[0, 1], n_unlabeled=1, n_heldout=2, class_count=2)
+        emb[3] = 0.0
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            run_2lpea(graph, emb, PropagationConfig())
+        assert caught
+        assert [(w.category, w.filename) for w in caught] == \
+            [(DegeneracyWarning, __file__)] * len(caught)
+
     def test_step1_runs_for_zero_width_embeddings(self):
         # the pool has rows but no entries; step 1 must still run, and step 2
         # scores zero vectors (once numpy's ValueError) with a warning
