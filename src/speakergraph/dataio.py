@@ -55,6 +55,7 @@ def save_dataset(households: Sequence[HouseholdDataset], path: str | Path) -> No
 
 _RECORD_KEYS = {"utt_id", "household_id", "group", "role", "speaker",
                 "session_id", "cohort", "views"}
+_OPTIONAL_IDS = ("speaker", "session_id", "cohort")  # these may also be null
 
 
 def _parse_record(data: Any, line_no: int) -> tuple[UtteranceRecord, str]:
@@ -69,11 +70,11 @@ def _parse_record(data: Any, line_no: int) -> tuple[UtteranceRecord, str]:
     views = data.get("views", {})
     if not isinstance(views, dict):
         raise StructuralError(f"line {line_no}: views must be an object")
-    ids = {key: data.get(key) for key in ("speaker", "session_id", "cohort")}
-    for key, value in ids.items():
-        if value is not None and not isinstance(value, str):
+    for key, value in data.items():
+        if (not isinstance(value, str) and key != "views"
+                and not (value is None and key in _OPTIONAL_IDS)):
             raise StructuralError(f"line {line_no}: {key} must be a string, got {value!r}")
-    utt_id = str(data["utt_id"])
+    utt_id = data["utt_id"]
     arrays = {}
     for name, vec in views.items():
         try:
@@ -81,13 +82,18 @@ def _parse_record(data: Any, line_no: int) -> tuple[UtteranceRecord, str]:
         except (TypeError, ValueError, OverflowError) as exc:
             raise StructuralError(
                 f"line {line_no}: view {name!r} of {utt_id!r} is malformed ({exc})") from exc
+        # np.asarray also converts numeric strings and booleans; type(True) is bool
+        if arrays[name].ndim == 1 and not set(map(type, vec)) <= {int, float}:
+            raise StructuralError(f"line {line_no}: view {name!r} of {utt_id!r} has an "
+                                  f"entry that is not a JSON number")
         # json.loads accepts NaN, Infinity and overflowing literals such as 1e999
         if not np.isfinite(arrays[name]).all():
             raise StructuralError(
                 f"line {line_no}: view {name!r} of {utt_id!r} has non-finite values")
-    record = UtteranceRecord(utt_id=utt_id, household_id=str(data["household_id"]),
-                             role=str(data["role"]), views=arrays, **ids)
-    return record, str(data.get("group", "random"))
+    record = UtteranceRecord(utt_id=utt_id, household_id=data["household_id"],
+                             role=data["role"], views=arrays,
+                             **{key: data.get(key) for key in _OPTIONAL_IDS})
+    return record, data.get("group", "random")
 
 
 def load_dataset(path: str | Path) -> list[HouseholdDataset]:

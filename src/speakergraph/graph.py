@@ -251,15 +251,19 @@ def pairwise_distances(view: EmbeddingView) -> np.ndarray:
 
 def _mirror_upper(m: np.ndarray) -> np.ndarray:
     """m with its strict upper triangle copied exactly into the lower one, in
-    place, by row blocks: each block copies the columns left of it from the
-    rows above, then mirrors its own diagonal block."""
+    place: each row block copies the columns left of it from the rows above,
+    then the calling thread mirrors each diagonal block through the leading
+    part of one strict lower-triangle mask, built at the largest block size."""
 
     def rows(a, b):
         m[a:b, :a] = m[:a, a:b].T
-        block = m[a:b, a:b]
-        np.copyto(block, block.T, where=np.tri(b - a, k=-1, dtype=bool))
+        return a, b
 
-    _by_row_blocks(m.shape[0], rows)
+    spans = _by_row_blocks(m.shape[0], rows)
+    tri = np.tri(max((b - a for a, b in spans), default=0), k=-1, dtype=bool)
+    for a, b in spans:
+        block = m[a:b, a:b]
+        np.copyto(block, block.T, where=tri[:b - a, :b - a])
     return m
 
 
@@ -331,7 +335,8 @@ class ViewDistances:
                 out /= 2.0
                 if clamp:
                     np.maximum(out, SIGMA_FLOOR, out=out)
-                np.divide(dist[a:b], out, out=out)
+                with np.errstate(invalid="ignore"):  # inf/inf: NaNs raise later
+                    np.divide(dist[a:b], out, out=out)
 
             return _gaussian_kernel(dist.shape[0], scaled)
         else:

@@ -13,8 +13,9 @@ Household groups: "random" partitions the pool uniformly; "hard" greedily
 groups speakers whose profile distances all fall below the 25th percentile
 of pooled pairwise profile distances (the most confusable quartile);
 "cohort:<id>" samples within one cohort. Everything is a pure function of
-(config, seed): per-stage generators derive from the master seed through a
-splitmix64 mix, so households can be generated independently.
+the config: every stage reads its seed from the config (a pool carries the
+config it was drawn under), and per-stage generators derive from that seed
+through a splitmix64 mix, so households can be generated independently.
 """
 
 from dataclasses import dataclass, field
@@ -151,6 +152,10 @@ class SpeakerPool:
     speakers: list[SpeakerRecord] = field(default_factory=list)
 
 
+def _stage_rng(cfg: SimulationConfig, stage: str) -> np.random.Generator:
+    return np.random.default_rng(mix64(cfg.seed, _text_seed(stage)))
+
+
 def _session_sizes(rng: np.random.Generator, total: int, mean_size: float) -> list[int]:
     """Geometric session sizes with the given mean, truncated to the total."""
     p = 1.0 / max(mean_size, 1.0)
@@ -163,21 +168,21 @@ def _session_sizes(rng: np.random.Generator, total: int, mean_size: float) -> li
     return sizes
 
 
-def generate_speakers(cfg: SimulationConfig, seed: int,
-                      pool_size: int, tag: str = "pool") -> SpeakerPool:
+def generate_speakers(cfg: SimulationConfig, pool_size: int,
+                      tag: str = "pool") -> SpeakerPool:
     """Draw a pool of speakers with voice/face utterances and sessions.
 
     Cohorts are assigned round-robin; cohort centers are shared within the
-    pool. Deterministic given (cfg, seed, pool_size, tag).
+    pool. Deterministic given (cfg, pool_size, tag).
     """
-    rng = np.random.default_rng(mix64(seed, _text_seed(tag)))
+    rng = _stage_rng(cfg, tag)
     centers_v = rng.normal(scale=cfg.cohort_offset_scale,
                            size=(cfg.num_cohorts, cfg.voice_dim))
     pool = SpeakerPool(config=cfg)
     m = cfg.utterances_per_speaker
     for i in range(pool_size):
         cohort = i % cfg.num_cohorts
-        srng = np.random.default_rng(mix64(seed, _text_seed(tag), i))
+        srng = np.random.default_rng(mix64(cfg.seed, _text_seed(tag), i))
         voice_mean = centers_v[cohort] + srng.normal(
             scale=cfg.between_speaker_spread, size=cfg.voice_dim)
         face_mean = srng.normal(scale=cfg.between_speaker_spread, size=cfg.face_dim)
@@ -259,33 +264,30 @@ def hard_threshold(profiles: np.ndarray) -> float:
     return _profile_distances(profiles)[1]
 
 
-def _partition(candidates: list[int], cfg: SimulationConfig, rng: np.random.Generator,
+def _partition(candidates: list[int], cfg: SimulationConfig, stage: str,
                source: str) -> list[list[int]]:
     """Shuffle the candidate speakers and cut them into households."""
     k = cfg.speakers_per_household
     need = cfg.households_per_group * k
     if len(candidates) < need:
         raise StructuralError(f"{source} has {len(candidates)} speakers, need {need}")
-    order = rng.permutation(len(candidates))
+    order = _stage_rng(cfg, stage).permutation(len(candidates))
     return [sorted(candidates[j] for j in order[i * k:(i + 1) * k])
             for i in range(cfg.households_per_group)]
 
 
-def assemble_random_households(pool: SpeakerPool, cfg: SimulationConfig,
-                               seed: int) -> list[list[int]]:
+def assemble_random_households(pool: SpeakerPool) -> list[list[int]]:
     """Partition a shuffled pool into households of the configured size."""
-    rng = np.random.default_rng(mix64(seed, _text_seed("assemble-random")))
-    return _partition(list(range(len(pool.speakers))), cfg, rng, "pool")
+    return _partition(list(range(len(pool.speakers))), pool.config,
+                      "assemble-random", "pool")
 
 
-def assemble_hard_households(pool: SpeakerPool, cfg: SimulationConfig,
-                             seed: int) -> list[list[int]]:
+def assemble_hard_households(pool: SpeakerPool) -> list[list[int]]:
     """Greedily grow households whose profile distances all fall below the
     confusability threshold; speakers are used at most once."""
-    rng = np.random.default_rng(mix64(seed, _text_seed("assemble-hard")))
+    cfg = pool.config
+    order = _stage_rng(cfg, "assemble-hard").permutation(len(pool.speakers)).tolist()
     dist, tau = _profile_distances(build_speaker_profiles(pool))
-
-    order = rng.permutation(len(pool.speakers)).tolist()
     used: set[int] = set()
     households: list[list[int]] = []
     for anchor in order:
@@ -311,52 +313,42 @@ def assemble_hard_households(pool: SpeakerPool, cfg: SimulationConfig,
     return households
 
 
-def assemble_cohort_households(pool: SpeakerPool, cohort_id: str,
-                               cfg: SimulationConfig, seed: int) -> list[list[int]]:
+def assemble_cohort_households(pool: SpeakerPool, cohort_id: str) -> list[list[int]]:
     """Uniformly sample households from one cohort's speakers."""
-    rng = np.random.default_rng(mix64(seed, _text_seed(f"assemble-cohort-{cohort_id}")))
     candidates = [i for i, s in enumerate(pool.speakers) if s.cohort == cohort_id]
-    return _partition(candidates, cfg, rng, f"cohort {cohort_id!r}")
+    return _partition(candidates, pool.config, f"assemble-cohort-{cohort_id}",
+                      f"cohort {cohort_id!r}")
 
 
 def _build_household(pool: SpeakerPool, member_idx: list[int], household_id: str,
-                     group: str, cfg: SimulationConfig, seed: int) -> HouseholdDataset:
+                     group: str) -> HouseholdDataset:
     """Assign roles and materialize one household's utterance records."""
-    rng = np.random.default_rng(mix64(seed, _text_seed(household_id)))
+    cfg = pool.config
+    rng = _stage_rng(cfg, household_id)
     members = [pool.speakers[i] for i in member_idx]
 
-    chosen: dict[str, dict[str, np.ndarray]] = {}
-    leftover_keys: list[tuple[int, int]] = []
+    # each role's utterance indices per member, in record order
+    roles = {ROLE_ENROLLED: [], ROLE_UNLABELED: [[] for _ in members], ROLE_HELDOUT: []}
+    leftovers: list[tuple[int, int]] = []
     # SimulationConfig guarantees enough utterances for every role and the pool
-    need = cfg.labeled_per_speaker + cfg.heldout_per_speaker
+    held, need = cfg.heldout_per_speaker, cfg.labeled_per_speaker + cfg.heldout_per_speaker
     for si, spk in enumerate(members):
         perm = rng.permutation(spk.voice.shape[0])
-        heldout = perm[:cfg.heldout_per_speaker]
-        enrolled = perm[cfg.heldout_per_speaker:need]
-        chosen[spk.speaker_id] = {"heldout": np.sort(heldout),
-                                  "enrolled": np.sort(enrolled)}
-        leftover_keys.extend((si, int(j)) for j in np.sort(perm[need:]))
+        roles[ROLE_HELDOUT].append(np.sort(perm[:held]))
+        roles[ROLE_ENROLLED].append(np.sort(perm[held:need]))
+        leftovers.extend((si, int(j)) for j in np.sort(perm[need:]))
 
-    pick = rng.choice(len(leftover_keys), size=cfg.unlabeled_per_household,
-                      replace=False)
-    unlabeled = {leftover_keys[i] for i in pick}
+    pick = rng.choice(len(leftovers), size=cfg.unlabeled_per_household, replace=False)
+    for si, j in sorted(leftovers[i] for i in pick):
+        roles[ROLE_UNLABELED][si].append(j)
 
-    records = []
-    for role in (ROLE_ENROLLED, ROLE_UNLABELED, ROLE_HELDOUT):
-        for si, spk in enumerate(members):
-            if role == ROLE_UNLABELED:
-                indices = [j for (s, j) in sorted(unlabeled) if s == si]
-            else:
-                indices = chosen[spk.speaker_id][role].tolist()
-            for j in indices:
-                records.append(UtteranceRecord(
-                    utt_id=f"{household_id}-{spk.speaker_id}-u{j:03d}",
-                    household_id=household_id,
-                    role=role,
-                    speaker=spk.speaker_id,
-                    session_id=spk.sessions[j],
-                    cohort=spk.cohort,
-                    views={VOICE_VIEW: spk.voice[j], FACE_VIEW: spk.face[j]}))
+    records = [UtteranceRecord(utt_id=f"{household_id}-{spk.speaker_id}-u{j:03d}",
+                               household_id=household_id, role=role,
+                               speaker=spk.speaker_id, session_id=spk.sessions[j],
+                               cohort=spk.cohort,
+                               views={VOICE_VIEW: spk.voice[j], FACE_VIEW: spk.face[j]})
+               for role, per_member in roles.items()
+               for spk, indices in zip(members, per_member) for j in indices]
     household = HouseholdDataset(household_id=household_id, group=group,
                                  utterances=records)
     household.validate()
@@ -365,23 +357,22 @@ def _build_household(pool: SpeakerPool, member_idx: list[int], household_id: str
 
 def generate_group(cfg: SimulationConfig, group: str) -> list[HouseholdDataset]:
     """All households of one group, from that group's own speaker pool."""
-    seed = cfg.seed
-    pool = generate_speakers(cfg, seed, cfg.default_pool_size(group), tag=group)
+    pool = generate_speakers(cfg, cfg.default_pool_size(group), tag=group)
     if group == GROUP_RANDOM:
-        assignments = assemble_random_households(pool, cfg, seed)
+        assignments = assemble_random_households(pool)
     elif group == GROUP_HARD:
-        assignments = assemble_hard_households(pool, cfg, seed)
+        assignments = assemble_hard_households(pool)
     elif group.startswith("cohort:"):
-        assignments = assemble_cohort_households(pool, group.split(":", 1)[1], cfg, seed)
+        assignments = assemble_cohort_households(pool, group.split(":", 1)[1])
     else:
         raise ConfigurationError(f"unknown household group {group!r}")
     safe = group.replace(":", "")
-    return [_build_household(pool, members, f"{safe}-h{i:03d}", group, cfg, seed)
+    return [_build_household(pool, members, f"{safe}-h{i:03d}", group)
             for i, members in enumerate(assignments)]
 
 
-def split_dev_val(households: list[HouseholdDataset], cfg: SimulationConfig,
-                  seed: int) -> tuple[list[HouseholdDataset], list[HouseholdDataset]]:
+def split_dev_val(households: list[HouseholdDataset], cfg: SimulationConfig
+                  ) -> tuple[list[HouseholdDataset], list[HouseholdDataset]]:
     """Per-group seeded shuffle, then split at the configured dev:val ratio.
 
     Each split needs at least one household of every group, so a group with
@@ -399,8 +390,7 @@ def split_dev_val(households: list[HouseholdDataset], cfg: SimulationConfig,
             raise ConfigurationError(
                 f"group {group!r} has {len(items)} household(s); the dev/val "
                 f"split needs at least 2")
-        rng = np.random.default_rng(mix64(seed, _text_seed(f"split-{group}")))
-        order = rng.permutation(len(items))
+        order = _stage_rng(cfg, f"split-{group}").permutation(len(items))
         n_dev = max(1, (len(items) * d) // (d + v))
         for rank, idx in enumerate(order):
             (dev if rank < n_dev else val).append(items[idx])
@@ -412,7 +402,5 @@ def split_dev_val(households: list[HouseholdDataset], cfg: SimulationConfig,
 def generate_dataset(cfg: SimulationConfig
                      ) -> tuple[list[HouseholdDataset], list[HouseholdDataset]]:
     """Generate every configured group and split into dev/val."""
-    households: list[HouseholdDataset] = []
-    for group in cfg.groups:
-        households.extend(generate_group(cfg, group))
-    return split_dev_val(households, cfg, cfg.seed)
+    households = [hh for group in cfg.groups for hh in generate_group(cfg, group)]
+    return split_dev_val(households, cfg)

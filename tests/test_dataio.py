@@ -134,6 +134,23 @@ MALFORMED_RECORDS = [
                  "speaker must be a string", id="non-string-speaker"),
     pytest.param("heldout", lambda r: r["views"]["voice"].__setitem__(0, 10 ** 400),
                  "view 'voice'", id="integer-beyond-float"),
+    # JSON types are taken literally: np.asarray would convert each of these
+    pytest.param("heldout", lambda r: r["views"].update(voice=["0.5", "2"]),
+                 "view 'voice'", id="numeric-string-view"),
+    pytest.param("heldout", lambda r: r["views"].update(voice=[True, False]),
+                 "view 'voice'", id="boolean-view"),
+    pytest.param("enrolled", lambda r: r["views"]["voice"].__setitem__(0, True),
+                 "view 'voice'", id="boolean-entry"),
+    pytest.param("heldout", lambda r: r.update(household_id=None),
+                 "household_id must be a string", id="null-household"),
+    pytest.param("heldout", lambda r: r.update(household_id=1),
+                 "household_id must be a string", id="integer-household"),
+    pytest.param("heldout", lambda r: r.update(group=None),
+                 "group must be a string", id="null-group"),
+    pytest.param("heldout", lambda r: r.update(utt_id=7),
+                 "utt_id must be a string", id="integer-utt-id"),
+    pytest.param("unlabeled", lambda r: r.update(role=["heldout"]),
+                 "role must be a string", id="list-role"),
 ]
 
 # JSONL lines that are valid JSON but not a record object

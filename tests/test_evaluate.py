@@ -597,6 +597,21 @@ class TestTrustedPath:
             with pytest.raises(StructuralError, match="affinity matrix has non-finite entries"):
                 evaluate_methods(val, [spec])
 
+    @pytest.mark.parametrize("fusion", [
+        SingleView("voice"), EdgePoolFusion(("voice", "face")),
+        PowerMeanFusion(("voice", "face"), p=-1.0),
+    ], ids=["single-view", "edge-pool", "power-mean-minus-1"])
+    def test_overflow_at_a_power_of_two_scale_warns_nothing(self, fusion):
+        # under the suite's error::RuntimeWarning filter, local scaling's
+        # inf/inf must not surface as a numpy warning before the typed error
+        _, val = tiny_dataset()
+        for hh in val:
+            for record in hh.utterances:
+                record.views = {name: vec * 2.0 ** 530 for name, vec in record.views.items()}
+        spec = MethodSpec(method="LP", scaling=LocalScaling(k=4, s=0.8), fusion=fusion)
+        with pytest.raises(StructuralError, match="affinity matrix has non-finite entries"):
+            evaluate_methods(val, [spec])
+
     @pytest.mark.parametrize("solver", ("auto", "iterative"))
     def test_no_identity_matrix_on_the_evaluation_path(self, monkeypatch, solver):
         # I - M is formed in M's array, never as np.eye(n) - M; 2LP at p = -1
