@@ -1,8 +1,10 @@
 """Household-scoped speaker label inference over multi-view affinity graphs."""
 
 from .baselines import (
+    ABSTAIN,
     PredictionResult,
     cosine_matrix,
+    predict,
     run_2cs,
     run_2csea,
     run_cs,
@@ -51,12 +53,10 @@ from .graph import (
     session_affinity,
 )
 from .propagation import (
-    ABSTAIN,
     HouseholdGraph,
     PropagationConfig,
     class_normalize,
     init_label_matrix,
-    predict,
     propagate,
     run_2lp,
     run_2lpea,

@@ -4,6 +4,7 @@ Four variants: score a held-out utterance against each speaker's labeled
 utterances and average (CS), or against the per-speaker mean embedding
 (CSEA); 2CS and 2CSEA pseudo-label the unlabeled pool with CS or CSEA and
 re-score under _two_step, which 2LP shares; 2LPEA is 2CSEA with LP's step 1.
+Every method, LP's included, reads its labels off its scores with predict.
 """
 
 from dataclasses import dataclass, replace
@@ -16,8 +17,8 @@ from .errors import StructuralError, _warn_degeneracy
 class PredictionResult:
     """Hard labels from a score matrix, with tie/abstain diagnostics.
 
-    ``scores`` holds the rows the labels were read from; label propagation
-    marks abstaining rows with -1.
+    ``scores`` holds the rows the labels were read from; every method marks
+    abstaining rows with -1 (ABSTAIN).
     """
 
     labels: np.ndarray
@@ -63,14 +64,16 @@ def cosine_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 ABSTAIN = -1  # the label of a row that no class reaches
 
 
-def _argmax_with_ties(scores: np.ndarray) -> PredictionResult:
-    """Per-row argmax with lowest-index tie-break; rows with a tied maximum
-    are flagged."""
-    labels = np.argmax(scores, axis=1)
-    row_max = scores.max(axis=1)
-    ties = tuple(np.flatnonzero(
-        (scores == row_max[:, None]).sum(axis=1) > 1).tolist())
-    return PredictionResult(labels=labels, scores=scores, ties=ties)
+def predict(scores: np.ndarray, rows: slice | np.ndarray | None = None) -> PredictionResult:
+    """The one label rule, on ``scores[rows]``: per-row argmax with lowest-index
+    tie-break, rows with a tied maximum flagged, and all-zero rows (no class
+    reaches them) ABSTAIN, not counted as ties."""
+    block = scores if rows is None else scores[rows]
+    abstain = np.all(block == 0.0, axis=1)
+    tied = (block == block.max(axis=1, keepdims=True)).sum(axis=1) > 1
+    return PredictionResult(labels=np.where(abstain, ABSTAIN, np.argmax(block, axis=1)),
+                            scores=block, ties=tuple(np.flatnonzero(tied & ~abstain).tolist()),
+                            abstains=tuple(np.flatnonzero(abstain).tolist()))
 
 
 def _check_inputs(labeled, classes, heldout,
@@ -95,7 +98,7 @@ def run_cs(labeled: np.ndarray, classes: np.ndarray, heldout: np.ndarray,
     sims = cosine_matrix(heldout, labeled)
     scores = np.column_stack([sims[:, classes == c].mean(axis=1)
                               for c in range(class_count)])
-    return _argmax_with_ties(scores)
+    return predict(scores)
 
 
 def run_csea(labeled: np.ndarray, classes: np.ndarray, heldout: np.ndarray,
@@ -103,7 +106,7 @@ def run_csea(labeled: np.ndarray, classes: np.ndarray, heldout: np.ndarray,
     """CSEA: cosine against per-class mean embeddings."""
     labeled, classes, heldout = _check_inputs(labeled, classes, heldout, class_count)
     means = np.stack([labeled[classes == c].mean(axis=0) for c in range(class_count)])
-    return _argmax_with_ties(cosine_matrix(heldout, means))
+    return predict(cosine_matrix(heldout, means))
 
 
 def _two_step(has_pool: bool, step1, step2) -> PredictionResult:

@@ -45,9 +45,8 @@ def _load_config(path: str | None, seed: int | None = None) -> RunConfig:
     else:
         cfg = RunConfig.from_dict(read_json(path))
     if seed is not None:
-        cfg.seed = seed
-        if cfg.simulation is not None:
-            cfg.simulation = replace(cfg.simulation, seed=seed)
+        simulation = None if cfg.simulation is None else replace(cfg.simulation, seed=seed)
+        cfg = replace(cfg, seed=seed, simulation=simulation)
     return cfg
 
 

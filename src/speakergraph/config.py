@@ -218,12 +218,18 @@ def apply_param(spec: MethodSpec, name: str, value: Any) -> MethodSpec:
 class RunConfig:
     """Top-level config document: seed, simulation, and method sections.
 
-    One seed serves both levels: given at either, it sets the other.
+    One seed serves both levels: given at either, it sets the other, and a
+    simulation section with a different seed is a ConfigurationError.
     """
 
     seed: int = 0
     simulation: SimulationConfig | None = None
     method: MethodSpec | None = None
+
+    def __post_init__(self):
+        if self.simulation is not None and self.simulation.seed != self.seed:
+            raise ConfigurationError(
+                f"config: seed {self.seed} and simulation.seed {self.simulation.seed} differ")
 
     @classmethod
     def from_dict(cls, data: Any) -> "RunConfig":
@@ -235,16 +241,13 @@ class RunConfig:
         if unknown:
             raise ConfigurationError(f"config: unknown keys {sorted(unknown)}")
         sim = checked("simulation", data.get("simulation"), dict | None)
-        seeds = {checked(key, s, int) for key, s in (("seed", data.get("seed")),
+        # the seed given at each level, top level first; construction rejects two
+        seeds = [checked(key, s, int) for key, s in (("seed", data.get("seed")),
                                                      ("simulation.seed", (sim or {}).get("seed")))
-                 if s is not None}
-        if len(seeds) > 1:
-            raise ConfigurationError(
-                f"config: seed {data['seed']} and simulation.seed {sim['seed']} differ")
-        seed = seeds.pop() if seeds else 0
-        return cls(seed=seed,
+                 if s is not None] or [0]
+        return cls(seed=seeds[0],
                    simulation=None if sim is None else from_dict(
-                       SimulationConfig, {**sim, "seed": seed}, "simulation"),
+                       SimulationConfig, {**sim, "seed": seeds[-1]}, "simulation"),
                    method=checked("method", data.get("method"), MethodSpec | None))
 
     def to_dict(self) -> dict:

@@ -221,9 +221,10 @@ def write_report(report: EvalReport, path: str | Path, seed: int,
 
 
 def render_report(data: Mapping, fmt: str) -> str:
-    """Render a serialized report as json, csv, or a markdown table."""
+    """Render a serialized report as json (as write_json writes it), csv, or a
+    markdown table."""
     if fmt == "json":
-        return json.dumps(data, indent=2, sort_keys=True)
+        return json.dumps(data, indent=2, sort_keys=True) + "\n"
     if fmt not in ("csv", "md"):
         raise ConfigurationError(f"unknown report format {fmt!r}")
     groups = sorted({g for m in data["methods"] for g in m["groups"]})

@@ -100,9 +100,11 @@ class HouseholdStages:
                 matrix = _normalize_rows(self.matrix(name))
             else:
                 try:
-                    matrix = np.vstack([r.views[name] for r in self.records])
+                    matrix = np.array([r.views[name] for r in self.records])
                 except KeyError as exc:
                     raise ConfigurationError(f"view {name!r} missing from dataset") from exc
+                except ValueError as exc:  # rows of more than one dimension
+                    raise StructuralError(f"view {name!r}: rows differ in dimension") from exc
             self._matrices[key] = matrix
         return self._matrices[key]
 
@@ -138,10 +140,10 @@ def primary_view_name(spec: MethodSpec) -> str:
 
 def _predictions(stages: HouseholdStages, specs: Sequence[MethodSpec]
                  ) -> Iterator[PredictionResult | SpeakerGraphError]:
-    """Yield, spec by spec, the held-out predictions of specs that share one
-    graph, or the SpeakerGraphError that stopped the spec. The graph is built
-    here and released with the generator; if building it fails, that error
-    stops every spec."""
+    """evaluate_methods' per-group step: yield, spec by spec, the held-out
+    predictions of specs that share one graph, or the SpeakerGraphError that
+    stopped the spec. The graph is built here and released with the
+    generator; if building it fails, that error stops every spec."""
     try:
         graph = None if specs[0].is_baseline else build_household_graph(stages, specs[0])
     except SpeakerGraphError as exc:
@@ -181,10 +183,8 @@ def run_method(hh: HouseholdDataset, spec: MethodSpec) -> tuple[PredictionResult
     the solve.
     """
     stages = HouseholdStages(hh, [spec])
-    outcome = next(_predictions(stages, [spec]))
-    if isinstance(outcome, SpeakerGraphError):
-        raise outcome
-    return outcome, stages.truth
+    graph = None if spec.is_baseline else build_household_graph(stages, spec)
+    return _predict(stages, spec, graph), stages.truth
 
 
 # ---------------------------------------------------------------------------

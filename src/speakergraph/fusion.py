@@ -67,11 +67,11 @@ class PowerMeanFusion:
         object.__setattr__(self, "view_names", tuple(self.view_names))
         if not self.view_names:
             raise ConfigurationError("power-mean fusion needs at least one view")
-        if self.p == 0:
-            raise ConfigurationError("power-mean exponent p must be nonzero")
+        if not (math.isfinite(self.p) and self.p != 0):
+            raise ConfigurationError(f"power-mean p must be finite and nonzero, got {self.p}")
         if self.shift is not None:
-            if self.shift < 0:
-                raise ConfigurationError(f"shift must be >= 0, got {self.shift}")
+            if not 0 <= self.shift < math.inf:
+                raise ConfigurationError(f"shift must be finite and >= 0, got {self.shift}")
             if self.p < 0 and self.shift == 0:
                 raise ConfigurationError("shift must be > 0 when p < 0")
 
@@ -276,10 +276,10 @@ def pml_fuse(laplacians: Sequence[np.ndarray], p: float,
     """
     if not laplacians:
         raise ConfigurationError("pml_fuse needs at least one Laplacian")
-    if p == 0:
-        raise ConfigurationError("power-mean exponent p must be nonzero")
-    if shift < 0:
-        raise ConfigurationError(f"shift must be >= 0, got {shift}")
+    if not (math.isfinite(p) and p != 0):
+        raise ConfigurationError(f"power-mean p must be finite and nonzero, got {p}")
+    if not 0 <= shift < math.inf:
+        raise ConfigurationError(f"shift must be finite and >= 0, got {shift}")
     laplacians = [np.array(lap, dtype=float) for lap in laplacians]
     for lap in laplacians:
         if lap.ndim != 2 or lap.shape[0] != lap.shape[1]:

@@ -189,8 +189,8 @@ class LocalScaling:
     s: float
 
     def __post_init__(self):
-        if self.k < 1:
-            raise ConfigurationError(f"local k must be >= 1, got {self.k}")
+        if isinstance(self.k, bool) or not isinstance(self.k, (int, np.integer)) or self.k < 1:
+            raise ConfigurationError(f"local k must be an integer >= 1, got {self.k!r}")
         if not self.s > 0:
             raise ConfigurationError(f"local s must be > 0, got {self.s}")
 

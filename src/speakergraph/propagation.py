@@ -28,8 +28,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .baselines import (ABSTAIN, PredictionResult, _argmax_with_ties, _two_step,
-                        _two_step_cosine, run_csea)
+from .baselines import (ABSTAIN, PredictionResult, _two_step, _two_step_cosine, predict,
+                        run_csea)
 from .errors import ConfigurationError, NumericalError, StructuralError
 from .fusion import FusedGraph
 
@@ -54,8 +54,9 @@ class PropagationConfig:
             raise ConfigurationError(f"alpha must be in (0, 1), got {self.alpha}")
         if not self.tol > 0:
             raise ConfigurationError(f"tol must be > 0, got {self.tol}")
-        if self.max_iter < 1:
-            raise ConfigurationError(f"max_iter must be >= 1, got {self.max_iter}")
+        if (isinstance(self.max_iter, bool) or not isinstance(self.max_iter, (int, np.integer))
+                or self.max_iter < 1):
+            raise ConfigurationError(f"max_iter must be an integer >= 1, got {self.max_iter!r}")
         if self.solver not in ("auto", "iterative", "closed_form"):
             raise ConfigurationError(f"unknown solver {self.solver!r}")
 
@@ -190,16 +191,6 @@ def propagate(graph: HouseholdGraph, y0: np.ndarray,
                 f"{t}, so alpha*rho(S) > 1; use the closed-form solver")
         prev_delta = delta
     return PropagationOutcome(y=y, converged=False, iterations=cfg.max_iter)
-
-
-def predict(y: np.ndarray, rows: slice | np.ndarray | None = None) -> PredictionResult:
-    """The shared argmax/tie rule, except that all-zero rows abstain."""
-    block = y if rows is None else y[rows]
-    pred = _argmax_with_ties(block)
-    abstain = np.all(block == 0.0, axis=1)
-    return replace(pred, labels=np.where(abstain, ABSTAIN, pred.labels),
-                   ties=tuple(i for i in pred.ties if not abstain[i]),
-                   abstains=tuple(np.flatnonzero(abstain).tolist()))
 
 
 def _propagated(graph: HouseholdGraph, cfg: PropagationConfig, rows: slice,

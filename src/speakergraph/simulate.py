@@ -187,14 +187,11 @@ def generate_speakers(cfg: SimulationConfig, pool_size: int,
             scale=cfg.between_speaker_spread, size=cfg.voice_dim)
         face_mean = srng.normal(scale=cfg.between_speaker_spread, size=cfg.face_dim)
         sizes = _session_sizes(srng, m, cfg.session_mean_size)
-        sessions = []
-        session_offsets = np.zeros((m, cfg.voice_dim))
-        start = 0
-        for j, size in enumerate(sizes):
-            offset = srng.normal(scale=cfg.session_offset_sigma, size=cfg.voice_dim)
-            session_offsets[start:start + size] = offset
-            sessions.extend([f"{tag}-spk{i:04d}-s{j:03d}"] * size)
-            start += size
+        # one id (one shared string) and one offset per session, repeated over its utterances
+        sessions = [sid for j, size in enumerate(sizes)
+                    for sid in [f"{tag}-spk{i:04d}-s{j:03d}"] * size]
+        session_offsets = np.repeat(srng.normal(scale=cfg.session_offset_sigma,
+                                                size=(len(sizes), cfg.voice_dim)), sizes, axis=0)
         voice = (voice_mean + session_offsets
                  + srng.normal(scale=cfg.within_speaker_sigma, size=(m, cfg.voice_dim)))
         face = face_mean + srng.normal(scale=cfg.face_within_sigma,

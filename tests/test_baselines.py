@@ -1,18 +1,22 @@
 """Cosine-scoring baselines against brute-force oracles."""
 
+import importlib
 import warnings
 
 import numpy as np
 import pytest
 
 from speakergraph import (
+    ABSTAIN,
     DegeneracyWarning,
     StructuralError,
+    predict,
     run_2cs,
     run_2csea,
     run_cs,
     run_csea,
 )
+from speakergraph import baselines
 
 
 def cos(a, b):
@@ -119,6 +123,35 @@ class TestScores:
         out = run_csea(emb, np.array([0, 0, 1]), heldout, 2)
         assert out.scores[0] == pytest.approx(
             [cos(heldout[0], [0.5, 0.5]), cos(heldout[0], [2.0, -1.0])])
+
+
+class TestLabelRule:
+    """Every method reads its labels with the one rule, predict."""
+
+    def test_one_rule_for_every_method(self):
+        propagation = importlib.import_module("speakergraph.propagation")
+        assert predict is baselines.predict is propagation.predict
+
+    @pytest.mark.parametrize("scorer", (run_cs, run_csea))
+    def test_zero_norm_heldout_abstains(self, scorer):
+        # its all-zero scores were once read as class 0 by tie-break, with a tie flag
+        labeled = np.array([[1.0, 0.0], [0.0, 1.0]])
+        with pytest.warns(DegeneracyWarning):
+            out = scorer(labeled, np.array([0, 1]), np.array([[1.0, 0.5], [0.0, 0.0]]), 2)
+        assert out.labels.tolist() == [0, ABSTAIN]
+        assert out.abstains == (1,)
+        assert out.ties == ()
+
+    @pytest.mark.parametrize("scorer", (run_2cs, run_2csea))
+    def test_zero_norm_pool_row_stays_unlabeled_in_step_2(self, scorer):
+        # as pseudo-label 0 it halved class 0's 2CS score, 0.697 -> 0.349
+        labeled, classes = np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([0, 1])
+        pool, heldout = np.array([[1.0, 0.2], [0.0, 0.0]]), np.array([[1.0, 0.5]])
+        with pytest.warns(DegeneracyWarning):
+            with_zero = scorer(labeled, classes, pool, heldout, 2)
+        without = scorer(labeled, classes, pool[:1], heldout, 2)
+        assert np.array_equal(with_zero.scores, without.scores)
+        assert np.array_equal(with_zero.labels, without.labels)
 
 
 class TestInputs:

@@ -13,10 +13,12 @@ from hypothesis import strategies as st
 
 from speakergraph import (
     ConfigurationError,
+    HouseholdDataset,
     MethodSpec,
     SimulationConfig,
     SpeakerGraphError,
     StructuralError,
+    UtteranceRecord,
     evaluate_methods,
     generate_dataset,
 )
@@ -189,6 +191,15 @@ class TestJsonlRoundTrip:
         with pytest.raises(StructuralError, match="no households"):
             load_dataset(path)
 
+    def test_blank_lines_are_skipped(self, tmp_path):
+        dev, _ = golden_households()
+        path = tmp_path / "blank.jsonl"
+        save_dataset(dev[:1], path)
+        lines = path.read_text().splitlines()
+        path.write_text("\n" + "\n  \t\n".join(lines) + "\n\n")
+        (loaded,) = load_dataset(path)
+        assert [u.utt_id for u in loaded.utterances] == [u.utt_id for u in dev[0].utterances]
+
     def test_malformed_line_reports_number(self, tmp_path):
         dev, _ = golden_households()
         path = tmp_path / "bad.jsonl"
@@ -285,6 +296,37 @@ class TestJsonlRoundTrip:
             load_dataset(path)
 
 
+def utterance(utt_id, role="enrolled", speaker="a", household_id="h", voice=(1.0, 0.0)):
+    return UtteranceRecord(utt_id=utt_id, household_id=household_id, role=role,
+                           speaker=speaker, views={"voice": voice})
+
+
+class TestRecordChecks:
+    """The checks of the record constructors and HouseholdDataset.validate,
+    which the loader's own line checks reach first."""
+
+    @pytest.mark.parametrize("utterances, message", [
+        ([utterance("u0"), utterance("u0")], "duplicate utt_id 'u0'"),
+        ([utterance("u0"), utterance("u1", household_id="g")], "u1: household 'g' != 'h'"),
+        ([utterance("u0", role="heldout")], "h: no enrolled utterances"),
+        ([utterance("u0", voice=[[1.0, 0.0]])], "u0: view 'voice' is not a vector"),
+        ([utterance("u0"), utterance("u1", voice=(1.0, 0.0, 0.0))],
+         "u1: view 'voice' has dimension 3, expected 2"),
+    ], ids=["duplicate-utt-id", "foreign-household", "no-enrolled", "non-vector-view",
+            "dimension-mismatch"])
+    def test_validate_rejects(self, utterances, message):
+        with pytest.raises(StructuralError, match=re.escape(message)):
+            HouseholdDataset("h", "random", utterances).validate()
+
+    @pytest.mark.parametrize("role, speaker, message", [
+        ("guest", "a", "u0: unknown role 'guest'"),
+        ("enrolled", None, "u0: enrolled utterance without speaker"),
+    ])
+    def test_record_rejects(self, role, speaker, message):
+        with pytest.raises(StructuralError, match=re.escape(message)):
+            utterance("u0", role=role, speaker=speaker)
+
+
 class TestRunConfig:
     def test_unknown_keys_rejected(self):
         with pytest.raises(ConfigurationError, match="unknown keys"):
@@ -317,6 +359,19 @@ class TestRunConfig:
         assert inner.seed == inner.simulation.seed == 42
         with pytest.raises(ConfigurationError, match="differ"):
             RunConfig.from_dict({"seed": 1, "simulation": {"seed": 2}})
+
+    def test_two_seeds_rejected_at_construction(self):
+        # such a config once wrote a document that from_dict rejects
+        with pytest.raises(ConfigurationError,
+                           match=re.escape("config: seed 1 and simulation.seed 2 differ")):
+            RunConfig(seed=1, simulation=SimulationConfig(seed=2))
+
+    def test_seed_override_reseeds_both_levels(self, tmp_path):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(CONFIGS["test-cli"]))
+        cfg = _load_config(str(path), seed=7)
+        assert cfg.seed == cfg.simulation.seed == 7
+        assert RunConfig.from_dict(cfg.to_dict()) == cfg
 
     @pytest.mark.parametrize("data, key", [([1], "config"), ({"method": 5}, "method"),
                                            ({"method": {"scaling": "x"}}, "method.scaling"),
@@ -407,7 +462,7 @@ class TestReportRendering:
         rows = [r for r in text.strip().splitlines()]
         assert len(rows) == 1 + len(data["methods"])
 
-    @pytest.mark.parametrize("fmt", ["md", "csv"])
+    @pytest.mark.parametrize("fmt", ["md", "csv", "json"])
     def test_rendering_matches_golden(self, fmt):
         data = json.loads((DATA_DIR / "golden_report.json").read_text())
         golden = (DATA_DIR / f"golden_report.{fmt}").read_bytes()
@@ -749,6 +804,11 @@ class TestCli:
         assert md.startswith("| method |")
         assert main(["report", "--in", str(report), "--format", "csv"]) == 0
         assert "label,family" in capsys.readouterr().out
+        # rendered as JSON, a report is the file it was read from
+        rendered = tmp_path / "rendered.json"
+        assert main(["report", "--in", str(report), "--format", "json",
+                     "--out", str(rendered)]) == 0
+        assert rendered.read_bytes() == report.read_bytes()
 
     def test_sweep_outputs(self, tmp_path):
         cfg = self.run_config_file(tmp_path)
@@ -765,6 +825,16 @@ class TestCli:
         assert len(rows) == 3   # header + 2 grid points
         best = json.loads((tmp_path / "sweep.csv.best.json").read_text())
         assert best["params"]["scaling.s"] in (0.5, 0.8)
+
+    @pytest.mark.parametrize("grid", [[{"scaling.s": [0.5]}], "scaling.s", 5])
+    def test_non_object_grid_exits_2(self, tmp_path, capsys, grid):
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps(grid))
+        dev, _ = golden_households()
+        save_dataset(dev[:1], tmp_path / "dev.jsonl")
+        assert main(["sweep", "--dev", str(tmp_path / "dev.jsonl"), "--grid", str(path),
+                     "--out", str(tmp_path / "sweep.csv")]) == 2
+        assert "grid file must map parameter names to value lists" in capsys.readouterr().err
 
     def test_exit_codes(self, tmp_path, monkeypatch):
         # missing file -> I/O error

@@ -101,6 +101,11 @@ class TestMethodSpec:
         with pytest.raises(ConfigurationError):
             MethodSpec(method="PLDA")
 
+    @pytest.mark.parametrize("sigma", [0.0, -0.25])
+    def test_session_sigma_must_be_positive(self, sigma):
+        with pytest.raises(ConfigurationError, match="session_sigma must be > 0"):
+            MethodSpec(method="CS", session_sigma=sigma)
+
     @pytest.mark.parametrize("scaling, fusion", [(LocalScaling(k=4, s=0.5), object()),
                                                  (object(), SingleView("voice"))])
     def test_lp_rules_must_be_known_rules(self, scaling, fusion):
@@ -183,6 +188,23 @@ class TestEvaluate:
         report = evaluate(val, spec, allow_skip=True)
         assert len(report.skipped) == 1
         assert report.skipped[0][0] == broken.household_id
+
+    def test_no_households_is_a_structural_error(self):
+        with pytest.raises(StructuralError, match="no households to evaluate"):
+            evaluate_methods([], [MethodSpec(method="CS")])
+
+    @pytest.mark.parametrize("spec", [MethodSpec(method="CS"), LOCAL_2LP], ids=["CS", "2LP"])
+    def test_view_dimension_changed_after_validation_is_a_structural_error(self, spec):
+        # numpy's ValueError once escaped even allow_skip
+        _, val = tiny_dataset()
+        val[0].validate()
+        record = val[0].utterances[-1]
+        record.views["voice"] = record.views["voice"][:-1]
+        with pytest.raises(StructuralError, match="view 'voice': rows differ in dimension"):
+            run_method(val[0], spec)
+        report = evaluate(val, spec, allow_skip=True)
+        assert [hid for hid, _ in report.skipped] == [val[0].household_id]
+        assert len(report.households) == len(val) - 1
 
     def test_heldout_truth_required(self):
         _, val = tiny_dataset()

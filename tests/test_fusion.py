@@ -187,6 +187,21 @@ class TestPowerMean:
         with pytest.raises(ConfigurationError):
             pml_fuse(laps, 0.0)
 
+    @pytest.mark.parametrize("p, shift, message", [
+        (math.nan, 0.5, "p must be finite and nonzero"),
+        (math.inf, 0.5, "p must be finite and nonzero"),
+        (-math.inf, 0.5, "p must be finite and nonzero"),
+        (-1.0, math.nan, "shift must be finite and >= 0"),
+        (-1.0, math.inf, "shift must be finite and >= 0"),
+    ])
+    def test_non_finite_p_or_shift_rejected(self, p, shift, message):
+        # p = nan once ended in a ValueError and p = +-inf in an OverflowError,
+        # both from int(q) in the eigendecomposition route
+        with pytest.raises(ConfigurationError, match=message):
+            pml_fuse(self.random_laplacians(5), p, shift)
+        with pytest.raises(ConfigurationError, match=message):
+            PowerMeanFusion(("a",), p=p, shift=shift)
+
     def test_size_mismatch(self):
         a = self.random_laplacians(6, n=5, count=1)[0]
         b = self.random_laplacians(6, n=6, count=1)[0]

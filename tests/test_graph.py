@@ -188,6 +188,15 @@ class TestAffinity:
         with pytest.raises(ConfigurationError):
             CohortScaling({"g": -1.0})
 
+    @pytest.mark.parametrize("k", [2.5, 2.0, True, "3"])
+    def test_local_k_must_be_an_integer(self, k):
+        # k = 2.5 once ended evaluate_methods in a TypeError, even under allow_skip
+        with pytest.raises(ConfigurationError, match="local k must be an integer >= 1"):
+            LocalScaling(k=k, s=1.0)
+
+    def test_local_k_may_be_a_numpy_integer(self):
+        assert LocalScaling(k=np.int64(3), s=1.0).k == 3
+
     @pytest.mark.parametrize("seed", range(5))
     def test_symmetry_zero_diag_range_property(self, seed):
         rng = np.random.default_rng(seed)

@@ -89,6 +89,17 @@ class TestHouseholdGraph:
         with pytest.raises(StructuralError):
             graph_from_w(w, labels=[0, 2], n_unlabeled=0, n_heldout=0, class_count=2)
 
+    @pytest.mark.parametrize("labels, n_unlabeled, n_heldout, class_count, message", [
+        ([], 1, 1, 2, "need at least one labeled node"),
+        ([0, 0], 0, 0, 1, "class_count must be >= 2, got 1"),
+        ([0, 1], -1, 1, 2, "negative partition size"),
+        ([0, 1], 1, -1, 2, "negative partition size"),
+    ])
+    def test_constructor_rejects(self, labels, n_unlabeled, n_heldout, class_count, message):
+        w = np.array([[0.0, 0.5], [0.5, 0.0]])
+        with pytest.raises(StructuralError, match=message):
+            graph_from_w(w, labels, n_unlabeled, n_heldout, class_count)
+
     @pytest.mark.parametrize("rule", FUSION_RULES)
     def test_step1_weights_are_views_of_the_graph(self, rule):
         rng = np.random.default_rng(3)
@@ -265,6 +276,15 @@ class TestPropagate:
                        {"max_iter": 0}, {"solver": "magic"}):
             with pytest.raises(ConfigurationError):
                 PropagationConfig(**kwargs)
+
+    @pytest.mark.parametrize("max_iter", [1.5, 100.0, True, "10"])
+    def test_max_iter_must_be_an_integer(self, max_iter):
+        # max_iter = 1.5 once ended the iterative solver in a TypeError from range()
+        with pytest.raises(ConfigurationError, match="max_iter must be an integer >= 1"):
+            PropagationConfig(max_iter=max_iter, solver="iterative")
+
+    def test_max_iter_may_be_a_numpy_integer(self):
+        assert PropagationConfig(max_iter=np.int64(5)).max_iter == 5
 
 
 def random_affinity(rng, n, sigma=1.0):

@@ -1,12 +1,14 @@
 """Synthetic household generation: determinism, roles, groups, sessions."""
 
 import hashlib
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from speakergraph import (
+    ConfigurationError,
     SimulationConfig,
     StructuralError,
     assemble_cohort_households,
@@ -268,6 +270,31 @@ class TestSplitAndRoles:
     def test_insufficient_utterances_rejected(self):
         with pytest.raises(Exception):
             small_config(utterances_per_speaker=5)
+
+    @pytest.mark.parametrize("overrides, message", [
+        ({"speakers_per_household": 1}, "need at least 2 speakers per household"),
+        ({"households_per_group": 0}, "need at least 1 household per group"),
+        ({"face_outlier_rate": -0.1}, "face_outlier_rate must be in [0, 1]"),
+        ({"face_outlier_rate": 1.5}, "face_outlier_rate must be in [0, 1]"),
+        ({"num_cohorts": 0}, "need at least 1 cohort"),
+        *[({name: -1.0}, f"{name} must be >= 0")
+          for name in ("within_speaker_sigma", "between_speaker_spread", "cohort_offset_scale",
+                       "session_mean_size", "face_within_sigma", "session_offset_sigma")],
+        *[({name: low - 1}, f"{name} must be >= {low}")
+          for name, low in (("voice_dim", 1), ("face_dim", 1), ("labeled_per_speaker", 1),
+                            ("unlabeled_per_household", 0), ("heldout_per_speaker", 0))],
+        ({"face_outlier_blend": (0.0, 1.0)}, "face_outlier_blend must satisfy"),
+        ({"face_outlier_blend": (0.8, 0.5)}, "face_outlier_blend must satisfy"),
+        ({"face_outlier_blend": (0.5, 1.5)}, "face_outlier_blend must satisfy"),
+        ({"utterances_per_speaker": 9}, "utterances_per_speaker must be >= 10"),
+        ({"dev_val_ratio": (0, 2)}, "dev_val_ratio parts must be >= 1"),
+        ({"dev_val_ratio": (1, 0)}, "dev_val_ratio parts must be >= 1"),
+        ({"groups": ()}, "groups must be nonempty and distinct"),
+        ({"groups": ("random", "random")}, "groups must be nonempty and distinct"),
+    ])
+    def test_each_rejection(self, overrides, message):
+        with pytest.raises(ConfigurationError, match=re.escape(message)):
+            small_config(**overrides)
 
     def test_group_tags(self):
         cfg = small_config(groups=("random", "hard", "cohort:0"),
