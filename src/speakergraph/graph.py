@@ -31,10 +31,6 @@ from scipy.spatial.distance import cdist
 
 from .errors import ConfigurationError, NumericalError, StructuralError, _warn_degeneracy
 
-# Bandwidths below this are clamped to keep the kernel exponent finite when
-# duplicate embeddings collapse a KNN mean to zero.
-SIGMA_FLOOR = 1e-6
-
 # Matrices with fewer rows than this run the row blocks of each n x n pass on
 # the calling thread. On 2 vCPUs, building voice, face and session
 # kernels (local scaling, 16-dim vectors), their edge pool and two operators
@@ -326,34 +322,26 @@ class ViewDistances:
             # sigma[i, j] = s * (m_i + m_j) / 2, the mean of the pooled 2k
             # neighbor distances of i and j; m_i + m_j commutes, so sigma is
             # exactly symmetric. Each step rounds monotonically, so its least
-            # entry is the one at the least mean.
-            clamp = _below_sigma_floor((means.min() + means.min()) * s / 2.0)
+            # entry is the one at the least mean, and sigma has a zero exactly
+            # when that entry is one: where a node's k nearest neighbors all
+            # duplicate it, or s times a tiny mean underflows.
+            zero_sigma = (means.min() + means.min()) * s / 2.0 == 0.0
+            if zero_sigma:
+                _warn_degeneracy("zero bandwidth under local scaling (duplicate embeddings?)")
 
             def scaled(out, a, b):
                 np.add(means[a:b, None], means, out=out)
                 out *= s
                 out /= 2.0
-                if clamp:
-                    np.maximum(out, SIGMA_FLOOR, out=out)
-                with np.errstate(invalid="ignore"):  # inf/inf: NaNs raise later
-                    np.divide(dist[a:b], out, out=out)
+                np.divide(dist[a:b], out, out=out)
+                if zero_sigma:  # d/0 = inf weighs 0; a duplicate pair's 0/0 weighs 1
+                    np.copyto(out, 0.0, where=dist[a:b] == 0.0)
 
             return _gaussian_kernel(dist.shape[0], scaled)
         else:
             raise ConfigurationError(f"unknown scaling rule {type(rule).__name__}")
-        if _below_sigma_floor(sigma):
-            sigma = SIGMA_FLOOR
         return _gaussian_kernel(dist.shape[0],
                                 lambda out, a, b: np.divide(dist[a:b], sigma, out=out))
-
-
-def _below_sigma_floor(least_sigma: float) -> bool:
-    """Whether the bandwidth must be clamped to SIGMA_FLOOR; warns, naming the
-    first caller outside this module, if so."""
-    if not least_sigma < SIGMA_FLOOR:
-        return False
-    _warn_degeneracy("bandwidth clamped to sigma floor (duplicate embeddings?)")
-    return True
 
 
 def _gaussian_kernel(n: int, scaled: Callable[[np.ndarray, int, int], object]
@@ -365,19 +353,21 @@ def _gaussian_kernel(n: int, scaled: Callable[[np.ndarray, int, int], object]
     dist and sigma must be exactly symmetric, as pairwise_distances and
     s * (m_i + m_j) / 2 are; every step is elementwise, so the kernel is a
     valid affinity, except for NaNs where overflowing distances give inf/inf.
+    Bandwidths are used as given: a d/sigma or a square that divides by zero
+    or overflows to inf is the right limit, exp(-inf) = 0, and the blocks run
+    in this call's error state (see _by_row_blocks), so none of it warns.
     """
     w = np.empty((n, n))
 
     def rows(a, b):
         out = w[a:b]
         scaled(out, a, b)
-        # a square that overflows to inf is the right limit: exp(-inf) = 0
-        with np.errstate(over="ignore"):
-            np.square(out, out=out)
+        np.square(out, out=out)
         np.negative(out, out=out)
         np.exp(out, out=out)
 
-    _by_row_blocks(n, rows)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        _by_row_blocks(n, rows)
     np.fill_diagonal(w, 0.0)
     return w
 
@@ -411,8 +401,6 @@ def _session_kernel(sessions: Sequence[str | None], sigma: float) -> np.ndarray:
     # dtype drops trailing NULs and so merges "a" with "a\x00".
     codes: dict[str, int] = {}
     ids = np.array([codes.setdefault(str(s), len(codes)) for s in sessions], dtype=np.intp)
-    if _below_sigma_floor(sigma):
-        sigma = SIGMA_FLOOR
 
     def scaled(out, a, b):
         np.not_equal(ids[a:b, None], ids, out=out)

@@ -114,14 +114,19 @@ class SimulationConfig:
         d, v = self.dev_val_ratio
         if d < 1 or v < 1:
             raise ConfigurationError("dev_val_ratio parts must be >= 1")
+        served = (GROUP_RANDOM, GROUP_HARD) + tuple(
+            cohort_group(str(i)) for i in range(self.num_cohorts))
         if self.groups is None:
-            groups = (GROUP_RANDOM, GROUP_HARD) + tuple(
-                cohort_group(str(i)) for i in range(self.num_cohorts))
-            object.__setattr__(self, "groups", groups)
+            object.__setattr__(self, "groups", served)
         elif not self.groups or len(set(self.groups)) < len(self.groups):
             # a repeated group would repeat its household ids
             raise ConfigurationError(
                 f"groups must be nonempty and distinct, got {list(self.groups)}")
+        unknown = [g for g in self.groups if g not in served]
+        if unknown:
+            raise ConfigurationError(
+                f"unknown household group {unknown[0]!r}; expected 'random', 'hard' or "
+                f"'cohort:<i>' with 0 <= i < num_cohorts = {self.num_cohorts}")
 
     def default_pool_size(self, group: str) -> int:
         if self.pool_speakers is not None:
@@ -353,16 +358,18 @@ def _build_household(pool: SpeakerPool, member_idx: list[int], household_id: str
 
 
 def generate_group(cfg: SimulationConfig, group: str) -> list[HouseholdDataset]:
-    """All households of one group, from that group's own speaker pool."""
+    """All households of one of the config's groups, from that group's own
+    speaker pool."""
+    if group not in cfg.groups:
+        raise ConfigurationError(
+            f"group {group!r} is not one of the config's groups {list(cfg.groups)}")
     pool = generate_speakers(cfg, cfg.default_pool_size(group), tag=group)
     if group == GROUP_RANDOM:
         assignments = assemble_random_households(pool)
     elif group == GROUP_HARD:
         assignments = assemble_hard_households(pool)
-    elif group.startswith("cohort:"):
-        assignments = assemble_cohort_households(pool, group.split(":", 1)[1])
     else:
-        raise ConfigurationError(f"unknown household group {group!r}")
+        assignments = assemble_cohort_households(pool, group.split(":", 1)[1])
     safe = group.replace(":", "")
     return [_build_household(pool, members, f"{safe}-h{i:03d}", group)
             for i, members in enumerate(assignments)]

@@ -415,6 +415,12 @@ class TestRunConfig:
                            match=re.escape(f"{key}: expected a finite number")):
             RunConfig.from_dict({"method": method})
 
+    @pytest.mark.parametrize("group", ["bogus", "cohort:9", "cohort:x"])
+    def test_unserved_simulation_group_rejected(self, group):
+        with pytest.raises(ConfigurationError,
+                           match=re.escape(f"unknown household group {group!r}")):
+            RunConfig.from_dict({"simulation": {"groups": ["random", group]}})
+
     def test_counts_beyond_float_range(self):
         with pytest.raises(ConfigurationError, match="utterances_per_speaker must be >= "):
             RunConfig.from_dict({"simulation": {"unlabeled_per_household": 10 ** 400}})
@@ -493,6 +499,16 @@ class TestReportRendering:
         write_report(report, a, seed=1, cfg_hash="x")
         write_report(report, b, seed=1, cfg_hash="x")
         assert a.read_bytes() == b.read_bytes()
+
+
+class TestReadme:
+    def test_library_example_runs(self, capsys):
+        # the public API the README shows is the one the package exports
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        library = readme.split("\n## Library\n", 1)[1]
+        example = re.search(r"```python\n(.*?)```", library, re.DOTALL).group(1)
+        exec(compile(example, "README.md", "exec"), {})
+        assert re.fullmatch(r"micro-SIER \d+\.\d\d%\n", capsys.readouterr().out)
 
 
 class TestGoldenFiles:
@@ -718,6 +734,24 @@ class TestCli:
         out = tmp_path / "sim"
         assert main(["simulate", "--config", str(path), "--out", str(out)]) == 2
         assert "error: groups must be nonempty and distinct" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "evaluate"])
+    def test_unserved_simulation_group_exits_2(self, tmp_path, capsys, command):
+        # evaluate once exited 0 on such a config, and simulate failed only
+        # inside generate_dataset
+        cfg = json.loads(self.run_config_file(tmp_path).read_text())
+        cfg["simulation"]["groups"] = ["random", "bogus"]
+        path = tmp_path / "bogus.json"
+        path.write_text(json.dumps(cfg))
+        _, val = golden_households()
+        data = tmp_path / "val.jsonl"
+        save_dataset(val, data)
+        out = tmp_path / "out"
+        args = (["--out", str(out)] if command == "simulate"
+                else ["--data", str(data), "--out", str(out)])
+        assert main([command, "--config", str(path), *args]) == 2
+        assert "error: unknown household group 'bogus'" in capsys.readouterr().err
         assert not out.exists()
 
     def test_missing_session_id_exits_2(self, tmp_path, capsys):

@@ -1,5 +1,7 @@
 """SIER arithmetic, evaluation reports, and sweeps."""
 
+import copy
+import functools
 import importlib
 import itertools
 import re
@@ -9,6 +11,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from speakergraph import (
     CohortScaling,
@@ -35,7 +39,7 @@ from speakergraph import (
     sweep,
     tune_cohort_sigmas,
 )
-from speakergraph.config import apply_param
+from speakergraph.config import BASELINE_METHODS, METHODS, apply_param
 
 evaluate_module = importlib.import_module("speakergraph.evaluate")
 fusion_module = importlib.import_module("speakergraph.fusion")
@@ -718,3 +722,71 @@ class TestTrustedPath:
         assert caught
         assert [(w.category, w.filename) for w in caught] == \
             [(DegeneracyWarning, __file__)] * len(caught)
+
+
+def rescaled(household, exponent):
+    """A copy of the household with every vector view multiplied by 2**exponent."""
+    household = copy.deepcopy(household)
+    for record in household.utterances:
+        record.views = {name: vec * 2.0 ** exponent for name, vec in record.views.items()}
+    return household
+
+
+@functools.cache
+def first_seed7_val_household():
+    return generate_dataset(SimulationConfig(seed=7))[1][0]
+
+
+@functools.cache
+def tiny_val(seed):
+    return tiny_dataset(seed)[1]
+
+
+SCALE_FREE_FUSIONS = (SingleView("voice"), SingleView("face"),
+                      EdgePoolFusion(("voice", "face", "session")),
+                      PowerMeanFusion(("voice", "face"), p=1.0),
+                      PowerMeanFusion(("voice", "face"), p=-1.0))
+
+
+class TestPowerOfTwoInvariance:
+    """Local scaling and cosine scoring are scale-free, and multiplying a view
+    by a power of two is exact, so labels and scores must not move by a bit.
+    The exponents stop at +-480: for data of unit scale, squared entries and
+    distances then stay normal floats (2^+-960 lies inside [2^-1022, 2^1024)),
+    and every row norm stays inside the range where _normalize_rows takes its
+    plain path, so no step rounds differently from the unscaled run."""
+
+    def assert_invariant(self, household, spec, exponent):
+        base, _ = run_method(household, spec)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result, _ = run_method(rescaled(household, exponent), spec)
+        assert np.array_equal(result.labels, base.labels)
+        assert np.array_equal(result.scores, base.scores)
+
+    @pytest.mark.parametrize("method, fusion", [
+        ("LP", SingleView("voice")),
+        ("2LP", EdgePoolFusion(("voice", "face", "session"))),
+        ("LP", PowerMeanFusion(("voice", "face"), p=-1.0)),
+    ], ids=["LP-voice", "2LP-edge-pool", "LP-power-mean-minus-1"])
+    @pytest.mark.parametrize("exponent", [-480, -60, -25, -24, -20, 480])
+    def test_seed7_labels_survive_small_and_large_scales(self, method, fusion, exponent):
+        # an absolute bandwidth floor once changed up to 31 of the 40 labels
+        # here from 2^-24 down, and one already at 2^-20
+        spec = MethodSpec(method=method, scaling=LocalScaling(k=5, s=1.0), fusion=fusion)
+        self.assert_invariant(first_seed7_val_household(), spec, exponent)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(method=st.sampled_from(METHODS), fusion=st.sampled_from(SCALE_FREE_FUSIONS),
+           k=st.integers(1, 10), s=st.floats(0.1, 4.0), unit_normalize=st.booleans(),
+           exponent=st.integers(-480, 480), seed=st.integers(0, 2))
+    def test_every_method_is_bitwise_scale_free(self, method, fusion, k, s, unit_normalize,
+                                                exponent, seed):
+        if method in BASELINE_METHODS:
+            spec = MethodSpec(method=method, view=fusion.view_names[0],
+                              unit_normalize=unit_normalize)
+        else:
+            spec = MethodSpec(method=method, scaling=LocalScaling(k=k, s=s), fusion=fusion,
+                              unit_normalize=unit_normalize)
+        for household in tiny_val(seed):
+            self.assert_invariant(household, spec, exponent)

@@ -24,7 +24,7 @@ from speakergraph import (
     propagation_operator,
     session_affinity,
 )
-from speakergraph.graph import SIGMA_FLOOR, ViewDistances, _identity_minus
+from speakergraph.graph import ViewDistances, _identity_minus
 
 
 def line_view(points):
@@ -114,10 +114,12 @@ class TestKnnMeanDistance:
         assert np.array_equal(shared.knn_means(39), full[:, :39].mean(axis=1))
 
     def test_duplicate_point_floors(self):
-        # k=1 means are (0, 0, 1e-7): the pair bandwidth 5e-8 is clamped
-        with pytest.warns(DegeneracyWarning):
+        # k=1 means are (0, 0, 1e-7): the pair bandwidth 5e-8 is used as given,
+        # and the duplicate pair's zero bandwidth warns and weighs 1
+        with pytest.warns(DegeneracyWarning, match="zero bandwidth"):
             w = affinity(line_view([0.0, 0.0, 1e-7]), LocalScaling(k=1, s=1.0))
-        assert w.w[0, 2] == pytest.approx(np.exp(-(1e-7 / SIGMA_FLOOR) ** 2), rel=1e-12)
+        assert w.w[0, 2] == pytest.approx(np.exp(-(1e-7 / 5e-8) ** 2), rel=1e-12)
+        assert w.w[0, 1] == 1.0
 
 
 class TestAffinity:
@@ -251,10 +253,12 @@ class TestAffinity:
 
 
 def reference_kernel(dist, sigma):
-    """The kernel as first written: exp(-(d/sigma)^2) with the sigma floor, then
-    the upper triangle mirrored into the lower one."""
-    sigma = np.maximum(sigma, SIGMA_FLOOR)
-    w = np.exp(-(dist / sigma) ** 2)
+    """The kernel as first written: exp(-(d/sigma)^2) with the bandwidth as
+    given (d/0 = inf weighs 0, a duplicate pair's 0/0 weighs 1), then the
+    upper triangle mirrored into the lower one."""
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        scaled = np.where(dist == 0.0, 0.0, dist / sigma)
+        w = np.exp(-scaled ** 2)
     upper = np.triu(w, 1)
     return upper + upper.T
 

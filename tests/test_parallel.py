@@ -327,8 +327,9 @@ class TestThreadsStayOutOfTheWay:
             warnings.simplefilter("always")
             ViewDistances(view, 1).affinity(LocalScaling(1, 1.0))
             affinity(view, LocalScaling(1, 1.0))
+            # a tiny configured bandwidth is used as given, without a warning
             session_affinity(["a"] * 300, 1e-7)
-        assert [(w.category, w.filename) for w in caught] == [(DegeneracyWarning, __file__)] * 3
+        assert [(w.category, w.filename) for w in caught] == [(DegeneracyWarning, __file__)] * 2
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
     def test_forked_child_builds_a_large_graph(self):

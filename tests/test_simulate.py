@@ -291,10 +291,21 @@ class TestSplitAndRoles:
         ({"dev_val_ratio": (1, 0)}, "dev_val_ratio parts must be >= 1"),
         ({"groups": ()}, "groups must be nonempty and distinct"),
         ({"groups": ("random", "random")}, "groups must be nonempty and distinct"),
+        # groups no assembler serves (two cohorts here) once constructed and
+        # failed only inside generate_dataset, a cohort as "has 0 speakers"
+        *[({"groups": ("random", group)}, f"unknown household group {group!r}")
+          for group in ("bogus", "Random", "cohort:2", "cohort:9", "cohort:x", "cohort:01",
+                        "cohort:-1", "cohort:")],
     ])
     def test_each_rejection(self, overrides, message):
         with pytest.raises(ConfigurationError, match=re.escape(message)):
             small_config(**overrides)
+
+    def test_generate_group_serves_only_the_configured_groups(self):
+        cfg = small_config(groups=("random", "cohort:1"), num_cohorts=2)
+        assert {hh.group for hh in generate_group(cfg, "cohort:1")} == {"cohort:1"}
+        with pytest.raises(ConfigurationError, match="'hard' is not one of the config's groups"):
+            generate_group(cfg, "hard")
 
     def test_group_tags(self):
         cfg = small_config(groups=("random", "hard", "cohort:0"),
