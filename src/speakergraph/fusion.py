@@ -25,6 +25,10 @@ from .graph import (AffinityMatrix, _by_row_blocks, _identity_minus, _mirror_upp
 # Eigenvalue floor applied before negative matrix powers.
 NEG_POWER_EIG_FLOOR = 1e-8
 
+# Most conjugate-gradient steps a harmonic graph's solve takes (see _cg_steps);
+# above it the graph builds H and factors the system instead.
+_CG_MAX_STEPS = 30
+
 
 # ---------------------------------------------------------------------------
 # Rules
@@ -120,13 +124,17 @@ def _power_floor(p: float) -> float:
 
 def _spd_inverse(m: np.ndarray) -> np.ndarray | None:
     """The Cholesky inverse of m in C order, or None when m is not numerically
-    positive definite. dpotri fills the upper triangle of a Fortran-ordered
-    array; mirrored, its transpose is the same matrix in C order, the order of
-    every other S, so that S @ Y rounds as it does for them."""
+    positive definite."""
     factor, info = lapack.dpotrf(m)
-    if info != 0:
-        return None
-    inv, info = lapack.dpotri(factor, overwrite_c=True)
+    return _factor_inverse(factor, overwrite=True) if info == 0 else None
+
+
+def _factor_inverse(factor: np.ndarray, overwrite: bool = False) -> np.ndarray | None:
+    """M^{-1} in C order from M's upper Cholesky factor, or None when dpotri
+    fails. dpotri fills the upper triangle of a Fortran-ordered array;
+    mirrored, its transpose is the same matrix in C order, the order of every
+    other S, so that S @ Y rounds as it does for them."""
+    inv, info = lapack.dpotri(factor, overwrite_c=overwrite)
     return _mirror_upper(inv).T if info == 0 else None
 
 
@@ -295,22 +303,83 @@ def pml_fuse(laplacians: Sequence[np.ndarray], p: float,
             if np.abs(lap - lap.T).max() > 1e-10:
                 raise StructuralError("matrix power requires a symmetric input")
             laplacians[i] = (lap + lap.T) / 2.0
-    fused, harmonic = _power_mean(laplacians, p, shift)
-    return _harmonic_laplacian(fused) if harmonic else fused
-
-
-def _power_mean(laplacians: list[np.ndarray], p: float,
-                shift: float) -> tuple[np.ndarray, bool]:
-    """The power mean of exactly symmetric Laplacians that the caller owns and
-    that it shifts in place: (H, True), H = mean_v (L_v + shift*I)^{-1} being
-    the inverse of the fused Laplacian, when p = -1 and its floor proofs hold
-    (see _mean_of_inverses), else (the fused Laplacian, False)."""
     for lap in laplacians:
-        lap.flat[::lap.shape[0] + 1] += shift
+        lap.flat[::n + 1] += shift
     if p == -1 and (h := _mean_of_inverses(laplacians)) is not None:
-        return h, True
-    fused = sum(laplacians) / len(laplacians) if p == 1 else _floored_power_mean(laplacians, p)
-    return _finite(fused), False
+        return _harmonic_laplacian(h)
+    return _power_mean(laplacians, p)
+
+
+def _power_mean(shifted: list[np.ndarray], p: float) -> np.ndarray:
+    """The power mean of exactly symmetric shifted Laplacians: their mean at
+    p = 1, else by floored eigendecompositions (see _floored_power_mean)."""
+    return _finite(sum(shifted) / len(shifted) if p == 1 else _floored_power_mean(shifted, p))
+
+
+def _shifted_laplacian(w: np.ndarray, shift: float) -> np.ndarray:
+    """L + shift*I of valid weights w, in L's array."""
+    lap = normalized_laplacian(w)
+    lap.flat[::lap.shape[0] + 1] += shift
+    return lap
+
+
+def _harmonic_factors(weights: Sequence[np.ndarray],
+                      shift: float) -> tuple[np.ndarray, ...] | None:
+    """Each view's upper Cholesky factor of M_v = L_v + shift*I, factored in
+    M_v's own array (in F order), or None when a floor could bind on an M_v
+    or on H = mean_v M_v^{-1}, or when a factorization fails.
+
+    No inverse is read. In exact arithmetic S_v = D^{-1/2} W D^{-1/2} has
+    spectral radius at most 1, so no eigenvalue of M_v lies below shift.
+    Computed (u = eps/2), each degree errs by at most (n - 1)u relative, its
+    inverse square root by 2u more and each entry's two products by 2u, so
+    ||S_v|| <= 1 + (n + 5)u to first order, and forming I - S_v + shift*I
+    moves the diagonal by at most (2 + shift)u. delta = (n + 8)(1 + shift) eps
+    bounds that eigenvalue shift more than twice over; the floor cannot bind
+    when shift - delta >= NEG_POWER_EIG_FLOOR. H is checked by the Weyl
+    bound of _mean_of_inverses, mean_v 1/||M_v||_inf.
+    """
+    n = weights[0].shape[0]
+    if not shift - (n + 8) * (1.0 + shift) * np.finfo(float).eps >= NEG_POWER_EIG_FLOOR:
+        return None
+    factors, bound = [], 0.0
+    for w in weights:
+        m = _shifted_laplacian(w, shift)
+        bound += 1.0 / _inf_norm(m)
+        # m is symmetric, so its F-ordered transpose is factored in place
+        factor, info = lapack.dpotrf(m.T, overwrite_a=True, clean=False)
+        if info != 0:
+            return None
+        factors.append(factor)
+    return tuple(factors) if bound / len(weights) >= NEG_POWER_EIG_FLOOR else None
+
+
+def _cg_steps(alpha: float, shift: float) -> int | None:
+    """The conjugate-gradient steps that bring the a-priori bound on the
+    A-norm error of a harmonic solve, 2 ((sqrt(k) - 1) / (sqrt(k) + 1))^steps
+    times the first one (Saad, "Iterative Methods for Sparse Linear Systems",
+    2003, 6.11.3), below eps; None above _CG_MAX_STEPS.
+
+    Each M_v = L_v + shift*I has its spectrum in [shift, 2 + shift], and so
+    H = mean_v M_v^{-1} in [1/(2 + shift), 1/shift], and A = (1 - alpha) H +
+    alpha I has k = cond(A) <= (alpha + (1 - alpha)/shift) / (alpha +
+    (1 - alpha)/(2 + shift)): 1.12 at alpha = 0.9 and shift log 2, where
+    11 steps do. The count depends on alpha and shift alone, never on n.
+    """
+    low = alpha + (1.0 - alpha) / (2.0 + shift)
+    excess = 2.0 * (1.0 - alpha) / (shift * (2.0 + shift)) / low  # k - 1, uncancelled
+    rate = excess / (math.sqrt(1.0 + excess) + 1.0) ** 2
+    steps = math.ceil(math.log(np.finfo(float).eps / 2.0) / math.log(rate))
+    return steps if steps <= _CG_MAX_STEPS else None
+
+
+def _column_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return np.einsum("ij,ij->j", a, b)
+
+
+def _ratios(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """num / den, and 0 where num is 0: a column whose residual is 0 stops."""
+    return np.divide(num, den, out=np.zeros_like(num), where=num != 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -326,18 +395,25 @@ class FusedGraph:
     the operator is not a subgraph's operator, which must be re-normalized.
 
     ``operator`` is S, except for a ``harmonic`` graph (p = -1 whose floor
-    proofs hold), where it is H = mean_v (L_v + shift*I)^{-1}, the inverse of
-    the fused Laplacian; S = I - H^{-1} is then built only on request.
+    proofs hold, see _harmonic_factors), which has no operator and holds in
+    ``factors`` each view's upper Cholesky factor of M_v = L_v + shift*I (the
+    other triangle is M_v's): H = mean_v M_v^{-1}, the inverse of the fused
+    Laplacian, is applied through them, and H itself and S = I - H^{-1} are
+    built only on request.
     """
 
     rule: FusionRule
     weights: tuple[np.ndarray, ...]
-    operator: np.ndarray
-    harmonic: bool = False
+    operator: np.ndarray | None = None
+    factors: tuple[np.ndarray, ...] = ()
+
+    @property
+    def harmonic(self) -> bool:
+        return bool(self.factors)
 
     @property
     def node_count(self) -> int:
-        return self.operator.shape[0]
+        return self.weights[0].shape[0]
 
     def propagation_matrix(self) -> np.ndarray:
         """S for label propagation: D^{-1/2} W D^{-1/2}, or I - L when fused;
@@ -346,17 +422,40 @@ class FusedGraph:
 
     @functools.cached_property
     def _harmonic_s(self) -> np.ndarray:
-        return _identity_minus(_harmonic_laplacian(self.operator))
+        return _identity_minus(_harmonic_laplacian(self._mean_inverse))
+
+    @functools.cached_property
+    def _mean_inverse(self) -> np.ndarray:
+        """H from the views' factors, summed as _mean_of_inverses sums it."""
+        acc = np.zeros((self.node_count, self.node_count))
+        for factor in self.factors:
+            inv = _factor_inverse(factor)
+            if inv is None:
+                raise NumericalError("a view's Cholesky factor is singular")
+            acc += inv
+        acc /= len(self.factors)
+        return acc
 
     def solve(self, alpha: float, y0: np.ndarray) -> np.ndarray:
-        """The propagation fixed point y = (1 - alpha) (I - alpha*S)^{-1} Y0,
-        by a Cholesky factorization of A = I - alpha*S, or for a harmonic
-        graph of that system times H, A = (1 - alpha) H + alpha I, with
-        right-hand side (1 - alpha) H Y0. A is built by row blocks (see
-        graph._by_row_blocks) and factored in place; NumericalError when it
-        is not positive definite or y is not finite."""
+        """The propagation fixed point y = (1 - alpha) (I - alpha*S)^{-1} Y0;
+        NumericalError when y is not finite.
+
+        A harmonic graph solves that system times H, A y = b with A =
+        (1 - alpha) H + alpha I and b = (1 - alpha) H Y0, by conjugate
+        gradients for the step count of _cg_steps. Where that count is above
+        _CG_MAX_STEPS, and for every other graph, A (or I - alpha*S) is built
+        by row blocks (see graph._by_row_blocks) and factored in place by
+        Cholesky; NumericalError when it is not positive definite."""
+        steps = _cg_steps(alpha, self.rule.effective_shift) if self.harmonic else None
+        y = self._cholesky_solve(alpha, y0) if steps is None else self._cg(alpha, y0, steps)
+        if not np.isfinite(y).all():
+            raise NumericalError("closed-form solution has non-finite values")
+        return y
+
+    def _cholesky_solve(self, alpha: float, y0: np.ndarray) -> np.ndarray:
         if self.harmonic:
-            m, scale, diagonal, b = self.operator, 1.0 - alpha, alpha, self.operator @ y0
+            h = self._mean_inverse
+            m, scale, diagonal, b = h, 1.0 - alpha, alpha, h @ y0
         else:
             m, scale, diagonal, b = self.propagation_matrix(), -alpha, 1.0, y0
         n = self.node_count
@@ -369,9 +468,41 @@ class FusedGraph:
             raise NumericalError(
                 f"I - alpha*S is not positive definite at alpha={alpha}: "
                 f"{info}-th leading minor of the array is not positive definite")
-        y, _ = lapack.dpotrs(factor, (1.0 - alpha) * b)
-        if not np.isfinite(y).all():
-            raise NumericalError("closed-form solution has non-finite values")
+        return lapack.dpotrs(factor, (1.0 - alpha) * b)[0]
+
+    def _apply_h(self, x: np.ndarray) -> np.ndarray:
+        """H x = mean_v M_v^{-1} x, one triangular solve pair per view."""
+        hx = lapack.dpotrs(self.factors[0], x)[0]
+        for factor in self.factors[1:]:
+            hx += lapack.dpotrs(factor, x)[0]
+        hx /= len(self.factors)
+        return hx
+
+    def _cg(self, alpha: float, y0: np.ndarray, steps: int) -> np.ndarray:
+        """Conjugate gradients on A y = b from y = b/alpha, a run per column
+        with its own step and direction weights, vectorized across columns;
+        only a zero residual stops a column early."""
+        b = self._apply_h(y0)
+        b *= 1.0 - alpha
+        y = b / alpha
+        # r = b - A y, which is -(1 - alpha)/alpha H b, taken without cancellation
+        r = self._apply_h(b)
+        r *= -(1.0 - alpha) / alpha
+        p = r.copy()
+        rr = _column_dots(r, r)
+        for _ in range(steps):
+            if not rr.any():
+                break
+            ap = self._apply_h(p)
+            ap *= 1.0 - alpha
+            ap += alpha * p
+            step = _ratios(rr, _column_dots(p, ap))
+            y += step * p
+            r -= step * ap
+            rr_next = _column_dots(r, r)
+            p *= _ratios(rr_next, rr)
+            p += r
+            rr = rr_next
         return y
 
     def subgraph(self, size: int) -> "FusedGraph":
@@ -382,15 +513,16 @@ class FusedGraph:
 
 def _fuse_weights(weights: list[np.ndarray], rule: FusionRule) -> FusedGraph:
     """The fused graph of a rule's weights, per view or pooled; the one builder
-    of S and H. The weights are kernels, trusted as graph.propagation_operator
-    says."""
+    of S and of harmonic graphs. The weights are kernels, trusted as
+    graph.propagation_operator says."""
     if not isinstance(rule, PowerMeanFusion):
         pooled = edgepool_fuse(weights)
         return FusedGraph(rule=rule, weights=(pooled,), operator=propagation_operator(pooled))
-    fused, harmonic = _power_mean([normalized_laplacian(w) for w in weights], rule.p,
-                                  rule.effective_shift)
-    return FusedGraph(rule=rule, weights=tuple(weights), harmonic=harmonic,
-                      operator=fused if harmonic else _identity_minus(fused))
+    shift = rule.effective_shift
+    if rule.p == -1 and (factors := _harmonic_factors(weights, shift)) is not None:
+        return FusedGraph(rule=rule, weights=tuple(weights), factors=factors)
+    fused = _power_mean([_shifted_laplacian(w, shift) for w in weights], rule.p)
+    return FusedGraph(rule=rule, weights=tuple(weights), operator=_identity_minus(fused))
 
 
 def fuse(affinities: Mapping[str, AffinityMatrix], rule: FusionRule) -> FusedGraph:

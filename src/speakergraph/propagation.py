@@ -6,9 +6,12 @@ The scores are the fixed point (1 - alpha) * (I - alpha*S)^(-1) @ Y(0) of
 
 solved directly by FusedGraph.solve, through a Cholesky factorization of
 I - alpha*S, which is symmetric positive definite for every S the fusion
-rules build (a harmonic power mean, which holds H = (I - S)^(-1), factors
-H (I - alpha*S) = (1 - alpha) H + alpha I instead), or, as the reference
-solver, by running that iteration to convergence.
+rules build, or, as the reference solver, by running that iteration to
+convergence. A harmonic power mean, where H = (I - S)^(-1) is the mean of
+the views' (L_v + shift*I)^(-1), solves H (I - alpha*S) y = (1 - alpha) H Y(0)
+instead: by conjugate gradients through each view's Cholesky factor for a
+step count fixed by alpha and shift, or, above its cap, by factoring
+(1 - alpha) H + alpha I.
 
 The iteration converges only when alpha*rho(S) < 1. The eigenvalues of S lie
 in [-1, 1] for single-view and edge-pool graphs but in [-1 - shift, 1 - shift]

@@ -664,16 +664,19 @@ class TestTrustedPath:
             evaluate_methods(val, [spec])
 
     @pytest.mark.parametrize("method, graphs", [("LP", 1), ("2LP", 2)])
-    def test_harmonic_graph_inverts_each_view_once(self, monkeypatch, method, graphs):
-        # a p = -1 graph holds H = mean_v (L_v + shift*I)^{-1}: one Cholesky
-        # inverse per view of each graph (2LP's step 1 fuses a second), and
-        # H itself is factored for the solve, not inverted
+    def test_harmonic_graph_factors_each_view_once(self, monkeypatch, method, graphs):
+        # a p = -1 graph holds each view's Cholesky factor of L_v + shift*I and
+        # solves by conjugate gradients at alpha = 0.9: one factorization per
+        # view of each graph (2LP's step 1 fuses a second), no inverse, and no
+        # factored system
         _, val = tiny_dataset()
+        factorizations = count_calls(monkeypatch, fusion_module.lapack, "dpotrf")
         inverses = count_calls(monkeypatch, fusion_module.lapack, "dpotri")
         spec = replace(POWER_MEAN_LP, method=method,
                        fusion=PowerMeanFusion(("voice", "face"), p=-1.0))
         evaluate_methods(val[:1], [spec])
-        assert len(inverses) == 2 * graphs
+        assert len(factorizations) == 2 * graphs
+        assert inverses == []
 
     def test_speaker_renamed_after_validation_is_a_structural_error(self):
         # a held-out speaker with no enrolled utterances once ended in a KeyError

@@ -506,6 +506,34 @@ class TestClosedForms:
         assert np.allclose(fused, np.diag([NEG_POWER_EIG_FLOOR, 2.5]))
 
 
+class TestHarmonicFactors:
+    """A fused p = -1 graph proves its floor without an inverse: shift minus
+    a rounding bound on the computed Laplacian reaches NEG_POWER_EIG_FLOOR,
+    and each view's dpotrf succeeds."""
+
+    def test_floor_proof_boundary(self):
+        rng = np.random.default_rng(11)
+        weights = [random_affinity(rng, 12).w for _ in range(2)]
+        laps = [normalized_laplacian(w) for w in weights]
+        with mock.patch.object(np.linalg, "eigh", wraps=np.linalg.eigh) as eigh, \
+                mock.patch.object(lapack, "dpotrf", wraps=lapack.dpotrf) as dpotrf:
+            floored = fusion._fuse_weights(weights, PowerMeanFusion(("a", "b"), -1.0, 1e-9))
+        # at shift 1e-9 the proof fails before any factorization, and the
+        # floored eigendecomposition route runs, as in pml_fuse
+        assert not floored.harmonic and eigh.call_count > 0 and dpotrf.call_count == 0
+        assert same_bits(floored.operator, np.eye(12) - pml_fuse(laps, -1.0, 1e-9))
+        harmonic = fusion._fuse_weights(weights, PowerMeanFusion(("a", "b"), -1.0, 1e-3))
+        assert harmonic.harmonic and harmonic.operator is None
+        for lap, factor in zip(laps, harmonic.factors):
+            shifted = lap + 1e-3 * np.eye(12)
+            upper = np.triu(factor)
+            assert np.abs(upper.T @ upper - shifted).max() < 1e-14
+            assert np.array_equal(np.tril(factor, -1), np.tril(shifted, -1))
+        # the rounding bound (n + 8)(1 + shift) eps is 4.4e-15 at n = 12
+        assert fusion._harmonic_factors(weights, NEG_POWER_EIG_FLOOR) is None
+        assert fusion._harmonic_factors(weights, NEG_POWER_EIG_FLOOR + 5e-15) is not None
+
+
 class TestEigenRoute:
     @PROPERTY
     @given(laps=laplacian_sets(), shift=st.just(0.0) | SHIFTS)

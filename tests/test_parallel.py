@@ -105,13 +105,21 @@ def every_pass(vectors, sessions, k, s, sigma, alpha):
         assert ((0.0 <= w) & (w <= 1.0)).all(), name
     out.update(kernels)
     try:
-        # p = -1 holds H, whose view inverses and S mirror their upper triangles
+        # p = -1 holds each view's Cholesky factor (its upper triangle; the
+        # lower one is L_v + shift*I) and solves by conjugate gradients at
+        # alpha = 0.9, without H; S then mirrors the views' inverses and H's
         harmonic = fusion._fuse_weights([kernels["universal"], kernels["local"]],
                                         PowerMeanFusion(("universal", "local"), p=-1.0))
-        out["harmonic"], out["H"] = harmonic.harmonic, harmonic.operator
+        assert harmonic.harmonic and harmonic.operator is None and len(harmonic.factors) == 2
+        for v, factor in enumerate(harmonic.factors):
+            out[f"factor {v}"] = np.triu(factor)
+        y0 = np.zeros((len(vectors), 2))
+        y0[0, 0] = y0[1, 1] = 1.0
+        out["CG y"] = harmonic.solve(0.9, y0)
+        assert "_mean_inverse" not in vars(harmonic)
         out["power-mean S"] = harmonic.propagation_matrix()
     except SpeakerGraphError as exc:
-        out["H"] = type(exc), str(exc)
+        out["harmonic"] = type(exc), str(exc)
     pooled = ("universal", "local", "session")
     try:
         fused = fusion._fuse_weights([kernels[name] for name in pooled], EdgePoolFusion(pooled))

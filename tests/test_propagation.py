@@ -3,12 +3,13 @@
 import math
 import warnings
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_factor, cho_solve, lapack
 
 from speakergraph import (
     ABSTAIN,
@@ -45,6 +46,7 @@ from speakergraph import (
     run_csea,
     run_lp,
 )
+from speakergraph import fusion
 
 
 FUSION_RULES = [SingleView("voice"), EdgePoolFusion(("voice", "face"))] + [
@@ -298,6 +300,14 @@ def harmonic_reference(weights, shift, y0, alpha):
     return cho_solve(cho_factor(np.eye(n) - alpha * s), (1.0 - alpha) * y0)
 
 
+def mean_inverse_reference(weights, shift, y0, alpha):
+    """One Cholesky solve of ((1 - alpha) H + alpha I) y = (1 - alpha) H Y0, with
+    H = mean_v (L_v + shift*I)^{-1} from fusion._mean_of_inverses."""
+    n = y0.shape[0]
+    h = fusion._mean_of_inverses([normalized_laplacian(w) + shift * np.eye(n) for w in weights])
+    return cho_solve(cho_factor((1.0 - alpha) * h + alpha * np.eye(n)), (1.0 - alpha) * h @ y0)
+
+
 def harmonic_graph(weights, shift, n_heldout=2, class_count=3):
     rule = PowerMeanFusion(tuple(f"v{i}" for i in range(len(weights))), p=-1.0, shift=shift)
     fused = fuse({name: AffinityMatrix(w) for name, w in zip(rule.view_names, weights)}, rule)
@@ -327,6 +337,53 @@ class TestHarmonicGraph:
             reference = harmonic_reference(weights, shift, y0, alpha)
             assert np.abs(y - reference).max() <= 1e-12 * np.abs(reference).max()
             assert np.array_equal(np.argmax(y, axis=1), np.argmax(reference, axis=1))
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(n=st.integers(6, 30), views=st.integers(2, 3), seed=st.integers(0, 2**32 - 1),
+           shift=st.sampled_from([math.log(2.0), 1e-2, 1e-3]))
+    def test_conjugate_gradients_match_within_1e13(self, n, views, seed, shift):
+        # CG where the kappa bound's step count is within the cap; above it a
+        # fresh graph builds H from its factors, one dpotri per view. Each
+        # route errs by up to about eps * cond(L_v + shift*I), so at shift 1e-3
+        # harmonic_reference itself can be 2e-13 off a 40-digit solution; CG
+        # stays within 1e-14 of the H route at every shift.
+        rng = np.random.default_rng(seed)
+        weights = [random_affinity(rng, n, float(rng.uniform(0.5, 2.0))).w
+                   for _ in range(views)]
+        tolerance = max(1e-13, np.finfo(float).eps * (2.0 + shift) / shift)
+        for alpha in (0.5, 0.9, 0.99, 0.999999):
+            graph = harmonic_graph(weights, shift)
+            y0 = init_label_matrix(graph)
+            with mock.patch.object(lapack, "dpotri", wraps=lapack.dpotri) as dpotri:
+                y = propagate(graph, y0, PropagationConfig(alpha=alpha)).y
+            fallback = fusion._cg_steps(alpha, shift) is None
+            assert dpotri.call_count == (views if fallback else 0)
+            reference = harmonic_reference(weights, shift, y0, alpha)
+            assert np.abs(y - reference).max() <= tolerance * np.abs(reference).max()
+            assert np.array_equal(np.argmax(y, axis=1), np.argmax(reference, axis=1))
+            h_route = mean_inverse_reference(weights, shift, y0, alpha)
+            assert np.abs(y - h_route).max() <= 1e-14 * np.abs(h_route).max()
+
+    def test_step_count_depends_on_alpha_and_shift(self):
+        assert fusion._cg_steps(0.9, math.log(2.0)) == 11
+        assert fusion._cg_steps(0.99, 1e-2) == 21
+        assert fusion._cg_steps(0.999999, 1e-3) == 5
+        assert fusion._cg_steps(0.5, 1e-3) is None
+        assert fusion._cg_steps(0.9, 1e-2) is None
+
+    def test_zero_residual_column_stops(self):
+        # an all-zero column of Y0 has b = 0 and a zero residual from the start:
+        # it stays 0, with no 0/0, and the other column solves as it would alone
+        rng = np.random.default_rng(6)
+        fused = harmonic_graph([random_affinity(rng, 10).w for _ in range(2)],
+                               math.log(2.0)).fused
+        y0 = np.zeros((10, 2))
+        y0[:3, 0] = 1.0 / 3.0
+        y = fused.solve(0.9, y0)
+        assert not y[:, 1].any()
+        alone = fused.solve(0.9, y0[:, :1])[:, 0]
+        assert np.abs(y[:, 0] - alone).max() <= 1e-14 * np.abs(alone).max()
+        assert not fused.solve(0.9, np.zeros((10, 2))).any()
 
     def test_s_is_built_on_request_from_h(self):
         rng = np.random.default_rng(4)
