@@ -142,13 +142,16 @@ def _predictions(stages: HouseholdStages, specs: Sequence[MethodSpec]
                  ) -> Iterator[PredictionResult | SpeakerGraphError]:
     """evaluate_methods' per-group step: yield, spec by spec, the held-out
     predictions of specs that share one graph, or the SpeakerGraphError that
-    stopped the spec. The graph is built here and released with the
-    generator; if building it fails, that error stops every spec."""
+    stopped the spec. The graph is built here, with every spec's alpha as
+    its solve plan, and released with the generator; if building it fails,
+    that error stops every spec."""
     try:
         graph = None if specs[0].is_baseline else build_household_graph(stages, specs[0])
     except SpeakerGraphError as exc:
         yield from [exc] * len(specs)
         return
+    if graph is not None:
+        graph = replace(graph, alphas=tuple(spec.propagation.alpha for spec in specs))
     for spec in specs:
         try:
             yield _predict(stages, spec, graph)

@@ -25,9 +25,12 @@ from .graph import (AffinityMatrix, _by_row_blocks, _identity_minus, _mirror_upp
 # Eigenvalue floor applied before negative matrix powers.
 NEG_POWER_EIG_FLOOR = 1e-8
 
-# Most conjugate-gradient steps a harmonic graph's solve takes (see _cg_steps);
-# above it the graph builds H and factors the system instead.
-_CG_MAX_STEPS = 30
+# Most conjugate-gradient steps, summed over the alphas a caller solves a
+# harmonic graph at, that it takes (see FusedGraph.solve); above it the graph
+# builds H and factors the system instead. One-thread crossovers of a single
+# solve: 20-25 steps at n = 368 and 38-51 at n = 1,608 (2-3 views); 32 keeps
+# the slower route within 1.52x of the faster one at both sizes.
+_CG_MAX_STEPS = 32
 
 
 # ---------------------------------------------------------------------------
@@ -354,11 +357,11 @@ def _harmonic_factors(weights: Sequence[np.ndarray],
     return tuple(factors) if bound / len(weights) >= NEG_POWER_EIG_FLOOR else None
 
 
-def _cg_steps(alpha: float, shift: float) -> int | None:
+def _cg_steps(alpha: float, shift: float) -> int:
     """The conjugate-gradient steps that bring the a-priori bound on the
     A-norm error of a harmonic solve, 2 ((sqrt(k) - 1) / (sqrt(k) + 1))^steps
     times the first one (Saad, "Iterative Methods for Sparse Linear Systems",
-    2003, 6.11.3), below eps; None above _CG_MAX_STEPS.
+    2003, 6.11.3), below eps.
 
     Each M_v = L_v + shift*I has its spectrum in [shift, 2 + shift], and so
     H = mean_v M_v^{-1} in [1/(2 + shift), 1/shift], and A = (1 - alpha) H +
@@ -369,8 +372,7 @@ def _cg_steps(alpha: float, shift: float) -> int | None:
     low = alpha + (1.0 - alpha) / (2.0 + shift)
     excess = 2.0 * (1.0 - alpha) / (shift * (2.0 + shift)) / low  # k - 1, uncancelled
     rate = excess / (math.sqrt(1.0 + excess) + 1.0) ** 2
-    steps = math.ceil(math.log(np.finfo(float).eps / 2.0) / math.log(rate))
-    return steps if steps <= _CG_MAX_STEPS else None
+    return math.ceil(math.log(np.finfo(float).eps / 2.0) / math.log(rate))
 
 
 def _column_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -436,18 +438,25 @@ class FusedGraph:
         acc /= len(self.factors)
         return acc
 
-    def solve(self, alpha: float, y0: np.ndarray) -> np.ndarray:
+    def solve(self, alpha: float, y0: np.ndarray,
+              plan: Sequence[float] = ()) -> np.ndarray:
         """The propagation fixed point y = (1 - alpha) (I - alpha*S)^{-1} Y0;
         NumericalError when y is not finite.
 
         A harmonic graph solves that system times H, A y = b with A =
         (1 - alpha) H + alpha I and b = (1 - alpha) H Y0, by conjugate
-        gradients for the step count of _cg_steps. Where that count is above
-        _CG_MAX_STEPS, and for every other graph, A (or I - alpha*S) is built
-        by row blocks (see graph._by_row_blocks) and factored in place by
-        Cholesky; NumericalError when it is not positive definite."""
-        steps = _cg_steps(alpha, self.rule.effective_shift) if self.harmonic else None
-        y = self._cholesky_solve(alpha, y0) if steps is None else self._cg(alpha, y0, steps)
+        gradients for the step count of _cg_steps. ``plan`` holds the alphas
+        at which the caller solves this graph. Where the step counts of those
+        alphas and this one, each counted once, sum to more than
+        _CG_MAX_STEPS, H is built once from the factors and reused at every
+        alpha, and then, as for every other graph, A (or I - alpha*S) is
+        built by row blocks (see graph._by_row_blocks) and factored in place
+        by Cholesky; NumericalError when it is not positive definite."""
+        if self.harmonic and sum(_cg_steps(a, self.rule.effective_shift)
+                                 for a in {alpha, *plan}) <= _CG_MAX_STEPS:
+            y = self._cg(alpha, y0, _cg_steps(alpha, self.rule.effective_shift))
+        else:
+            y = self._cholesky_solve(alpha, y0)
         if not np.isfinite(y).all():
             raise NumericalError("closed-form solution has non-finite values")
         return y

@@ -10,8 +10,9 @@ rules build, or, as the reference solver, by running that iteration to
 convergence. A harmonic power mean, where H = (I - S)^(-1) is the mean of
 the views' (L_v + shift*I)^(-1), solves H (I - alpha*S) y = (1 - alpha) H Y(0)
 instead: by conjugate gradients through each view's Cholesky factor for a
-step count fixed by alpha and shift, or, above its cap, by factoring
-(1 - alpha) H + alpha I.
+step count fixed by alpha and shift, or, when the step counts of the alphas
+the graph is solved at sum to more than a cap, by factoring (1 - alpha) H +
+alpha I with H built once.
 
 The iteration converges only when alpha*rho(S) < 1. The eigenvalues of S lie
 in [-1, 1] for single-view and edge-pool graphs but in [-1 - shift, 1 - shift]
@@ -70,7 +71,9 @@ class HouseholdGraph:
 
     Nodes 0..l-1 are labeled with class indices ``labels``; nodes l..l+u-1
     are unlabeled; held-out nodes occupy the tail. Every class must have at
-    least one labeled node.
+    least one labeled node. ``alphas`` holds the alphas of the propagation
+    configs run on the graph, the plan of FusedGraph.solve; empty, each
+    solve plans only its own.
     """
 
     fused: FusedGraph
@@ -78,6 +81,7 @@ class HouseholdGraph:
     n_unlabeled: int
     n_heldout: int
     class_count: int
+    alphas: tuple[float, ...] = ()
 
     def __post_init__(self):
         labels = np.asarray(self.labels, dtype=int)
@@ -125,7 +129,7 @@ class HouseholdGraph:
         core = self.fused.subgraph(self.n_labeled + self.n_unlabeled)
         return HouseholdGraph(fused=core, labels=self.labels,
                               n_unlabeled=self.n_unlabeled, n_heldout=0,
-                              class_count=self.class_count)
+                              class_count=self.class_count, alphas=self.alphas)
 
 
 @dataclass(frozen=True)
@@ -171,7 +175,8 @@ def propagate(graph: HouseholdGraph, y0: np.ndarray,
               cfg: PropagationConfig) -> PropagationOutcome:
     """Run Y(t+1) = alpha*S@Y(t) + (1-alpha)*Y(0) to (or at) its fixed point."""
     if cfg.solver != "iterative":
-        return PropagationOutcome(graph.fused.solve(cfg.alpha, y0), converged=True, iterations=0)
+        return PropagationOutcome(graph.fused.solve(cfg.alpha, y0, graph.alphas),
+                                  converged=True, iterations=0)
 
     s = graph.fused.propagation_matrix()
     base = (1.0 - cfg.alpha) * y0

@@ -678,6 +678,37 @@ class TestTrustedPath:
         assert len(factorizations) == 2 * graphs
         assert inverses == []
 
+    def test_harmonic_graph_counts_a_repeated_alpha_once(self, monkeypatch):
+        # LP, 2LP and 2LPEA at alpha = 0.9 share one p = -1 graph and its
+        # step-1 subgraph; each is solved at alpha = 0.9 alone, 11 steps, so
+        # every solve runs CG and no H is built
+        _, val = tiny_dataset()
+        inverses = count_calls(monkeypatch, fusion_module.lapack, "dpotri")
+        specs = [replace(POWER_MEAN_LP, method=method,
+                         fusion=PowerMeanFusion(("voice", "face"), p=-1.0))
+                 for method in ("LP", "2LP", "2LPEA")]
+        evaluate_methods(val[:1], specs)
+        assert inverses == []
+
+    @pytest.mark.parametrize("alphas, inverses", [((0.9, 0.99), 0), ((0.5, 0.9, 0.99), 4)])
+    def test_harmonic_sweep_builds_h_once_per_graph_above_the_cap(self, monkeypatch,
+                                                                  alphas, inverses):
+        # the points of a sweep over alpha share one p = -1 graph and its
+        # step-1 subgraph, whose plan is every point's alpha. At shift log 2
+        # CG takes 19, 11 and 7 steps at alpha = 0.5, 0.9 and 0.99: 18 steps
+        # stay within the cap and every solve runs CG; above it each graph
+        # builds H once (one dpotri per view) and every alpha reuses it. The
+        # labels are those of each point run alone, by CG.
+        _, val = tiny_dataset()
+        spec = replace(POWER_MEAN_LP, method="2LP",
+                       fusion=PowerMeanFusion(("voice", "face"), p=-1.0))
+        alone = [evaluate(val[:1], replace(spec, propagation=PropagationConfig(alpha=alpha)))
+                 .households[0].errors for alpha in alphas]
+        calls = count_calls(monkeypatch, fusion_module.lapack, "dpotri")
+        rows = sweep(val[:1], {"propagation.alpha": list(alphas)}, spec).rows
+        assert len(calls) == inverses
+        assert [row["errors"] for row in rows] == alone
+
     def test_speaker_renamed_after_validation_is_a_structural_error(self):
         # a held-out speaker with no enrolled utterances once ended in a KeyError
         _, val = tiny_dataset()

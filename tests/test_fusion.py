@@ -533,6 +533,22 @@ class TestHarmonicFactors:
         assert fusion._harmonic_factors(weights, NEG_POWER_EIG_FLOOR) is None
         assert fusion._harmonic_factors(weights, NEG_POWER_EIG_FLOOR + 5e-15) is not None
 
+    def test_fused_graph_and_pml_fuse_split_inside_the_band(self):
+        # Between 1e-8 + delta and the inverse-norm proof's threshold (1.34e-8
+        # on these graphs) a fused graph is harmonic, while pml_fuse's proof
+        # reads each inverse's norm, fails and takes the floored
+        # eigendecomposition. The floor binds on neither, so the two agree to
+        # their round-off, about eps * cond(L_v + shift*I) = 4e-8.
+        rng = np.random.default_rng(11)
+        weights = [random_affinity(rng, 12).w for _ in range(2)]
+        laps = [normalized_laplacian(w) for w in weights]
+        with mock.patch.object(np.linalg, "eigh", wraps=np.linalg.eigh) as eigh:
+            graph = fusion._fuse_weights(weights, PowerMeanFusion(("a", "b"), -1.0, 1.2e-8))
+            assert graph.harmonic and eigh.call_count == 0
+            floored = pml_fuse(laps, -1.0, 1.2e-8)
+            assert eigh.call_count > 0
+        assert np.abs(graph.propagation_matrix() - (np.eye(12) - floored)).max() < 1e-7
+
 
 class TestEigenRoute:
     @PROPERTY

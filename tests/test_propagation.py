@@ -356,7 +356,7 @@ class TestHarmonicGraph:
             y0 = init_label_matrix(graph)
             with mock.patch.object(lapack, "dpotri", wraps=lapack.dpotri) as dpotri:
                 y = propagate(graph, y0, PropagationConfig(alpha=alpha)).y
-            fallback = fusion._cg_steps(alpha, shift) is None
+            fallback = fusion._cg_steps(alpha, shift) > fusion._CG_MAX_STEPS
             assert dpotri.call_count == (views if fallback else 0)
             reference = harmonic_reference(weights, shift, y0, alpha)
             assert np.abs(y - reference).max() <= tolerance * np.abs(reference).max()
@@ -368,8 +368,29 @@ class TestHarmonicGraph:
         assert fusion._cg_steps(0.9, math.log(2.0)) == 11
         assert fusion._cg_steps(0.99, 1e-2) == 21
         assert fusion._cg_steps(0.999999, 1e-3) == 5
-        assert fusion._cg_steps(0.5, 1e-3) is None
-        assert fusion._cg_steps(0.9, 1e-2) is None
+        assert fusion._cg_steps(0.5, 1e-3) == 475
+        assert fusion._cg_steps(0.9, 1e-2) == 61
+
+    def test_plan_above_the_cap_builds_h_once(self):
+        # 19 + 11 + 7 steps at shift log 2 pass the cap: the first solve builds
+        # H from the factors (one dpotri per view) and every alpha reuses it.
+        # A plan within the cap, each alpha counted once, or none, runs CG.
+        rng = np.random.default_rng(8)
+        weights = [random_affinity(rng, 12).w for _ in range(3)]
+        shift, plan = math.log(2.0), (0.5, 0.9, 0.99)
+        assert sum(fusion._cg_steps(a, shift) for a in plan) > fusion._CG_MAX_STEPS
+        graph = harmonic_graph(weights, shift)
+        y0 = init_label_matrix(graph)
+        fresh = harmonic_graph(weights, shift).fused
+        with mock.patch.object(lapack, "dpotri", wraps=lapack.dpotri) as dpotri:
+            planned = [graph.fused.solve(alpha, y0, plan) for alpha in plan]
+            assert dpotri.call_count == 3
+            alone = [fresh.solve(alpha, y0) for alpha in plan]
+            fresh.solve(0.9, y0, (0.9, 0.99, 0.99, 0.9))
+            assert dpotri.call_count == 3 and "_mean_inverse" not in vars(fresh)
+        for alpha, y, cg in zip(plan, planned, alone):
+            assert np.array_equal(y, fresh._cholesky_solve(alpha, y0))
+            assert np.abs(y - cg).max() <= 1e-14 * np.abs(y).max()
 
     def test_zero_residual_column_stops(self):
         # an all-zero column of Y0 has b = 0 and a zero residual from the start:
