@@ -10,17 +10,21 @@ where p interpolates between min-like (p << 0), harmonic (p = -1),
 arithmetic (p = 1) and max-like (p >> 0) pooling of the view spectra.
 """
 
+import contextlib
+import contextvars
+import ctypes
 import functools
 import math
-from dataclasses import dataclass
-from typing import Mapping, Sequence, Union
+from concurrent.futures import Future, wait
+from dataclasses import dataclass, field
+from typing import Iterator, Mapping, Sequence, Union
 
 import numpy as np
-from scipy.linalg import lapack
+from scipy.linalg import cython_lapack, lapack
 
 from .errors import ConfigurationError, NumericalError, StructuralError
-from .graph import (AffinityMatrix, _by_row_blocks, _identity_minus, _mirror_upper,
-                    normalized_laplacian, propagation_operator)
+from .graph import (AffinityMatrix, _background_pool, _by_row_blocks, _identity_minus,
+                    _mirror_upper, normalized_laplacian, propagation_operator)
 
 # Eigenvalue floor applied before negative matrix powers.
 NEG_POWER_EIG_FLOOR = 1e-8
@@ -31,6 +35,37 @@ NEG_POWER_EIG_FLOOR = 1e-8
 # solve: 20-25 steps at n = 368 and 38-51 at n = 1,608 (2-3 views); 32 keeps
 # the slower route within 1.52x of the faster one at both sizes.
 _CG_MAX_STEPS = 32
+
+
+def _capsule_pointer(capsule) -> int:
+    """The address a PyCapsule holds, read under the capsule's own name."""
+    api = ctypes.pythonapi
+    name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(("PyCapsule_GetName", api))
+    pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", api))
+    return pointer(capsule, name(capsule))
+
+
+_INT_P = ctypes.POINTER(ctypes.c_int)
+# LAPACK's dpotrf(uplo, n, a, lda, info), the routine scipy exports to Cython.
+# A ctypes foreign call releases the GIL, which scipy's lapack.dpotrf holds.
+_DPOTRF = ctypes.CFUNCTYPE(None, ctypes.c_char_p, _INT_P, ctypes.c_void_p, _INT_P, _INT_P)(
+    _capsule_pointer(cython_lapack.__pyx_capi__["dpotrf"]))
+
+
+def _potrf(a: np.ndarray) -> int:
+    """Factor a C-ordered symmetric float array in place, without the GIL, as
+    lapack.dpotrf(a.T, overwrite_a=True, clean=False) does: a.T holds the
+    upper Cholesky factor, and its strict lower triangle is left as it was.
+    Returns LAPACK's info: 0, or the order of the first leading minor that
+    is not positive definite. The one Cholesky factorization in the package."""
+    n = a.shape[0]
+    if a.dtype != np.float64 or a.shape != (n, n) or not a.flags.c_contiguous:
+        raise ValueError(f"_potrf needs a square C-ordered float64 array, got "
+                         f"{a.dtype} {a.shape}")
+    size, info = ctypes.c_int(n), ctypes.c_int()
+    _DPOTRF(b"U", size, a.ctypes.data, size, info)
+    return info.value
 
 
 # ---------------------------------------------------------------------------
@@ -127,9 +162,10 @@ def _power_floor(p: float) -> float:
 
 def _spd_inverse(m: np.ndarray) -> np.ndarray | None:
     """The Cholesky inverse of m in C order, or None when m is not numerically
-    positive definite."""
-    factor, info = lapack.dpotrf(m)
-    return _factor_inverse(factor, overwrite=True) if info == 0 else None
+    positive definite. m is factored in a copy of m.T, whose transpose is m
+    in F order."""
+    a = m.T.copy()
+    return _factor_inverse(a.T, overwrite=True) if _potrf(a) == 0 else None
 
 
 def _factor_inverse(factor: np.ndarray, overwrite: bool = False) -> np.ndarray | None:
@@ -349,11 +385,9 @@ def _harmonic_factors(weights: Sequence[np.ndarray],
     for w in weights:
         m = _shifted_laplacian(w, shift)
         bound += 1.0 / _inf_norm(m)
-        # m is symmetric, so its F-ordered transpose is factored in place
-        factor, info = lapack.dpotrf(m.T, overwrite_a=True, clean=False)
-        if info != 0:
+        if _potrf(m) != 0:
             return None
-        factors.append(factor)
+        factors.append(m.T)
     return tuple(factors) if bound / len(weights) >= NEG_POWER_EIG_FLOOR else None
 
 
@@ -384,6 +418,20 @@ def _ratios(num: np.ndarray, den: np.ndarray) -> np.ndarray:
     return np.divide(num, den, out=np.zeros_like(num), where=num != 0.0)
 
 
+def _factor_system(a: np.ndarray, m: np.ndarray, scale: float, diagonal: float,
+                   in_blocks: bool = True) -> tuple[np.ndarray, int]:
+    """a, filled with scale*m + diagonal*I and factored in place by _potrf,
+    and LAPACK's info. The fill runs by row blocks (see graph._by_row_blocks),
+    or, where ``in_blocks`` is false, in one piece, bitwise the same."""
+    n = a.shape[0]
+    if in_blocks:
+        _by_row_blocks(n, lambda i, j: np.multiply(m[i:j], scale, out=a[i:j]))
+    else:
+        np.multiply(m, scale, out=a)
+    a.flat[::n + 1] += diagonal
+    return a, _potrf(a)
+
+
 # ---------------------------------------------------------------------------
 # Fused graphs
 # ---------------------------------------------------------------------------
@@ -408,6 +456,9 @@ class FusedGraph:
     weights: tuple[np.ndarray, ...]
     operator: np.ndarray | None = None
     factors: tuple[np.ndarray, ...] = ()
+    # the factorizations that _factoring_ahead started, by alpha
+    _pending: dict[float, Future] = field(default_factory=dict, init=False, repr=False,
+                                          compare=False)
 
     @property
     def harmonic(self) -> bool:
@@ -451,9 +502,9 @@ class FusedGraph:
         _CG_MAX_STEPS, H is built once from the factors and reused at every
         alpha, and then, as for every other graph, A (or I - alpha*S) is
         built by row blocks (see graph._by_row_blocks) and factored in place
-        by Cholesky; NumericalError when it is not positive definite."""
-        if self.harmonic and sum(_cg_steps(a, self.rule.effective_shift)
-                                 for a in {alpha, *plan}) <= _CG_MAX_STEPS:
+        by Cholesky, or taken from _factoring_ahead; NumericalError when it
+        is not positive definite."""
+        if self._uses_cg(alpha, plan):
             y = self._cg(alpha, y0, _cg_steps(alpha, self.rule.effective_shift))
         else:
             y = self._cholesky_solve(alpha, y0)
@@ -461,23 +512,60 @@ class FusedGraph:
             raise NumericalError("closed-form solution has non-finite values")
         return y
 
-    def _cholesky_solve(self, alpha: float, y0: np.ndarray) -> np.ndarray:
+    def _uses_cg(self, alpha: float, plan: Sequence[float]) -> bool:
+        return self.harmonic and sum(_cg_steps(a, self.rule.effective_shift)
+                                     for a in {alpha, *plan}) <= _CG_MAX_STEPS
+
+    def _system(self, alpha: float) -> tuple[np.ndarray, float, float]:
+        """(m, scale, diagonal): the matrix that _cholesky_solve factors at
+        alpha is scale*m + diagonal*I, A for a harmonic graph, else I - alpha*S."""
         if self.harmonic:
-            h = self._mean_inverse
-            m, scale, diagonal, b = h, 1.0 - alpha, alpha, h @ y0
+            return self._mean_inverse, 1.0 - alpha, alpha
+        return self.propagation_matrix(), -alpha, 1.0
+
+    def _cholesky_solve(self, alpha: float, y0: np.ndarray) -> np.ndarray:
+        pending = self._pending.pop(alpha, None)
+        if pending is None:
+            n = self.node_count
+            a, info = _factor_system(np.empty((n, n)), *self._system(alpha))
         else:
-            m, scale, diagonal, b = self.propagation_matrix(), -alpha, 1.0, y0
-        n = self.node_count
-        a = np.empty((n, n))
-        _by_row_blocks(n, lambda i, j: np.multiply(m[i:j], scale, out=a[i:j]))
-        a.flat[::n + 1] += diagonal
-        # a is symmetric, so its F-ordered transpose is factored in place
-        factor, info = lapack.dpotrf(a.T, overwrite_a=True, clean=False)
+            a, info = pending.result()
         if info != 0:
             raise NumericalError(
                 f"I - alpha*S is not positive definite at alpha={alpha}: "
                 f"{info}-th leading minor of the array is not positive definite")
-        return lapack.dpotrs(factor, (1.0 - alpha) * b)[0]
+        b = self._mean_inverse @ y0 if self.harmonic else y0
+        return lapack.dpotrs(a.T, (1.0 - alpha) * b)[0]
+
+    @contextlib.contextmanager
+    def _factoring_ahead(self, alpha: float, plan: Sequence[float],
+                         when: bool = True) -> Iterator[None]:
+        """While the block runs, the matrix that solve(alpha, ., plan) factors
+        is built and factored on the row pool (see graph._background_pool), and
+        the first such solve in the block takes that factor; on exit an
+        unused one is dropped. 2LP's step 2 factors the full graph's system,
+        which its step 1 does not change, so the factorization overlaps step
+        1. Where ``when`` is false, the graph solves by conjugate gradients
+        or the pool may not take the task, solves factor on the calling
+        thread, as they do outside the block.
+
+        The matrix is allocated here, not on the worker: there, on the
+        large-household benchmark (2 vCPUs), it raised the peak RSS by 17%,
+        most likely through a second malloc arena. The worker builds it in one piece, and
+        _potrf factors it without the GIL."""
+        pool = _background_pool() if when and not self._uses_cg(alpha, plan) else None
+        if pool is not None:
+            n = self.node_count
+            # no _by_row_blocks on the pool: a worker waiting on its own pool can deadlock it
+            self._pending[alpha] = pool.submit(contextvars.copy_context().run, _factor_system,
+                                               np.empty((n, n)), *self._system(alpha), False)
+        try:
+            yield
+        finally:
+            # left only where the block raised, whose error is the one to report
+            pending = self._pending.pop(alpha, None)
+            if pending is not None and not pending.cancel():
+                wait([pending])
 
     def _apply_h(self, x: np.ndarray) -> np.ndarray:
         """H x = mean_v M_v^{-1} x, one triangular solve pair per view."""

@@ -226,9 +226,17 @@ def _step1(graph: HouseholdGraph, cfg: PropagationConfig) -> PredictionResult:
 def run_2lp(graph: HouseholdGraph, cfg: PropagationConfig) -> PredictionResult:
     """Two-step propagation: LP with step 1's labels as pseudo-labels, which
     join the true labels in a re-normalized Y(0). Abstaining pseudo-labels
-    leave their node unlabeled again."""
-    return _two_step(graph.n_unlabeled > 0, lambda: _step1(graph, cfg),
-                     lambda pseudo: run_lp(graph, cfg, pseudo))
+    leave their node unlabeled again.
+
+    Step 2's system does not depend on step 1, only its right-hand side does:
+    where step 1 runs on the subgraph and the direct solver runs, the full
+    graph's system is factored on the row pool while step 1 runs (see
+    FusedGraph._factoring_ahead)."""
+    has_pool = graph.n_unlabeled > 0
+    ahead = has_pool and cfg.solver != "iterative" and not cfg.step1_includes_heldout
+    with graph.fused._factoring_ahead(cfg.alpha, graph.alphas, when=ahead):
+        return _two_step(has_pool, lambda: _step1(graph, cfg),
+                         lambda pseudo: run_lp(graph, cfg, pseudo))
 
 
 def run_2lpea(graph: HouseholdGraph, embeddings: np.ndarray,

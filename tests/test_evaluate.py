@@ -5,9 +5,11 @@ import functools
 import importlib
 import itertools
 import re
+import threading
 import warnings
 import weakref
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -27,6 +29,7 @@ from speakergraph import (
     PropagationConfig,
     SimulationConfig,
     SingleView,
+    SpeakerGraphError,
     StructuralError,
     UniversalScaling,
     evaluate,
@@ -40,6 +43,7 @@ from speakergraph import (
     tune_cohort_sigmas,
 )
 from speakergraph.config import BASELINE_METHODS, METHODS, apply_param
+from speakergraph.records import HouseholdDataset, UtteranceRecord
 
 evaluate_module = importlib.import_module("speakergraph.evaluate")
 fusion_module = importlib.import_module("speakergraph.fusion")
@@ -670,7 +674,7 @@ class TestTrustedPath:
         # view of each graph (2LP's step 1 fuses a second), no inverse, and no
         # factored system
         _, val = tiny_dataset()
-        factorizations = count_calls(monkeypatch, fusion_module.lapack, "dpotrf")
+        factorizations = count_calls(monkeypatch, fusion_module, "_potrf")
         inverses = count_calls(monkeypatch, fusion_module.lapack, "dpotri")
         spec = replace(POWER_MEAN_LP, method=method,
                        fusion=PowerMeanFusion(("voice", "face"), p=-1.0))
@@ -824,3 +828,91 @@ class TestPowerOfTwoInvariance:
                               unit_normalize=unit_normalize)
         for household in tiny_val(seed):
             self.assert_invariant(household, spec, exponent)
+
+
+@st.composite
+def degenerate_datasets(draw):
+    """One or two tiny households: one to three enrolled speakers, which can
+    leave one class; an unlabeled pool that can be empty; held-out utterances
+    that can be missing; and every embedding drawn from a pool of at most
+    three vectors, so that duplicates abound."""
+    values = st.sampled_from([0.0, 1.0, -1.0, 0.5])
+    pools = {name: draw(st.lists(st.lists(values, min_size=2, max_size=2),
+                                 min_size=1, max_size=3))
+             for name in ("voice", "face")}
+    households = []
+    for h in range(draw(st.integers(1, 2))):
+        speakers = [f"s{i}" for i in range(draw(st.integers(1, 3)))]
+        roles = [("enrolled", spk) for spk in speakers for _ in range(draw(st.integers(1, 2)))]
+        roles += [("unlabeled", None)] * draw(st.integers(0, 3))
+        roles += [("heldout", spk) for spk in speakers for _ in range(draw(st.integers(0, 2)))]
+        households.append(HouseholdDataset(f"h{h}", "random", [
+            UtteranceRecord(utt_id=f"h{h}u{i}", household_id=f"h{h}", role=role, speaker=spk,
+                            session_id=f"h{h}u{i}",
+                            views={name: draw(st.sampled_from(pool))
+                                   for name, pool in pools.items()})
+            for i, (role, spk) in enumerate(roles)]))
+    return households
+
+
+DEGENERATE_FUSIONS = (SingleView("voice"), EdgePoolFusion(("voice", "face")),
+                      PowerMeanFusion(("voice", "face"), p=-1.0),
+                      PowerMeanFusion(("voice", "face"), p=2.0))
+
+
+class TestDegenerateHouseholds:
+    def test_every_method_ends_in_a_report_or_a_typed_error(self):
+        # Every outcome of all seven methods on degenerate households is a
+        # report or a SpeakerGraphError, with no RuntimeWarning (the test
+        # filters raise it) and no hang, with allow_skip on and off and with
+        # 2LP's step-2 factorization and every row block on a thread pool.
+        background = []
+        real = fusion_module._potrf
+
+        def spy(a):
+            if threading.current_thread() is not runner[-1]:
+                background.append(a.shape[0])
+            return real(a)
+
+        runner = []
+
+        @settings(max_examples=150, deadline=None, derandomize=True)
+        @given(households=degenerate_datasets(), fusion=st.sampled_from(DEGENERATE_FUSIONS),
+               scaling=st.sampled_from([LocalScaling(k=1, s=1.0), LocalScaling(k=2, s=0.5),
+                                        UniversalScaling(0.5)]),
+               alpha=st.sampled_from([0.5, 0.9, 0.99]),
+               solver=st.sampled_from(["auto", "iterative"]), allow_skip=st.booleans())
+        def check(households, fusion, scaling, alpha, solver, allow_skip):
+            propagation = PropagationConfig(alpha=alpha, solver=solver)
+            specs = [MethodSpec(method=m) if m in BASELINE_METHODS else
+                     MethodSpec(method=m, scaling=scaling, fusion=fusion, propagation=propagation)
+                     for m in METHODS]
+            outcome = []
+
+            def run():
+                try:
+                    outcome.append(evaluate_methods(households, specs, allow_skip=allow_skip))
+                except SpeakerGraphError as exc:
+                    outcome.append(exc)
+                except BaseException as exc:  # re-raised below, on the test's thread
+                    outcome.append(("defect", exc))
+
+            runner.append(threading.Thread(target=run, daemon=True))
+            runner[-1].start()
+            runner[-1].join(60.0)
+            assert outcome, "evaluate_methods did not finish within 60 s"
+            if isinstance(outcome[0], tuple):
+                raise outcome[0][1]
+
+        with mock.patch.multiple(graph_module, _PARALLEL_MIN_ROWS=2, _MIN_BLOCK_ROWS=1,
+                                 _pool=None, _allowed_cpus=lambda: 2), \
+                mock.patch.dict("os.environ", {"OPENBLAS_NUM_THREADS": "1"}), \
+                mock.patch.object(fusion_module, "_potrf", spy), \
+                warnings.catch_warnings():
+            warnings.simplefilter("ignore", DegeneracyWarning)
+            try:
+                check()
+            finally:
+                if graph_module._pool is not None:
+                    graph_module._pool.shutdown()
+        assert background, "no step-2 factorization ran on the pool"

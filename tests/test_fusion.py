@@ -516,7 +516,7 @@ class TestHarmonicFactors:
         weights = [random_affinity(rng, 12).w for _ in range(2)]
         laps = [normalized_laplacian(w) for w in weights]
         with mock.patch.object(np.linalg, "eigh", wraps=np.linalg.eigh) as eigh, \
-                mock.patch.object(lapack, "dpotrf", wraps=lapack.dpotrf) as dpotrf:
+                mock.patch.object(fusion, "_potrf", wraps=fusion._potrf) as dpotrf:
             floored = fusion._fuse_weights(weights, PowerMeanFusion(("a", "b"), -1.0, 1e-9))
         # at shift 1e-9 the proof fails before any factorization, and the
         # floored eigendecomposition route runs, as in pml_fuse
@@ -656,3 +656,45 @@ class TestSpectralBound:
         # the default shift, log 6, leaves the mean well conditioned
         fused = pml_fuse([lap, lap], -5.0, math.log(6.0))
         assert np.abs(fused - (lap + math.log(6.0) * np.eye(3))).max() < 1e-12
+
+
+class TestPotrf:
+    """fusion._potrf, the package's one Cholesky factorization, calls LAPACK's
+    dpotrf without the GIL and must leave exactly what scipy's wrapper leaves."""
+
+    @staticmethod
+    def wrapper(m):
+        factor, info = lapack.dpotrf(m.copy().T, overwrite_a=True, clean=False)
+        return factor, info
+
+    @pytest.mark.parametrize("n", [1, 2, 37, 368])
+    def test_positive_definite_bitwise(self, n):
+        rng = np.random.default_rng(n)
+        x = rng.normal(size=(n, n))
+        m = x @ x.T / n + 0.1 * np.eye(n)
+        m = (m + m.T) / 2.0
+        expected, expected_info = self.wrapper(m)
+        a = m.copy()
+        assert fusion._potrf(a) == expected_info == 0
+        assert same_bits(a.T, expected)
+        # the strict lower triangle of the factor is the input's, as with clean=False
+        assert same_bits(np.tril(a.T, -1), np.tril(m, -1))
+
+    @pytest.mark.parametrize("m, info", [
+        (np.array([[-2.0]]), 1),
+        (np.array([[0.0]]), 1),
+        (np.diag([1.0, -1.0, 2.0]), 2),
+        (np.array([[4.0, 2.0, 0.0], [2.0, 1.0, 3.0], [0.0, 3.0, 5.0]]), 2),
+        (np.eye(5) - 0.9 * (np.ones((5, 5)) - np.eye(5)) * 2.0, 2),
+    ])
+    def test_not_positive_definite_bitwise(self, m, info):
+        expected, expected_info = self.wrapper(m)
+        a = m.copy()
+        assert fusion._potrf(a) == expected_info == info
+        assert same_bits(a.T, expected)
+
+    @pytest.mark.parametrize("a", [np.eye(3, dtype=np.float32), np.asfortranarray(
+        np.eye(3) + np.tri(3, k=-1)), np.eye(3)[:, :2], np.eye(4)[::2, ::2]])
+    def test_rejects_what_lapack_would_misread(self, a):
+        with pytest.raises(ValueError, match="square C-ordered float64"):
+            fusion._potrf(a)

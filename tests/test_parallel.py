@@ -11,6 +11,7 @@ import sys
 import threading
 import time
 import warnings
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -30,6 +31,7 @@ from speakergraph import (
     NumericalError,
     PowerMeanFusion,
     PropagationConfig,
+    SingleView,
     SpeakerGraphError,
     StructuralError,
     UniversalScaling,
@@ -40,7 +42,7 @@ from speakergraph import (
 )
 from speakergraph import fusion, graph
 from speakergraph.graph import ViewDistances
-from speakergraph.propagation import HouseholdGraph, init_label_matrix, propagate
+from speakergraph.propagation import HouseholdGraph, init_label_matrix, propagate, run_2lp
 
 
 @contextlib.contextmanager
@@ -72,13 +74,13 @@ def same(a, b):
 def i_minus_alpha_s(household, alpha):
     """The matrix that FusedGraph.solve hands to its Cholesky factorization."""
     seen = []
-    real = fusion.lapack.dpotrf
+    real = fusion._potrf
 
-    def spy(a, **kwargs):
+    def spy(a):
         seen.append(a.copy())
-        return real(a, **kwargs)
+        return real(a)
 
-    with mock.patch.object(fusion.lapack, "dpotrf", spy), \
+    with mock.patch.object(fusion, "_potrf", spy), \
             contextlib.suppress(NumericalError):
         propagate(household, init_label_matrix(household), PropagationConfig(alpha=alpha))
     return seen[0]
@@ -217,6 +219,18 @@ class TestDistancesMatchPdist:
             assert np.array_equal(dist, dist.T)
             assert not np.diagonal(dist).any()
 
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+    @pytest.mark.parametrize("n", [77, 368, 600])
+    def test_diagonal_blocks_left_as_cdist_filled_them(self, n, scale):
+        # only the blocks left of the diagonal are mirrored: each row block's
+        # own cdist block is exactly symmetric with a zero diagonal
+        view = EmbeddingView("voice", np.random.default_rng(n).normal(size=(n, 16)) * scale)
+        expected = squareform(pdist(view.vectors))
+        with mock.patch.object(graph, "_mirror_upper", side_effect=AssertionError):
+            for workers in (1, 2, 3):
+                with row_blocks(workers, block_rows=graph._MIN_BLOCK_ROWS):
+                    assert same(pairwise_distances(view), expected), workers
+
 
 class TestMirrorUpper:
     @pytest.mark.parametrize("min_rows", [sys.maxsize, 1], ids=["inline", "pool"])
@@ -279,6 +293,123 @@ class TestAffinityChecks:
             assert AffinityMatrix(w).w is w
 
 
+@contextlib.contextmanager
+def factor_threads():
+    """The threads that ran each _potrf call in the block, in call order."""
+    threads, real = [], fusion._potrf
+
+    def spy(a):
+        threads.append(threading.get_ident())
+        return real(a)
+
+    with mock.patch.object(fusion, "_potrf", spy), \
+            mock.patch.dict(os.environ, {"OPENBLAS_NUM_THREADS": "1"}):
+        yield threads
+
+
+def two_step_household(n, rule):
+    """A 4-class household of n nodes, half of them unlabeled and a quarter
+    held out, under a fusion rule of voice and face kernels, solved at the
+    alphas of a sweep."""
+    rng = np.random.default_rng(n)
+    centers = rng.normal(size=(4, 6)) * 3.0
+    classes = np.arange(n) % 4
+    weights = [ViewDistances(EmbeddingView(name, centers[classes] + rng.normal(size=(n, 6))),
+                             8).affinity(LocalScaling(8, 1.0)) for name in ("voice", "face")]
+    labeled, heldout = n // 4, n // 4
+    return HouseholdGraph(fusion._fuse_weights(weights[:len(rule.view_names)], rule),
+                          labels=classes[:labeled], n_unlabeled=n - labeled - heldout,
+                          n_heldout=heldout, class_count=4, alphas=(0.5, 0.9, 0.99))
+
+
+FACTOR_RULES = {
+    "single view": SingleView("voice"),
+    "edge pool": EdgePoolFusion(("voice", "face")),
+    # the plan's CG steps pass the cap, so the graph builds H and factors A
+    "harmonic, H route": PowerMeanFusion(("voice", "face"), p=-1.0),
+}
+
+
+class TestStepTwoFactorsAhead:
+    """2LP factors its step-2 system on the row pool while step 1 runs, where
+    at least two CPUs are allowed and BLAS runs one thread; below and above
+    _PARALLEL_MIN_ROWS, so that step 1's own row blocks run inline and on the
+    pool beside it."""
+
+    @pytest.mark.parametrize("rule", FACTOR_RULES)
+    @pytest.mark.parametrize("n", [96, graph._PARALLEL_MIN_ROWS + 88])
+    def test_labels_and_scores_bitwise_inline(self, n, rule):
+        cfg = PropagationConfig(alpha=0.9)
+        with row_blocks(workers=1, min_rows=graph._PARALLEL_MIN_ROWS), \
+                factor_threads() as threads:
+            expected = run_2lp(two_step_household(n, FACTOR_RULES[rule]), cfg)
+        assert set(threads) == {threading.get_ident()}
+        with row_blocks(workers=2, min_rows=graph._PARALLEL_MIN_ROWS), \
+                factor_threads() as threads:
+            household = two_step_household(n, FACTOR_RULES[rule])
+            overlapped = run_2lp(household, cfg)
+            assert household.fused._pending == {}
+        # the full graph's system was factored on the pool, all else on this thread
+        assert [t != threading.get_ident() for t in threads].count(True) == 1
+        assert same(overlapped.labels, expected.labels)
+        assert same(overlapped.scores, expected.scores)
+        assert (overlapped.ties, overlapped.abstains) == (expected.ties, expected.abstains)
+
+    @pytest.mark.parametrize("n", [96, graph._PARALLEL_MIN_ROWS + 88])
+    def test_indefinite_step_two_raises_as_inline(self, n):
+        # S = 2 I puts I - alpha*S at (1 - 2 alpha) I, which fails at its first
+        # minor; step 1 re-fuses the subgraph from the weights and succeeds
+        household = two_step_household(n, SingleView("voice"))
+        fused = fusion.FusedGraph(rule=household.fused.rule, weights=household.fused.weights,
+                                  operator=2.0 * np.eye(n))
+        household = replace(household, fused=fused)
+        messages = []
+        for workers in (1, 2):
+            with row_blocks(workers=workers, min_rows=graph._PARALLEL_MIN_ROWS), \
+                    factor_threads() as threads, pytest.raises(NumericalError) as exc:
+                run_2lp(household, PropagationConfig(alpha=0.9))
+            assert fused._pending == {}
+            assert [t != threading.get_ident() for t in threads].count(True) == workers - 1
+            messages.append(str(exc.value))
+        assert messages[0] == messages[1] == (
+            "I - alpha*S is not positive definite at alpha=0.9: 1-th leading minor of "
+            "the array is not positive definite")
+
+    def test_failed_step_one_drops_the_factor(self):
+        household = two_step_household(96, SingleView("voice"))
+        with row_blocks(workers=2), factor_threads(), \
+                mock.patch.object(fusion.FusedGraph, "subgraph",
+                                  side_effect=NumericalError("step 1")), \
+                pytest.raises(NumericalError, match="step 1"):
+            run_2lp(household, PropagationConfig())
+        assert household.fused._pending == {}
+
+    @pytest.mark.parametrize("env, workers, cfg", [
+        ({"OPENBLAS_NUM_THREADS": "2"}, 2, PropagationConfig()),
+        ({"OPENBLAS_NUM_THREADS": "1"}, 1, PropagationConfig()),
+        ({"OPENBLAS_NUM_THREADS": "1"}, 2, PropagationConfig(step1_includes_heldout=True)),
+    ], ids=["two BLAS threads", "one CPU", "step 1 on the full graph"])
+    def test_calling_thread_factors_elsewhere(self, env, workers, cfg):
+        household = two_step_household(96, SingleView("voice"))
+        with row_blocks(workers=workers), factor_threads() as threads, \
+                mock.patch.dict(os.environ, env):
+            run_2lp(household, cfg)
+        assert set(threads) == {threading.get_ident()}
+
+    @pytest.mark.parametrize("env, expected", [
+        ({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "4"}, True),
+        ({"OMP_NUM_THREADS": "1"}, True),
+        ({"OPENBLAS_NUM_THREADS": "4", "OMP_NUM_THREADS": "1"}, False),
+        ({}, False),
+    ])
+    def test_one_blas_thread_rule(self, env, expected):
+        with row_blocks(workers=2), mock.patch.dict(os.environ, env):
+            for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+                if name not in env:
+                    os.environ.pop(name, None)
+            assert (graph._background_pool() is not None) == expected
+
+
 def large_view(n=600):
     return EmbeddingView("voice", np.random.default_rng(1).normal(size=(n, 8)))
 
@@ -320,12 +451,16 @@ class TestThreadsStayOutOfTheWay:
                     ViewDistances(large_view(), 20).affinity(LocalScaling(20, 0.5)))
                 affinities = {"voice": voice, "session": session_affinity(["a", "b"] * 300, 0.5)}
                 household = HouseholdGraph(fuse(affinities, EdgePoolFusion(tuple(affinities))),
-                                           labels=[0, 1], n_unlabeled=598, n_heldout=0,
+                                           labels=[0, 1], n_unlabeled=500, n_heldout=98,
                                            class_count=2)
                 i_minus_alpha_s(household, 0.9)
+                # step 2's factorization runs on the pool beside step 1
+                with factor_threads() as threads:
+                    run_2lp(household, PropagationConfig())
+                assert [t != threading.get_ident() for t in threads].count(True) == 1
         finally:
             threading.setprofile(None)
-        assert ran
+        assert ran and "_factor_system" in ran
         assert public_calls == []
 
     @pytest.mark.parametrize("path", PATHS)
