@@ -8,6 +8,7 @@ import argparse
 import csv
 import json
 import sys
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -59,12 +60,8 @@ def _cmd_simulate(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     save_dataset(dev, out_dir / "dev.jsonl")
     save_dataset(val, out_dir / "val.jsonl")
-    counts = {}
-    for split, households in (("dev", dev), ("val", val)):
-        split_counts: dict[str, int] = {}
-        for hh in households:
-            split_counts[hh.group] = split_counts.get(hh.group, 0) + 1
-        counts[split] = split_counts
+    counts = {split: Counter(hh.group for hh in households)
+              for split, households in (("dev", dev), ("val", val))}
     manifest = write_manifest(out_dir / "manifest.json", cfg, counts)
     print(f"wrote {out_dir}/dev.jsonl ({len(dev)} households), "
           f"{out_dir}/val.jsonl ({len(val)} households)")

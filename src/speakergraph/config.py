@@ -80,12 +80,9 @@ class MethodSpec:
     def label(self) -> str:
         if self.is_baseline:
             return f"{self.method}/{self.view}"
-        if isinstance(self.fusion, SingleView):
-            views = self.fusion.view_name
-        else:
-            views = "+".join(self.fusion.view_names)
-            if isinstance(self.fusion, PowerMeanFusion):
-                views += f"(pmean p={self.fusion.p:g})"
+        views = "+".join(self.fusion.view_names)
+        if isinstance(self.fusion, PowerMeanFusion):
+            views += f"(pmean p={self.fusion.p:g})"
         return f"{self.method}/{self.family}/{views}"
 
 

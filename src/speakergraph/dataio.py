@@ -33,12 +33,9 @@ def record_to_dict(record: UtteranceRecord, group: str) -> dict:
         "group": group,
         "role": record.role,
     }
-    if record.speaker is not None:
-        out["speaker"] = record.speaker
-    if record.session_id is not None:
-        out["session_id"] = record.session_id
-    if record.cohort is not None:
-        out["cohort"] = record.cohort
+    for key in _OPTIONAL_IDS:
+        if getattr(record, key) is not None:
+            out[key] = getattr(record, key)
     out["views"] = {name: vec.tolist() for name, vec in record.views.items()}
     return out
 
@@ -222,16 +219,19 @@ def write_report(report: EvalReport, path: str | Path, seed: int,
 
 def render_report(data: Mapping, fmt: str) -> str:
     """Render a serialized report as json (as write_json writes it), csv, or a
-    markdown table."""
+    markdown table; ConfigurationError when data is not a report."""
+    if fmt not in ("csv", "json", "md"):
+        raise ConfigurationError(f"unknown report format {fmt!r}")
+    try:
+        groups = sorted({g for m in data["methods"] for g in m["groups"]})
+        rows = [(m["label"], m["family"],
+                 [_fmt_pct(m["groups"].get(g, {}).get("sier")) for g in groups]
+                 + [_fmt_pct(m["overall"]["sier"])])
+                for m in data["methods"]]
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise ConfigurationError(f"not a report ({type(exc).__name__}: {exc})") from exc
     if fmt == "json":
         return json.dumps(data, indent=2, sort_keys=True) + "\n"
-    if fmt not in ("csv", "md"):
-        raise ConfigurationError(f"unknown report format {fmt!r}")
-    groups = sorted({g for m in data["methods"] for g in m["groups"]})
-    rows = [(m["label"], m["family"],
-             [_fmt_pct(m["groups"].get(g, {}).get("sier")) for g in groups]
-             + [_fmt_pct(m["overall"]["sier"])])
-            for m in data["methods"]]
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf)

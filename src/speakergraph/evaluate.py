@@ -28,7 +28,7 @@ from .graph import (
     ViewDistances,
     _session_kernel,
 )
-from .propagation import HouseholdGraph, run_2lp, run_2lpea, run_lp
+from .propagation import HouseholdGraph, SolveSchedule
 from .records import ROLE_ENROLLED, ROLE_UNLABELED, HouseholdDataset
 
 SESSION_VIEW = "session"
@@ -142,25 +142,25 @@ def _predictions(stages: HouseholdStages, specs: Sequence[MethodSpec]
                  ) -> Iterator[PredictionResult | SpeakerGraphError]:
     """evaluate_methods' per-group step: yield, spec by spec, the held-out
     predictions of specs that share one graph, or the SpeakerGraphError that
-    stopped the spec. The graph is built here, with every spec's alpha as
-    its solve plan, and released with the generator; if building it fails,
-    that error stops every spec."""
+    stopped the spec. The graph and its SolveSchedule are built here and
+    released with the generator; if building the graph fails, that error
+    stops every spec."""
     try:
-        graph = None if specs[0].is_baseline else build_household_graph(stages, specs[0])
+        schedule = None if specs[0].is_baseline else SolveSchedule(
+            build_household_graph(stages, specs[0]),
+            [(spec.method, spec.propagation) for spec in specs])
     except SpeakerGraphError as exc:
         yield from [exc] * len(specs)
         return
-    if graph is not None:
-        graph = replace(graph, alphas=tuple(spec.propagation.alpha for spec in specs))
     for spec in specs:
         try:
-            yield _predict(stages, spec, graph)
+            yield _predict(stages, spec, schedule)
         except SpeakerGraphError as exc:
             yield exc
 
 
 def _predict(stages: HouseholdStages, spec: MethodSpec,
-             graph: HouseholdGraph | None) -> PredictionResult:
+             schedule: SolveSchedule | None) -> PredictionResult:
     if spec.is_baseline:
         emb = stages.matrix(spec.view)
         l, u = stages.labels.size, stages.n_unlabeled
@@ -170,24 +170,23 @@ def _predict(stages: HouseholdStages, spec: MethodSpec,
             return runner(labeled, stages.labels, heldout, stages.class_count)
         runner = {"2CS": run_2cs, "2CSEA": run_2csea}[spec.method]
         return runner(labeled, stages.labels, unlabeled, heldout, stages.class_count)
-    if spec.method == "LP":
-        return run_lp(graph, spec.propagation)
-    if spec.method == "2LP":
-        return run_2lp(graph, spec.propagation)
-    return run_2lpea(graph, stages.matrix(primary_view_name(spec)), spec.propagation)
+    embeddings = stages.matrix(primary_view_name(spec)) if spec.method == "2LPEA" else None
+    return schedule.predict(spec.method, spec.propagation, embeddings)
 
 
 def run_method(hh: HouseholdDataset, spec: MethodSpec) -> tuple[PredictionResult, np.ndarray]:
     """Predictions of one spec for the household's held-out utterances, plus
     ground truth.
 
-    Runs the stages evaluate_methods runs. With one graph to build it keeps no
-    distances: each is dropped as soon as its affinity is built, long before
-    the solve.
+    Runs the stages evaluate_methods runs, on a schedule of one spec. With
+    one graph to build it keeps no distances: each is dropped as soon as its
+    affinity is built, long before the solve.
     """
     stages = HouseholdStages(hh, [spec])
-    graph = None if spec.is_baseline else build_household_graph(stages, spec)
-    return _predict(stages, spec, graph), stages.truth
+    pred, = _predictions(stages, [spec])
+    if isinstance(pred, SpeakerGraphError):
+        raise pred
+    return pred, stages.truth
 
 
 # ---------------------------------------------------------------------------
@@ -305,8 +304,9 @@ def evaluate_methods(households: Sequence[HouseholdDataset],
     matrices, distances and one neighbor sort (to the specs' widest local k)
     are computed once for all specs (see HouseholdStages). Specs that share a
     graph, that is differ only in method or propagation config, run back to
-    back on one fused graph and its one step-1 subgraph, and at most one
-    fused graph per household is held at a time. A household's shared stage
+    back on one fused graph through one SolveSchedule, which shares their
+    step-1 subgraph, step-1 results and factored systems; one such graph and
+    what its schedule holds are alive at a time. A household's shared stage
     and graph time counts in the ``seconds`` of the first spec that uses it.
 
     Per-household failures (SpeakerGraphError, including a household with

@@ -10,28 +10,25 @@ where p interpolates between min-like (p << 0), harmonic (p = -1),
 arithmetic (p = 1) and max-like (p >> 0) pooling of the view spectra.
 """
 
-import contextlib
-import contextvars
 import ctypes
 import functools
 import math
-from concurrent.futures import Future, wait
-from dataclasses import dataclass, field
-from typing import Iterator, Mapping, Sequence, Union
+from dataclasses import dataclass
+from typing import Iterable, Mapping, Sequence, Union
 
 import numpy as np
 from scipy.linalg import cython_lapack, lapack
 
 from .errors import ConfigurationError, NumericalError, StructuralError
-from .graph import (AffinityMatrix, _background_pool, _by_row_blocks, _identity_minus,
-                    _mirror_upper, normalized_laplacian, propagation_operator)
+from .graph import (AffinityMatrix, _by_row_blocks, _identity_minus, _mirror_upper,
+                    normalized_laplacian, propagation_operator)
 
 # Eigenvalue floor applied before negative matrix powers.
 NEG_POWER_EIG_FLOOR = 1e-8
 
-# Most conjugate-gradient steps, summed over the alphas a caller solves a
-# harmonic graph at, that it takes (see FusedGraph.solve); above it the graph
-# builds H and factors the system instead. One-thread crossovers of a single
+# Most conjugate-gradient steps, summed over the alphas a harmonic graph is
+# solved at, that it takes (see _cg_route); above it the graph builds H and
+# factors the system instead. One-thread crossovers of a single
 # solve: 20-25 steps at n = 368 and 38-51 at n = 1,608 (2-3 views); 32 keeps
 # the slower route within 1.52x of the faster one at both sizes.
 _CG_MAX_STEPS = 32
@@ -409,6 +406,12 @@ def _cg_steps(alpha: float, shift: float) -> int:
     return math.ceil(math.log(np.finfo(float).eps / 2.0) / math.log(rate))
 
 
+def _cg_route(graph: "FusedGraph", alphas: Iterable[float]) -> bool:
+    """Whether a graph solved at these alphas runs CG, not H (see _CG_MAX_STEPS)."""
+    return graph.harmonic and sum(_cg_steps(a, graph.rule.effective_shift)
+                                  for a in set(alphas)) <= _CG_MAX_STEPS
+
+
 def _column_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->j", a, b)
 
@@ -456,9 +459,6 @@ class FusedGraph:
     weights: tuple[np.ndarray, ...]
     operator: np.ndarray | None = None
     factors: tuple[np.ndarray, ...] = ()
-    # the factorizations that _factoring_ahead started, by alpha
-    _pending: dict[float, Future] = field(default_factory=dict, init=False, repr=False,
-                                          compare=False)
 
     @property
     def harmonic(self) -> bool:
@@ -490,82 +490,42 @@ class FusedGraph:
         return acc
 
     def solve(self, alpha: float, y0: np.ndarray,
-              plan: Sequence[float] = ()) -> np.ndarray:
+              factor: tuple[np.ndarray, int] | None = None) -> np.ndarray:
         """The propagation fixed point y = (1 - alpha) (I - alpha*S)^{-1} Y0;
         NumericalError when y is not finite.
 
         A harmonic graph solves that system times H, A y = b with A =
-        (1 - alpha) H + alpha I and b = (1 - alpha) H Y0, by conjugate
-        gradients for the step count of _cg_steps. ``plan`` holds the alphas
-        at which the caller solves this graph. Where the step counts of those
-        alphas and this one, each counted once, sum to more than
-        _CG_MAX_STEPS, H is built once from the factors and reused at every
-        alpha, and then, as for every other graph, A (or I - alpha*S) is
-        built by row blocks (see graph._by_row_blocks) and factored in place
-        by Cholesky, or taken from _factoring_ahead; NumericalError when it
-        is not positive definite."""
-        if self._uses_cg(alpha, plan):
+        (1 - alpha) H + alpha I and b = (1 - alpha) H Y0. The solve takes
+        ``factor``, the system from factor(alpha); without one, a harmonic
+        graph on the route of _cg_route at alpha alone runs _cg_steps steps
+        of conjugate gradients, and every other graph factors the system;
+        NumericalError when it is not positive definite."""
+        if factor is None and _cg_route(self, (alpha,)):
             y = self._cg(alpha, y0, _cg_steps(alpha, self.rule.effective_shift))
         else:
-            y = self._cholesky_solve(alpha, y0)
+            a, info = self.factor(alpha) if factor is None else factor
+            if info != 0:
+                raise NumericalError(
+                    f"I - alpha*S is not positive definite at alpha={alpha}: "
+                    f"{info}-th leading minor of the array is not positive definite")
+            b = self._mean_inverse @ y0 if self.harmonic else y0
+            y = lapack.dpotrs(a.T, (1.0 - alpha) * b)[0]
         if not np.isfinite(y).all():
             raise NumericalError("closed-form solution has non-finite values")
         return y
 
-    def _uses_cg(self, alpha: float, plan: Sequence[float]) -> bool:
-        return self.harmonic and sum(_cg_steps(a, self.rule.effective_shift)
-                                     for a in {alpha, *plan}) <= _CG_MAX_STEPS
-
     def _system(self, alpha: float) -> tuple[np.ndarray, float, float]:
-        """(m, scale, diagonal): the matrix that _cholesky_solve factors at
-        alpha is scale*m + diagonal*I, A for a harmonic graph, else I - alpha*S."""
+        """(m, scale, diagonal): the system that solve factors at alpha is
+        scale*m + diagonal*I, A for a harmonic graph, else I - alpha*S."""
         if self.harmonic:
             return self._mean_inverse, 1.0 - alpha, alpha
         return self.propagation_matrix(), -alpha, 1.0
 
-    def _cholesky_solve(self, alpha: float, y0: np.ndarray) -> np.ndarray:
-        pending = self._pending.pop(alpha, None)
-        if pending is None:
-            n = self.node_count
-            a, info = _factor_system(np.empty((n, n)), *self._system(alpha))
-        else:
-            a, info = pending.result()
-        if info != 0:
-            raise NumericalError(
-                f"I - alpha*S is not positive definite at alpha={alpha}: "
-                f"{info}-th leading minor of the array is not positive definite")
-        b = self._mean_inverse @ y0 if self.harmonic else y0
-        return lapack.dpotrs(a.T, (1.0 - alpha) * b)[0]
-
-    @contextlib.contextmanager
-    def _factoring_ahead(self, alpha: float, plan: Sequence[float],
-                         when: bool = True) -> Iterator[None]:
-        """While the block runs, the matrix that solve(alpha, ., plan) factors
-        is built and factored on the row pool (see graph._background_pool), and
-        the first such solve in the block takes that factor; on exit an
-        unused one is dropped. 2LP's step 2 factors the full graph's system,
-        which its step 1 does not change, so the factorization overlaps step
-        1. Where ``when`` is false, the graph solves by conjugate gradients
-        or the pool may not take the task, solves factor on the calling
-        thread, as they do outside the block.
-
-        The matrix is allocated here, not on the worker: there, on the
-        large-household benchmark (2 vCPUs), it raised the peak RSS by 17%,
-        most likely through a second malloc arena. The worker builds it in one piece, and
-        _potrf factors it without the GIL."""
-        pool = _background_pool() if when and not self._uses_cg(alpha, plan) else None
-        if pool is not None:
-            n = self.node_count
-            # no _by_row_blocks on the pool: a worker waiting on its own pool can deadlock it
-            self._pending[alpha] = pool.submit(contextvars.copy_context().run, _factor_system,
-                                               np.empty((n, n)), *self._system(alpha), False)
-        try:
-            yield
-        finally:
-            # left only where the block raised, whose error is the one to report
-            pending = self._pending.pop(alpha, None)
-            if pending is not None and not pending.cancel():
-                wait([pending])
+    def factor(self, alpha: float) -> tuple[np.ndarray, int]:
+        """The system that solve factors at alpha, built in a new array by row
+        blocks and factored in place (see _factor_system), and LAPACK's info."""
+        n = self.node_count
+        return _factor_system(np.empty((n, n)), *self._system(alpha))
 
     def _apply_h(self, x: np.ndarray) -> np.ndarray:
         """H x = mean_v M_v^{-1} x, one triangular solve pair per view."""

@@ -75,8 +75,8 @@ def _row_pool(workers: int) -> ThreadPoolExecutor:
 
 
 def _background_pool() -> ThreadPoolExecutor | None:
-    """The row pool, for one task that runs beside the calling thread's work
-    (a Cholesky factorization), or None unless at least two CPUs are allowed
+    """The row pool, for a task that runs beside the calling thread's work
+    (2LP's step-2 factorization), or None unless at least two CPUs are allowed
     and BLAS runs one thread per call: OPENBLAS_NUM_THREADS, or failing it
     OMP_NUM_THREADS, reads "1". With two BLAS threads each, two concurrent
     factorizations at n = 1,608 took 52 ms a pair on 2 vCPUs, against

@@ -12,7 +12,8 @@ the views' (L_v + shift*I)^(-1), solves H (I - alpha*S) y = (1 - alpha) H Y(0)
 instead: by conjugate gradients through each view's Cholesky factor for a
 step count fixed by alpha and shift, or, when the step counts of the alphas
 the graph is solved at sum to more than a cap, by factoring (1 - alpha) H +
-alpha I with H built once.
+alpha I with H built once. The specs that share a graph solve through one
+SolveSchedule, which does each solve they share once.
 
 The iteration converges only when alpha*rho(S) < 1. The eigenvalues of S lie
 in [-1, 1] for single-view and edge-pool graphs but in [-1 - shift, 1 - shift]
@@ -27,15 +28,20 @@ The fixed point with lam = alpha / (1 - alpha) minimizes
 objective on the graph.
 """
 
+import contextvars
 import functools
+from collections import Counter
+from concurrent.futures import Future, wait
 from dataclasses import dataclass, replace
+from typing import Sequence
 
 import numpy as np
 
 from .baselines import (ABSTAIN, PredictionResult, _two_step, _two_step_cosine, predict,
                         run_csea)
 from .errors import ConfigurationError, NumericalError, StructuralError
-from .fusion import FusedGraph
+from .fusion import FusedGraph, _cg_route, _factor_system
+from .graph import _background_pool
 
 # Relative step size below which growth of the iteration's step is taken
 # for round-off, not divergence.
@@ -71,9 +77,7 @@ class HouseholdGraph:
 
     Nodes 0..l-1 are labeled with class indices ``labels``; nodes l..l+u-1
     are unlabeled; held-out nodes occupy the tail. Every class must have at
-    least one labeled node. ``alphas`` holds the alphas of the propagation
-    configs run on the graph, the plan of FusedGraph.solve; empty, each
-    solve plans only its own.
+    least one labeled node.
     """
 
     fused: FusedGraph
@@ -81,7 +85,6 @@ class HouseholdGraph:
     n_unlabeled: int
     n_heldout: int
     class_count: int
-    alphas: tuple[float, ...] = ()
 
     def __post_init__(self):
         labels = np.asarray(self.labels, dtype=int)
@@ -120,16 +123,9 @@ class HouseholdGraph:
         return slice(self.n_labeled + self.n_unlabeled, self.n)
 
     def without_heldout(self) -> "HouseholdGraph":
-        """The labeled+unlabeled subgraph, fused once per graph and shared by
-        every propagation config run on it."""
-        return self._core
-
-    @functools.cached_property
-    def _core(self) -> "HouseholdGraph":
-        core = self.fused.subgraph(self.n_labeled + self.n_unlabeled)
-        return HouseholdGraph(fused=core, labels=self.labels,
-                              n_unlabeled=self.n_unlabeled, n_heldout=0,
-                              class_count=self.class_count, alphas=self.alphas)
+        """The labeled+unlabeled subgraph, re-fused from views of the weights."""
+        return replace(self, fused=self.fused.subgraph(self.n_labeled + self.n_unlabeled),
+                       n_heldout=0)
 
 
 @dataclass(frozen=True)
@@ -171,11 +167,12 @@ def init_label_matrix(graph: HouseholdGraph,
     return class_normalize(y0)
 
 
-def propagate(graph: HouseholdGraph, y0: np.ndarray,
-              cfg: PropagationConfig) -> PropagationOutcome:
-    """Run Y(t+1) = alpha*S@Y(t) + (1-alpha)*Y(0) to (or at) its fixed point."""
+def propagate(graph: HouseholdGraph, y0: np.ndarray, cfg: PropagationConfig,
+              factor: tuple[np.ndarray, int] | None = None) -> PropagationOutcome:
+    """Run Y(t+1) = alpha*S@Y(t) + (1-alpha)*Y(0) to (or at) its fixed point.
+    The direct solver takes ``factor`` as FusedGraph.solve does."""
     if cfg.solver != "iterative":
-        return PropagationOutcome(graph.fused.solve(cfg.alpha, y0, graph.alphas),
+        return PropagationOutcome(graph.fused.solve(cfg.alpha, y0, factor),
                                   converged=True, iterations=0)
 
     s = graph.fused.propagation_matrix()
@@ -201,42 +198,19 @@ def propagate(graph: HouseholdGraph, y0: np.ndarray,
     return PropagationOutcome(y=y, converged=False, iterations=cfg.max_iter)
 
 
-def _propagated(graph: HouseholdGraph, cfg: PropagationConfig, rows: slice,
-                pseudo: np.ndarray | None = None) -> PredictionResult:
-    """Propagate from init_label_matrix(graph, pseudo); read off ``rows``."""
-    outcome = propagate(graph, init_label_matrix(graph, pseudo), cfg)
-    return replace(predict(outcome.y, rows), converged=outcome.converged,
-                   iterations=outcome.iterations)
-
-
 def run_lp(graph: HouseholdGraph, cfg: PropagationConfig,
            pseudo: np.ndarray | None = None) -> PredictionResult:
     """Single propagation over the full graph; read off the held-out rows.
     ``pseudo`` labels the unlabeled nodes as in init_label_matrix: 2LP's step 2."""
-    return _propagated(graph, cfg, graph.heldout_slice, pseudo)
-
-
-def _step1(graph: HouseholdGraph, cfg: PropagationConfig) -> PredictionResult:
-    """Step 1 of 2LP and 2LPEA: propagation over the labeled+unlabeled subgraph
-    (the full graph under step1_includes_heldout), read off the unlabeled rows."""
-    step1 = graph if cfg.step1_includes_heldout else graph.without_heldout()
-    return _propagated(step1, cfg, step1.unlabeled_slice)
+    return SolveSchedule(graph, [("LP", cfg)])._solve(graph, cfg, graph.heldout_slice, pseudo)
 
 
 def run_2lp(graph: HouseholdGraph, cfg: PropagationConfig) -> PredictionResult:
     """Two-step propagation: LP with step 1's labels as pseudo-labels, which
     join the true labels in a re-normalized Y(0). Abstaining pseudo-labels
-    leave their node unlabeled again.
-
-    Step 2's system does not depend on step 1, only its right-hand side does:
-    where step 1 runs on the subgraph and the direct solver runs, the full
-    graph's system is factored on the row pool while step 1 runs (see
-    FusedGraph._factoring_ahead)."""
-    has_pool = graph.n_unlabeled > 0
-    ahead = has_pool and cfg.solver != "iterative" and not cfg.step1_includes_heldout
-    with graph.fused._factoring_ahead(cfg.alpha, graph.alphas, when=ahead):
-        return _two_step(has_pool, lambda: _step1(graph, cfg),
-                         lambda pseudo: run_lp(graph, cfg, pseudo))
+    leave their node unlabeled again. A schedule of one spec (see
+    SolveSchedule), so step 2's system may be factored while step 1 runs."""
+    return SolveSchedule(graph, [("2LP", cfg)]).predict("2LP", cfg)
 
 
 def run_2lpea(graph: HouseholdGraph, embeddings: np.ndarray,
@@ -248,11 +222,82 @@ def run_2lpea(graph: HouseholdGraph, embeddings: np.ndarray,
     ``embeddings`` holds the primary view's finite raw vectors for all n
     nodes in graph order.
     """
-    embeddings = np.asarray(embeddings, dtype=float)
-    if embeddings.ndim != 2 or embeddings.shape[0] != graph.n:
-        raise StructuralError(f"need one primary-view embedding per node ({graph.n}), "
-                              f"got shape {embeddings.shape}")
-    return _two_step_cosine(run_csea, embeddings[:graph.n_labeled], graph.labels,
-                            embeddings[graph.unlabeled_slice],
-                            embeddings[graph.heldout_slice], graph.class_count,
-                            step1=lambda: _step1(graph, cfg))
+    return SolveSchedule(graph, [("2LPEA", cfg)]).predict("2LPEA", cfg, embeddings)
+
+
+class SolveSchedule:
+    """The solves of the LP, 2LP and 2LPEA specs that share one graph, given as
+    (method, PropagationConfig) pairs before any solve. The graph and its
+    step-1 subgraph take the route of fusion._cg_route on the specs' alphas;
+    the full graph's system at each alpha is factored once and dropped when
+    the last spec at that alpha ends; each step 1 runs once per config.
+
+    Where a 2LP's step 1 is still to run on the subgraph and its step-2 system
+    still to factor, the row pool factors that system meanwhile, where
+    graph._background_pool allows, in an array allocated on the calling thread
+    (on the worker it raised large-household's peak RSS by 17%). A spec whose
+    step 1 raised waits for that factorization before it ends.
+    """
+
+    def __init__(self, graph: HouseholdGraph, specs: Sequence[tuple[str, PropagationConfig]]):
+        self.graph = graph
+        self._alphas = {cfg.alpha for _, cfg in specs}
+        self._left = Counter(cfg.alpha for _, cfg in specs)  # specs yet to end, by alpha
+        self._factors: dict[float, tuple[np.ndarray, int] | Future] = {}
+        self._step1: dict[PropagationConfig, PredictionResult] = {}
+
+    def predict(self, method: str, cfg: PropagationConfig,
+                embeddings: np.ndarray | None = None) -> PredictionResult:
+        """One spec's held-out predictions, as run_lp, run_2lp or run_2lpea
+        (which reads ``embeddings``) computes them."""
+        graph, has_pool = self.graph, self.graph.n_unlabeled > 0
+        lp = functools.partial(self._solve, graph, cfg, graph.heldout_slice)
+        try:
+            if method == "LP":
+                return lp()
+            if method == "2LP":
+                if (has_pool and not cfg.step1_includes_heldout and cfg not in self._step1
+                        and cfg.alpha not in self._factors and cfg.solver != "iterative"
+                        and not _cg_route(graph.fused, self._alphas)
+                        and (pool := _background_pool()) is not None):
+                    # filled in one piece: a worker waiting on its own pool can deadlock it
+                    self._factors[cfg.alpha] = pool.submit(
+                        contextvars.copy_context().run, _factor_system,
+                        np.empty((graph.n, graph.n)), *graph.fused._system(cfg.alpha), False)
+                return _two_step(has_pool, lambda: self._step_one(cfg), lp)
+            emb = np.asarray(embeddings, dtype=float)
+            if emb.ndim != 2 or emb.shape[0] != graph.n:
+                raise StructuralError(f"need one primary-view embedding per node ({graph.n}), "
+                                      f"got shape {emb.shape}")
+            return _two_step_cosine(run_csea, emb[:graph.n_labeled], graph.labels,
+                                    emb[graph.unlabeled_slice], emb[graph.heldout_slice],
+                                    graph.class_count, step1=lambda: self._step_one(cfg))
+        finally:
+            wait([f for f in self._factors.values() if isinstance(f, Future)])
+            self._left[cfg.alpha] -= 1
+            if not self._left[cfg.alpha]:
+                self._factors.pop(cfg.alpha, None)
+
+    def _solve(self, graph: HouseholdGraph, cfg: PropagationConfig, rows: slice,
+               pseudo: np.ndarray | None = None) -> PredictionResult:
+        """Propagate from init_label_matrix(graph, pseudo); read off ``rows``."""
+        factor = None
+        if cfg.solver != "iterative" and not _cg_route(graph.fused, self._alphas):
+            factor = self._factors.get(cfg.alpha) if graph is self.graph else None
+            factor = factor.result() if isinstance(factor, Future) else factor
+            factor = factor or graph.fused.factor(cfg.alpha)
+            if graph is self.graph:
+                self._factors[cfg.alpha] = factor
+        outcome = propagate(graph, init_label_matrix(graph, pseudo), cfg, factor)
+        return replace(predict(outcome.y, rows), converged=outcome.converged,
+                       iterations=outcome.iterations)
+
+    @functools.cached_property
+    def _core(self) -> HouseholdGraph:
+        return self.graph.without_heldout()
+
+    def _step_one(self, cfg: PropagationConfig) -> PredictionResult:
+        if cfg not in self._step1:
+            step1 = self.graph if cfg.step1_includes_heldout else self._core
+            self._step1[cfg] = self._solve(step1, cfg, step1.unlabeled_slice)
+        return self._step1[cfg]

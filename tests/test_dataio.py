@@ -844,6 +844,18 @@ class TestCli:
                      "--out", str(rendered)]) == 0
         assert rendered.read_bytes() == report.read_bytes()
 
+    @pytest.mark.parametrize("fmt", ["md", "csv", "json"])
+    @pytest.mark.parametrize("case", ["empty object", "list", "no groups"])
+    def test_report_of_a_non_report_exits_2(self, tmp_path, capsys, fmt, case):
+        # md and csv once ended in a KeyError or TypeError traceback, and json
+        # echoed the input back with exit 0
+        data = json.loads((DATA_DIR / "golden_report.json").read_text())
+        del data["methods"][0]["groups"]
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps({"empty object": {}, "list": [], "no groups": data}[case]))
+        assert main(["report", "--in", str(path), "--format", fmt]) == 2
+        assert capsys.readouterr().err.startswith("error: not a report (")
+
     def test_sweep_outputs(self, tmp_path):
         cfg = self.run_config_file(tmp_path)
         out = tmp_path / "sim"

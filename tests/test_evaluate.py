@@ -48,6 +48,7 @@ from speakergraph.records import HouseholdDataset, UtteranceRecord
 evaluate_module = importlib.import_module("speakergraph.evaluate")
 fusion_module = importlib.import_module("speakergraph.fusion")
 graph_module = importlib.import_module("speakergraph.graph")
+propagation_module = importlib.import_module("speakergraph.propagation")
 
 
 def tiny_dataset(seed=0, groups=("random",), **overrides):
@@ -698,8 +699,9 @@ class TestTrustedPath:
     def test_harmonic_sweep_builds_h_once_per_graph_above_the_cap(self, monkeypatch,
                                                                   alphas, inverses):
         # the points of a sweep over alpha share one p = -1 graph and its
-        # step-1 subgraph, whose plan is every point's alpha. At shift log 2
-        # CG takes 19, 11 and 7 steps at alpha = 0.5, 0.9 and 0.99: 18 steps
+        # step-1 subgraph, whose route the schedule decides from every point's
+        # alpha. At shift log 2 CG takes 19, 11 and 7 steps at alpha = 0.5,
+        # 0.9 and 0.99: 18 steps
         # stay within the cap and every solve runs CG; above it each graph
         # builds H once (one dpotri per view) and every alpha reuses it. The
         # labels are those of each point run alone, by CG.
@@ -786,6 +788,112 @@ SCALE_FREE_FUSIONS = (SingleView("voice"), SingleView("face"),
                       PowerMeanFusion(("voice", "face"), p=-1.0))
 
 
+PERFBENCH_LOCAL = LocalScaling(k=20, s=0.5)
+
+
+def perfbench_lp(method, fusion):
+    return MethodSpec(method=method, scaling=PERFBENCH_LOCAL, fusion=fusion)
+
+
+class TestSolveSchedule:
+    """The specs of one graph group share its solves: one factorization per
+    distinct full-graph system and one step 1 per distinct config."""
+
+    def count_solves(self, monkeypatch, run, *args, **kwargs):
+        """The _potrf calls and the step-1 propagations (on a graph without
+        held-out nodes) that run(*args, **kwargs) makes, and its result."""
+        factorizations = count_calls(monkeypatch, fusion_module, "_potrf")
+        steps, real = [], propagation_module.propagate
+
+        def propagate(graph, *args):
+            steps.append(graph.n_heldout == 0)
+            return real(graph, *args)
+        monkeypatch.setattr(propagation_module, "propagate", propagate)
+        result = run(*args, **kwargs)
+        return (len(factorizations), steps.count(True)), result
+
+    @pytest.mark.parametrize("specs, expected", [
+        ([perfbench_lp(m, SingleView("voice")) for m in ("LP", "2LP", "2LPEA")], (2, 1)),
+        ([MethodSpec("CS"), perfbench_lp("LP", SingleView("voice")),
+          perfbench_lp("2LP", SingleView("voice")),
+          perfbench_lp("2LP", EdgePoolFusion(("voice", "face", "session")))], (4, 2)),
+    ], ids=["single-view", "large-household"])
+    def test_perfbench_specs_factor_each_system_once(self, monkeypatch, specs, expected):
+        # LP and 2LP's step 2 share the full graph's factor, and 2LP and
+        # 2LPEA share step 1; the errors are those of each spec run alone
+        household = first_seed7_val_household()
+        alone = [run_method(household, spec) for spec in specs]
+        counts, report = self.count_solves(monkeypatch, evaluate_methods, [household], specs)
+        assert counts == expected
+        for (pred, truth), method in zip(alone, report.methods):
+            assert method.households[0].errors == int(np.sum(pred.labels != truth))
+
+    def test_sweep_household_factors_every_point(self, monkeypatch):
+        # 27 points of k x s x alpha: each point's full graph and step-1
+        # subgraph are factored at its own alpha, with nothing to share
+        grid = {"scaling.k": [10, 20, 40], "scaling.s": [0.25, 0.5, 1.0],
+                "propagation.alpha": [0.5, 0.9, 0.99]}
+        counts, _ = self.count_solves(monkeypatch, sweep, [first_seed7_val_household()], grid,
+                                      perfbench_lp("2LP", SingleView("voice")))
+        assert counts == (54, 27)
+
+    def test_each_factored_system_goes_with_the_last_spec_at_its_alpha(self, monkeypatch):
+        # LP at 0.5, then 2LP and 2LPEA at 0.9: the full graph's system at 0.5
+        # goes when LP ends, the subgraph's when its step 1 is solved, and the
+        # full graph's at 0.9 when 2LPEA, the last spec at 0.9, ends
+        _, val = tiny_dataset()
+        factored, real = [], fusion_module._potrf
+
+        def potrf(a):
+            factored.append(weakref.ref(a))
+            return real(a)
+        monkeypatch.setattr(fusion_module, "_potrf", potrf)
+        specs = [replace(LOCAL_2LP, method=method, propagation=PropagationConfig(alpha=alpha))
+                 for method, alpha in (("LP", 0.5), ("2LP", 0.9), ("2LPEA", 0.9))]
+        stages = evaluate_module.HouseholdStages(val[0], specs)
+        schedule = propagation_module.SolveSchedule(
+            evaluate_module.build_household_graph(stages, specs[0]),
+            [(spec.method, spec.propagation) for spec in specs])
+        alive = []
+        for spec in specs:
+            evaluate_module._predict(stages, spec, schedule)
+            alive.append((len(factored), sum(ref() is not None for ref in factored)))
+        assert alive == [(1, 0), (3, 1), (3, 0)]
+
+    def test_failed_step_two_leaves_the_group_as_a_clean_run(self, monkeypatch):
+        # on the first household S is scaled by 1.5, which keeps I - alpha*S
+        # positive definite only for alpha < 2/3: LP at 0.5 succeeds, and
+        # 2LP's step 2 at 0.9 and LP at 0.95 fail; step 1 re-fuses the
+        # subgraph from the weights and succeeds, and 2LPEA reuses 2LP's
+        _, val = tiny_dataset()
+        original = evaluate_module.build_household_graph
+
+        def steep(stages, spec):
+            graph = original(stages, spec)
+            if stages.records[0].household_id != val[0].household_id:
+                return graph
+            return replace(graph, fused=replace(graph.fused, operator=1.5 * graph.fused.operator))
+        monkeypatch.setattr(evaluate_module, "build_household_graph", steep)
+        specs = [replace(LOCAL_2LP, method=method, propagation=PropagationConfig(alpha=alpha))
+                 for method, alpha in (("LP", 0.5), ("2LP", 0.9), ("2LPEA", 0.9), ("LP", 0.95))]
+        clean = evaluate_methods(val, [specs[0], specs[2]])
+        counts, report = self.count_solves(monkeypatch, evaluate_methods, val, specs,
+                                           allow_skip=True)
+        # per household: the full graph at 0.5, 0.9 and 0.95 and the subgraph
+        # at 0.9, failed or not, and one step 1
+        assert counts == (4 * len(val), len(val))
+        for i, clean_method in zip((0, 2), clean.methods):
+            assert report.methods[i].skipped == []
+            assert household_rows(report.methods[i]) == household_rows(clean_method)
+        for i, alpha in ((1, 0.9), (3, 0.95)):
+            [(household, message)] = report.methods[i].skipped
+            assert household == val[0].household_id
+            assert message.startswith(
+                f"NumericalError: I - alpha*S is not positive definite at alpha={alpha}: ")
+        with pytest.raises(NumericalError, match="at alpha=0.9:"):
+            evaluate_methods(val, specs)
+
+
 class TestPowerOfTwoInvariance:
     """Local scaling and cosine scoring are scale-free, and multiplying a view
     by a power of two is exact, so labels and scores must not move by a bit.
@@ -862,10 +970,11 @@ DEGENERATE_FUSIONS = (SingleView("voice"), EdgePoolFusion(("voice", "face")),
 
 class TestDegenerateHouseholds:
     def test_every_method_ends_in_a_report_or_a_typed_error(self):
-        # Every outcome of all seven methods on degenerate households is a
-        # report or a SpeakerGraphError, with no RuntimeWarning (the test
-        # filters raise it) and no hang, with allow_skip on and off and with
-        # 2LP's step-2 factorization and every row block on a thread pool.
+        # Every outcome of all seven methods, in any order, on degenerate
+        # households is a report or a SpeakerGraphError, with no RuntimeWarning
+        # (the test filters raise it) and no hang, with allow_skip on and off
+        # and with 2LP's step-2 factorization (where no LP before it factored
+        # the same system) and every row block on a thread pool.
         background = []
         real = fusion_module._potrf
 
@@ -881,12 +990,13 @@ class TestDegenerateHouseholds:
                scaling=st.sampled_from([LocalScaling(k=1, s=1.0), LocalScaling(k=2, s=0.5),
                                         UniversalScaling(0.5)]),
                alpha=st.sampled_from([0.5, 0.9, 0.99]),
-               solver=st.sampled_from(["auto", "iterative"]), allow_skip=st.booleans())
-        def check(households, fusion, scaling, alpha, solver, allow_skip):
+               solver=st.sampled_from(["auto", "iterative"]), allow_skip=st.booleans(),
+               methods=st.permutations(METHODS))
+        def check(households, fusion, scaling, alpha, solver, allow_skip, methods):
             propagation = PropagationConfig(alpha=alpha, solver=solver)
             specs = [MethodSpec(method=m) if m in BASELINE_METHODS else
                      MethodSpec(method=m, scaling=scaling, fusion=fusion, propagation=propagation)
-                     for m in METHODS]
+                     for m in methods]
             outcome = []
 
             def run():

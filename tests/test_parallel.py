@@ -11,6 +11,7 @@ import sys
 import threading
 import time
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from unittest import mock
 
@@ -28,21 +29,26 @@ from speakergraph import (
     EdgePoolFusion,
     EmbeddingView,
     LocalScaling,
+    MethodSpec,
     NumericalError,
     PowerMeanFusion,
     PropagationConfig,
+    SimulationConfig,
     SingleView,
     SpeakerGraphError,
     StructuralError,
     UniversalScaling,
     affinity,
+    evaluate_methods,
     fuse,
+    generate_dataset,
     pairwise_distances,
     session_affinity,
 )
 from speakergraph import fusion, graph
 from speakergraph.graph import ViewDistances
-from speakergraph.propagation import HouseholdGraph, init_label_matrix, propagate, run_2lp
+from speakergraph.propagation import (HouseholdGraph, SolveSchedule, init_label_matrix,
+                                      propagate, run_2lp)
 
 
 @contextlib.contextmanager
@@ -307,10 +313,30 @@ def factor_threads():
         yield threads
 
 
+@contextlib.contextmanager
+def pool_factorizations(delay=0.0):
+    """The futures of the factorizations submitted to the row pool in the
+    block, each started ``delay`` seconds late, so that a call that returned
+    or raised before its factorization ended leaves it running."""
+    futures, real = [], ThreadPoolExecutor.submit
+
+    def late(*args):
+        time.sleep(delay)
+        return fusion._factor_system(*args)
+
+    def submit(pool, fn, *args, **kwargs):
+        if args and args[0] is fusion._factor_system:
+            futures.append(real(pool, fn, late, *args[1:], **kwargs))
+            return futures[-1]
+        return real(pool, fn, *args, **kwargs)
+
+    with mock.patch.object(ThreadPoolExecutor, "submit", submit):
+        yield futures
+
+
 def two_step_household(n, rule):
     """A 4-class household of n nodes, half of them unlabeled and a quarter
-    held out, under a fusion rule of voice and face kernels, solved at the
-    alphas of a sweep."""
+    held out, under a fusion rule of voice and face kernels."""
     rng = np.random.default_rng(n)
     centers = rng.normal(size=(4, 6)) * 3.0
     classes = np.arange(n) % 4
@@ -319,13 +345,19 @@ def two_step_household(n, rule):
     labeled, heldout = n // 4, n // 4
     return HouseholdGraph(fusion._fuse_weights(weights[:len(rule.view_names)], rule),
                           labels=classes[:labeled], n_unlabeled=n - labeled - heldout,
-                          n_heldout=heldout, class_count=4, alphas=(0.5, 0.9, 0.99))
+                          n_heldout=heldout, class_count=4)
+
+
+def swept_2lp(household, cfg):
+    """2LP at cfg, scheduled with 2LP at the other alphas of a sweep, whose CG
+    steps pass the cap on a harmonic graph, so that it builds H and factors A."""
+    specs = [("2LP", replace(cfg, alpha=alpha)) for alpha in (0.5, 0.9, 0.99)]
+    return SolveSchedule(household, specs).predict("2LP", cfg)
 
 
 FACTOR_RULES = {
     "single view": SingleView("voice"),
     "edge pool": EdgePoolFusion(("voice", "face")),
-    # the plan's CG steps pass the cap, so the graph builds H and factors A
     "harmonic, H route": PowerMeanFusion(("voice", "face"), p=-1.0),
 }
 
@@ -334,7 +366,8 @@ class TestStepTwoFactorsAhead:
     """2LP factors its step-2 system on the row pool while step 1 runs, where
     at least two CPUs are allowed and BLAS runs one thread; below and above
     _PARALLEL_MIN_ROWS, so that step 1's own row blocks run inline and on the
-    pool beside it."""
+    pool beside it. Every factorization started on the pool is finished or
+    cancelled by the time the call that started it returns or raises."""
 
     @pytest.mark.parametrize("rule", FACTOR_RULES)
     @pytest.mark.parametrize("n", [96, graph._PARALLEL_MIN_ROWS + 88])
@@ -342,13 +375,12 @@ class TestStepTwoFactorsAhead:
         cfg = PropagationConfig(alpha=0.9)
         with row_blocks(workers=1, min_rows=graph._PARALLEL_MIN_ROWS), \
                 factor_threads() as threads:
-            expected = run_2lp(two_step_household(n, FACTOR_RULES[rule]), cfg)
+            expected = swept_2lp(two_step_household(n, FACTOR_RULES[rule]), cfg)
         assert set(threads) == {threading.get_ident()}
         with row_blocks(workers=2, min_rows=graph._PARALLEL_MIN_ROWS), \
-                factor_threads() as threads:
-            household = two_step_household(n, FACTOR_RULES[rule])
-            overlapped = run_2lp(household, cfg)
-            assert household.fused._pending == {}
+                factor_threads() as threads, pool_factorizations() as futures:
+            overlapped = swept_2lp(two_step_household(n, FACTOR_RULES[rule]), cfg)
+            assert len(futures) == 1 and futures[0].done()
         # the full graph's system was factored on the pool, all else on this thread
         assert [t != threading.get_ident() for t in threads].count(True) == 1
         assert same(overlapped.labels, expected.labels)
@@ -366,9 +398,11 @@ class TestStepTwoFactorsAhead:
         messages = []
         for workers in (1, 2):
             with row_blocks(workers=workers, min_rows=graph._PARALLEL_MIN_ROWS), \
-                    factor_threads() as threads, pytest.raises(NumericalError) as exc:
-                run_2lp(household, PropagationConfig(alpha=0.9))
-            assert fused._pending == {}
+                    factor_threads() as threads, pool_factorizations() as futures:
+                with pytest.raises(NumericalError) as exc:
+                    run_2lp(household, PropagationConfig(alpha=0.9))
+                # before the pool shuts down, which would wait for it
+                assert len(futures) == workers - 1 and all(f.done() for f in futures)
             assert [t != threading.get_ident() for t in threads].count(True) == workers - 1
             messages.append(str(exc.value))
         assert messages[0] == messages[1] == (
@@ -377,12 +411,28 @@ class TestStepTwoFactorsAhead:
 
     def test_failed_step_one_drops_the_factor(self):
         household = two_step_household(96, SingleView("voice"))
-        with row_blocks(workers=2), factor_threads(), \
+        with row_blocks(workers=2), factor_threads(), pool_factorizations(0.2) as futures, \
                 mock.patch.object(fusion.FusedGraph, "subgraph",
-                                  side_effect=NumericalError("step 1")), \
-                pytest.raises(NumericalError, match="step 1"):
-            run_2lp(household, PropagationConfig())
-        assert household.fused._pending == {}
+                                  side_effect=NumericalError("step 1")):
+            with pytest.raises(NumericalError, match="step 1"):
+                run_2lp(household, PropagationConfig())
+            assert len(futures) == 1 and futures[0].done()
+
+    def test_evaluate_methods_raises_with_no_factorization_running(self):
+        # 2LP's step 1 raises while the pool factors the system that LP, the
+        # next spec, would solve with; evaluate_methods raises that error
+        _, val = generate_dataset(SimulationConfig(
+            seed=3, households_per_group=2, speakers_per_household=3,
+            utterances_per_speaker=24, labeled_per_speaker=2, unlabeled_per_household=12,
+            heldout_per_speaker=4, groups=("random",)))
+        specs = [MethodSpec(method=m, scaling=LocalScaling(4, 0.8), fusion=SingleView("voice"))
+                 for m in ("2LP", "LP")]
+        with row_blocks(workers=2), factor_threads(), pool_factorizations(0.2) as futures, \
+                mock.patch.object(fusion.FusedGraph, "subgraph",
+                                  side_effect=NumericalError("step 1")):
+            with pytest.raises(NumericalError, match="step 1"):
+                evaluate_methods(val, specs)
+            assert len(futures) == 1 and futures[0].done()
 
     @pytest.mark.parametrize("env, workers, cfg", [
         ({"OPENBLAS_NUM_THREADS": "2"}, 2, PropagationConfig()),

@@ -47,6 +47,7 @@ from speakergraph import (
     run_lp,
 )
 from speakergraph import fusion
+from speakergraph.propagation import SolveSchedule
 
 
 FUSION_RULES = [SingleView("voice"), EdgePoolFusion(("voice", "face"))] + [
@@ -371,25 +372,30 @@ class TestHarmonicGraph:
         assert fusion._cg_steps(0.5, 1e-3) == 475
         assert fusion._cg_steps(0.9, 1e-2) == 61
 
-    def test_plan_above_the_cap_builds_h_once(self):
-        # 19 + 11 + 7 steps at shift log 2 pass the cap: the first solve builds
-        # H from the factors (one dpotri per view) and every alpha reuses it.
-        # A plan within the cap, each alpha counted once, or none, runs CG.
+    def test_schedule_above_the_cap_builds_h_once(self):
+        # 19 + 11 + 7 steps at shift log 2 pass the cap: a schedule of LP at
+        # those alphas builds H from the factors (one dpotri per view) on its
+        # first solve and every alpha reuses it. A schedule within the cap,
+        # each alpha counted once, or a lone solve runs CG.
         rng = np.random.default_rng(8)
         weights = [random_affinity(rng, 12).w for _ in range(3)]
-        shift, plan = math.log(2.0), (0.5, 0.9, 0.99)
-        assert sum(fusion._cg_steps(a, shift) for a in plan) > fusion._CG_MAX_STEPS
+        shift, cfgs = math.log(2.0), [PropagationConfig(alpha=a) for a in (0.5, 0.9, 0.99)]
+        assert sum(fusion._cg_steps(cfg.alpha, shift) for cfg in cfgs) > fusion._CG_MAX_STEPS
         graph = harmonic_graph(weights, shift)
-        y0 = init_label_matrix(graph)
-        fresh = harmonic_graph(weights, shift).fused
+        fresh = harmonic_graph(weights, shift)
+        within = [PropagationConfig(alpha=a) for a in (0.9, 0.99, 0.99, 0.9)]
         with mock.patch.object(lapack, "dpotri", wraps=lapack.dpotri) as dpotri:
-            planned = [graph.fused.solve(alpha, y0, plan) for alpha in plan]
+            schedule = SolveSchedule(graph, [("LP", cfg) for cfg in cfgs])
+            scheduled = [schedule.predict("LP", cfg).scores for cfg in cfgs]
             assert dpotri.call_count == 3
-            alone = [fresh.solve(alpha, y0) for alpha in plan]
-            fresh.solve(0.9, y0, (0.9, 0.99, 0.99, 0.9))
-            assert dpotri.call_count == 3 and "_mean_inverse" not in vars(fresh)
-        for alpha, y, cg in zip(plan, planned, alone):
-            assert np.array_equal(y, fresh._cholesky_solve(alpha, y0))
+            alone = [run_lp(fresh, cfg).scores for cfg in cfgs]
+            schedule = SolveSchedule(fresh, [("LP", cfg) for cfg in within])
+            schedule.predict("LP", within[0])
+            assert dpotri.call_count == 3 and "_mean_inverse" not in vars(fresh.fused)
+        y0 = init_label_matrix(graph)
+        for cfg, y, cg in zip(cfgs, scheduled, alone):
+            factored = fresh.fused.solve(cfg.alpha, y0, fresh.fused.factor(cfg.alpha))
+            assert np.array_equal(y, factored[graph.heldout_slice])
             assert np.abs(y - cg).max() <= 1e-14 * np.abs(y).max()
 
     def test_zero_residual_column_stops(self):
