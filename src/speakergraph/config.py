@@ -231,7 +231,7 @@ class RunConfig:
     @classmethod
     def from_dict(cls, data: Any) -> "RunConfig":
         data = checked("config", data, dict)
-        version = data.get("schema_version", SCHEMA_VERSION)
+        version = checked("schema_version", data.get("schema_version", SCHEMA_VERSION), int)
         if version != SCHEMA_VERSION:
             raise ConfigurationError(f"unsupported schema_version {version!r}")
         unknown = set(data) - {"schema_version", *_fields_by_key(cls)}

@@ -100,14 +100,14 @@ def load_dataset(path: str | Path) -> list[HouseholdDataset]:
     groups: dict[str, str] = {}
     seen_ids: set[str] = set()
     dims: dict[str, int] = {}
-    with path.open("r", encoding="utf-8") as fh:
+    with path.open("rb") as fh:  # JSON Lines: UTF-8, one record per "\n"-ended line
         for line_no, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
                 continue
             try:
-                data = json.loads(line)
-            except ValueError as exc:  # JSONDecodeError, or an int literal over 4300 digits
+                data = json.loads(line.decode("utf-8"))
+            except ValueError as exc:  # not UTF-8, a JSONDecodeError, or an int over 4300 digits
                 raise StructuralError(f"line {line_no}: malformed JSON ({exc})") from exc
             record, group = _parse_record(data, line_no)
             if record.utt_id in seen_ids:
@@ -228,7 +228,11 @@ def render_report(data: Mapping, fmt: str) -> str:
                  [_fmt_pct(m["groups"].get(g, {}).get("sier")) for g in groups]
                  + [_fmt_pct(m["overall"]["sier"])])
                 for m in data["methods"]]
-    except (KeyError, TypeError, AttributeError) as exc:
+        improvements = data.get("improvement_vs_best_baseline_pct")
+        gains = [(family, ["n/a" if row.get(g) is None else f"{row[g]:.1f}" for g in groups])
+                 for family, row in (improvements or {}).items()]
+        footnote = data["footnote"] if improvements else None
+    except (KeyError, TypeError, AttributeError, ValueError) as exc:
         raise ConfigurationError(f"not a report ({type(exc).__name__}: {exc})") from exc
     if fmt == "json":
         return json.dumps(data, indent=2, sort_keys=True) + "\n"
@@ -241,13 +245,10 @@ def render_report(data: Mapping, fmt: str) -> str:
     separator = "|---" * (len(groups) + 2) + "|"
     lines = ["| method | " + " | ".join(groups) + " | overall |", separator]
     lines += ["| " + " | ".join([label, *cells]) + " |" for label, _, cells in rows]
-    improvements = data.get("improvement_vs_best_baseline_pct")
     if improvements:
         lines += ["", "| improvement (%) | " + " | ".join(groups) + " |  |", separator]
-        for family, row in improvements.items():
-            cells = ["n/a" if row.get(g) is None else f"{row[g]:.1f}" for g in groups]
-            lines.append("| " + family + " | " + " | ".join(cells) + " |  |")
-        lines += ["", f"_{data['footnote']}_"]
+        lines += ["| " + family + " | " + " | ".join(cells) + " |  |" for family, cells in gains]
+        lines += ["", f"_{footnote}_"]
     return "\n".join(lines) + "\n"
 
 

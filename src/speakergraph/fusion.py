@@ -157,14 +157,6 @@ def _power_floor(p: float) -> float:
     return 0.0 if p > 0 else NEG_POWER_EIG_FLOOR
 
 
-def _spd_inverse(m: np.ndarray) -> np.ndarray | None:
-    """The Cholesky inverse of m in C order, or None when m is not numerically
-    positive definite. m is factored in a copy of m.T, whose transpose is m
-    in F order."""
-    a = m.T.copy()
-    return _factor_inverse(a.T, overwrite=True) if _potrf(a) == 0 else None
-
-
 def _factor_inverse(factor: np.ndarray, overwrite: bool = False) -> np.ndarray | None:
     """M^{-1} in C order from M's upper Cholesky factor, or None when dpotri
     fails. dpotri fills the upper triangle of a Fortran-ordered array;
@@ -178,34 +170,48 @@ def _inf_norm(m: np.ndarray) -> float:
     return np.abs(m).sum(axis=1).max()
 
 
-def _mean_of_inverses(mats: Sequence[np.ndarray]) -> np.ndarray | None:
-    """H = mean_v M_v^{-1} by Cholesky, or None when a floor could bind on an
-    M_v or on H^{-1}, the harmonic mean.
+def _weyl_bound_holds(mats: Sequence[np.ndarray]) -> bool:
+    """Whether no eigenvalue of H = mean_v M_v^{-1} lies below
+    NEG_POWER_EIG_FLOOR, checked without inverting H: by Weyl's inequality its
+    smallest eigenvalue is at least mean_v 1/||M_v||_inf, so when that bound
+    is at least the floor, flooring H's eigenvalues would change nothing."""
+    return sum(1.0 / _inf_norm(m) for m in mats) / len(mats) >= NEG_POWER_EIG_FLOOR
 
-    Each inverse's infinity norm bounds its largest eigenvalue, so within
-    1/NEG_POWER_EIG_FLOOR every eigenvalue of its M_v is at least the floor.
-    H is checked without inverting it: by Weyl's inequality its smallest
-    eigenvalue is at least mean_v 1/||M_v||_inf, so when that bound is at
-    least NEG_POWER_EIG_FLOOR, flooring H's eigenvalues would change nothing.
-    """
-    acc = np.zeros_like(mats[0])
-    bound = 0.0
-    for m in mats:
-        inv = _spd_inverse(m)
-        if inv is None or not _inf_norm(inv) <= 1.0 / NEG_POWER_EIG_FLOOR:
+
+def _mean_inverse(factors: Sequence[np.ndarray], cap: float = math.inf) -> np.ndarray | None:
+    """H = mean_v M_v^{-1} in C order from the views' upper Cholesky factors
+    (in F order, left as they are), or None when dpotri fails on one or an
+    inverse's infinity norm, which bounds its largest eigenvalue, exceeds
+    ``cap``. The one builder of H."""
+    acc = np.zeros(factors[0].shape)
+    for factor in factors:
+        inv = _factor_inverse(factor)
+        if inv is None or not _inf_norm(inv) <= cap:
             return None
         acc += inv
-        bound += 1.0 / _inf_norm(m)
-    if not bound / len(mats) >= NEG_POWER_EIG_FLOOR:
-        return None
-    acc /= len(mats)
+    acc /= len(factors)
     return acc
 
 
+def _mean_of_inverses(mats: Sequence[np.ndarray]) -> np.ndarray | None:
+    """H = mean_v M_v^{-1} by Cholesky, each M_v factored in a copy of M_v.T
+    (whose transpose is M_v in F order), or None when a floor could bind on
+    an M_v or on H^{-1}, the harmonic mean: a factorization fails, an
+    inverse's infinity norm exceeds 1/NEG_POWER_EIG_FLOOR, which would leave
+    an eigenvalue of its M_v below the floor, or _weyl_bound_holds fails."""
+    copies = [m.T.copy() for m in mats]
+    if any(_potrf(a) != 0 for a in copies):
+        return None
+    h = _mean_inverse([a.T for a in copies], 1.0 / NEG_POWER_EIG_FLOOR)
+    return h if h is not None and _weyl_bound_holds(mats) else None
+
+
 def _harmonic_laplacian(h: np.ndarray) -> np.ndarray:
-    """The Cholesky inverse of H from _mean_of_inverses, whose floor proof
-    covers it; NumericalError when H is not numerically positive definite."""
-    inv = _spd_inverse(h)
+    """The Cholesky inverse of H, factored in a copy of H.T; the floor proofs
+    of H's builders (_mean_of_inverses, _harmonic_factors) cover it.
+    NumericalError when H is not numerically positive definite."""
+    a = h.T.copy()
+    inv = _factor_inverse(a.T, overwrite=True) if _potrf(a) == 0 else None
     if inv is None:
         raise NumericalError("harmonic mean of the Laplacians is not numerically "
                              "positive definite; use a larger shift")
@@ -372,20 +378,16 @@ def _harmonic_factors(weights: Sequence[np.ndarray],
     ||S_v|| <= 1 + (n + 5)u to first order, and forming I - S_v + shift*I
     moves the diagonal by at most (2 + shift)u. delta = (n + 8)(1 + shift) eps
     bounds that eigenvalue shift more than twice over; the floor cannot bind
-    when shift - delta >= NEG_POWER_EIG_FLOOR. H is checked by the Weyl
-    bound of _mean_of_inverses, mean_v 1/||M_v||_inf.
+    when shift - delta >= NEG_POWER_EIG_FLOOR. H is checked by
+    _weyl_bound_holds before any factorization.
     """
     n = weights[0].shape[0]
     if not shift - (n + 8) * (1.0 + shift) * np.finfo(float).eps >= NEG_POWER_EIG_FLOOR:
         return None
-    factors, bound = [], 0.0
-    for w in weights:
-        m = _shifted_laplacian(w, shift)
-        bound += 1.0 / _inf_norm(m)
-        if _potrf(m) != 0:
-            return None
-        factors.append(m.T)
-    return tuple(factors) if bound / len(weights) >= NEG_POWER_EIG_FLOOR else None
+    mats = [_shifted_laplacian(w, shift) for w in weights]
+    if not _weyl_bound_holds(mats) or any(_potrf(m) != 0 for m in mats):
+        return None
+    return tuple(m.T for m in mats)
 
 
 def _cg_steps(alpha: float, shift: float) -> int:
@@ -421,16 +423,12 @@ def _ratios(num: np.ndarray, den: np.ndarray) -> np.ndarray:
     return np.divide(num, den, out=np.zeros_like(num), where=num != 0.0)
 
 
-def _factor_system(a: np.ndarray, m: np.ndarray, scale: float, diagonal: float,
-                   in_blocks: bool = True) -> tuple[np.ndarray, int]:
-    """a, filled with scale*m + diagonal*I and factored in place by _potrf,
-    and LAPACK's info. The fill runs by row blocks (see graph._by_row_blocks),
-    or, where ``in_blocks`` is false, in one piece, bitwise the same."""
+def _factor_system(a: np.ndarray, m: np.ndarray, scale: float,
+                   diagonal: float) -> tuple[np.ndarray, int]:
+    """a, filled with scale*m + diagonal*I by row blocks (see
+    graph._by_row_blocks) and factored in place by _potrf, and LAPACK's info."""
     n = a.shape[0]
-    if in_blocks:
-        _by_row_blocks(n, lambda i, j: np.multiply(m[i:j], scale, out=a[i:j]))
-    else:
-        np.multiply(m, scale, out=a)
+    _by_row_blocks(n, lambda i, j: np.multiply(m[i:j], scale, out=a[i:j]))
     a.flat[::n + 1] += diagonal
     return a, _potrf(a)
 
@@ -479,15 +477,11 @@ class FusedGraph:
 
     @functools.cached_property
     def _mean_inverse(self) -> np.ndarray:
-        """H from the views' factors, summed as _mean_of_inverses sums it."""
-        acc = np.zeros((self.node_count, self.node_count))
-        for factor in self.factors:
-            inv = _factor_inverse(factor)
-            if inv is None:
-                raise NumericalError("a view's Cholesky factor is singular")
-            acc += inv
-        acc /= len(self.factors)
-        return acc
+        """H from the views' factors, as pml_fuse builds it (see _mean_inverse)."""
+        h = _mean_inverse(self.factors)
+        if h is None:
+            raise NumericalError("a view's Cholesky factor is singular")
+        return h
 
     def solve(self, alpha: float, y0: np.ndarray,
               factor: tuple[np.ndarray, int] | None = None) -> np.ndarray:

@@ -53,6 +53,7 @@ _MIN_BLOCK_ROWS = 32
 # ---------------------------------------------------------------------------
 
 _T = TypeVar("_T")
+_POOL_THREADS = "speakergraph-rows"  # the name prefix of the pool's threads
 _pool: ThreadPoolExecutor | None = None
 _pool_lock = threading.Lock()
 
@@ -70,7 +71,7 @@ def _row_pool(workers: int) -> ThreadPoolExecutor:
     global _pool
     with _pool_lock:
         if _pool is None:
-            _pool = ThreadPoolExecutor(workers, thread_name_prefix="speakergraph-rows")
+            _pool = ThreadPoolExecutor(workers, thread_name_prefix=_POOL_THREADS)
         return _pool
 
 
@@ -81,7 +82,8 @@ def _background_pool() -> ThreadPoolExecutor | None:
     OMP_NUM_THREADS, reads "1". With two BLAS threads each, two concurrent
     factorizations at n = 1,608 took 52 ms a pair on 2 vCPUs, against
     20.7 ms one after the other. The task keeps the rules of
-    _by_row_blocks' ``rows``."""
+    _by_row_blocks' ``rows``, except that it may call _by_row_blocks, whose
+    blocks then run inline on its thread."""
     threads = os.environ.get("OPENBLAS_NUM_THREADS", os.environ.get("OMP_NUM_THREADS"))
     workers = _allowed_cpus()
     return _row_pool(workers) if threads == "1" and workers > 1 else None
@@ -104,18 +106,19 @@ def _by_row_blocks(n: int, rows: Callable[[int, int], _T]) -> list[_T]:
 
     From _PARALLEL_MIN_ROWS rows and with more than one allowed CPU the
     ranges run on the pool, each in a copy of the caller's context, so
-    numpy's error state carries over; otherwise they run in row order on the
-    calling thread. Callers allocate the output and have each range write
-    its own rows with elementwise ops and per-row reductions only, so the
-    result is bitwise the same for any split. ``rows`` calls no public
-    speakergraph function, whose tracing wrappers assume one thread, and
-    never this one: a worker waiting on its own pool can deadlock it.
+    numpy's error state carries over; otherwise, and always on one of the
+    pool's own threads, which must not wait on their pool, they run in row
+    order on the calling thread. Callers allocate the output and have each
+    range write its own rows with elementwise ops and per-row reductions
+    only, so the result is bitwise the same for any split. ``rows`` calls no
+    public speakergraph function, whose tracing wrappers assume one thread.
     """
     workers = _allowed_cpus()
     count = max(1, min(_BLOCKS_PER_WORKER * workers, n // _MIN_BLOCK_ROWS))
     bounds = sorted({n * i // count for i in range(count + 1)})
     spans = list(zip(bounds, bounds[1:]))
-    if n < _PARALLEL_MIN_ROWS or workers == 1:
+    if (n < _PARALLEL_MIN_ROWS or workers == 1
+            or threading.current_thread().name.startswith(_POOL_THREADS)):
         return [rows(start, stop) for start, stop in spans]
     pool = _row_pool(workers)
     futures = [pool.submit(contextvars.copy_context().run, rows, start, stop)

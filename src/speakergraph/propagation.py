@@ -235,7 +235,8 @@ class SolveSchedule:
     Where a 2LP's step 1 is still to run on the subgraph and its step-2 system
     still to factor, the row pool factors that system meanwhile, where
     graph._background_pool allows, in an array allocated on the calling thread
-    (on the worker it raised large-household's peak RSS by 17%). A spec whose
+    (on the worker it raised large-household's peak RSS by 17%); the worker
+    fills it by row blocks, which run inline on a pool thread. A spec whose
     step 1 raised waits for that factorization before it ends.
     """
 
@@ -260,10 +261,9 @@ class SolveSchedule:
                         and cfg.alpha not in self._factors and cfg.solver != "iterative"
                         and not _cg_route(graph.fused, self._alphas)
                         and (pool := _background_pool()) is not None):
-                    # filled in one piece: a worker waiting on its own pool can deadlock it
                     self._factors[cfg.alpha] = pool.submit(
                         contextvars.copy_context().run, _factor_system,
-                        np.empty((graph.n, graph.n)), *graph.fused._system(cfg.alpha), False)
+                        np.empty((graph.n, graph.n)), *graph.fused._system(cfg.alpha))
                 return _two_step(has_pool, lambda: self._step_one(cfg), lp)
             emb = np.asarray(embeddings, dtype=float)
             if emb.ndim != 2 or emb.shape[0] != graph.n:

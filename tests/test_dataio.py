@@ -240,6 +240,17 @@ class TestJsonlRoundTrip:
             load_dataset(path)
         assert fragment in str(exc.value)
 
+    def test_non_utf8_line_names_line(self, tmp_path):
+        # a byte that is not UTF-8 once ended in a UnicodeDecodeError traceback
+        dev, _ = golden_households()
+        path = tmp_path / "latin1.jsonl"
+        save_dataset(dev[:1], path)
+        with path.open("ab") as fh:
+            fh.write(b'\xff{"utt_id": "caf\xe9"}\n')
+        line_no = len(path.read_bytes().splitlines())
+        with pytest.raises(StructuralError, match=f"line {line_no}: malformed JSON .*utf-8"):
+            load_dataset(path)
+
     def test_overlong_integer_is_malformed(self, tmp_path):
         path = tmp_path / "long.jsonl"
         path.write_text('{"utt_id": ' + "1" * 5000 + "}\n")
@@ -402,6 +413,12 @@ class TestRunConfig:
     def test_schema_version_checked(self):
         with pytest.raises(ConfigurationError):
             RunConfig.from_dict({"schema_version": 99})
+
+    @pytest.mark.parametrize("version", [True, 1.0, "1"])
+    def test_schema_version_must_be_an_integer(self, version):
+        # true and 1.0 once passed as version 1
+        with pytest.raises(ConfigurationError, match="schema_version: expected an integer"):
+            RunConfig.from_dict({"schema_version": version})
 
     @pytest.mark.parametrize("fusion, key", [
         ({"kind": "power_mean", "views": ["voice"], "p": float("nan")}, "method.fusion.p"),
@@ -710,6 +727,18 @@ class TestCli:
                      "--out", str(tmp_path / "r.json")]) == 2
         assert "error: line 1: expected a JSON object" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["evaluate", "sweep"])
+    def test_non_utf8_dataset_exits_2(self, tmp_path, capsys, command):
+        # both once ended in a UnicodeDecodeError traceback with exit 1
+        data = tmp_path / "latin1.jsonl"
+        data.write_bytes(b"\xff\n")
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({"scaling.s": [0.5]}))
+        args = (["evaluate", "--data", str(data)] if command == "evaluate"
+                else ["sweep", "--dev", str(data), "--grid", str(grid)])
+        assert main([*args, "--out", str(tmp_path / "out")]) == 2
+        assert "error: line 1: malformed JSON" in capsys.readouterr().err
+
     @pytest.mark.parametrize("key, value", [
         ("session_offset_sigma", -0.1), ("unlabeled_per_household", -1), ("voice_dim", 0),
         ("face_dim", 0), ("voice_dim", -1), ("heldout_per_speaker", -1),
@@ -845,14 +874,23 @@ class TestCli:
         assert rendered.read_bytes() == report.read_bytes()
 
     @pytest.mark.parametrize("fmt", ["md", "csv", "json"])
-    @pytest.mark.parametrize("case", ["empty object", "list", "no groups"])
+    @pytest.mark.parametrize("case", ["empty object", "list", "no groups", "no footnote",
+                                      "scalar gain row", "list of gains", "string gain"])
     def test_report_of_a_non_report_exits_2(self, tmp_path, capsys, fmt, case):
         # md and csv once ended in a KeyError or TypeError traceback, and json
-        # echoed the input back with exit 0
+        # echoed the input back with exit 0; md once ended in a KeyError,
+        # AttributeError or ValueError traceback on a bad improvement block
         data = json.loads((DATA_DIR / "golden_report.json").read_text())
-        del data["methods"][0]["groups"]
+        edits = {"no groups": lambda: data["methods"][0].pop("groups"),
+                 "no footnote": lambda: data.pop("footnote"),
+                 "scalar gain row": lambda: data.update(
+                     improvement_vs_best_baseline_pct={"local": 5}),
+                 "list of gains": lambda: data.update(improvement_vs_best_baseline_pct=[1]),
+                 "string gain": lambda: data["improvement_vs_best_baseline_pct"]["local"].update(
+                     hard="x")}
+        edits.get(case, lambda: None)()
         path = tmp_path / "report.json"
-        path.write_text(json.dumps({"empty object": {}, "list": [], "no groups": data}[case]))
+        path.write_text(json.dumps({"empty object": {}, "list": []}.get(case, data)))
         assert main(["report", "--in", str(path), "--format", fmt]) == 2
         assert capsys.readouterr().err.startswith("error: not a report (")
 

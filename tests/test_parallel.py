@@ -192,6 +192,32 @@ class TestRowBlocksMatchInline:
         if workers > 1:
             assert threading.get_ident() not in {t[2] for t in threaded}
 
+    def test_pool_threads_run_their_blocks_inline(self):
+        # a task on the row pool once submitted its blocks to that pool, where
+        # waiting on them can deadlock it; on a pool thread they run inline
+        x = np.random.default_rng(5).normal(size=(40, 7))
+
+        def task():
+            return graph._by_row_blocks(40, lambda a, b: (a, b, np.sqrt(np.abs(x[a:b])),
+                                                          threading.current_thread()))
+
+        with row_blocks(workers=3, min_rows=sys.maxsize):
+            expected = task()
+        callers, real = [], ThreadPoolExecutor.submit
+
+        def submit(pool, fn, *args, **kwargs):
+            callers.append(threading.current_thread())
+            return real(pool, fn, *args, **kwargs)
+
+        with row_blocks(workers=3, min_rows=2), \
+                mock.patch.object(ThreadPoolExecutor, "submit", submit):
+            blocks = graph._row_pool(3).submit(task).result()
+        assert callers == [threading.current_thread()]  # the task alone
+        assert len(blocks) == len(expected) == 12
+        assert len({b[3] for b in blocks}) == 1 and blocks[0][3] is not callers[0]
+        for got, want in zip(blocks, expected):
+            assert got[:2] == want[:2] and same(got[2], want[2])
+
     def test_no_rows_no_blocks(self):
         assert graph._by_row_blocks(0, lambda a, b: (a, b)) == []
 
