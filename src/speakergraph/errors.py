@@ -7,6 +7,7 @@ with 4.
 
 import sys
 import warnings
+from contextvars import ContextVar
 
 
 class SpeakerGraphError(Exception):
@@ -29,10 +30,20 @@ class DegeneracyWarning(UserWarning):
     """Degenerate data was handled by a documented guard (clamps, zero norms)."""
 
 
+_WARNING_PREFIX: ContextVar[str] = ContextVar("speakergraph_warning_prefix", default="")
+_WARNING_SITE: ContextVar = ContextVar("speakergraph_warning_site", default=None)
+
+
 def _warn_degeneracy(message: str) -> None:
-    """Warn with DegeneracyWarning, naming the first caller outside the
-    speakergraph package."""
-    frame, level = sys._getframe(1), 2
+    """Warn with DegeneracyWarning, after _WARNING_PREFIX (the household and
+    spec that evaluate names), as warnings.warn would at the first caller
+    outside the package from _WARNING_SITE (the frame that graph._by_views
+    gives a view task on a pool thread, whose stack lacks that caller) or here."""
+    frame = _WARNING_SITE.get() or sys._getframe(1)
     while frame.f_globals.get("__name__", "").partition(".")[0] == "speakergraph":
-        level, frame = level + 1, frame.f_back
-    warnings.warn(message, DegeneracyWarning, stacklevel=level)
+        frame = frame.f_back
+    names = frame.f_globals
+    warnings.warn_explicit(_WARNING_PREFIX.get() + message, DegeneracyWarning,
+                           frame.f_code.co_filename, frame.f_lineno,
+                           names.get("__name__", "<string>"),
+                           names.setdefault("__warningregistry__", {}))

@@ -7,18 +7,19 @@ improvement against the strongest baseline follows
 (best_baseline - method) / best_baseline.
 """
 
+import contextvars
 import itertools
 import time
 from collections import Counter
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 import numpy as np
 
 from .baselines import PredictionResult, _normalize_rows, run_2cs, run_2csea, run_cs, run_csea
 # MethodSpec and the method names stay importable from this module.
 from .config import BASELINE_METHODS, LP_METHODS, METHODS, MethodSpec, apply_param
-from .errors import ConfigurationError, SpeakerGraphError, StructuralError
+from .errors import _WARNING_PREFIX, ConfigurationError, SpeakerGraphError, StructuralError
 from .fusion import _fuse_weights
 from .graph import (
     CohortScaling,
@@ -26,12 +27,14 @@ from .graph import (
     LocalScaling,
     UniversalScaling,
     ViewDistances,
+    _by_views,
     _session_kernel,
 )
 from .propagation import HouseholdGraph, SolveSchedule
 from .records import ROLE_ENROLLED, ROLE_UNLABELED, HouseholdDataset
 
 SESSION_VIEW = "session"
+_T = TypeVar("_T")
 
 
 # ---------------------------------------------------------------------------
@@ -69,7 +72,7 @@ class HouseholdStages:
     """
 
     def __init__(self, hh: HouseholdDataset, specs: Sequence[MethodSpec]):
-        self.group = hh.group
+        self.household_id, self.group = hh.household_id, hh.group
         self.records = hh.ordered()
         class_of = {spk: i for i, spk in enumerate(hh.speakers)}
         self.class_count = len(class_of)
@@ -88,16 +91,16 @@ class HouseholdStages:
                          default=1)
         graphs = [specs[g[0]] for g in _graph_groups(specs) if not specs[g[0]].is_baseline]
         readers = Counter((name, spec.unit_normalize)
-                          for spec in graphs for name in spec.fusion.view_names)
+                          for spec in graphs for name in set(spec.fusion.view_names))
         self._shared = {key for key, count in readers.items() if count > 1}
         self._matrices: dict[tuple[str, bool], np.ndarray] = {}
         self._distances: dict[tuple[str, bool], ViewDistances] = {}
 
-    def matrix(self, name: str, unit_normalize: bool = False) -> np.ndarray:
+    def _matrix(self, name: str, unit_normalize: bool = False) -> np.ndarray:
         key = (name, unit_normalize)
         if key not in self._matrices:
             if unit_normalize:
-                matrix = _normalize_rows(self.matrix(name))
+                matrix = _normalize_rows(self._matrix(name))
             else:
                 try:
                     matrix = np.array([r.views[name] for r in self.records])
@@ -108,24 +111,28 @@ class HouseholdStages:
             self._matrices[key] = matrix
         return self._matrices[key]
 
-    def affinity(self, name: str, spec: MethodSpec) -> np.ndarray:
+    def _affinity(self, name: str, spec: MethodSpec) -> np.ndarray:
         if name == SESSION_VIEW:
             return _session_kernel([r.session_id for r in self.records], spec.session_sigma)
         view_key = (name, spec.unit_normalize)
         distances = self._distances.get(view_key) or ViewDistances(
-            EmbeddingView(name, self.matrix(*view_key)), self.k_max)
+            EmbeddingView(name, self._matrix(*view_key)), self.k_max)
         if view_key in self._shared:
             self._distances[view_key] = distances
-        return distances.affinity(spec.scaling, cohort_id=self.group)
+        return distances._affinity(spec.scaling, self.group)
 
 
 def build_household_graph(stages: HouseholdStages, spec: MethodSpec) -> HouseholdGraph:
     """Per-view affinities under the spec's scaling, fused per the spec's rule.
 
     The session view always uses the fixed bandwidth spec.session_sigma;
-    cohort scaling is keyed by the household's group tag.
+    cohort scaling is keyed by the household's group tag. Each view named is
+    built once, as a task of graph._by_views.
     """
-    weights = [stages.affinity(name, spec) for name in spec.fusion.view_names]
+    names = list(dict.fromkeys(spec.fusion.view_names))
+    built = dict(zip(names, _by_views(len(stages.records), names,
+                                      lambda name: stages._affinity(name, spec))))
+    weights = [built[name] for name in spec.fusion.view_names]
     return HouseholdGraph(fused=_fuse_weights(weights, spec.fusion), labels=stages.labels,
                           n_unlabeled=stages.n_unlabeled, n_heldout=stages.truth.size,
                           class_count=stages.class_count)
@@ -138,6 +145,13 @@ def primary_view_name(spec: MethodSpec) -> str:
     raise ConfigurationError("no vector view available (session-only graph)")
 
 
+def _attributed(stages: HouseholdStages, spec: MethodSpec, run: Callable[[], _T]) -> _T:
+    """run(), with each DegeneracyWarning it raises starting "household <id>, <label>: "."""
+    context = contextvars.copy_context()
+    context.run(_WARNING_PREFIX.set, f"household {stages.household_id}, {spec.label}: ")
+    return context.run(run)
+
+
 def _predictions(stages: HouseholdStages, specs: Sequence[MethodSpec]
                  ) -> Iterator[PredictionResult | SpeakerGraphError]:
     """evaluate_methods' per-group step: yield, spec by spec, the held-out
@@ -146,15 +160,15 @@ def _predictions(stages: HouseholdStages, specs: Sequence[MethodSpec]
     released with the generator; if building the graph fails, that error
     stops every spec."""
     try:
-        schedule = None if specs[0].is_baseline else SolveSchedule(
-            build_household_graph(stages, specs[0]),
-            [(spec.method, spec.propagation) for spec in specs])
+        schedule = None if specs[0].is_baseline else _attributed(stages, specs[0], lambda: (
+            SolveSchedule(build_household_graph(stages, specs[0]),
+                          [(spec.method, spec.propagation) for spec in specs])))
     except SpeakerGraphError as exc:
         yield from [exc] * len(specs)
         return
     for spec in specs:
         try:
-            yield _predict(stages, spec, schedule)
+            yield _attributed(stages, spec, lambda: _predict(stages, spec, schedule))
         except SpeakerGraphError as exc:
             yield exc
 
@@ -162,7 +176,7 @@ def _predictions(stages: HouseholdStages, specs: Sequence[MethodSpec]
 def _predict(stages: HouseholdStages, spec: MethodSpec,
              schedule: SolveSchedule | None) -> PredictionResult:
     if spec.is_baseline:
-        emb = stages.matrix(spec.view)
+        emb = stages._matrix(spec.view)
         l, u = stages.labels.size, stages.n_unlabeled
         labeled, unlabeled, heldout = emb[:l], emb[l:l + u], emb[l + u:]
         runner = {"CS": run_cs, "CSEA": run_csea}.get(spec.method)
@@ -170,7 +184,7 @@ def _predict(stages: HouseholdStages, spec: MethodSpec,
             return runner(labeled, stages.labels, heldout, stages.class_count)
         runner = {"2CS": run_2cs, "2CSEA": run_2csea}[spec.method]
         return runner(labeled, stages.labels, unlabeled, heldout, stages.class_count)
-    embeddings = stages.matrix(primary_view_name(spec)) if spec.method == "2LPEA" else None
+    embeddings = stages._matrix(primary_view_name(spec)) if spec.method == "2LPEA" else None
     return schedule.predict(spec.method, spec.propagation, embeddings)
 
 

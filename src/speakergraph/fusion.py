@@ -20,8 +20,8 @@ import numpy as np
 from scipy.linalg import cython_lapack, lapack
 
 from .errors import ConfigurationError, NumericalError, StructuralError
-from .graph import (AffinityMatrix, _by_row_blocks, _identity_minus, _mirror_upper,
-                    normalized_laplacian, propagation_operator)
+from .graph import (AffinityMatrix, _by_row_blocks, _by_views, _identity_minus, _mirror_upper,
+                    _propagation_operator)
 
 # Eigenvalue floor applied before negative matrix powers.
 NEG_POWER_EIG_FLOOR = 1e-8
@@ -170,12 +170,12 @@ def _inf_norm(m: np.ndarray) -> float:
     return np.abs(m).sum(axis=1).max()
 
 
-def _weyl_bound_holds(mats: Sequence[np.ndarray]) -> bool:
+def _weyl_bound_holds(norms: Sequence[float]) -> bool:
     """Whether no eigenvalue of H = mean_v M_v^{-1} lies below
     NEG_POWER_EIG_FLOOR, checked without inverting H: by Weyl's inequality its
-    smallest eigenvalue is at least mean_v 1/||M_v||_inf, so when that bound
-    is at least the floor, flooring H's eigenvalues would change nothing."""
-    return sum(1.0 / _inf_norm(m) for m in mats) / len(mats) >= NEG_POWER_EIG_FLOOR
+    smallest eigenvalue is at least mean_v 1/||M_v||_inf, the ``norms``, so when
+    that bound is at least the floor, flooring H's eigenvalues changes nothing."""
+    return sum(1.0 / norm for norm in norms) / len(norms) >= NEG_POWER_EIG_FLOOR
 
 
 def _mean_inverse(factors: Sequence[np.ndarray], cap: float = math.inf) -> np.ndarray | None:
@@ -203,7 +203,7 @@ def _mean_of_inverses(mats: Sequence[np.ndarray]) -> np.ndarray | None:
     if any(_potrf(a) != 0 for a in copies):
         return None
     h = _mean_inverse([a.T for a in copies], 1.0 / NEG_POWER_EIG_FLOOR)
-    return h if h is not None and _weyl_bound_holds(mats) else None
+    return h if h is not None and _weyl_bound_holds([_inf_norm(m) for m in mats]) else None
 
 
 def _harmonic_laplacian(h: np.ndarray) -> np.ndarray:
@@ -360,7 +360,7 @@ def _power_mean(shifted: list[np.ndarray], p: float) -> np.ndarray:
 
 def _shifted_laplacian(w: np.ndarray, shift: float) -> np.ndarray:
     """L + shift*I of valid weights w, in L's array."""
-    lap = normalized_laplacian(w)
+    lap = _identity_minus(_propagation_operator(w))
     lap.flat[::lap.shape[0] + 1] += shift
     return lap
 
@@ -369,7 +369,8 @@ def _harmonic_factors(weights: Sequence[np.ndarray],
                       shift: float) -> tuple[np.ndarray, ...] | None:
     """Each view's upper Cholesky factor of M_v = L_v + shift*I, factored in
     M_v's own array (in F order), or None when a floor could bind on an M_v
-    or on H = mean_v M_v^{-1}, or when a factorization fails.
+    or on H = mean_v M_v^{-1}, or when a factorization fails; one task of
+    graph._by_views per view builds, measures and factors M_v.
 
     No inverse is read. In exact arithmetic S_v = D^{-1/2} W D^{-1/2} has
     spectral radius at most 1, so no eigenvalue of M_v lies below shift.
@@ -379,15 +380,19 @@ def _harmonic_factors(weights: Sequence[np.ndarray],
     moves the diagonal by at most (2 + shift)u. delta = (n + 8)(1 + shift) eps
     bounds that eigenvalue shift more than twice over; the floor cannot bind
     when shift - delta >= NEG_POWER_EIG_FLOOR. H is checked by
-    _weyl_bound_holds before any factorization.
+    _weyl_bound_holds on the tasks' norms: a failing bound, which only a
+    shift near the floor causes, throws their factorizations away.
     """
     n = weights[0].shape[0]
     if not shift - (n + 8) * (1.0 + shift) * np.finfo(float).eps >= NEG_POWER_EIG_FLOOR:
         return None
-    mats = [_shifted_laplacian(w, shift) for w in weights]
-    if not _weyl_bound_holds(mats) or any(_potrf(m) != 0 for m in mats):
-        return None
-    return tuple(m.T for m in mats)
+
+    def factored(w):
+        m = _shifted_laplacian(w, shift)
+        return m, _inf_norm(m), _potrf(m)
+
+    mats, norms, infos = zip(*_by_views(n, weights, factored))
+    return tuple(m.T for m in mats) if _weyl_bound_holds(norms) and not any(infos) else None
 
 
 def _cg_steps(alpha: float, shift: float) -> int:
@@ -565,14 +570,15 @@ class FusedGraph:
 def _fuse_weights(weights: list[np.ndarray], rule: FusionRule) -> FusedGraph:
     """The fused graph of a rule's weights, per view or pooled; the one builder
     of S and of harmonic graphs. The weights are kernels, trusted as
-    graph.propagation_operator says."""
+    graph._propagation_operator says."""
     if not isinstance(rule, PowerMeanFusion):
         pooled = edgepool_fuse(weights)
-        return FusedGraph(rule=rule, weights=(pooled,), operator=propagation_operator(pooled))
+        return FusedGraph(rule=rule, weights=(pooled,), operator=_propagation_operator(pooled))
     shift = rule.effective_shift
     if rule.p == -1 and (factors := _harmonic_factors(weights, shift)) is not None:
         return FusedGraph(rule=rule, weights=tuple(weights), factors=factors)
-    fused = _power_mean([_shifted_laplacian(w, shift) for w in weights], rule.p)
+    fused = _power_mean(_by_views(len(weights[0]), weights,
+                                  lambda w: _shifted_laplacian(w, shift)), rule.p)
     return FusedGraph(rule=rule, weights=tuple(weights), operator=_identity_minus(fused))
 
 

@@ -12,15 +12,16 @@ nearest neighbors of both endpoints. The module also derives the propagation
 operator D^{-1/2} W D^{-1/2} and the symmetric normalized Laplacian
 I - D^{-1/2} W D^{-1/2} that graph-level fusion combines.
 
-The n x n passes (distances, neighbor sorts, kernels and the operator) run
-as the same row blocks at every household size, on one thread per allowed CPU
-for a large household; see _by_row_blocks. Kernels are valid by construction
-(see _gaussian_kernel): only the public affinity and session_affinity check
-theirs, as an AffinityMatrix.
+The n x n passes (distances, neighbor sorts, kernels and the operator) run as
+the same row blocks at every size, on one thread per allowed CPU for a large
+household (_by_row_blocks); a smaller one builds its views side by side
+(_by_views). Kernels are valid by construction (see _gaussian_kernel): only
+the public affinity and session_affinity check theirs, as an AffinityMatrix.
 """
 
 import contextvars
 import os
+import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
@@ -29,7 +30,8 @@ from typing import Callable, Mapping, Sequence, TypeVar, Union
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .errors import ConfigurationError, NumericalError, StructuralError, _warn_degeneracy
+from .errors import (_WARNING_SITE, ConfigurationError, NumericalError, StructuralError,
+                     _warn_degeneracy)
 
 # Matrices with fewer rows than this run the row blocks of each n x n pass on
 # the calling thread. On 2 vCPUs, building voice, face and session
@@ -76,14 +78,13 @@ def _row_pool(workers: int) -> ThreadPoolExecutor:
 
 
 def _background_pool() -> ThreadPoolExecutor | None:
-    """The row pool, for a task that runs beside the calling thread's work
-    (2LP's step-2 factorization), or None unless at least two CPUs are allowed
-    and BLAS runs one thread per call: OPENBLAS_NUM_THREADS, or failing it
-    OMP_NUM_THREADS, reads "1". With two BLAS threads each, two concurrent
-    factorizations at n = 1,608 took 52 ms a pair on 2 vCPUs, against
-    20.7 ms one after the other. The task keeps the rules of
-    _by_row_blocks' ``rows``, except that it may call _by_row_blocks, whose
-    blocks then run inline on its thread."""
+    """The row pool, for tasks that run beside the calling thread's work (2LP's
+    step-2 factorization, _by_views' views), or None unless at least two CPUs
+    are allowed and BLAS runs one thread per call: OPENBLAS_NUM_THREADS, or
+    failing it OMP_NUM_THREADS, reads "1". With two BLAS threads each, two
+    concurrent factorizations at n = 1,608 took 52 ms a pair on 2 vCPUs,
+    against 20.7 ms one after the other. A task keeps the rules of
+    _by_row_blocks' ``rows``, but may call _by_row_blocks, inline there."""
     threads = os.environ.get("OPENBLAS_NUM_THREADS", os.environ.get("OMP_NUM_THREADS"))
     workers = _allowed_cpus()
     return _row_pool(workers) if threads == "1" and workers > 1 else None
@@ -106,12 +107,13 @@ def _by_row_blocks(n: int, rows: Callable[[int, int], _T]) -> list[_T]:
 
     From _PARALLEL_MIN_ROWS rows and with more than one allowed CPU the
     ranges run on the pool, each in a copy of the caller's context, so
-    numpy's error state carries over; otherwise, and always on one of the
-    pool's own threads, which must not wait on their pool, they run in row
-    order on the calling thread. Callers allocate the output and have each
-    range write its own rows with elementwise ops and per-row reductions
-    only, so the result is bitwise the same for any split. ``rows`` calls no
-    public speakergraph function, whose tracing wrappers assume one thread.
+    numpy's error state carries over; otherwise, and always on the pool's own
+    threads (_by_views' tasks among them), which must not wait on their pool,
+    they run in row order on the calling thread. Callers allocate the output
+    and have each range write its own rows with elementwise ops and per-row
+    reductions only, so the result is bitwise the same for any split.
+    ``rows`` calls no public function or method, whose tracing wrappers assume
+    one thread.
     """
     workers = _allowed_cpus()
     count = max(1, min(_BLOCKS_PER_WORKER * workers, n // _MIN_BLOCK_ROWS))
@@ -125,6 +127,26 @@ def _by_row_blocks(n: int, rows: Callable[[int, int], _T]) -> list[_T]:
                for start, stop in spans]
     wait(futures)
     return [f.result() for f in futures]
+
+
+def _by_views(n: int, items: Sequence, task: Callable[..., _T]) -> list[_T]:
+    """[task(x) for x in items] for an n-node graph's views: below
+    _PARALLEL_MIN_ROWS, with two items or more, where _background_pool allows
+    and off its threads, the pool runs all but the first, each in a copy of the
+    caller's context giving _warn_degeneracy this frame. Waits for all, then
+    raises the earliest item's error. ``task`` keeps _by_row_blocks' rules."""
+    on_pool = threading.current_thread().name.startswith(_POOL_THREADS)
+    pool = None if len(items) < 2 or n >= _PARALLEL_MIN_ROWS or on_pool else _background_pool()
+    if pool is None:
+        return [task(x) for x in items]
+    token = _WARNING_SITE.set(sys._getframe())
+    futures = [pool.submit(contextvars.copy_context().run, task, x) for x in items[1:]]
+    _WARNING_SITE.reset(token)
+    try:
+        first = task(items[0])
+    finally:
+        wait(futures)
+    return [first] + [f.result() for f in futures]
 
 
 # ---------------------------------------------------------------------------
@@ -244,15 +266,17 @@ class AffinityMatrix:
 # ---------------------------------------------------------------------------
 
 def pairwise_distances(view: EmbeddingView) -> np.ndarray:
-    """Symmetric zero-diagonal Euclidean distance matrix for one view.
+    """Symmetric zero-diagonal Euclidean distance matrix for one view."""
+    return _pairwise_distances(view.vectors)
 
-    Each row block takes cdist to the columns from its first row on, which
-    fills its diagonal block whole, exactly symmetric with a zero diagonal
-    (|x_i - x_j| and |x_j - x_i| square alike); _mirror_blocks_below then
-    copies the rest of the upper part into the lower one, so each pair off
-    those blocks is computed once and the matrix is exactly symmetric.
-    """
-    x = view.vectors
+
+def _pairwise_distances(x: np.ndarray) -> np.ndarray:
+    """pairwise_distances of the rows of x. Each row block takes cdist to the
+    columns from its first row on, which fills its diagonal block whole,
+    exactly symmetric with a zero diagonal (|x_i - x_j| and |x_j - x_i| square
+    alike); _mirror_blocks_below then copies the rest of the upper part into
+    the lower one, so each pair off those blocks is computed once and the
+    matrix is exactly symmetric."""
     n = x.shape[0]
     dist = np.empty((n, n))
 
@@ -316,11 +340,11 @@ class ViewDistances:
     """
 
     def __init__(self, view: EmbeddingView, k_max: int = 1):
-        self.dist = pairwise_distances(view)
+        self.dist = _pairwise_distances(view.vectors)
         self.k_max = k_max
         self._nearest: np.ndarray | None = None
 
-    def knn_means(self, k: int) -> np.ndarray:
+    def _knn_means(self, k: int) -> np.ndarray:
         """Vector of per-node mean k-nearest-neighbor distances, self excluded."""
         n = self.dist.shape[0]
         if not 1 <= k <= n - 1:
@@ -333,6 +357,9 @@ class ViewDistances:
         """Gaussian-kernel weights under a scaling rule, built by row blocks
         in one n x n buffer: under local scaling each block writes its rows of
         sigma there and the kernel overwrites them."""
+        return self._affinity(rule, cohort_id)
+
+    def _affinity(self, rule: ScalingRule, cohort_id: str | None) -> np.ndarray:
         dist = self.dist
         if isinstance(rule, UniversalScaling):
             sigma = rule.sigma
@@ -343,7 +370,7 @@ class ViewDistances:
                 raise ConfigurationError(f"no sigma configured for cohort {cohort_id!r}")
             sigma = rule.sigma_by_cohort[cohort_id]
         elif isinstance(rule, LocalScaling):
-            means, s = self.knn_means(rule.k), rule.s
+            means, s = self._knn_means(rule.k), rule.s
             # sigma[i, j] = s * (m_i + m_j) / 2, the mean of the pooled 2k
             # neighbor distances of i and j; m_i + m_j commutes, so sigma is
             # exactly symmetric. Each step rounds monotonically, so its least
@@ -435,12 +462,14 @@ def _session_kernel(sessions: Sequence[str | None], sigma: float) -> np.ndarray:
 
 
 def propagation_operator(w: np.ndarray) -> np.ndarray:
-    """S = D^{-1/2} W D^{-1/2} with degree checks; the degrees and S are each
-    one pass by row blocks (see _by_row_blocks).
+    """S = D^{-1/2} W D^{-1/2} with degree checks."""
+    return _propagation_operator(w)
 
-    ``w`` holds kernels of this module (or principal submatrices or elementwise
-    maxima of them), valid but for _gaussian_kernel's NaNs, which raise here.
-    """
+
+def _propagation_operator(w: np.ndarray) -> np.ndarray:
+    """propagation_operator, the degrees and S each by row blocks. ``w``
+    holds kernels of this module (or principal submatrices or elementwise
+    maxima of them), valid but for _gaussian_kernel's NaNs, which raise here."""
     n = w.shape[0]
     degrees = np.empty(n)
     _by_row_blocks(n, lambda a, b: w[a:b].sum(axis=1, out=degrees[a:b]))
@@ -470,7 +499,7 @@ def propagation_operator(w: np.ndarray) -> np.ndarray:
 def normalized_laplacian(w: np.ndarray) -> np.ndarray:
     """Symmetric normalized Laplacian L = I - D^{-1/2} W D^{-1/2} of valid weights w,
     built in S's array."""
-    return _identity_minus(propagation_operator(w))
+    return _identity_minus(_propagation_operator(w))
 
 
 def _identity_minus(m: np.ndarray) -> np.ndarray:

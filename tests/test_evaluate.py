@@ -5,6 +5,7 @@ import functools
 import importlib
 import itertools
 import re
+import sys
 import threading
 import warnings
 import weakref
@@ -21,6 +22,7 @@ from speakergraph import (
     ConfigurationError,
     DegeneracyWarning,
     EdgePoolFusion,
+    EmbeddingView,
     FusedGraph,
     LocalScaling,
     MethodSpec,
@@ -43,6 +45,7 @@ from speakergraph import (
     tune_cohort_sigmas,
 )
 from speakergraph.config import BASELINE_METHODS, METHODS, apply_param
+from speakergraph.graph import ViewDistances
 from speakergraph.records import HouseholdDataset, UtteranceRecord
 
 evaluate_module = importlib.import_module("speakergraph.evaluate")
@@ -434,7 +437,7 @@ class TestSweepStages:
     def test_each_stage_built_once_per_household(self, monkeypatch):
         dev, val = tiny_dataset()
         households = dev + val
-        distances = count_calls(monkeypatch, graph_module, "pairwise_distances")
+        distances = count_calls(monkeypatch, graph_module, "_pairwise_distances")
         graphs = count_calls(monkeypatch, evaluate_module, "build_household_graph")
         subgraphs = count_calls(monkeypatch, FusedGraph, "subgraph")
         grid = {"scaling.k": [3, 5, 8], "scaling.s": [0.5, 1.0, 2.0],
@@ -522,10 +525,20 @@ class TestEvaluateMethods:
                                 ("2LPEA", "CSEA")):
             assert rows[two_step] == rows[step2], two_step
 
+    def test_a_view_named_twice_by_one_graph_is_not_kept(self):
+        # one graph builds a view it names twice once (see
+        # build_household_graph), so no other graph shares its distances
+        _, val = tiny_dataset()
+        spec = replace(LOCAL_2LP, fusion=EdgePoolFusion(("voice", "face", "voice")))
+        assert evaluate_module.HouseholdStages(val[0], [spec])._shared == set()
+        two = [spec, replace(spec, scaling=LocalScaling(k=3, s=0.8))]
+        assert evaluate_module.HouseholdStages(val[0], two)._shared == {
+            ("voice", False), ("face", False)}
+
     def test_single_view_specs_share_one_graph_per_household(self, monkeypatch):
         dev, val = tiny_dataset()
         households = dev + val
-        distances = count_calls(monkeypatch, graph_module, "pairwise_distances")
+        distances = count_calls(monkeypatch, graph_module, "_pairwise_distances")
         graphs = count_calls(monkeypatch, evaluate_module, "build_household_graph")
         evaluate_methods(households, SINGLE_VIEW_SPECS)
         assert len(graphs) == len(households)
@@ -738,7 +751,7 @@ class TestTrustedPath:
         stages = evaluate_module.HouseholdStages(val[0], [replace(LOCAL_2LP, unit_normalize=True)])
         with pytest.warns(DegeneracyWarning,
                           match="cannot be normalized; it is kept as the zero vector"):
-            normalized = stages.matrix("voice", unit_normalize=True)
+            normalized = stages._matrix("voice", unit_normalize=True)
         row = stages.records.index(zeroed)
         assert not normalized[row].any()
         norms = np.linalg.norm(np.delete(normalized, row, axis=0), axis=1)
@@ -762,6 +775,51 @@ class TestTrustedPath:
         assert caught
         assert [(w.category, w.filename) for w in caught] == \
             [(DegeneracyWarning, __file__)] * len(caught)
+
+    def test_warnings_through_evaluate_methods_name_household_and_spec(self):
+        # a zero-norm voice row warns in CS's cosine scoring and, normalized
+        # for the graph, in the LP spec's graph build; a constant face view
+        # warns of a zero bandwidth in that build. Each message names the
+        # household and the spec it ran for.
+        _, val = tiny_dataset()
+        hh = val[0]
+        hh.utterances[0].views["voice"] = np.zeros_like(hh.utterances[0].views["voice"])
+        for record in hh.utterances:
+            record.views["face"] = np.ones_like(record.views["face"])
+        lp = MethodSpec(method="LP", scaling=LocalScaling(k=4, s=0.8), unit_normalize=True,
+                        fusion=EdgePoolFusion(("voice", "face")))
+        specs = [MethodSpec(method="CS"), lp]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            evaluate_methods([hh], specs)
+        # the voice and face views of LP's graph build side by side, so their
+        # warnings come in either order
+        said = sorted((prefix, text.split()[0]) for prefix, _, text in
+                      (str(w.message).partition(": ") for w in caught))
+        assert said == sorted([(f"household {hh.household_id}, {spec.label}", word)
+                               for spec, word in ((specs[0], "zero-norm"), (lp, "zero-norm"),
+                                                  (lp, "zero"))])
+        # outside evaluate_methods the messages stand alone
+        with pytest.warns(DegeneracyWarning) as direct:
+            ViewDistances(EmbeddingView("face", np.ones((5, 2))), 1).affinity(LocalScaling(1, 1.0))
+        assert str(direct[0].message).startswith("zero bandwidth")
+
+    @pytest.mark.parametrize("action", ["error", "ignore"])
+    def test_module_filters_apply_to_attributed_warnings(self, action):
+        # warnings are issued once, at the caller's module and line, so a
+        # user's filter on this module applies to them
+        _, val = tiny_dataset()
+        for record in val[0].utterances:
+            record.views["voice"] = np.ones_like(record.views["voice"])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            warnings.filterwarnings(action, category=DegeneracyWarning, module=__name__)
+            if action == "error":
+                with pytest.raises(DegeneracyWarning, match="^household .*zero bandwidth"):
+                    evaluate_methods(val[:1], [LOCAL_2LP])
+            else:
+                evaluate_methods(val[:1], [LOCAL_2LP])
+        assert caught == []
 
 
 def rescaled(household, exponent):
@@ -969,12 +1027,14 @@ DEGENERATE_FUSIONS = (SingleView("voice"), EdgePoolFusion(("voice", "face")),
 
 
 class TestDegenerateHouseholds:
-    def test_every_method_ends_in_a_report_or_a_typed_error(self):
+    @pytest.mark.parametrize("min_rows", [2, sys.maxsize], ids=["row blocks", "view tasks"])
+    def test_every_method_ends_in_a_report_or_a_typed_error(self, min_rows):
         # Every outcome of all seven methods, in any order, on degenerate
         # households is a report or a SpeakerGraphError, with no RuntimeWarning
         # (the test filters raise it) and no hang, with allow_skip on and off
         # and with 2LP's step-2 factorization (where no LP before it factored
-        # the same system) and every row block on a thread pool.
+        # the same system) and every row block, or else every view task after
+        # each graph's first, on a thread pool.
         background = []
         real = fusion_module._potrf
 
@@ -1014,7 +1074,7 @@ class TestDegenerateHouseholds:
             if isinstance(outcome[0], tuple):
                 raise outcome[0][1]
 
-        with mock.patch.multiple(graph_module, _PARALLEL_MIN_ROWS=2, _MIN_BLOCK_ROWS=1,
+        with mock.patch.multiple(graph_module, _PARALLEL_MIN_ROWS=min_rows, _MIN_BLOCK_ROWS=1,
                                  _pool=None, _allowed_cpus=lambda: 2), \
                 mock.patch.dict("os.environ", {"OPENBLAS_NUM_THREADS": "1"}), \
                 mock.patch.object(fusion_module, "_potrf", spy), \

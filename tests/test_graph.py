@@ -79,15 +79,15 @@ class TestPairwiseDistances:
 class TestKnnMeanDistance:
     def test_line_examples(self):
         distances = ViewDistances(line_view([0.0, 1.0, 3.0]))
-        assert distances.knn_means(1).tolist() == [1.0, 1.0, 2.0]
-        assert distances.knn_means(2)[2] == 2.5
+        assert distances._knn_means(1).tolist() == [1.0, 1.0, 2.0]
+        assert distances._knn_means(2)[2] == 2.5
 
     def test_matches_sort_oracle(self):
         rng = np.random.default_rng(3)
         distances = ViewDistances(random_view(rng, 9))
         dist = distances.dist
         for k in (1, 3, 8):
-            means = distances.knn_means(k)
+            means = distances._knn_means(k)
             for i in range(9):
                 row = np.delete(dist[i], i)
                 expected = np.sort(row)[:k].mean()
@@ -97,7 +97,7 @@ class TestKnnMeanDistance:
         distances = ViewDistances(line_view([0.0, 1.0, 3.0]), k_max=5)
         for k in (0, 3):
             with pytest.raises(ConfigurationError):
-                distances.knn_means(k)
+                distances._knn_means(k)
 
     def test_one_trimmed_sort_serves_every_k_bitwise(self):
         # each k's mean over the first k columns of one sort to the widest k
@@ -109,9 +109,9 @@ class TestKnnMeanDistance:
         np.fill_diagonal(masked, np.inf)
         full = np.sort(masked, axis=1)
         for k in (1, 2, 7, 13, 20):
-            assert np.array_equal(shared.knn_means(k), full[:, :k].mean(axis=1))
+            assert np.array_equal(shared._knn_means(k), full[:, :k].mean(axis=1))
         assert shared._nearest.shape == (40, 20)
-        assert np.array_equal(shared.knn_means(39), full[:, :39].mean(axis=1))
+        assert np.array_equal(shared._knn_means(39), full[:, :39].mean(axis=1))
 
     def test_duplicate_point_floors(self):
         # k=1 means are (0, 0, 1e-7): the pair bandwidth 5e-8 is used as given,
@@ -276,7 +276,7 @@ def kernel_cases(draw):
     kind = draw(st.sampled_from(["universal", "cohort", "local"]))
     if kind == "local":
         rule = LocalScaling(k=draw(st.integers(1, n - 1)), s=draw(st.floats(0.1, 3.0)))
-        means = ViewDistances(view, rule.k).knn_means(rule.k)
+        means = ViewDistances(view, rule.k)._knn_means(rule.k)
         sigma = rule.s * (means[:, None] + means[None, :]) / 2.0
     else:
         sigma = draw(st.floats(1e-8, 10.0))

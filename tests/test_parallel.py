@@ -1,9 +1,13 @@
-"""Row-block passes: the blocks of every household run on the calling thread
-below the size threshold and on the pool above it; the threaded path equals
-the inline one bit for bit, checks the same invariants, survives a fork and
-keeps its threads away from the public API and from warnings."""
+"""Row-block passes and view tasks: the blocks of every household run on
+the calling thread below the size threshold and on the pool above it, and
+below it the views of a multi-view graph run side by side on the pool; the
+threaded paths equal the inline one bit for bit, check the same invariants,
+survive a fork and keep their threads away from the public API and from
+warnings."""
 
 import contextlib
+import copy
+import functools
 import inspect
 import os
 import signal
@@ -43,9 +47,11 @@ from speakergraph import (
     fuse,
     generate_dataset,
     pairwise_distances,
+    run_method,
     session_affinity,
 )
 from speakergraph import fusion, graph
+from speakergraph.evaluate import HouseholdStages, build_household_graph
 from speakergraph.graph import ViewDistances
 from speakergraph.propagation import (HouseholdGraph, SolveSchedule, init_label_matrix,
                                       propagate, run_2lp)
@@ -66,9 +72,13 @@ def row_blocks(workers=3, min_rows=2, block_rows=1):
                 graph._pool.shutdown()
 
 
+@contextlib.contextmanager
 def inline():
-    """Every n x n pass by the blocks of two allowed CPUs, on the calling thread."""
-    return row_blocks(workers=2, min_rows=sys.maxsize)
+    """Every n x n pass by the blocks of two allowed CPUs, and every view, on
+    the calling thread."""
+    with row_blocks(workers=2, min_rows=sys.maxsize), \
+            mock.patch.object(graph, "_background_pool", lambda: None):
+        yield
 
 
 def same(a, b):
@@ -98,7 +108,7 @@ def every_pass(vectors, sessions, k, s, sigma, alpha):
     stopped the pass."""
     view = EmbeddingView("voice", vectors)
     distances = ViewDistances(view, k)
-    out = {"distances": pairwise_distances(view), "knn": distances.knn_means(k)}
+    out = {"distances": pairwise_distances(view), "knn": distances._knn_means(k)}
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DegeneracyWarning)
         kernels = {
@@ -407,8 +417,12 @@ class TestStepTwoFactorsAhead:
                 factor_threads() as threads, pool_factorizations() as futures:
             overlapped = swept_2lp(two_step_household(n, FACTOR_RULES[rule]), cfg)
             assert len(futures) == 1 and futures[0].done()
-        # the full graph's system was factored on the pool, all else on this thread
-        assert [t != threading.get_ident() for t in threads].count(True) == 1
+        # the full graph's system was factored on the pool, and so was the
+        # second view's factor of each harmonic graph below _PARALLEL_MIN_ROWS
+        # (the full graph and step 1's subgraph); all else on this thread
+        views = 0 if rule != "harmonic, H route" else sum(
+            size < graph._PARALLEL_MIN_ROWS for size in (n, n - n // 4))
+        assert [t != threading.get_ident() for t in threads].count(True) == 1 + views
         assert same(overlapped.labels, expected.labels)
         assert same(overlapped.scores, expected.scores)
         assert (overlapped.ties, overlapped.abstains) == (expected.ties, expected.abstains)
@@ -486,6 +500,177 @@ class TestStepTwoFactorsAhead:
             assert (graph._background_pool() is not None) == expected
 
 
+@contextlib.contextmanager
+def view_tasks(on_pool=True, slow=lambda item: False, delay=0.2, workers=2):
+    """``workers`` allowed CPUs, one BLAS thread and graphs below _PARALLEL_MIN_ROWS,
+    whose row blocks run on the calling thread; with ``on_pool`` the view
+    tasks of graph._by_views after each call's first run on a fresh row pool,
+    else on the calling thread. Yields the futures of the view tasks
+    submitted, each started ``delay`` seconds late where ``slow(item)``."""
+    futures, real = [], ThreadPoolExecutor.submit
+
+    def submit(pool, fn, *args, **kwargs):
+        # called from _by_views or from a comprehension there
+        if graph._by_views.__code__ not in (sys._getframe(1).f_code, sys._getframe(2).f_code):
+            return real(pool, fn, *args, **kwargs)
+        task, item = args
+
+        def late():
+            if slow(item):
+                time.sleep(delay)
+            return fn(task, item)
+
+        futures.append(real(pool, late))
+        return futures[-1]
+
+    with row_blocks(workers=workers, min_rows=graph._PARALLEL_MIN_ROWS), \
+            mock.patch.dict(os.environ, {"OPENBLAS_NUM_THREADS": "1"}), \
+            mock.patch.object(ThreadPoolExecutor, "submit", submit), \
+            mock.patch.object(graph, "_background_pool",
+                              graph._background_pool if on_pool else lambda: None):
+        yield futures
+
+
+@functools.lru_cache(maxsize=None)
+def _view_household():
+    _, val = generate_dataset(SimulationConfig(
+        seed=3, households_per_group=2, speakers_per_household=3,
+        utterances_per_speaker=24, labeled_per_speaker=2, unlabeled_per_household=12,
+        heldout_per_speaker=4, groups=("random",)))
+    return val[0]
+
+
+def view_household():
+    """A fresh copy of one simulated household of 30 utterances with voice,
+    face and session views."""
+    return copy.deepcopy(_view_household())
+
+
+def scheduled_2lp(hh, rule, alphas):
+    """The fused graph of a 2LP spec's rule over the household's views, and
+    its 2LP at alpha 0.9, scheduled with 2LP at ``alphas``."""
+    spec = MethodSpec(method="2LP", scaling=LocalScaling(4, 0.8), fusion=rule)
+    household = build_household_graph(HouseholdStages(hh, [spec]), spec)
+    specs = [("2LP", PropagationConfig(alpha=alpha)) for alpha in alphas]
+    return household.fused, SolveSchedule(household, specs).predict(
+        "2LP", PropagationConfig(alpha=0.9))
+
+
+VOICE_FACE = ("voice", "face")
+VIEW_RULES = {
+    "edge pool with session": (EdgePoolFusion(("voice", "face", "session")), (0.9,)),
+    "p = 1": (PowerMeanFusion(VOICE_FACE, p=1.0), (0.9,)),
+    "p = -1, CG route": (PowerMeanFusion(VOICE_FACE, p=-1.0), (0.9,)),
+    "p = -1, H route": (PowerMeanFusion(VOICE_FACE, p=-1.0), (0.5, 0.9, 0.99)),
+    "p = -1, floored": (PowerMeanFusion(VOICE_FACE, p=-1.0, shift=1e-9), (0.9,)),
+    "p = 2": (PowerMeanFusion(VOICE_FACE, p=2.0), (0.9,)),
+    "edge pool, voice twice": (EdgePoolFusion(("voice", "face", "voice")), (0.9,)),
+    "p = -1, voice twice": (PowerMeanFusion(("voice", "face", "voice"), p=-1.0), (0.9,)),
+}
+
+
+class TestViewTasks:
+    """Below _PARALLEL_MIN_ROWS the views of a multi-view graph (kernels,
+    shifted Laplacians, harmonic factors) run side by side on the row pool;
+    labels, scores and errors are those of the views run one after another."""
+
+    @pytest.mark.parametrize("rule", VIEW_RULES)
+    def test_labels_and_scores_bitwise_inline(self, rule):
+        with view_tasks(on_pool=False) as none:
+            fused, expected = scheduled_2lp(view_household(), *VIEW_RULES[rule])
+        assert none == []
+        with view_tasks() as futures:
+            pooled, got = scheduled_2lp(view_household(), *VIEW_RULES[rule])
+        assert futures and all(f.done() for f in futures)
+        harmonic = rule.startswith("p = -1") and rule != "p = -1, floored"
+        assert pooled.harmonic is fused.harmonic is harmonic
+        for a, b in zip(pooled.factors or (pooled.operator,), fused.factors or (fused.operator,)):
+            assert same(a, b)
+        assert same(got.labels, expected.labels) and same(got.scores, expected.scores)
+        assert (got.ties, got.abstains) == (expected.ties, expected.abstains)
+
+    def test_cg_and_h_routes_are_taken(self):
+        for rule, cg in (("p = -1, CG route", True), ("p = -1, H route", False)):
+            fusion_rule, alphas = VIEW_RULES[rule]
+            fused, _ = scheduled_2lp(view_household(), fusion_rule, alphas)
+            assert fusion._cg_route(fused, alphas) is cg, rule
+
+    @pytest.mark.parametrize("case", ["missing view", "zero degree"])
+    def test_second_view_error_raises_as_inline(self, case):
+        # the second view's task fails on the pool while a later one, started
+        # late, still runs; the call raises the inline error once that ends
+        hh = view_household()
+        if case == "missing view":
+            rule = EdgePoolFusion(("voice", "nope", "face"))
+
+            def slow(item):
+                return isinstance(item, str) and item == "face"
+        else:
+            # face distances near 1e153 square to inf: its weights are all 0
+            for record in hh.utterances:
+                record.views["face"] = record.views["face"] * 1e153
+            rule = PowerMeanFusion(("voice", "face", "session"), p=1.0)
+
+            def slow(item):
+                return isinstance(item, np.ndarray) and item.any()
+        spec = MethodSpec(method="LP", scaling=UniversalScaling(1.0), fusion=rule)
+        with view_tasks(on_pool=False), pytest.raises(SpeakerGraphError) as expected:
+            run_method(copy.deepcopy(hh), spec)
+        with view_tasks(slow=slow) as futures:
+            with pytest.raises(SpeakerGraphError) as raised:
+                run_method(hh, spec)
+            # before the pool shuts down, which would wait for them
+            assert len(futures) >= 2 and all(f.done() for f in futures)
+        assert type(raised.value) is type(expected.value)
+        assert str(raised.value) == str(expected.value)
+        assert ("missing from dataset" if case == "missing view" else "zero degree") \
+            in str(expected.value)
+
+    def test_shared_stages_under_a_short_switch_interval(self):
+        # views of graphs that share distances (two ks, raw and unit-normalized
+        # vectors) build on four pool threads with a 1 us switch interval: each
+        # view's distances are still computed once per household and kept for
+        # the graphs that share them, and every count is the inline one
+        _, val = generate_dataset(SimulationConfig(
+            seed=5, households_per_group=2, speakers_per_household=3,
+            utterances_per_speaker=24, labeled_per_speaker=2, unlabeled_per_household=12,
+            heldout_per_speaker=4, groups=("random", "hard")))
+        specs = [MethodSpec(method="2LP", scaling=LocalScaling(k, 0.8), fusion=rule,
+                            unit_normalize=unit)
+                 for k in (3, 5) for unit in (False, True)
+                 for rule in (EdgePoolFusion(("voice", "face", "session")),
+                              PowerMeanFusion(VOICE_FACE, p=-1.0))]
+
+        def counts(report):
+            return [[(h.household_id, h.errors, h.ties, h.abstains, h.converged)
+                     for h in m.households] for m in report.methods]
+
+        with view_tasks(on_pool=False):
+            expected = counts(evaluate_methods(val, specs))
+        calls, real, outcome = [], graph._pairwise_distances, []
+
+        def counting(x):
+            calls.append(threading.current_thread())
+            return real(x)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with view_tasks(workers=4) as futures, \
+                    mock.patch.object(graph, "_pairwise_distances", counting):
+                runner = threading.Thread(
+                    target=lambda: outcome.append(counts(evaluate_methods(val, specs))),
+                    daemon=True)
+                runner.start()
+                runner.join(60.0)
+                assert not runner.is_alive(), "evaluate_methods did not finish within 60 s"
+        finally:
+            sys.setswitchinterval(interval)
+        assert outcome == [expected]
+        assert futures and len(calls) == 4 * len(val)  # voice and face, raw and normalized
+        assert any(thread is not runner for thread in calls)
+
+
 def large_view(n=600):
     return EmbeddingView("voice", np.random.default_rng(1).normal(size=(n, 8)))
 
@@ -534,9 +719,17 @@ class TestThreadsStayOutOfTheWay:
                 with factor_threads() as threads:
                     run_2lp(household, PropagationConfig())
                 assert [t != threading.get_ident() for t in threads].count(True) == 1
+            # below _PARALLEL_MIN_ROWS the views' kernels, and a p = -1
+            # graph's shifted Laplacians and factors, build on the pool
+            with view_tasks() as futures:
+                for rule in (EdgePoolFusion(("voice", "face", "session")),
+                             PowerMeanFusion(VOICE_FACE, p=-1.0)):
+                    run_method(view_household(), MethodSpec(
+                        method="2LP", scaling=LocalScaling(4, 0.8), fusion=rule))
+                assert futures
         finally:
             threading.setprofile(None)
-        assert ran and "_factor_system" in ran
+        assert ran and {"_factor_system", "_affinity", "_session_kernel", "factored"} <= set(ran)
         assert public_calls == []
 
     @pytest.mark.parametrize("path", PATHS)
@@ -549,6 +742,26 @@ class TestThreadsStayOutOfTheWay:
             # a tiny configured bandwidth is used as given, without a warning
             session_affinity(["a"] * 300, 1e-7)
         assert [(w.category, w.filename) for w in caught] == [(DegeneracyWarning, __file__)] * 2
+
+    def test_view_task_warning_names_the_caller(self):
+        # face, the second view, has duplicate embeddings and so a zero
+        # bandwidth; its kernel builds on a pool thread, whose stack does not
+        # hold this file, yet the warning names this line as an inline run does
+        hh = view_household()
+        for record in hh.utterances:
+            record.views["face"] = np.zeros_like(record.views["face"])
+        spec = MethodSpec(method="LP", scaling=LocalScaling(1, 1.0),
+                          fusion=EdgePoolFusion(VOICE_FACE))
+        for on_pool in (False, True):
+            with view_tasks(on_pool) as futures, \
+                    warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                line = sys._getframe().f_lineno + 1
+                evaluate_methods([hh], [spec])
+            assert len(futures) == on_pool
+            assert [(w.category, w.filename, w.lineno) for w in caught] == \
+                [(DegeneracyWarning, __file__, line)]
+            assert "zero bandwidth" in str(caught[0].message)
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
     def test_forked_child_builds_a_large_graph(self):
