@@ -76,10 +76,18 @@ def predict(scores: np.ndarray, rows: slice | np.ndarray | None = None) -> Predi
                             abstains=tuple(np.flatnonzero(abstain).tolist()))
 
 
+def _class_indices(values, name: str) -> np.ndarray:
+    """values as an int array; StructuralError unless empty or of an integer dtype."""
+    values = np.asarray(values)
+    if values.size and not np.issubdtype(values.dtype, np.integer):
+        raise StructuralError(f"{name} must be integer class indices, got dtype {values.dtype}")
+    return values.astype(int, copy=False)
+
+
 def _check_inputs(labeled, classes, heldout,
                   class_count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     labeled = np.asarray(labeled, dtype=float)
-    classes = np.asarray(classes, dtype=int)
+    classes = _class_indices(classes, "classes")
     heldout = np.atleast_2d(np.asarray(heldout, dtype=float))
     if labeled.shape[0] != classes.size:
         raise StructuralError("one class per labeled embedding required")

@@ -37,8 +37,8 @@ _WARNING_SITE: ContextVar = ContextVar("speakergraph_warning_site", default=None
 def _warn_degeneracy(message: str) -> None:
     """Warn with DegeneracyWarning, after _WARNING_PREFIX (the household and
     spec that evaluate names), as warnings.warn would at the first caller
-    outside the package from _WARNING_SITE (the frame that graph._by_views
-    gives a view task on a pool thread, whose stack lacks that caller) or here."""
+    outside the package from _WARNING_SITE (the frame that graph._joined
+    gives a task on a pool thread, whose stack lacks that caller) or here."""
     frame = _WARNING_SITE.get() or sys._getframe(1)
     while frame.f_globals.get("__name__", "").partition(".")[0] == "speakergraph":
         frame = frame.f_back

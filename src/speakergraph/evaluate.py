@@ -16,7 +16,8 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 import numpy as np
 
-from .baselines import PredictionResult, _normalize_rows, run_2cs, run_2csea, run_cs, run_csea
+from .baselines import (PredictionResult, _class_indices, _normalize_rows, run_2cs, run_2csea,
+                        run_cs, run_csea)
 # MethodSpec and the method names stay importable from this module.
 from .config import BASELINE_METHODS, LP_METHODS, METHODS, MethodSpec, apply_param
 from .errors import _WARNING_PREFIX, ConfigurationError, SpeakerGraphError, StructuralError
@@ -209,8 +210,8 @@ def run_method(hh: HouseholdDataset, spec: MethodSpec) -> tuple[PredictionResult
 
 def sier(predictions: np.ndarray, truth: np.ndarray) -> float:
     """Error fraction over aligned predictions; abstains always count wrong."""
-    predictions = np.asarray(predictions, dtype=int)
-    truth = np.asarray(truth, dtype=int)
+    predictions = _class_indices(predictions, "predictions")
+    truth = _class_indices(truth, "truth")
     if predictions.shape != truth.shape:
         raise StructuralError(
             f"misaligned prediction/truth sets: {predictions.shape} vs {truth.shape}")
@@ -333,6 +334,8 @@ def evaluate_methods(households: Sequence[HouseholdDataset],
     """
     if not households:
         raise StructuralError("no households to evaluate")
+    if not specs:
+        raise ConfigurationError("no methods to evaluate")
     groups = _graph_groups(specs)
     reports = [MethodReport(spec=spec, households=[]) for spec in specs]
     for hh in households:

@@ -20,10 +20,11 @@ the public affinity and session_affinity check theirs, as an AffinityMatrix.
 """
 
 import contextvars
+import functools
 import os
 import sys
 import threading
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence, TypeVar, Union
 
@@ -83,8 +84,8 @@ def _background_pool() -> ThreadPoolExecutor | None:
     are allowed and BLAS runs one thread per call: OPENBLAS_NUM_THREADS, or
     failing it OMP_NUM_THREADS, reads "1". With two BLAS threads each, two
     concurrent factorizations at n = 1,608 took 52 ms a pair on 2 vCPUs,
-    against 20.7 ms one after the other. A task keeps the rules of
-    _by_row_blocks' ``rows``, but may call _by_row_blocks, inline there."""
+    against 20.7 ms one after the other. Its tasks run through _joined, and
+    the row blocks they ask for run inline on its threads."""
     threads = os.environ.get("OPENBLAS_NUM_THREADS", os.environ.get("OMP_NUM_THREADS"))
     workers = _allowed_cpus()
     return _row_pool(workers) if threads == "1" and workers > 1 else None
@@ -100,53 +101,55 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_reset_pool_after_fork)
 
 
+def _joined(pool: ThreadPoolExecutor | None, tasks: Sequence[Callable[[], object]],
+            here: Callable[[], object] = lambda: None) -> list:
+    """[here(), *(task() for task in tasks)], with ``pool`` running the tasks
+    while the calling thread runs here(): the one join of work run beside it.
+    Each task runs in a copy of the caller's context (numpy's error state
+    carries over) that gives _warn_degeneracy the caller's frame. Waits for
+    every task submitted, also where a submit or here() raises, then raises
+    here()'s error or else the earliest task's. Without a pool, and on its own
+    threads, which must not wait on it, runs here() and then the tasks in
+    order. A task calls no public function or method, whose tracing wrappers
+    assume one thread."""
+    if pool is None or threading.current_thread().name.startswith(_POOL_THREADS):
+        return [here(), *(task() for task in tasks)]
+    context = contextvars.copy_context()
+    context.run(_WARNING_SITE.set, sys._getframe(1))  # this frame would hold itself in it
+    futures: list[Future] = []
+    try:
+        for task in tasks:
+            futures.append(pool.submit(context.copy().run, task))
+        first = here()
+    finally:
+        wait(futures)
+    return [first, *(f.result() for f in futures)]
+
+
 def _by_row_blocks(n: int, rows: Callable[[int, int], _T]) -> list[_T]:
     """``rows(start, stop)`` over contiguous row ranges that cover range(n),
     with the results in row order: _BLOCKS_PER_WORKER per allowed CPU, fewer
     where a block would have under _MIN_BLOCK_ROWS rows, none at n = 0.
 
-    From _PARALLEL_MIN_ROWS rows and with more than one allowed CPU the
-    ranges run on the pool, each in a copy of the caller's context, so
-    numpy's error state carries over; otherwise, and always on the pool's own
-    threads (_by_views' tasks among them), which must not wait on their pool,
+    From _PARALLEL_MIN_ROWS rows and with more than one allowed CPU every
+    range is a task of _joined on the pool while the caller waits; otherwise
     they run in row order on the calling thread. Callers allocate the output
     and have each range write its own rows with elementwise ops and per-row
     reductions only, so the result is bitwise the same for any split.
-    ``rows`` calls no public function or method, whose tracing wrappers assume
-    one thread.
     """
     workers = _allowed_cpus()
     count = max(1, min(_BLOCKS_PER_WORKER * workers, n // _MIN_BLOCK_ROWS))
     bounds = sorted({n * i // count for i in range(count + 1)})
-    spans = list(zip(bounds, bounds[1:]))
-    if (n < _PARALLEL_MIN_ROWS or workers == 1
-            or threading.current_thread().name.startswith(_POOL_THREADS)):
-        return [rows(start, stop) for start, stop in spans]
-    pool = _row_pool(workers)
-    futures = [pool.submit(contextvars.copy_context().run, rows, start, stop)
-               for start, stop in spans]
-    wait(futures)
-    return [f.result() for f in futures]
+    pool = None if n < _PARALLEL_MIN_ROWS or workers == 1 else _row_pool(workers)
+    return _joined(pool, [functools.partial(rows, a, b) for a, b in zip(bounds, bounds[1:])])[1:]
 
 
 def _by_views(n: int, items: Sequence, task: Callable[..., _T]) -> list[_T]:
     """[task(x) for x in items] for an n-node graph's views: below
-    _PARALLEL_MIN_ROWS, with two items or more, where _background_pool allows
-    and off its threads, the pool runs all but the first, each in a copy of the
-    caller's context giving _warn_degeneracy this frame. Waits for all, then
-    raises the earliest item's error. ``task`` keeps _by_row_blocks' rules."""
-    on_pool = threading.current_thread().name.startswith(_POOL_THREADS)
-    pool = None if len(items) < 2 or n >= _PARALLEL_MIN_ROWS or on_pool else _background_pool()
-    if pool is None:
-        return [task(x) for x in items]
-    token = _WARNING_SITE.set(sys._getframe())
-    futures = [pool.submit(contextvars.copy_context().run, task, x) for x in items[1:]]
-    _WARNING_SITE.reset(token)
-    try:
-        first = task(items[0])
-    finally:
-        wait(futures)
-    return [first] + [f.result() for f in futures]
+    _PARALLEL_MIN_ROWS, with two items or more and where _background_pool
+    allows, the first on the calling thread and the others on the pool."""
+    pool = None if len(items) < 2 or n >= _PARALLEL_MIN_ROWS else _background_pool()
+    return _joined(pool, [functools.partial(task, x) for x in items[1:]], lambda: task(items[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -353,13 +356,10 @@ class ViewDistances:
             self._nearest = _nearest_distances(self.dist, min(max(k, self.k_max), n - 1))
         return self._nearest[:, :k].mean(axis=1)
 
-    def affinity(self, rule: ScalingRule, cohort_id: str | None = None) -> np.ndarray:
+    def _affinity(self, rule: ScalingRule, cohort_id: str | None = None) -> np.ndarray:
         """Gaussian-kernel weights under a scaling rule, built by row blocks
         in one n x n buffer: under local scaling each block writes its rows of
         sigma there and the kernel overwrites them."""
-        return self._affinity(rule, cohort_id)
-
-    def _affinity(self, rule: ScalingRule, cohort_id: str | None) -> np.ndarray:
         dist = self.dist
         if isinstance(rule, UniversalScaling):
             sigma = rule.sigma
@@ -407,7 +407,7 @@ def _gaussian_kernel(n: int, scaled: Callable[[np.ndarray, int, int], object]
     valid affinity, except for NaNs where overflowing distances give inf/inf.
     Bandwidths are used as given: a d/sigma or a square that divides by zero
     or overflows to inf is the right limit, exp(-inf) = 0, and the blocks run
-    in this call's error state (see _by_row_blocks), so none of it warns.
+    in this call's error state (see _joined), so none of it warns.
     """
     w = np.empty((n, n))
 
@@ -428,7 +428,7 @@ def affinity(view: EmbeddingView, rule: ScalingRule,
              cohort_id: str | None = None) -> AffinityMatrix:
     """Gaussian-kernel affinity matrix of one view under a scaling rule."""
     k = rule.k if isinstance(rule, LocalScaling) else 1
-    return AffinityMatrix(ViewDistances(view, k).affinity(rule, cohort_id))
+    return AffinityMatrix(ViewDistances(view, k)._affinity(rule, cohort_id))
 
 
 def session_affinity(sessions: Sequence[str | None], sigma: float) -> AffinityMatrix:

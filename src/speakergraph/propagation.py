@@ -28,20 +28,18 @@ The fixed point with lam = alpha / (1 - alpha) minimizes
 objective on the graph.
 """
 
-import contextvars
 import functools
 from collections import Counter
-from concurrent.futures import Future, wait
 from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
-from .baselines import (ABSTAIN, PredictionResult, _two_step, _two_step_cosine, predict,
-                        run_csea)
+from .baselines import (ABSTAIN, PredictionResult, _class_indices, _two_step, _two_step_cosine,
+                        predict, run_csea)
 from .errors import ConfigurationError, NumericalError, StructuralError
 from .fusion import FusedGraph, _cg_route, _factor_system
-from .graph import _background_pool
+from .graph import _background_pool, _joined
 
 # Relative step size below which growth of the iteration's step is taken
 # for round-off, not divergence.
@@ -87,7 +85,7 @@ class HouseholdGraph:
     class_count: int
 
     def __post_init__(self):
-        labels = np.asarray(self.labels, dtype=int)
+        labels = _class_indices(self.labels, "labels")
         object.__setattr__(self, "labels", labels)
         if labels.ndim != 1 or labels.size < 1:
             raise StructuralError("need at least one labeled node")
@@ -154,7 +152,7 @@ def init_label_matrix(graph: HouseholdGraph,
     y0 = np.zeros((graph.n, graph.class_count))
     y0[np.arange(graph.n_labeled), graph.labels] = 1.0
     if pseudo is not None:
-        pseudo = np.asarray(pseudo, dtype=int)
+        pseudo = _class_indices(pseudo, "pseudo labels")
         if pseudo.shape != (graph.n_unlabeled,):
             raise StructuralError(
                 f"pseudo labels must cover the unlabeled range "
@@ -233,18 +231,18 @@ class SolveSchedule:
     the last spec at that alpha ends; each step 1 runs once per config.
 
     Where a 2LP's step 1 is still to run on the subgraph and its step-2 system
-    still to factor, the row pool factors that system meanwhile, where
-    graph._background_pool allows, in an array allocated on the calling thread
-    (on the worker it raised large-household's peak RSS by 17%); the worker
-    fills it by row blocks, which run inline on a pool thread. A spec whose
-    step 1 raised waits for that factorization before it ends.
+    still to factor, the row pool factors that system meanwhile, as a task of
+    graph._joined where graph._background_pool allows, in an array allocated
+    on the calling thread (on the worker it raised large-household's peak RSS
+    by 17%), and stores the factor for the specs at that alpha, also where
+    step 1 raised; the worker fills it by row blocks, inline on a pool thread.
     """
 
     def __init__(self, graph: HouseholdGraph, specs: Sequence[tuple[str, PropagationConfig]]):
         self.graph = graph
         self._alphas = {cfg.alpha for _, cfg in specs}
         self._left = Counter(cfg.alpha for _, cfg in specs)  # specs yet to end, by alpha
-        self._factors: dict[float, tuple[np.ndarray, int] | Future] = {}
+        self._factors: dict[float, tuple[np.ndarray, int]] = {}
         self._step1: dict[PropagationConfig, PredictionResult] = {}
 
     def predict(self, method: str, cfg: PropagationConfig,
@@ -257,14 +255,7 @@ class SolveSchedule:
             if method == "LP":
                 return lp()
             if method == "2LP":
-                if (has_pool and not cfg.step1_includes_heldout and cfg not in self._step1
-                        and cfg.alpha not in self._factors and cfg.solver != "iterative"
-                        and not _cg_route(graph.fused, self._alphas)
-                        and (pool := _background_pool()) is not None):
-                    self._factors[cfg.alpha] = pool.submit(
-                        contextvars.copy_context().run, _factor_system,
-                        np.empty((graph.n, graph.n)), *graph.fused._system(cfg.alpha))
-                return _two_step(has_pool, lambda: self._step_one(cfg), lp)
+                return _two_step(has_pool, lambda: self._step_one(cfg, factor_ahead=True), lp)
             emb = np.asarray(embeddings, dtype=float)
             if emb.ndim != 2 or emb.shape[0] != graph.n:
                 raise StructuralError(f"need one primary-view embedding per node ({graph.n}), "
@@ -273,7 +264,6 @@ class SolveSchedule:
                                     emb[graph.unlabeled_slice], emb[graph.heldout_slice],
                                     graph.class_count, step1=lambda: self._step_one(cfg))
         finally:
-            wait([f for f in self._factors.values() if isinstance(f, Future)])
             self._left[cfg.alpha] -= 1
             if not self._left[cfg.alpha]:
                 self._factors.pop(cfg.alpha, None)
@@ -284,7 +274,6 @@ class SolveSchedule:
         factor = None
         if cfg.solver != "iterative" and not _cg_route(graph.fused, self._alphas):
             factor = self._factors.get(cfg.alpha) if graph is self.graph else None
-            factor = factor.result() if isinstance(factor, Future) else factor
             factor = factor or graph.fused.factor(cfg.alpha)
             if graph is self.graph:
                 self._factors[cfg.alpha] = factor
@@ -296,8 +285,16 @@ class SolveSchedule:
     def _core(self) -> HouseholdGraph:
         return self.graph.without_heldout()
 
-    def _step_one(self, cfg: PropagationConfig) -> PredictionResult:
+    def _step_one(self, cfg: PropagationConfig, factor_ahead: bool = False) -> PredictionResult:
+        """Step 1 at cfg, run once; 2LP's beside its step-2 factorization (see the class)."""
         if cfg not in self._step1:
-            step1 = self.graph if cfg.step1_includes_heldout else self._core
-            self._step1[cfg] = self._solve(step1, cfg, step1.unlabeled_slice)
+            graph, pool, tasks = self.graph, None, []
+            if (factor_ahead and not cfg.step1_includes_heldout and cfg.alpha not in self._factors
+                    and cfg.solver != "iterative" and not _cg_route(graph.fused, self._alphas)
+                    and (pool := _background_pool()) is not None):
+                a, system = np.empty((graph.n, graph.n)), graph.fused._system(cfg.alpha)
+                tasks = [lambda: self._factors.setdefault(cfg.alpha, _factor_system(a, *system))]
+            self._step1[cfg] = _joined(pool, tasks, lambda: self._solve(
+                graph if cfg.step1_includes_heldout else self._core, cfg,
+                graph.unlabeled_slice))[0]
         return self._step1[cfg]

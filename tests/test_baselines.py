@@ -171,6 +171,17 @@ class TestInputs:
             with pytest.raises(StructuralError, match="embeddings must be finite"):
                 two(rows["labeled"], classes, rows["unlabeled"], rows["heldout"], 2)
 
+    @pytest.mark.parametrize("classes", [[0.9, 0.2, 1.5, 1.99], [True, False, True, False]])
+    def test_classes_that_are_not_integers_are_rejected(self, classes):
+        # [0.9, 0.2, 1.5, 1.99] was scored as classes [0, 0, 1, 1]
+        labeled = np.eye(4)[:, :3]
+        heldout, unlabeled = np.ones((1, 3)), np.ones((2, 3))
+        for one, two in ((run_cs, run_2cs), (run_csea, run_2csea)):
+            with pytest.raises(StructuralError, match="classes must be integer class indices"):
+                one(labeled, classes, heldout, 2)
+            with pytest.raises(StructuralError, match="classes must be integer class indices"):
+                two(labeled, classes, unlabeled, heldout, 2)
+
 
 class TestOracles:
     @pytest.mark.parametrize("seed", range(6))

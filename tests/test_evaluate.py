@@ -95,6 +95,15 @@ class TestSier:
         with pytest.raises(StructuralError):
             sier(np.array([0, 1]), np.array([0]))
 
+    @pytest.mark.parametrize("predictions, truth, name", [
+        ([0.5, 1.5], [0, 1], "predictions"), ([True, False], [1, 0], "predictions"),
+        ([0, 1], [0.0, 1.0], "truth"),
+    ])
+    def test_class_indices_that_are_not_integers_are_rejected(self, predictions, truth, name):
+        # both first cases were cast to [0, 1] and scored 0.0
+        with pytest.raises(StructuralError, match=f"{name} must be integer class indices"):
+            sier(predictions, truth)
+
     def test_improvement_matches_published_arithmetic(self):
         # a 1.44 -> 0.92 move is a 36.1% relative improvement
         assert 100 * relative_improvement(1.44, 0.92) == pytest.approx(36.1, abs=0.1)
@@ -204,6 +213,12 @@ class TestEvaluate:
     def test_no_households_is_a_structural_error(self):
         with pytest.raises(StructuralError, match="no households to evaluate"):
             evaluate_methods([], [MethodSpec(method="CS")])
+
+    def test_no_methods_is_a_configuration_error(self):
+        # it once returned an empty report
+        _, val = tiny_dataset()
+        with pytest.raises(ConfigurationError, match="no methods to evaluate"):
+            evaluate_methods(val, [])
 
     @pytest.mark.parametrize("spec", [MethodSpec(method="CS"), LOCAL_2LP], ids=["CS", "2LP"])
     def test_view_dimension_changed_after_validation_is_a_structural_error(self, spec):
@@ -801,7 +816,7 @@ class TestTrustedPath:
                                                   (lp, "zero"))])
         # outside evaluate_methods the messages stand alone
         with pytest.warns(DegeneracyWarning) as direct:
-            ViewDistances(EmbeddingView("face", np.ones((5, 2))), 1).affinity(LocalScaling(1, 1.0))
+            ViewDistances(EmbeddingView("face", np.ones((5, 2))), 1)._affinity(LocalScaling(1, 1.0))
         assert str(direct[0].message).startswith("zero bandwidth")
 
     @pytest.mark.parametrize("action", ["error", "ignore"])

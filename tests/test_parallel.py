@@ -50,7 +50,7 @@ from speakergraph import (
     run_method,
     session_affinity,
 )
-from speakergraph import fusion, graph
+from speakergraph import errors, fusion, graph
 from speakergraph.evaluate import HouseholdStages, build_household_graph
 from speakergraph.graph import ViewDistances
 from speakergraph.propagation import (HouseholdGraph, SolveSchedule, init_label_matrix,
@@ -112,9 +112,9 @@ def every_pass(vectors, sessions, k, s, sigma, alpha):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DegeneracyWarning)
         kernels = {
-            "universal": distances.affinity(UniversalScaling(sigma)),
-            "cohort": distances.affinity(CohortScaling({"g": sigma}), cohort_id="g"),
-            "local": distances.affinity(LocalScaling(k, s)),
+            "universal": distances._affinity(UniversalScaling(sigma)),
+            "cohort": distances._affinity(CohortScaling({"g": sigma}), cohort_id="g"),
+            "local": distances._affinity(LocalScaling(k, s)),
             "session": graph._session_kernel(sessions, sigma)}
     for name, w in kernels.items():
         # what AffinityMatrix would check holds by construction
@@ -356,15 +356,18 @@ def pool_factorizations(delay=0.0):
     or raised before its factorization ended leaves it running."""
     futures, real = [], ThreadPoolExecutor.submit
 
-    def late(*args):
-        time.sleep(delay)
-        return fusion._factor_system(*args)
-
     def submit(pool, fn, *args, **kwargs):
-        if args and args[0] is fusion._factor_system:
-            futures.append(real(pool, fn, late, *args[1:], **kwargs))
-            return futures[-1]
-        return real(pool, fn, *args, **kwargs)
+        # called from graph._joined, called from SolveSchedule._step_one
+        if sys._getframe(2).f_code is not SolveSchedule._step_one.__code__:
+            return real(pool, fn, *args, **kwargs)
+        task, = args
+
+        def late():
+            time.sleep(delay)
+            return task()
+
+        futures.append(real(pool, fn, late))
+        return futures[-1]
 
     with mock.patch.object(ThreadPoolExecutor, "submit", submit):
         yield futures
@@ -377,7 +380,7 @@ def two_step_household(n, rule):
     centers = rng.normal(size=(4, 6)) * 3.0
     classes = np.arange(n) % 4
     weights = [ViewDistances(EmbeddingView(name, centers[classes] + rng.normal(size=(n, 6))),
-                             8).affinity(LocalScaling(8, 1.0)) for name in ("voice", "face")]
+                             8)._affinity(LocalScaling(8, 1.0)) for name in ("voice", "face")]
     labeled, heldout = n // 4, n // 4
     return HouseholdGraph(fusion._fuse_weights(weights[:len(rule.view_names)], rule),
                           labels=classes[:labeled], n_unlabeled=n - labeled - heldout,
@@ -474,6 +477,37 @@ class TestStepTwoFactorsAhead:
                 evaluate_methods(val, specs)
             assert len(futures) == 1 and futures[0].done()
 
+    def test_lp_after_a_failed_step_one_uses_its_factor(self):
+        # 2LP's step 1 raises on the first household under allow_skip while
+        # the pool factors the full graph's system; LP at the same alpha, the
+        # next spec, solves with that factor, as it does on the second household
+        val = sum(generate_dataset(SimulationConfig(
+            seed=3, households_per_group=2, speakers_per_household=3,
+            utterances_per_speaker=24, labeled_per_speaker=2, unlabeled_per_household=12,
+            heldout_per_speaker=4, groups=("random",))), [])
+        specs = [MethodSpec(method=m, scaling=LocalScaling(4, 0.8), fusion=SingleView("voice"))
+                 for m in ("2LP", "LP")]
+        real, failures = fusion.FusedGraph.subgraph, iter([True])
+
+        def subgraph(fused, size):
+            if next(failures, False):
+                raise NumericalError("step 1")
+            return real(fused, size)
+
+        with inline():
+            expected = evaluate_methods(val, specs[1:]).methods[0]
+        with row_blocks(workers=2), factor_threads() as threads, \
+                pool_factorizations(0.2) as futures, \
+                mock.patch.object(fusion.FusedGraph, "subgraph", subgraph):
+            two_step, lp = evaluate_methods(val, specs, allow_skip=True).methods
+        assert [h for h, _ in two_step.skipped] == [val[0].household_id]
+        # the full graph's on the pool for each household, and on this thread
+        # only the second household's step 1
+        assert len(futures) == len(val) == 2
+        assert len(threads) == 3 and threads.count(threading.get_ident()) == 1
+        assert [(h.household_id, h.errors, h.ties, h.abstains) for h in lp.households] == \
+            [(h.household_id, h.errors, h.ties, h.abstains) for h in expected.households]
+
     @pytest.mark.parametrize("env, workers, cfg", [
         ({"OPENBLAS_NUM_THREADS": "2"}, 2, PropagationConfig()),
         ({"OPENBLAS_NUM_THREADS": "1"}, 1, PropagationConfig()),
@@ -510,17 +544,17 @@ def view_tasks(on_pool=True, slow=lambda item: False, delay=0.2, workers=2):
     futures, real = [], ThreadPoolExecutor.submit
 
     def submit(pool, fn, *args, **kwargs):
-        # called from _by_views or from a comprehension there
-        if graph._by_views.__code__ not in (sys._getframe(1).f_code, sys._getframe(2).f_code):
+        # called from graph._joined, called from _by_views
+        if sys._getframe(2).f_code is not graph._by_views.__code__:
             return real(pool, fn, *args, **kwargs)
-        task, item = args
+        task, = args
 
         def late():
-            if slow(item):
+            if slow(task.args[0]):
                 time.sleep(delay)
-            return fn(task, item)
+            return task()
 
-        futures.append(real(pool, late))
+        futures.append(real(pool, fn, late))
         return futures[-1]
 
     with row_blocks(workers=workers, min_rows=graph._PARALLEL_MIN_ROWS), \
@@ -671,6 +705,48 @@ class TestViewTasks:
         assert any(thread is not runner for thread in calls)
 
 
+@contextlib.contextmanager
+def second_submit_fails():
+    """ThreadPoolExecutor.submit as it behaves on a pool shut down after its
+    first call; yields the futures of the calls that submitted a task."""
+    submitted, real = [], ThreadPoolExecutor.submit
+
+    def submit(pool, fn, *args, **kwargs):
+        if submitted:
+            raise RuntimeError("cannot schedule new futures after shutdown")
+        submitted.append(real(pool, fn, *args, **kwargs))
+        return submitted[-1]
+
+    with mock.patch.object(ThreadPoolExecutor, "submit", submit):
+        yield submitted
+
+
+class TestJoin:
+    """graph._joined, which joins row blocks, view tasks and 2LP's step-2
+    factorization, raises only once every task it submitted has ended."""
+
+    @pytest.mark.parametrize("join", ["row blocks", "view tasks"])
+    def test_a_failed_submit_raises_after_the_submitted_task(self, join):
+        finished = []
+
+        def slow(*item):
+            time.sleep(0.2)
+            finished.append(item)
+
+        with row_blocks(workers=2, min_rows=graph._PARALLEL_MIN_ROWS), \
+                mock.patch.dict(os.environ, {"OPENBLAS_NUM_THREADS": "1"}), \
+                second_submit_fails() as submitted:
+            with pytest.raises(RuntimeError, match="after shutdown"):
+                if join == "row blocks":
+                    graph._by_row_blocks(graph._PARALLEL_MIN_ROWS + 88, slow)
+                else:
+                    graph._by_views(30, ["voice", "face", "session"], slow)
+            # before the pool shuts down, which would wait for it
+            assert len(submitted) == 1 and submitted[0].done()
+            assert finished == [(0, 75) if join == "row blocks" else ("face",)]
+        assert errors._WARNING_SITE.get() is None
+
+
 def large_view(n=600):
     return EmbeddingView("voice", np.random.default_rng(1).normal(size=(n, 8)))
 
@@ -709,7 +785,7 @@ class TestThreadsStayOutOfTheWay:
         try:
             with row_blocks(2):
                 voice = AffinityMatrix(
-                    ViewDistances(large_view(), 20).affinity(LocalScaling(20, 0.5)))
+                    ViewDistances(large_view(), 20)._affinity(LocalScaling(20, 0.5)))
                 affinities = {"voice": voice, "session": session_affinity(["a", "b"] * 300, 0.5)}
                 household = HouseholdGraph(fuse(affinities, EdgePoolFusion(tuple(affinities))),
                                            labels=[0, 1], n_unlabeled=500, n_heldout=98,
@@ -737,7 +813,7 @@ class TestThreadsStayOutOfTheWay:
         view = EmbeddingView("voice", np.zeros((300, 2)))
         with PATHS[path](), warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            ViewDistances(view, 1).affinity(LocalScaling(1, 1.0))
+            ViewDistances(view, 1)._affinity(LocalScaling(1, 1.0))
             affinity(view, LocalScaling(1, 1.0))
             # a tiny configured bandwidth is used as given, without a warning
             session_affinity(["a"] * 300, 1e-7)
@@ -768,7 +844,7 @@ class TestThreadsStayOutOfTheWay:
         view = large_view()
         rule = LocalScaling(10, 0.5)
         with row_blocks(2):
-            parent = ViewDistances(view, 10).affinity(rule)
+            parent = ViewDistances(view, 10)._affinity(rule)
             assert graph._pool is not None
             with warnings.catch_warnings():
                 # forking a process with threads warns from Python 3.12 on
@@ -777,7 +853,7 @@ class TestThreadsStayOutOfTheWay:
             if pid == 0:
                 code = 1
                 try:
-                    child = ViewDistances(view, 10).affinity(rule)
+                    child = ViewDistances(view, 10)._affinity(rule)
                     code = 0 if np.array_equal(child, parent) else 3
                 finally:
                     os._exit(code)

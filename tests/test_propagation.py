@@ -103,6 +103,13 @@ class TestHouseholdGraph:
         with pytest.raises(StructuralError, match=message):
             graph_from_w(w, labels, n_unlabeled, n_heldout, class_count)
 
+    @pytest.mark.parametrize("labels", [[0.7, 1.9], [False, True]])
+    def test_labels_that_are_not_integers_are_rejected(self, labels):
+        # they were cast to int: [0.7, 1.9] held classes [0, 1]
+        w = np.array([[0.0, 0.5], [0.5, 0.0]])
+        with pytest.raises(StructuralError, match="labels must be integer class indices"):
+            graph_from_w(w, labels, 0, 0, 2)
+
     @pytest.mark.parametrize("rule", FUSION_RULES)
     def test_step1_weights_are_views_of_the_graph(self, rule):
         rng = np.random.default_rng(3)
@@ -150,6 +157,18 @@ class TestInitLabelMatrix:
             init_label_matrix(graph, pseudo=np.array([0]))
         with pytest.raises(StructuralError):
             init_label_matrix(graph, pseudo=np.array([0, 2]))
+
+    def test_pseudo_labels_that_are_not_integers_are_rejected(self):
+        # [0.6, 1.4] was read as [0, 1]; run_lp passes pseudo labels through
+        w = 0.5 - 0.5 * np.eye(4)
+        graph = graph_from_w(w, [0, 1], 2, 0, 2)
+        with pytest.raises(StructuralError, match="pseudo labels must be integer class indices"):
+            init_label_matrix(graph, pseudo=[0.6, 1.4])
+        with pytest.raises(StructuralError, match="pseudo labels must be integer class indices"):
+            run_lp(graph, PropagationConfig(), pseudo=[0.6, 1.4])
+        # an empty pool takes empty pseudo labels of any dtype
+        empty = graph_from_w(0.5 - 0.5 * np.eye(2), [0, 1], 0, 0, 2)
+        assert np.array_equal(init_label_matrix(empty, pseudo=[]), np.eye(2))
 
 
 class TestPropagate:
