@@ -89,6 +89,12 @@ def _check_inputs(labeled, classes, heldout,
     labeled = np.asarray(labeled, dtype=float)
     classes = _class_indices(classes, "classes")
     heldout = np.atleast_2d(np.asarray(heldout, dtype=float))
+    if labeled.ndim != 2:
+        raise StructuralError(f"labeled embeddings must be one row each, got shape "
+                              f"{labeled.shape}")
+    if heldout.ndim != 2 or heldout.shape[1] != labeled.shape[1]:
+        raise StructuralError(f"embeddings to score must be rows of dimension "
+                              f"{labeled.shape[1]}, got shape {heldout.shape}")
     if labeled.shape[0] != classes.size:
         raise StructuralError("one class per labeled embedding required")
     if not (np.isfinite(labeled).all() and np.isfinite(heldout).all()):

@@ -20,8 +20,8 @@ import numpy as np
 from scipy.linalg import cython_lapack, lapack
 
 from .errors import ConfigurationError, NumericalError, StructuralError
-from .graph import (AffinityMatrix, _by_row_blocks, _by_views, _identity_minus, _mirror_upper,
-                    _propagation_operator)
+from .graph import (AffinityMatrix, _by_row_blocks, _by_views, _identity_minus, _inv_sqrt_degrees,
+                    _mirror_upper, _operator, _operator_rows, _propagation_operator)
 
 # Eigenvalue floor applied before negative matrix powers.
 NEG_POWER_EIG_FLOOR = 1e-8
@@ -135,10 +135,7 @@ def edgepool_fuse(matrices: Sequence[np.ndarray]) -> np.ndarray:
     blocks (see graph._by_row_blocks)."""
     if not matrices:
         raise ConfigurationError("edgepool_fuse needs at least one matrix")
-    n = matrices[0].shape[0]
-    for m in matrices:
-        if m.shape[0] != n:
-            raise StructuralError(f"affinity size mismatch: {m.shape[0]} != {n}")
+    n = _common_size(matrices)
     if len(matrices) == 1:
         return matrices[0]
     fused = np.empty_like(matrices[0])
@@ -151,6 +148,15 @@ def edgepool_fuse(matrices: Sequence[np.ndarray]) -> np.ndarray:
 
     _by_row_blocks(n, rows)
     return fused
+
+
+def _common_size(matrices: Sequence[np.ndarray]) -> int:
+    """The node count that every matrix shares; StructuralError otherwise."""
+    n = matrices[0].shape[0]
+    for m in matrices:
+        if m.shape[0] != n:
+            raise StructuralError(f"affinity size mismatch: {m.shape[0]} != {n}")
+    return n
 
 
 def _power_floor(p: float) -> float:
@@ -428,12 +434,24 @@ def _ratios(num: np.ndarray, den: np.ndarray) -> np.ndarray:
     return np.divide(num, den, out=np.zeros_like(num), where=num != 0.0)
 
 
-def _factor_system(a: np.ndarray, m: np.ndarray, scale: float,
+def _factor_system(a: np.ndarray, m: np.ndarray, d: np.ndarray | None, scale: float,
                    diagonal: float) -> tuple[np.ndarray, int]:
-    """a, filled with scale*m + diagonal*I by row blocks (see
-    graph._by_row_blocks) and factored in place by _potrf, and LAPACK's info."""
+    """a, filled by row blocks (see graph._by_row_blocks) with scale*m +
+    diagonal*I, or where ``d`` is given with scale*S + diagonal*I for S =
+    D^{-1/2} m D^{-1/2}, each block's S formed in place (graph._operator_rows)
+    and scaled, with the float operations of building S and then scaling it;
+    then factored in place by _potrf. Returns a and LAPACK's info."""
     n = a.shape[0]
-    _by_row_blocks(n, lambda i, j: np.multiply(m[i:j], scale, out=a[i:j]))
+
+    def rows(i, j):
+        out = a[i:j]
+        if d is None:
+            np.multiply(m[i:j], scale, out=out)
+        else:
+            _operator_rows(out, m, d, i, j)
+            out *= scale
+
+    _by_row_blocks(n, rows)
     a.flat[::n + 1] += diagonal
     return a, _potrf(a)
 
@@ -444,24 +462,36 @@ def _factor_system(a: np.ndarray, m: np.ndarray, scale: float,
 
 @dataclass(frozen=True)
 class FusedGraph:
-    """The operator of a fusion rule, plus the ``weights`` that re-fuse its
-    subgraphs: the pooled matrix for single-view and edge-pool rules, whose
-    blocks pool the views' blocks, and each view's matrix in the rule's order
-    for a power mean, whose Laplacians need each view's degrees. A block of
-    the operator is not a subgraph's operator, which must be re-normalized.
+    """The propagation operator S of a fusion rule, plus the ``weights`` that
+    re-fuse its subgraphs: the pooled matrix W for single-view and edge-pool
+    rules, whose blocks pool the views' blocks, and each view's matrix in the
+    rule's order for a power mean, whose Laplacians need each view's degrees.
+    A block of S is not a subgraph's S, which must be re-normalized.
 
-    ``operator`` is S, except for a ``harmonic`` graph (p = -1 whose floor
-    proofs hold, see _harmonic_factors), which has no operator and holds in
-    ``factors`` each view's upper Cholesky factor of M_v = L_v + shift*I (the
-    other triangle is M_v's): H = mean_v M_v^{-1}, the inverse of the fused
-    Laplacian, is applied through them, and H itself and S = I - H^{-1} are
-    built only on request.
+    A single-view or edge-pool graph has no ``operator``: it holds
+    ``inv_sqrt_degrees``, the vector d = D^{-1/2} of W, checked when the graph
+    is built, and the direct solver forms each row block of I - alpha*S from W
+    and d (see _factor_system). A power mean's ``operator`` is S = I - L,
+    except for a ``harmonic`` graph (p = -1 whose floor proofs hold, see
+    _harmonic_factors), which has no operator and holds in ``factors`` each
+    view's upper Cholesky factor of M_v = L_v + shift*I (the other triangle
+    is M_v's): H = mean_v M_v^{-1}, the inverse of the fused Laplacian, is
+    applied through them, and H itself is built only on request. An operator
+    given explicitly is used as it is; a graph needs an operator, factors or
+    d (else StructuralError). propagation_matrix() builds a missing S on its
+    first call.
     """
 
     rule: FusionRule
     weights: tuple[np.ndarray, ...]
     operator: np.ndarray | None = None
     factors: tuple[np.ndarray, ...] = ()
+    inv_sqrt_degrees: np.ndarray | None = None
+
+    def __post_init__(self):
+        if self.operator is None and not self.factors and self.inv_sqrt_degrees is None:
+            raise StructuralError("a fused graph needs an operator, factors or "
+                                  "inv_sqrt_degrees")
 
     @property
     def harmonic(self) -> bool:
@@ -472,13 +502,16 @@ class FusedGraph:
         return self.weights[0].shape[0]
 
     def propagation_matrix(self) -> np.ndarray:
-        """S for label propagation: D^{-1/2} W D^{-1/2}, or I - L when fused;
-        a harmonic graph builds it on the first call, from H's inverse."""
-        return self._harmonic_s if self.harmonic else self.operator
+        """S for label propagation: D^{-1/2} W D^{-1/2}, or I - L when fused.
+        Without an operator it is built on the first call: from W and d, or
+        for a harmonic graph from H's inverse."""
+        return self._built_s if self.operator is None else self.operator
 
     @functools.cached_property
-    def _harmonic_s(self) -> np.ndarray:
-        return _identity_minus(_harmonic_laplacian(self._mean_inverse))
+    def _built_s(self) -> np.ndarray:
+        if self.harmonic:
+            return _identity_minus(_harmonic_laplacian(self._mean_inverse))
+        return _operator(self.weights[0], self.inv_sqrt_degrees)
 
     @functools.cached_property
     def _mean_inverse(self) -> np.ndarray:
@@ -513,12 +546,15 @@ class FusedGraph:
             raise NumericalError("closed-form solution has non-finite values")
         return y
 
-    def _system(self, alpha: float) -> tuple[np.ndarray, float, float]:
-        """(m, scale, diagonal): the system that solve factors at alpha is
-        scale*m + diagonal*I, A for a harmonic graph, else I - alpha*S."""
+    def _system(self, alpha: float) -> tuple[np.ndarray, np.ndarray | None, float, float]:
+        """(m, d, scale, diagonal), _factor_system's arguments for the system
+        that solve factors at alpha: A for a harmonic graph, else I - alpha*S,
+        from the operator where there is one and else from W and d."""
         if self.harmonic:
-            return self._mean_inverse, 1.0 - alpha, alpha
-        return self.propagation_matrix(), -alpha, 1.0
+            return self._mean_inverse, None, 1.0 - alpha, alpha
+        if self.operator is None:
+            return self.weights[0], self.inv_sqrt_degrees, -alpha, 1.0
+        return self.operator, None, -alpha, 1.0
 
     def factor(self, alpha: float) -> tuple[np.ndarray, int]:
         """The system that solve factors at alpha, built in a new array by row
@@ -569,11 +605,11 @@ class FusedGraph:
 
 def _fuse_weights(weights: list[np.ndarray], rule: FusionRule) -> FusedGraph:
     """The fused graph of a rule's weights, per view or pooled; the one builder
-    of S and of harmonic graphs. The weights are kernels, trusted as
-    graph._propagation_operator says."""
+    of fused graphs. The weights are kernels, trusted as
+    graph._inv_sqrt_degrees says; a pooled graph keeps W and its d."""
     if not isinstance(rule, PowerMeanFusion):
         pooled = edgepool_fuse(weights)
-        return FusedGraph(rule=rule, weights=(pooled,), operator=_propagation_operator(pooled))
+        return FusedGraph(rule=rule, weights=(pooled,), inv_sqrt_degrees=_inv_sqrt_degrees(pooled))
     shift = rule.effective_shift
     if rule.p == -1 and (factors := _harmonic_factors(weights, shift)) is not None:
         return FusedGraph(rule=rule, weights=tuple(weights), factors=factors)
@@ -583,10 +619,14 @@ def _fuse_weights(weights: list[np.ndarray], rule: FusionRule) -> FusedGraph:
 
 
 def fuse(affinities: Mapping[str, AffinityMatrix], rule: FusionRule) -> FusedGraph:
-    """Apply a fusion rule to named per-view affinity matrices."""
+    """Apply a fusion rule to named per-view affinity matrices, which must
+    share one node count (else StructuralError, under every rule). Degree
+    errors of the weights raise here, before any solve."""
     if not isinstance(rule, (SingleView, EdgePoolFusion, PowerMeanFusion)):
         raise ConfigurationError(f"unknown fusion rule {type(rule).__name__}")
     for name in rule.view_names:
         if name not in affinities:
             raise ConfigurationError(f"fusion rule references unknown view {name!r}")
-    return _fuse_weights([affinities[name].w for name in rule.view_names], rule)
+    weights = [affinities[name].w for name in rule.view_names]
+    _common_size(weights)
+    return _fuse_weights(weights, rule)

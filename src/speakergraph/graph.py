@@ -8,11 +8,14 @@ for the session view),
 
 where the bandwidth sigma is a global constant (universal scaling), a
 per-cohort constant, or locally adapted from the mean distance to the K
-nearest neighbors of both endpoints. The module also derives the propagation
-operator D^{-1/2} W D^{-1/2} and the symmetric normalized Laplacian
-I - D^{-1/2} W D^{-1/2} that graph-level fusion combines.
+nearest neighbors of both endpoints. The module also derives the degree
+vector d = D^{-1/2} (with the degree checks), the propagation operator
+S = D^{-1/2} W D^{-1/2} and the symmetric normalized Laplacian I - S that
+graph-level fusion combines. Single-view and edge-pool graphs keep W and d
+only: the direct solver forms I - alpha*S from them row block by row block
+(_operator_rows), and S is built only on request.
 
-The n x n passes (distances, neighbor sorts, kernels and the operator) run as
+The n x n passes (distances, neighbor sorts, kernels, degrees and S) run as
 the same row blocks at every size, on one thread per allowed CPU for a large
 household (_by_row_blocks); a smaller one builds its views side by side
 (_by_views). Kernels are valid by construction (see _gaussian_kernel): only
@@ -467,7 +470,12 @@ def propagation_operator(w: np.ndarray) -> np.ndarray:
 
 
 def _propagation_operator(w: np.ndarray) -> np.ndarray:
-    """propagation_operator, the degrees and S each by row blocks. ``w``
+    """propagation_operator: _inv_sqrt_degrees, then the S pass."""
+    return _operator(w, _inv_sqrt_degrees(w))
+
+
+def _inv_sqrt_degrees(w: np.ndarray) -> np.ndarray:
+    """d = D^{-1/2} as a vector, the degrees summed by row blocks. ``w``
     holds kernels of this module (or principal submatrices or elementwise
     maxima of them), valid but for _gaussian_kernel's NaNs, which raise here."""
     n = w.shape[0]
@@ -484,15 +492,21 @@ def _propagation_operator(w: np.ndarray) -> np.ndarray:
     if bad.size:
         raise NumericalError(
             f"node {bad[0]} has subnormal degree {degrees[bad[0]]:.3e} (kernel underflow)")
-    inv_sqrt = 1.0 / np.sqrt(degrees)
+    return 1.0 / np.sqrt(degrees)
+
+
+def _operator_rows(out: np.ndarray, w: np.ndarray, d: np.ndarray, a: int, b: int) -> None:
+    """Rows a:b of S = D^{-1/2} W D^{-1/2} into ``out``, as (d_i d_j) W_ij: the
+    one formula of S's entries, which fusion._factor_system scales in place."""
+    np.multiply(d[a:b, None], d, out=out)
+    out *= w[a:b]
+
+
+def _operator(w: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """S of weights w and their d = _inv_sqrt_degrees(w), by row blocks."""
+    n = w.shape[0]
     s = np.empty((n, n))
-
-    def rows(a, b):
-        out = s[a:b]
-        np.multiply(inv_sqrt[a:b, None], inv_sqrt, out=out)
-        out *= w[a:b]
-
-    _by_row_blocks(n, rows)
+    _by_row_blocks(n, lambda a, b: _operator_rows(s[a:b], w, d, a, b))
     return s
 
 

@@ -7,8 +7,11 @@ The scores are the fixed point (1 - alpha) * (I - alpha*S)^(-1) @ Y(0) of
 solved directly by FusedGraph.solve, through a Cholesky factorization of
 I - alpha*S, which is symmetric positive definite for every S the fusion
 rules build, or, as the reference solver, by running that iteration to
-convergence. A harmonic power mean, where H = (I - S)^(-1) is the mean of
-the views' (L_v + shift*I)^(-1), solves H (I - alpha*S) y = (1 - alpha) H Y(0)
+convergence. On single-view and edge-pool graphs the direct solver forms
+I - alpha*S from W and d = D^{-1/2} (see FusedGraph); only the iteration
+reads S itself, which such a graph builds on the first request. A harmonic
+power mean, where H = (I - S)^(-1) is the mean of the views'
+(L_v + shift*I)^(-1), solves H (I - alpha*S) y = (1 - alpha) H Y(0)
 instead: by conjugate gradients through each view's Cholesky factor for a
 step count fixed by alpha and shift, or, when the step counts of the alphas
 the graph is solved at sum to more than a cap, by factoring (1 - alpha) H +
@@ -168,7 +171,11 @@ def init_label_matrix(graph: HouseholdGraph,
 def propagate(graph: HouseholdGraph, y0: np.ndarray, cfg: PropagationConfig,
               factor: tuple[np.ndarray, int] | None = None) -> PropagationOutcome:
     """Run Y(t+1) = alpha*S@Y(t) + (1-alpha)*Y(0) to (or at) its fixed point.
-    The direct solver takes ``factor`` as FusedGraph.solve does."""
+    The direct solver takes ``factor`` as FusedGraph.solve does; y0 needs
+    one row per node (else StructuralError)."""
+    if np.shape(y0)[:1] != (graph.n,):
+        raise StructuralError(f"y0 needs one row per node ({graph.n}), "
+                              f"got shape {np.shape(y0)}")
     if cfg.solver != "iterative":
         return PropagationOutcome(graph.fused.solve(cfg.alpha, y0, factor),
                                   converged=True, iterations=0)
@@ -235,7 +242,9 @@ class SolveSchedule:
     graph._joined where graph._background_pool allows, in an array allocated
     on the calling thread (on the worker it raised large-household's peak RSS
     by 17%), and stores the factor for the specs at that alpha, also where
-    step 1 raised; the worker fills it by row blocks, inline on a pool thread.
+    step 1 raised; the worker fills it by row blocks, inline on a pool thread,
+    from the arrays fusion.FusedGraph._system hands it (W and d on a
+    single-view or edge-pool graph), and calls no public function.
     """
 
     def __init__(self, graph: HouseholdGraph, specs: Sequence[tuple[str, PropagationConfig]]):

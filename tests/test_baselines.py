@@ -182,6 +182,24 @@ class TestInputs:
             with pytest.raises(StructuralError, match="classes must be integer class indices"):
                 two(labeled, classes, unlabeled, heldout, 2)
 
+    @pytest.mark.parametrize("case", ["held-out dimension", "unlabeled dimension",
+                                      "1-D labeled"])
+    def test_embeddings_of_another_shape_are_rejected(self, case):
+        # each ended in numpy's matmul ValueError
+        labeled, classes = np.eye(3)[:2], np.array([0, 1])
+        unlabeled, heldout = np.ones((2, 3)), np.ones((1, 3))
+        if case == "held-out dimension":
+            heldout = np.ones((1, 4))
+        elif case == "unlabeled dimension":
+            unlabeled = np.ones((2, 2))
+        else:
+            labeled = np.array([1.0, 2.0])
+        for one, two in ((run_cs, run_2cs), (run_csea, run_2csea)):
+            if case != "unlabeled dimension":
+                with pytest.raises(StructuralError, match="embeddings"):
+                    one(labeled, classes, heldout, 2)
+            with pytest.raises(StructuralError, match="embeddings"):
+                two(labeled, classes, unlabeled, heldout, 2)
 
 class TestOracles:
     @pytest.mark.parametrize("seed", range(6))

@@ -696,6 +696,39 @@ class TestTrustedPath:
         with pytest.raises(StructuralError, match="zero degree"):
             evaluate_methods(val, [spec])
 
+    @pytest.mark.parametrize("fusion", [SingleView("voice"),
+                                        EdgePoolFusion(("voice", "face", "session"))],
+                             ids=["single-view", "edge-pool"])
+    def test_no_propagation_operator_on_the_direct_route(self, monkeypatch, fusion):
+        # the direct solver forms I - alpha*S from W and d = D^{-1/2}: neither
+        # the full graph nor step 1's subgraph builds S
+        _, val = tiny_dataset()
+        built = [count_calls(monkeypatch, module, name)
+                 for module in (graph_module, fusion_module)
+                 for name in ("_propagation_operator", "_operator") if hasattr(module, name)]
+        specs = [replace(LOCAL_2LP, method=method, fusion=fusion)
+                 for method in ("LP", "2LP", "2LPEA")]
+        report = evaluate_methods(val, specs)
+        assert all(len(m.households) == len(val) for m in report.methods)
+        for spec in specs:
+            run_method(val[0], spec)
+        assert built and not any(built)
+
+    @pytest.mark.parametrize("fusion", [SingleView("voice"), EdgePoolFusion(("voice", "face"))],
+                             ids=["single-view", "edge-pool"])
+    def test_zero_degree_raises_when_the_graph_is_built(self, monkeypatch, fusion):
+        # every weight underflows to 0 (see the test above); the graph's
+        # degree check raises it, not a factorization
+        _, val = tiny_dataset()
+        for record in val[0].utterances:
+            record.views = {name: vec * 1e153 for name, vec in record.views.items()}
+        spec = MethodSpec(method="LP", scaling=UniversalScaling(0.01), fusion=fusion)
+        factored = count_calls(monkeypatch, fusion_module, "_potrf")
+        stages = evaluate_module.HouseholdStages(val[0], [spec])
+        with pytest.raises(StructuralError, match="zero degree"):
+            evaluate_module.build_household_graph(stages, spec)
+        assert factored == []
+
     @pytest.mark.parametrize("method, graphs", [("LP", 1), ("2LP", 2)])
     def test_harmonic_graph_factors_each_view_once(self, monkeypatch, method, graphs):
         # a p = -1 graph holds each view's Cholesky factor of L_v + shift*I and
@@ -945,7 +978,8 @@ class TestSolveSchedule:
             graph = original(stages, spec)
             if stages.records[0].household_id != val[0].household_id:
                 return graph
-            return replace(graph, fused=replace(graph.fused, operator=1.5 * graph.fused.operator))
+            s = graph.fused.propagation_matrix()
+            return replace(graph, fused=replace(graph.fused, operator=1.5 * s))
         monkeypatch.setattr(evaluate_module, "build_household_graph", steep)
         specs = [replace(LOCAL_2LP, method=method, propagation=PropagationConfig(alpha=alpha))
                  for method, alpha in (("LP", 0.5), ("2LP", 0.9), ("2LPEA", 0.9), ("LP", 0.95))]

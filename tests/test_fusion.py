@@ -3,6 +3,7 @@
 import functools
 import math
 import weakref
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -306,6 +307,75 @@ class TestFuseAndSubgraph:
         assert all(view() is None for view in views)
         assert len(fused.weights) == 1
         assert np.array_equal(fused.weights[0], pooled)
+
+    @pytest.mark.parametrize("rule", [
+        EdgePoolFusion(("voice", "face")), PowerMeanFusion(("voice", "face"), p=1.0),
+        PowerMeanFusion(("voice", "face"), p=-1.0), PowerMeanFusion(("voice", "face"), p=2.0)])
+    def test_views_of_different_sizes_raise(self, rule):
+        # a power mean ended in numpy's broadcast ValueError at p = 1 and 2,
+        # and at p = -1 built a graph from factors of two sizes
+        rng = np.random.default_rng(0)
+        affs = {"voice": random_affinity(rng, 5), "face": random_affinity(rng, 6)}
+        with pytest.raises(StructuralError, match=r"affinity size mismatch: 6 != 5"):
+            fuse(affs, rule)
+
+
+class TestOperatorFromWeights:
+    """Single-view and edge-pool graphs keep W and d = D^{-1/2}, not S:
+    propagation_matrix() builds S once, on request, and factor(alpha) forms
+    I - alpha*S from W and d, bitwise as from S given as the operator."""
+
+    RULES = [SingleView("voice"), EdgePoolFusion(("voice", "face"))]
+
+    @staticmethod
+    def build(rule, n=40):
+        rng = np.random.default_rng(n)
+        affs = {"voice": random_affinity(rng, n), "face": random_affinity(rng, n)}
+        return edgepool_fuse([affs[name].w for name in rule.view_names]), fuse(affs, rule)
+
+    @pytest.mark.parametrize("rule", RULES)
+    def test_no_operator_until_asked(self, rule):
+        pooled, fused = self.build(rule)
+        assert fused.operator is None and not fused.harmonic
+        assert np.array_equal(fused.inv_sqrt_degrees, 1.0 / np.sqrt(pooled.sum(axis=1)))
+        s = fused.propagation_matrix()
+        assert same_bits(s, propagation_operator(pooled))
+        assert fused.propagation_matrix() is s
+
+    def test_a_graph_without_operator_factors_or_degrees_is_rejected(self):
+        # without either it would factor I - alpha*W, W taken for S
+        pooled, _ = self.build(SingleView("voice"))
+        with pytest.raises(StructuralError, match="needs an operator, factors or "
+                                                  "inv_sqrt_degrees"):
+            fusion.FusedGraph(rule=SingleView("voice"), weights=(pooled,))
+
+    @pytest.mark.parametrize("rule", RULES)
+    @pytest.mark.parametrize("size", [40, 29])
+    def test_factor_equals_explicit_operator(self, rule, size):
+        # size 29 is step 1's subgraph, with its own degrees
+        _, fused = self.build(rule)
+        fused = fused.subgraph(size) if size < fused.node_count else fused
+        explicit = replace(fused, operator=propagation_operator(fused.weights[0]))
+        for alpha in (0.5, 0.9, 0.99):
+            (got, info), (expected, expected_info) = fused.factor(alpha), explicit.factor(alpha)
+            assert info == expected_info == 0
+            assert same_bits(got, expected)
+        assert "_built_s" not in vars(fused)
+
+    @pytest.mark.parametrize("rule", RULES)
+    @pytest.mark.parametrize("value, error, message", [
+        (0.0, StructuralError, "node 3 has zero degree"),
+        (1e-320, NumericalError, "node 3 has subnormal degree"),
+    ])
+    def test_degree_errors_raise_when_fused(self, rule, value, error, message):
+        w = 0.5 - 0.5 * np.eye(6)
+        w[3, :] = w[:, 3] = 0.0
+        w[3, 5] = w[5, 3] = value
+        affs = {"voice": AffinityMatrix(w), "face": AffinityMatrix(w.copy())}
+        with mock.patch.object(fusion, "_potrf", side_effect=AssertionError("factored")), \
+                pytest.raises(error, match=message):
+            fuse(affs, rule)
+
 
 
 # ---------------------------------------------------------------------------

@@ -144,7 +144,8 @@ def every_pass(vectors, sessions, k, s, sigma, alpha):
     except SpeakerGraphError as exc:
         out["S"] = type(exc), str(exc)
         return out
-    out["pool"], out["S"] = fused.weights[0], fused.operator
+    out["pool"], out["d"] = fused.weights[0], fused.inv_sqrt_degrees
+    out["S"] = fused.propagation_matrix()
     household = HouseholdGraph(fused, labels=[0, 1], n_unlabeled=len(vectors) - 2,
                                n_heldout=0, class_count=2)
     out["I - alpha S"] = i_minus_alpha_s(household, alpha)
@@ -534,6 +535,26 @@ class TestStepTwoFactorsAhead:
             assert (graph._background_pool() is not None) == expected
 
 
+class TestFactorFromWeights:
+    """A single-view or edge-pool graph forms I - alpha*S row block by row
+    block from W and d = D^{-1/2}; its factor is bitwise the factor of the
+    same graph given S as an explicit operator, inline and on the pool, on
+    the full graph and on step 1's subgraph."""
+
+    @pytest.mark.parametrize("rule", ["single view", "edge pool"])
+    @pytest.mark.parametrize("n, workers", [(96, 2), (graph._PARALLEL_MIN_ROWS + 88, 1),
+                                            (graph._PARALLEL_MIN_ROWS + 88, 2)])
+    def test_factor_equals_explicit_operator(self, n, workers, rule):
+        household = two_step_household(n, FACTOR_RULES[rule])
+        with row_blocks(workers=workers, min_rows=graph._PARALLEL_MIN_ROWS):
+            for fused in (household.fused, household.without_heldout().fused):
+                assert fused.operator is None
+                explicit = replace(fused, operator=graph.propagation_operator(fused.weights[0]))
+                got, expected = fused.factor(0.9), explicit.factor(0.9)
+                assert got[1] == expected[1] == 0
+                assert same(got[0], expected[0])
+
+
 @contextlib.contextmanager
 def view_tasks(on_pool=True, slow=lambda item: False, delay=0.2, workers=2):
     """``workers`` allowed CPUs, one BLAS thread and graphs below _PARALLEL_MIN_ROWS,
@@ -618,7 +639,8 @@ class TestViewTasks:
         assert futures and all(f.done() for f in futures)
         harmonic = rule.startswith("p = -1") and rule != "p = -1, floored"
         assert pooled.harmonic is fused.harmonic is harmonic
-        for a, b in zip(pooled.factors or (pooled.operator,), fused.factors or (fused.operator,)):
+        for a, b in zip(pooled.factors or (pooled.propagation_matrix(),),
+                        fused.factors or (fused.propagation_matrix(),)):
             assert same(a, b)
         assert same(got.labels, expected.labels) and same(got.scores, expected.scores)
         assert (got.ties, got.abstains) == (expected.ties, expected.abstains)

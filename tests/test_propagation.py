@@ -237,6 +237,17 @@ class TestPropagate:
         with pytest.raises(NumericalError, match=r"not positive definite at alpha=0\.9"):
             propagate(graph, init_label_matrix(graph), PropagationConfig(alpha=0.9))
 
+    @pytest.mark.parametrize("solver", ("auto", "iterative"))
+    @pytest.mark.parametrize("rows", (4, 6))
+    def test_y0_of_another_size_raises(self, solver, rows):
+        # the direct solver ended in an f2py ValueError from dpotrs, the
+        # iteration in a matmul one
+        graph, _, _ = cluster_household(np.random.default_rng(0), labeled=1, unlabeled=0,
+                                        heldout=0, n_classes=2, noise=1.0)
+        with pytest.raises(StructuralError, match=rf"one row per node \(2\), got shape "
+                                                  rf"\({rows}, 2\)"):
+            propagate(graph, np.ones((rows, 2)), PropagationConfig(solver=solver))
+
     def test_iterative_divergence_raises_before_any_warning(self):
         # two random weights fused by the p = -1 power mean give rho(S) = 1.187,
         # so at alpha = 0.9 the iteration grows instead of converging
