@@ -27,8 +27,8 @@ from .graph import (AffinityMatrix, _by_row_blocks, _by_views, _identity_minus, 
 NEG_POWER_EIG_FLOOR = 1e-8
 
 # Most conjugate-gradient steps, summed over the alphas a harmonic graph is
-# solved at, that it takes (see _cg_route); above it the graph builds H and
-# factors the system instead. One-thread crossovers of a single
+# solved at, that it takes (see _System); above it the graph builds H and
+# factors each system instead. One-thread crossovers of a single
 # solve: 20-25 steps at n = 368 and 38-51 at n = 1,608 (2-3 views); 32 keeps
 # the slower route within 1.52x of the faster one at both sizes.
 _CG_MAX_STEPS = 32
@@ -419,10 +419,10 @@ def _cg_steps(alpha: float, shift: float) -> int:
     return math.ceil(math.log(np.finfo(float).eps / 2.0) / math.log(rate))
 
 
-def _cg_route(graph: "FusedGraph", alphas: Iterable[float]) -> bool:
-    """Whether a graph solved at these alphas runs CG, not H (see _CG_MAX_STEPS)."""
-    return graph.harmonic and sum(_cg_steps(a, graph.rule.effective_shift)
-                                  for a in set(alphas)) <= _CG_MAX_STEPS
+def _check_y0(y0: np.ndarray, n: int) -> None:
+    """StructuralError unless y0 is 2-D with one row per node of n."""
+    if np.ndim(y0) != 2 or len(y0) != n:
+        raise StructuralError(f"y0 must be 2-D, one row per node ({n}), got shape {np.shape(y0)}")
 
 
 def _column_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -432,28 +432,6 @@ def _column_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _ratios(num: np.ndarray, den: np.ndarray) -> np.ndarray:
     """num / den, and 0 where num is 0: a column whose residual is 0 stops."""
     return np.divide(num, den, out=np.zeros_like(num), where=num != 0.0)
-
-
-def _factor_system(a: np.ndarray, m: np.ndarray, d: np.ndarray | None, scale: float,
-                   diagonal: float) -> tuple[np.ndarray, int]:
-    """a, filled by row blocks (see graph._by_row_blocks) with scale*m +
-    diagonal*I, or where ``d`` is given with scale*S + diagonal*I for S =
-    D^{-1/2} m D^{-1/2}, each block's S formed in place (graph._operator_rows)
-    and scaled, with the float operations of building S and then scaling it;
-    then factored in place by _potrf. Returns a and LAPACK's info."""
-    n = a.shape[0]
-
-    def rows(i, j):
-        out = a[i:j]
-        if d is None:
-            np.multiply(m[i:j], scale, out=out)
-        else:
-            _operator_rows(out, m, d, i, j)
-            out *= scale
-
-    _by_row_blocks(n, rows)
-    a.flat[::n + 1] += diagonal
-    return a, _potrf(a)
 
 
 # ---------------------------------------------------------------------------
@@ -471,7 +449,7 @@ class FusedGraph:
     A single-view or edge-pool graph has no ``operator``: it holds
     ``inv_sqrt_degrees``, the vector d = D^{-1/2} of W, checked when the graph
     is built, and the direct solver forms each row block of I - alpha*S from W
-    and d (see _factor_system). A power mean's ``operator`` is S = I - L,
+    and d (see _System). A power mean's ``operator`` is S = I - L,
     except for a ``harmonic`` graph (p = -1 whose floor proofs hold, see
     _harmonic_factors), which has no operator and holds in ``factors`` each
     view's upper Cholesky factor of M_v = L_v + shift*I (the other triangle
@@ -521,46 +499,9 @@ class FusedGraph:
             raise NumericalError("a view's Cholesky factor is singular")
         return h
 
-    def solve(self, alpha: float, y0: np.ndarray,
-              factor: tuple[np.ndarray, int] | None = None) -> np.ndarray:
-        """The propagation fixed point y = (1 - alpha) (I - alpha*S)^{-1} Y0;
-        NumericalError when y is not finite.
-
-        A harmonic graph solves that system times H, A y = b with A =
-        (1 - alpha) H + alpha I and b = (1 - alpha) H Y0. The solve takes
-        ``factor``, the system from factor(alpha); without one, a harmonic
-        graph on the route of _cg_route at alpha alone runs _cg_steps steps
-        of conjugate gradients, and every other graph factors the system;
-        NumericalError when it is not positive definite."""
-        if factor is None and _cg_route(self, (alpha,)):
-            y = self._cg(alpha, y0, _cg_steps(alpha, self.rule.effective_shift))
-        else:
-            a, info = self.factor(alpha) if factor is None else factor
-            if info != 0:
-                raise NumericalError(
-                    f"I - alpha*S is not positive definite at alpha={alpha}: "
-                    f"{info}-th leading minor of the array is not positive definite")
-            b = self._mean_inverse @ y0 if self.harmonic else y0
-            y = lapack.dpotrs(a.T, (1.0 - alpha) * b)[0]
-        if not np.isfinite(y).all():
-            raise NumericalError("closed-form solution has non-finite values")
-        return y
-
-    def _system(self, alpha: float) -> tuple[np.ndarray, np.ndarray | None, float, float]:
-        """(m, d, scale, diagonal), _factor_system's arguments for the system
-        that solve factors at alpha: A for a harmonic graph, else I - alpha*S,
-        from the operator where there is one and else from W and d."""
-        if self.harmonic:
-            return self._mean_inverse, None, 1.0 - alpha, alpha
-        if self.operator is None:
-            return self.weights[0], self.inv_sqrt_degrees, -alpha, 1.0
-        return self.operator, None, -alpha, 1.0
-
-    def factor(self, alpha: float) -> tuple[np.ndarray, int]:
-        """The system that solve factors at alpha, built in a new array by row
-        blocks and factored in place (see _factor_system), and LAPACK's info."""
-        n = self.node_count
-        return _factor_system(np.empty((n, n)), *self._system(alpha))
+    def system(self, alpha: float, alphas: Iterable[float] = ()) -> "_System":
+        """The propagation system at alpha, routed for alpha and ``alphas`` (see _System)."""
+        return _System(self, alpha, alphas)
 
     def _apply_h(self, x: np.ndarray) -> np.ndarray:
         """H x = mean_v M_v^{-1} x, one triangular solve pair per view."""
@@ -570,10 +511,10 @@ class FusedGraph:
         hx /= len(self.factors)
         return hx
 
-    def _cg(self, alpha: float, y0: np.ndarray, steps: int) -> np.ndarray:
-        """Conjugate gradients on A y = b from y = b/alpha, a run per column
-        with its own step and direction weights, vectorized across columns;
-        only a zero residual stops a column early."""
+    def _cg(self, alpha: float, y0: np.ndarray) -> np.ndarray:
+        """_cg_steps steps of conjugate gradients on A y = b = (1 - alpha) H Y0
+        (see _System) from y = b/alpha, a run per column with its own step and
+        direction weights, vectorized across columns; only a zero residual stops one early."""
         b = self._apply_h(y0)
         b *= 1.0 - alpha
         y = b / alpha
@@ -582,7 +523,7 @@ class FusedGraph:
         r *= -(1.0 - alpha) / alpha
         p = r.copy()
         rr = _column_dots(r, r)
-        for _ in range(steps):
+        for _ in range(_cg_steps(alpha, self.rule.effective_shift)):
             if not rr.any():
                 break
             ap = self._apply_h(p)
@@ -601,6 +542,63 @@ class FusedGraph:
         """The rule applied to the leading size x size block of the weights,
         taken as views of this graph's weights rather than copies."""
         return _fuse_weights([w[:size, :size] for w in self.weights], self.rule)
+
+
+class _System:
+    """A fused graph's propagation system at alpha, A y = (1 - alpha) b, with
+    A = I - alpha*S and b = Y0, or on a harmonic graph A = (1 - alpha) H +
+    alpha I and b = H Y0. Its route is chosen once: ``cg`` where the graph is
+    harmonic and the _cg_steps of alpha and ``alphas``, each counted once, sum
+    to at most _CG_MAX_STEPS; else a factor of A, filled from arrays read here
+    on the calling thread. ConfigurationError unless each alpha is in (0, 1)."""
+
+    def __init__(self, graph: FusedGraph, alpha: float, alphas: Iterable[float] = ()):
+        alphas = {alpha, *alphas}
+        for a in alphas:
+            if not 0.0 < a < 1.0:
+                raise ConfigurationError(f"alpha must be in (0, 1), got {a}")
+        self.graph, self.alpha, self.factored = graph, alpha, None
+        self.cg = graph.harmonic and sum(_cg_steps(a, graph.rule.effective_shift)
+                                         for a in alphas) <= _CG_MAX_STEPS
+        if self.cg:
+            return
+        # A = ((d_i d_j) m_ij) scale + diagonal I; d = 1, where there is none, keeps m bitwise
+        self._scale, self._diagonal = (1.0 - alpha, alpha) if graph.harmonic else (-alpha, 1.0)
+        m, d = ((graph._mean_inverse, None) if graph.harmonic else
+                (graph.weights[0], graph.inv_sqrt_degrees) if graph.operator is None else
+                (graph.operator, None))
+        self._m, self._d = m, np.ones(m.shape[0]) if d is None else d
+
+    def factor(self, out: np.ndarray | None = None) -> tuple[np.ndarray, int]:
+        """A in ``out`` (a new array by default), by row blocks of graph._operator_rows,
+        factored in place by _potrf off the cg route; (a, LAPACK's info) is kept as
+        ``factored`` for every solve and returned. Calls no public function (pool task)."""
+        m, d, n = self._m, self._d, self._m.shape[0]
+        a = np.empty((n, n)) if out is None else out
+        _by_row_blocks(n, lambda i, j: _operator_rows(a[i:j], m, d, i, j, self._scale))
+        a.flat[::n + 1] += self._diagonal
+        self.factored = a, _potrf(a)
+        return self.factored
+
+    def solve(self, y0: np.ndarray) -> np.ndarray:
+        """y = (1 - alpha) (I - alpha*S)^{-1} Y0, the propagation fixed point, by
+        conjugate gradients on the cg route, else through ``factored`` (factored
+        on first use). StructuralError unless y0 is 2-D with one row per node;
+        NumericalError when A is not positive definite or y is not finite."""
+        _check_y0(y0, self.graph.node_count)
+        if self.cg:
+            y = self.graph._cg(self.alpha, y0)
+        else:
+            a, info = self.factored or self.factor()
+            if info != 0:
+                raise NumericalError(
+                    f"I - alpha*S is not positive definite at alpha={self.alpha}: "
+                    f"{info}-th leading minor of the array is not positive definite")
+            b = self._m @ y0 if self.graph.harmonic else y0
+            y = lapack.dpotrs(a.T, (1.0 - self.alpha) * b)[0]
+        if not np.isfinite(y).all():
+            raise NumericalError("closed-form solution has non-finite values")
+        return y
 
 
 def _fuse_weights(weights: list[np.ndarray], rule: FusionRule) -> FusedGraph:

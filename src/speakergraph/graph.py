@@ -495,11 +495,14 @@ def _inv_sqrt_degrees(w: np.ndarray) -> np.ndarray:
     return 1.0 / np.sqrt(degrees)
 
 
-def _operator_rows(out: np.ndarray, w: np.ndarray, d: np.ndarray, a: int, b: int) -> None:
-    """Rows a:b of S = D^{-1/2} W D^{-1/2} into ``out``, as (d_i d_j) W_ij: the
-    one formula of S's entries, which fusion._factor_system scales in place."""
+def _operator_rows(out: np.ndarray, w: np.ndarray, d: np.ndarray, a: int, b: int,
+                   scale: float | None = None) -> None:
+    """Rows a:b of S = D^{-1/2} W D^{-1/2} into ``out``, as (d_i d_j) W_ij, times
+    ``scale`` where given: the one formula of S's and fusion._System's entries."""
     np.multiply(d[a:b, None], d, out=out)
     out *= w[a:b]
+    if scale is not None:
+        out *= scale
 
 
 def _operator(w: np.ndarray, d: np.ndarray) -> np.ndarray:

@@ -4,8 +4,8 @@ The scores are the fixed point (1 - alpha) * (I - alpha*S)^(-1) @ Y(0) of
 
     Y(t+1) = alpha * S @ Y(t) + (1 - alpha) * Y(0),
 
-solved directly by FusedGraph.solve, through a Cholesky factorization of
-I - alpha*S, which is symmetric positive definite for every S the fusion
+solved directly by FusedGraph.system(alpha), through a Cholesky factorization
+of I - alpha*S, which is symmetric positive definite for every S the fusion
 rules build, or, as the reference solver, by running that iteration to
 convergence. On single-view and edge-pool graphs the direct solver forms
 I - alpha*S from W and d = D^{-1/2} (see FusedGraph); only the iteration
@@ -15,8 +15,8 @@ power mean, where H = (I - S)^(-1) is the mean of the views'
 instead: by conjugate gradients through each view's Cholesky factor for a
 step count fixed by alpha and shift, or, when the step counts of the alphas
 the graph is solved at sum to more than a cap, by factoring (1 - alpha) H +
-alpha I with H built once. The specs that share a graph solve through one
-SolveSchedule, which does each solve they share once.
+alpha I with H built once; the system chooses its route once. The specs that
+share a graph solve through one SolveSchedule, which does each solve once.
 
 The iteration converges only when alpha*rho(S) < 1. The eigenvalues of S lie
 in [-1, 1] for single-view and edge-pool graphs but in [-1 - shift, 1 - shift]
@@ -41,7 +41,7 @@ import numpy as np
 from .baselines import (ABSTAIN, PredictionResult, _class_indices, _two_step, _two_step_cosine,
                         predict, run_csea)
 from .errors import ConfigurationError, NumericalError, StructuralError
-from .fusion import FusedGraph, _cg_route, _factor_system
+from .fusion import FusedGraph, _check_y0, _System
 from .graph import _background_pool, _joined
 
 # Relative step size below which growth of the iteration's step is taken
@@ -169,17 +169,14 @@ def init_label_matrix(graph: HouseholdGraph,
 
 
 def propagate(graph: HouseholdGraph, y0: np.ndarray, cfg: PropagationConfig,
-              factor: tuple[np.ndarray, int] | None = None) -> PropagationOutcome:
+              system: _System | None = None) -> PropagationOutcome:
     """Run Y(t+1) = alpha*S@Y(t) + (1-alpha)*Y(0) to (or at) its fixed point.
-    The direct solver takes ``factor`` as FusedGraph.solve does; y0 needs
-    one row per node (else StructuralError)."""
-    if np.shape(y0)[:1] != (graph.n,):
-        raise StructuralError(f"y0 needs one row per node ({graph.n}), "
-                              f"got shape {np.shape(y0)}")
+    The direct solver solves ``system``, by default graph.fused.system(alpha);
+    y0 needs to be 2-D with one row per node (else StructuralError)."""
     if cfg.solver != "iterative":
-        return PropagationOutcome(graph.fused.solve(cfg.alpha, y0, factor),
-                                  converged=True, iterations=0)
-
+        system = system or graph.fused.system(cfg.alpha)
+        return PropagationOutcome(system.solve(y0), converged=True, iterations=0)
+    _check_y0(y0, graph.n)
     s = graph.fused.propagation_matrix()
     base = (1.0 - cfg.alpha) * y0
     y = y0.copy()
@@ -233,25 +230,25 @@ def run_2lpea(graph: HouseholdGraph, embeddings: np.ndarray,
 class SolveSchedule:
     """The solves of the LP, 2LP and 2LPEA specs that share one graph, given as
     (method, PropagationConfig) pairs before any solve. The graph and its
-    step-1 subgraph take the route of fusion._cg_route on the specs' alphas;
-    the full graph's system at each alpha is factored once and dropped when
-    the last spec at that alpha ends; each step 1 runs once per config.
+    step-1 subgraph solve through FusedGraph.system on the specs' alphas; the
+    full graph's system at each alpha is kept, so factored once, until the
+    last spec at that alpha ends; each step 1 runs once per config.
 
     Where a 2LP's step 1 is still to run on the subgraph and its step-2 system
-    still to factor, the row pool factors that system meanwhile, as a task of
-    graph._joined where graph._background_pool allows, in an array allocated
-    on the calling thread (on the worker it raised large-household's peak RSS
-    by 17%), and stores the factor for the specs at that alpha, also where
-    step 1 raised; the worker fills it by row blocks, inline on a pool thread,
-    from the arrays fusion.FusedGraph._system hands it (W and d on a
-    single-view or edge-pool graph), and calls no public function.
+    still to factor, the row pool runs that system's factor() meanwhile, as a
+    task of graph._joined where graph._background_pool allows, in an array
+    allocated on the calling thread (on the worker it raised large-household's
+    peak RSS by 17%); the system keeps the factor for the specs at that alpha,
+    also where step 1 raised. The worker fills it by row blocks, inline on a
+    pool thread, from the arrays the system read on the calling thread (W and
+    d on a single-view or edge-pool graph), and calls no public function.
     """
 
     def __init__(self, graph: HouseholdGraph, specs: Sequence[tuple[str, PropagationConfig]]):
         self.graph = graph
         self._alphas = {cfg.alpha for _, cfg in specs}
         self._left = Counter(cfg.alpha for _, cfg in specs)  # specs yet to end, by alpha
-        self._factors: dict[float, tuple[np.ndarray, int]] = {}
+        self._systems: dict[float, _System] = {}
         self._step1: dict[PropagationConfig, PredictionResult] = {}
 
     def predict(self, method: str, cfg: PropagationConfig,
@@ -275,20 +272,25 @@ class SolveSchedule:
         finally:
             self._left[cfg.alpha] -= 1
             if not self._left[cfg.alpha]:
-                self._factors.pop(cfg.alpha, None)
+                self._systems.pop(cfg.alpha, None)
 
     def _solve(self, graph: HouseholdGraph, cfg: PropagationConfig, rows: slice,
                pseudo: np.ndarray | None = None) -> PredictionResult:
         """Propagate from init_label_matrix(graph, pseudo); read off ``rows``."""
-        factor = None
-        if cfg.solver != "iterative" and not _cg_route(graph.fused, self._alphas):
-            factor = self._factors.get(cfg.alpha) if graph is self.graph else None
-            factor = factor or graph.fused.factor(cfg.alpha)
-            if graph is self.graph:
-                self._factors[cfg.alpha] = factor
-        outcome = propagate(graph, init_label_matrix(graph, pseudo), cfg, factor)
+        outcome = propagate(graph, init_label_matrix(graph, pseudo), cfg,
+                            self._system_of(graph, cfg))
         return replace(predict(outcome.y, rows), converged=outcome.converged,
                        iterations=outcome.iterations)
+
+    def _system_of(self, graph: HouseholdGraph, cfg: PropagationConfig) -> _System | None:
+        """The system that graph solves at cfg on the specs' alphas, None on
+        the iterative solver; the full graph's is kept by alpha."""
+        if cfg.solver == "iterative":
+            return None
+        kept = self._systems if graph is self.graph else {}
+        if cfg.alpha not in kept:
+            kept[cfg.alpha] = graph.fused.system(cfg.alpha, self._alphas)
+        return kept[cfg.alpha]
 
     @functools.cached_property
     def _core(self) -> HouseholdGraph:
@@ -298,11 +300,11 @@ class SolveSchedule:
         """Step 1 at cfg, run once; 2LP's beside its step-2 factorization (see the class)."""
         if cfg not in self._step1:
             graph, pool, tasks = self.graph, None, []
-            if (factor_ahead and not cfg.step1_includes_heldout and cfg.alpha not in self._factors
-                    and cfg.solver != "iterative" and not _cg_route(graph.fused, self._alphas)
-                    and (pool := _background_pool()) is not None):
-                a, system = np.empty((graph.n, graph.n)), graph.fused._system(cfg.alpha)
-                tasks = [lambda: self._factors.setdefault(cfg.alpha, _factor_system(a, *system))]
+            if (factor_ahead and not cfg.step1_includes_heldout
+                    and (pool := _background_pool()) is not None
+                    and (system := self._system_of(graph, cfg)) and not system.cg
+                    and not system.factored):
+                tasks = [functools.partial(system.factor, np.empty((graph.n, graph.n)))]
             self._step1[cfg] = _joined(pool, tasks, lambda: self._solve(
                 graph if cfg.step1_includes_heldout else self._core, cfg,
                 graph.unlabeled_slice))[0]

@@ -357,7 +357,8 @@ class TestOperatorFromWeights:
         fused = fused.subgraph(size) if size < fused.node_count else fused
         explicit = replace(fused, operator=propagation_operator(fused.weights[0]))
         for alpha in (0.5, 0.9, 0.99):
-            (got, info), (expected, expected_info) = fused.factor(alpha), explicit.factor(alpha)
+            (got, info), (expected, expected_info) = (fused.system(alpha).factor(),
+                                                       explicit.system(alpha).factor())
             assert info == expected_info == 0
             assert same_bits(got, expected)
         assert "_built_s" not in vars(fused)

@@ -88,7 +88,8 @@ def same(a, b):
 
 
 def i_minus_alpha_s(household, alpha):
-    """The matrix that FusedGraph.solve hands to its Cholesky factorization."""
+    """The matrix that FusedGraph.system(alpha).solve hands to its Cholesky
+    factorization."""
     seen = []
     real = fusion._potrf
 
@@ -133,7 +134,7 @@ def every_pass(vectors, sessions, k, s, sigma, alpha):
             out[f"factor {v}"] = np.triu(factor)
         y0 = np.zeros((len(vectors), 2))
         y0[0, 0] = y0[1, 1] = 1.0
-        out["CG y"] = harmonic.solve(0.9, y0)
+        out["CG y"] = harmonic.system(0.9).solve(y0)
         assert "_mean_inverse" not in vars(harmonic)
         out["power-mean S"] = harmonic.propagation_matrix()
     except SpeakerGraphError as exc:
@@ -399,6 +400,7 @@ FACTOR_RULES = {
     "single view": SingleView("voice"),
     "edge pool": EdgePoolFusion(("voice", "face")),
     "harmonic, H route": PowerMeanFusion(("voice", "face"), p=-1.0),
+    "p = 2": PowerMeanFusion(("voice", "face"), p=2.0),
 }
 
 
@@ -550,7 +552,7 @@ class TestFactorFromWeights:
             for fused in (household.fused, household.without_heldout().fused):
                 assert fused.operator is None
                 explicit = replace(fused, operator=graph.propagation_operator(fused.weights[0]))
-                got, expected = fused.factor(0.9), explicit.factor(0.9)
+                got, expected = fused.system(0.9).factor(), explicit.system(0.9).factor()
                 assert got[1] == expected[1] == 0
                 assert same(got[0], expected[0])
 
@@ -649,7 +651,7 @@ class TestViewTasks:
         for rule, cg in (("p = -1, CG route", True), ("p = -1, H route", False)):
             fusion_rule, alphas = VIEW_RULES[rule]
             fused, _ = scheduled_2lp(view_household(), fusion_rule, alphas)
-            assert fusion._cg_route(fused, alphas) is cg, rule
+            assert fused.system(0.9, alphas).cg is cg, rule
 
     @pytest.mark.parametrize("case", ["missing view", "zero degree"])
     def test_second_view_error_raises_as_inline(self, case):
@@ -827,7 +829,7 @@ class TestThreadsStayOutOfTheWay:
                 assert futures
         finally:
             threading.setprofile(None)
-        assert ran and {"_factor_system", "_affinity", "_session_kernel", "factored"} <= set(ran)
+        assert ran and {"factor", "_affinity", "_session_kernel", "factored"} <= set(ran)
         assert public_calls == []
 
     @pytest.mark.parametrize("path", PATHS)

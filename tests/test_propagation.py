@@ -1,6 +1,7 @@
 """Label propagation solvers and the LP / 2-LP / 2-LPEA pipelines."""
 
 import math
+import re
 import warnings
 from dataclasses import replace
 from unittest import mock
@@ -237,16 +238,48 @@ class TestPropagate:
         with pytest.raises(NumericalError, match=r"not positive definite at alpha=0\.9"):
             propagate(graph, init_label_matrix(graph), PropagationConfig(alpha=0.9))
 
-    @pytest.mark.parametrize("solver", ("auto", "iterative"))
-    @pytest.mark.parametrize("rows", (4, 6))
-    def test_y0_of_another_size_raises(self, solver, rows):
+    @pytest.mark.parametrize("solve", ("auto", "iterative", "system"))
+    @pytest.mark.parametrize("p", (None, -1.0))
+    @pytest.mark.parametrize("shape", ("fewer rows", "more rows", "1-D"))
+    def test_y0_of_another_size_raises(self, solve, p, shape):
         # the direct solver ended in an f2py ValueError from dpotrs, the
-        # iteration in a matmul one
-        graph, _, _ = cluster_household(np.random.default_rng(0), labeled=1, unlabeled=0,
-                                        heldout=0, n_classes=2, noise=1.0)
-        with pytest.raises(StructuralError, match=rf"one row per node \(2\), got shape "
-                                                  rf"\({rows}, 2\)"):
-            propagate(graph, np.ones((rows, 2)), PropagationConfig(solver=solver))
+        # iteration in a matmul one; a 1-D y0 ended in an einsum ValueError on
+        # a p = -1 graph and came back as a 1-D y, which predict cannot read,
+        # on the other routes
+        rng = np.random.default_rng(0)
+        if p is None:
+            graph, _, _ = cluster_household(rng, labeled=1, unlabeled=0, heldout=0,
+                                            n_classes=2, noise=1.0)
+        else:
+            graph = harmonic_graph([random_affinity(rng, 7).w for _ in range(2)], math.log(2.0))
+            assert graph.fused.harmonic
+        n = graph.n
+        y0 = np.ones({"fewer rows": (n - 1, 2), "more rows": (n + 2, 2), "1-D": (n,)}[shape])
+        with pytest.raises(StructuralError, match=re.escape(
+                f"one row per node ({n}), got shape {y0.shape}")):
+            if solve == "system":
+                graph.fused.system(0.9).solve(y0)
+            else:
+                propagate(graph, y0, PropagationConfig(solver=solve))
+
+    @pytest.mark.parametrize("p", (None, -1.0))
+    @pytest.mark.parametrize("alpha", (1.0, 0.0, -0.5, math.nan))
+    def test_system_rejects_alpha_outside_the_unit_interval(self, p, alpha):
+        # on a p = -1 graph alpha = 1 ended in a math domain error and NaN in a
+        # NaN-to-integer one; a single-view graph returned all zeros at alpha = 1,
+        # so that every row abstained, and solved at alpha = -0.5
+        rng = np.random.default_rng(0)
+        if p is None:
+            fused = cluster_household(rng, labeled=1, unlabeled=2, heldout=0, n_classes=2)[0].fused
+        else:
+            fused = harmonic_graph([random_affinity(rng, 7).w for _ in range(2)],
+                                   math.log(2.0)).fused
+        message = re.escape(f"alpha must be in (0, 1), got {alpha}")
+        with pytest.raises(ConfigurationError, match=message):
+            PropagationConfig(alpha=alpha)
+        for args in ((alpha,), (0.9, [0.5, alpha])):
+            with pytest.raises(ConfigurationError, match=message):
+                fused.system(*args)
 
     def test_iterative_divergence_raises_before_any_warning(self):
         # two random weights fused by the p = -1 power mean give rho(S) = 1.187,
@@ -424,7 +457,7 @@ class TestHarmonicGraph:
             assert dpotri.call_count == 3 and "_mean_inverse" not in vars(fresh.fused)
         y0 = init_label_matrix(graph)
         for cfg, y, cg in zip(cfgs, scheduled, alone):
-            factored = fresh.fused.solve(cfg.alpha, y0, fresh.fused.factor(cfg.alpha))
+            factored = fresh.fused.system(cfg.alpha, [c.alpha for c in cfgs]).solve(y0)
             assert np.array_equal(y, factored[graph.heldout_slice])
             assert np.abs(y - cg).max() <= 1e-14 * np.abs(y).max()
 
@@ -436,11 +469,11 @@ class TestHarmonicGraph:
                                math.log(2.0)).fused
         y0 = np.zeros((10, 2))
         y0[:3, 0] = 1.0 / 3.0
-        y = fused.solve(0.9, y0)
+        y = fused.system(0.9).solve(y0)
         assert not y[:, 1].any()
-        alone = fused.solve(0.9, y0[:, :1])[:, 0]
+        alone = fused.system(0.9).solve(y0[:, :1])[:, 0]
         assert np.abs(y[:, 0] - alone).max() <= 1e-14 * np.abs(alone).max()
-        assert not fused.solve(0.9, np.zeros((10, 2))).any()
+        assert not fused.system(0.9).solve(np.zeros((10, 2))).any()
 
     def test_s_is_built_on_request_from_h(self):
         rng = np.random.default_rng(4)
