@@ -21,7 +21,7 @@ from .baselines import (PredictionResult, _class_indices, _normalize_rows, run_2
 # MethodSpec and the method names stay importable from this module.
 from .config import BASELINE_METHODS, LP_METHODS, METHODS, MethodSpec, apply_param
 from .errors import _WARNING_PREFIX, ConfigurationError, SpeakerGraphError, StructuralError
-from .fusion import _fuse_weights
+from .fusion import SingleView, _fuse_weights
 from .graph import (
     CohortScaling,
     EmbeddingView,
@@ -29,6 +29,7 @@ from .graph import (
     UniversalScaling,
     ViewDistances,
     _by_views,
+    _lend,
     _session_kernel,
 )
 from .propagation import HouseholdGraph, SolveSchedule
@@ -69,7 +70,12 @@ class HouseholdStages:
       k, under the same key, kept only when more than one of the specs'
       graphs reads them (see _graph_groups for which specs share one).
 
-    Affinities are built from these on each call and not kept.
+    Affinities are built from these on each call and not kept. Where the
+    specs solve more than one (graph group, alpha) system, as a sweep's do,
+    ``spare`` lists n x n buffers (see graph._lend) for the SolveSchedules'
+    systems and the kernel of a graph of one vector view, lent until the next
+    graph; a graph that builds other n x n arrays (more views, a power mean,
+    distances not kept) first drops the idle ones.
     """
 
     def __init__(self, hh: HouseholdDataset, specs: Sequence[MethodSpec]):
@@ -90,9 +96,11 @@ class HouseholdStages:
         self.truth = np.array([class_of[r.speaker] for r in self.records[l + u:]], dtype=int)
         self.k_max = max((s.scaling.k for s in specs if isinstance(s.scaling, LocalScaling)),
                          default=1)
-        graphs = [specs[g[0]] for g in _graph_groups(specs) if not specs[g[0]].is_baseline]
-        readers = Counter((name, spec.unit_normalize)
-                          for spec in graphs for name in set(spec.fusion.view_names))
+        groups = [g for g in _graph_groups(specs) if not specs[g[0]].is_baseline]
+        systems = len({(g[0], specs[i].propagation.alpha) for g in groups for i in g})
+        self.spare, self._lent = ([] if systems > 1 else None), None
+        readers = Counter((name, specs[g[0]].unit_normalize)
+                          for g in groups for name in set(specs[g[0]].fusion.view_names))
         self._shared = {key for key, count in readers.items() if count > 1}
         self._matrices: dict[tuple[str, bool], np.ndarray] = {}
         self._distances: dict[tuple[str, bool], ViewDistances] = {}
@@ -112,7 +120,7 @@ class HouseholdStages:
             self._matrices[key] = matrix
         return self._matrices[key]
 
-    def _affinity(self, name: str, spec: MethodSpec) -> np.ndarray:
+    def _affinity(self, name: str, spec: MethodSpec, out: np.ndarray | None = None) -> np.ndarray:
         if name == SESSION_VIEW:
             return _session_kernel([r.session_id for r in self.records], spec.session_sigma)
         view_key = (name, spec.unit_normalize)
@@ -120,7 +128,18 @@ class HouseholdStages:
             EmbeddingView(name, self._matrix(*view_key)), self.k_max)
         if view_key in self._shared:
             self._distances[view_key] = distances
-        return distances._affinity(spec.scaling, self.group)
+        return distances._affinity(spec.scaling, self.group, out)
+
+    def _lend_kernel(self, spec: MethodSpec) -> np.ndarray | None:
+        """The spare array for the kernel of spec's graph, or None (see the class)."""
+        name, n, spare = spec.fusion.view_names[0], len(self.records), self.spare
+        one_kernel = spare is not None and name != SESSION_VIEW and spec.fusion == SingleView(name)
+        if self._lent is not None:  # the previous graph's, whose specs have all ended
+            spare.append(self._lent.base)
+        if spare and not (one_kernel and (name, spec.unit_normalize) in self._distances):
+            spare.clear()
+        self._lent = _lend(spare, n, n) if one_kernel else None
+        return self._lent
 
 
 def build_household_graph(stages: HouseholdStages, spec: MethodSpec) -> HouseholdGraph:
@@ -128,11 +147,12 @@ def build_household_graph(stages: HouseholdStages, spec: MethodSpec) -> Househol
 
     The session view always uses the fixed bandwidth spec.session_sigma;
     cohort scaling is keyed by the household's group tag. Each view named is
-    built once, as a task of graph._by_views.
+    built once, as a task of graph._by_views, in a buffer stages may lend.
     """
     names = list(dict.fromkeys(spec.fusion.view_names))
+    out = stages._lend_kernel(spec)
     built = dict(zip(names, _by_views(len(stages.records), names,
-                                      lambda name: stages._affinity(name, spec))))
+                                      lambda name: stages._affinity(name, spec, out))))
     weights = [built[name] for name in spec.fusion.view_names]
     return HouseholdGraph(fused=_fuse_weights(weights, spec.fusion), labels=stages.labels,
                           n_unlabeled=stages.n_unlabeled, n_heldout=stages.truth.size,
@@ -163,7 +183,7 @@ def _predictions(stages: HouseholdStages, specs: Sequence[MethodSpec]
     try:
         schedule = None if specs[0].is_baseline else _attributed(stages, specs[0], lambda: (
             SolveSchedule(build_household_graph(stages, specs[0]),
-                          [(spec.method, spec.propagation) for spec in specs])))
+                          [(spec.method, spec.propagation) for spec in specs], stages.spare)))
     except SpeakerGraphError as exc:
         yield from [exc] * len(specs)
         return

@@ -155,6 +155,14 @@ def _by_views(n: int, items: Sequence, task: Callable[..., _T]) -> list[_T]:
     return _joined(pool, [functools.partial(task, x) for x in items[1:]], lambda: task(items[0]))
 
 
+def _lend(spare: list[np.ndarray] | None, n: int, m: int) -> np.ndarray:
+    """A new m x m array without ``spare``; else one on the first m^2 elements
+    of its last flat n^2 buffer, popped, or of a new one (m <= n). Lend and give
+    back (spare.append(a.base)) on the calling thread, a pool task's array too."""
+    flat = spare.pop() if spare else np.empty(m * m if spare is None else n * n)
+    return flat[:m * m].reshape(m, m)
+
+
 # ---------------------------------------------------------------------------
 # Views
 # ---------------------------------------------------------------------------
@@ -359,10 +367,11 @@ class ViewDistances:
             self._nearest = _nearest_distances(self.dist, min(max(k, self.k_max), n - 1))
         return self._nearest[:, :k].mean(axis=1)
 
-    def _affinity(self, rule: ScalingRule, cohort_id: str | None = None) -> np.ndarray:
+    def _affinity(self, rule: ScalingRule, cohort_id: str | None = None,
+                  out: np.ndarray | None = None) -> np.ndarray:
         """Gaussian-kernel weights under a scaling rule, built by row blocks
-        in one n x n buffer: under local scaling each block writes its rows of
-        sigma there and the kernel overwrites them."""
+        in one n x n buffer, ``out`` where given: under local scaling each
+        block writes its rows of sigma there and the kernel overwrites them."""
         dist = self.dist
         if isinstance(rule, UniversalScaling):
             sigma = rule.sigma
@@ -384,26 +393,26 @@ class ViewDistances:
             if zero_sigma:
                 _warn_degeneracy("zero bandwidth under local scaling (duplicate embeddings?)")
 
-            def scaled(out, a, b):
-                np.add(means[a:b, None], means, out=out)
-                out *= s
-                out /= 2.0
-                np.divide(dist[a:b], out, out=out)
+            def scaled(rows, a, b):
+                np.add(means[a:b, None], means, out=rows)
+                rows *= s
+                rows /= 2.0
+                np.divide(dist[a:b], rows, out=rows)
                 if zero_sigma:  # d/0 = inf weighs 0; a duplicate pair's 0/0 weighs 1
-                    np.copyto(out, 0.0, where=dist[a:b] == 0.0)
+                    np.copyto(rows, 0.0, where=dist[a:b] == 0.0)
 
-            return _gaussian_kernel(dist.shape[0], scaled)
+            return _gaussian_kernel(dist.shape[0], scaled, out)
         else:
             raise ConfigurationError(f"unknown scaling rule {type(rule).__name__}")
         return _gaussian_kernel(dist.shape[0],
-                                lambda out, a, b: np.divide(dist[a:b], sigma, out=out))
+                                lambda rows, a, b: np.divide(dist[a:b], sigma, out=rows), out)
 
 
-def _gaussian_kernel(n: int, scaled: Callable[[np.ndarray, int, int], object]
-                     ) -> np.ndarray:
+def _gaussian_kernel(n: int, scaled: Callable[[np.ndarray, int, int], object],
+                     out: np.ndarray | None = None) -> np.ndarray:
     """exp(-(dist/sigma)^2) with a zero diagonal, computed by row blocks in
-    one n x n buffer; ``scaled(out, start, stop)`` writes rows start:stop of
-    dist/sigma into ``out``, those rows of the buffer.
+    one n x n buffer, ``out`` where given; ``scaled(out, start, stop)`` writes
+    rows start:stop of dist/sigma into ``out``, those rows of the buffer.
 
     dist and sigma must be exactly symmetric, as pairwise_distances and
     s * (m_i + m_j) / 2 are; every step is elementwise, so the kernel is a
@@ -412,7 +421,7 @@ def _gaussian_kernel(n: int, scaled: Callable[[np.ndarray, int, int], object]
     or overflows to inf is the right limit, exp(-inf) = 0, and the blocks run
     in this call's error state (see _joined), so none of it warns.
     """
-    w = np.empty((n, n))
+    w = np.empty((n, n)) if out is None else out
 
     def rows(a, b):
         out = w[a:b]

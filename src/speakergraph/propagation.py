@@ -42,7 +42,7 @@ from .baselines import (ABSTAIN, PredictionResult, _class_indices, _two_step, _t
                         predict, run_csea)
 from .errors import ConfigurationError, NumericalError, StructuralError
 from .fusion import FusedGraph, _check_y0, _System
-from .graph import _background_pool, _joined
+from .graph import _background_pool, _joined, _lend
 
 # Relative step size below which growth of the iteration's step is taken
 # for round-off, not divergence.
@@ -242,12 +242,17 @@ class SolveSchedule:
     also where step 1 raised. The worker fills it by row blocks, inline on a
     pool thread, from the arrays the system read on the calling thread (W and
     d on a single-view or edge-pool graph), and calls no public function.
+
+    Systems fill arrays of graph._lend, from ``spare`` where given, which go
+    back when the system is dropped (the subgraph's after step 1), clearing
+    ``factored``. predict runs each pair as often as given, else StructuralError.
     """
 
-    def __init__(self, graph: HouseholdGraph, specs: Sequence[tuple[str, PropagationConfig]]):
-        self.graph = graph
+    def __init__(self, graph: HouseholdGraph, specs: Sequence[tuple[str, PropagationConfig]],
+                 spare: list[np.ndarray] | None = None):
+        self.graph, self._spare = graph, spare
         self._alphas = {cfg.alpha for _, cfg in specs}
-        self._left = Counter(cfg.alpha for _, cfg in specs)  # specs yet to end, by alpha
+        self._left = Counter(specs)  # predictions yet to run, by (method, cfg)
         self._systems: dict[float, _System] = {}
         self._step1: dict[PropagationConfig, PredictionResult] = {}
 
@@ -255,6 +260,9 @@ class SolveSchedule:
                 embeddings: np.ndarray | None = None) -> PredictionResult:
         """One spec's held-out predictions, as run_lp, run_2lp or run_2lpea
         (which reads ``embeddings``) computes them."""
+        if not self._left[method, cfg]:
+            raise StructuralError(f"({method!r}, {cfg}) is not scheduled, or ran as often")
+        self._left[method, cfg] -= 1
         graph, has_pool = self.graph, self.graph.n_unlabeled > 0
         lp = functools.partial(self._solve, graph, cfg, graph.heldout_slice)
         try:
@@ -270,17 +278,25 @@ class SolveSchedule:
                                     emb[graph.unlabeled_slice], emb[graph.heldout_slice],
                                     graph.class_count, step1=lambda: self._step_one(cfg))
         finally:
-            self._left[cfg.alpha] -= 1
-            if not self._left[cfg.alpha]:
-                self._systems.pop(cfg.alpha, None)
+            if not any(left for (_, c), left in self._left.items() if c.alpha == cfg.alpha):
+                self._drop(self._systems.pop(cfg.alpha, None))
 
     def _solve(self, graph: HouseholdGraph, cfg: PropagationConfig, rows: slice,
                pseudo: np.ndarray | None = None) -> PredictionResult:
         """Propagate from init_label_matrix(graph, pseudo); read off ``rows``."""
-        outcome = propagate(graph, init_label_matrix(graph, pseudo), cfg,
-                            self._system_of(graph, cfg))
+        system = self._system_of(graph, cfg)
+        if system is not None and not system.cg and not system.factored:
+            system.factor(_lend(self._spare, self.graph.n, graph.n))
+        outcome = propagate(graph, init_label_matrix(graph, pseudo), cfg, system)
+        if graph is not self.graph:
+            self._drop(system)
         return replace(predict(outcome.y, rows), converged=outcome.converged,
                        iterations=outcome.iterations)
+
+    def _drop(self, system: _System | None) -> None:
+        if self._spare is not None and system is not None and system.factored:
+            self._spare.append(system.factored[0].base)
+            system.factored = None
 
     def _system_of(self, graph: HouseholdGraph, cfg: PropagationConfig) -> _System | None:
         """The system that graph solves at cfg on the specs' alphas, None on
@@ -304,7 +320,7 @@ class SolveSchedule:
                     and (pool := _background_pool()) is not None
                     and (system := self._system_of(graph, cfg)) and not system.cg
                     and not system.factored):
-                tasks = [functools.partial(system.factor, np.empty((graph.n, graph.n)))]
+                tasks = [functools.partial(system.factor, _lend(self._spare, graph.n, graph.n))]
             self._step1[cfg] = _joined(pool, tasks, lambda: self._solve(
                 graph if cfg.step1_includes_heldout else self._core, cfg,
                 graph.unlabeled_slice))[0]

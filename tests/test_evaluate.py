@@ -1,15 +1,19 @@
 """SIER arithmetic, evaluation reports, and sweeps."""
 
+import contextlib
 import copy
 import functools
 import importlib
 import itertools
+import os
 import re
 import sys
 import threading
+import tracemalloc
 import warnings
 import weakref
 from dataclasses import replace
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -999,6 +1003,186 @@ class TestSolveSchedule:
                 f"NumericalError: I - alpha*S is not positive definite at alpha={alpha}: ")
         with pytest.raises(NumericalError, match="at alpha=0.9:"):
             evaluate_methods(val, specs)
+
+
+@functools.cache
+def perfbench_harness():
+    """perfbench's harness module, for its workloads' specs and TINY sizes."""
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+    try:
+        return importlib.import_module("harness")
+    finally:
+        sys.path.pop(0)
+
+
+def workload_specs(workload):
+    """A perfbench workload's spec list: its specs, or its sweep's grid points."""
+    if workload.grid is None:
+        return list(workload.specs)
+    return [spec for _, spec in evaluate_module._grid_points(workload.grid, workload.specs[0])]
+
+
+@functools.cache
+def first_seed7_dev_household():
+    return generate_dataset(SimulationConfig(seed=7))[0][0]
+
+
+@contextlib.contextmanager
+def allowed_cpus(workers):
+    """``workers`` allowed CPUs and one BLAS thread, on a fresh row pool that
+    is shut down on exit."""
+    with mock.patch.multiple(graph_module, _pool=None, _allowed_cpus=lambda: workers), \
+            mock.patch.dict(os.environ, {"OPENBLAS_NUM_THREADS": "1"}):
+        try:
+            yield
+        finally:
+            if graph_module._pool is not None:
+                graph_module._pool.shutdown()
+
+
+def no_spare_buffers(monkeypatch):
+    """Every HouseholdStages without spare buffers, so its graphs build their
+    kernels and its schedules their systems in new arrays."""
+    init = evaluate_module.HouseholdStages.__init__
+
+    def without(stages, *args):
+        init(stages, *args)
+        stages.spare = None
+    monkeypatch.setattr(evaluate_module.HouseholdStages, "__init__", without)
+
+
+class TestSpareBuffers:
+    """Where a household's specs solve more than one (graph group, alpha)
+    system, its single-view kernels and its system fills reuse a few n x n
+    buffers; predictions are bitwise those of fresh arrays."""
+
+    def swept(self, monkeypatch, workers, keep=True):
+        """Labels and scores of each perfbench sweep point on one household,
+        in run order, the buffer under each _potrf call (None unless
+        ``keep``, which holds them all alive), and the ``out`` buffer (or
+        None) that each kernel was given."""
+        predictions, buffers, kernels = [], [], []
+        real_predict, real_potrf = evaluate_module._predict, fusion_module._potrf
+        real_kernel = graph_module._gaussian_kernel
+
+        def kernel(n, scaled, out=None):
+            kernels.append(None if out is None else out.base)
+            return real_kernel(n, scaled, out)
+
+        def predict(stages, spec, schedule):
+            pred = real_predict(stages, spec, schedule)
+            predictions.append((pred.labels, pred.scores))
+            return pred
+
+        def potrf(a):
+            buffers.append(a.base if keep else None)
+            return real_potrf(a)
+        monkeypatch.setattr(evaluate_module, "_predict", predict)
+        monkeypatch.setattr(fusion_module, "_potrf", potrf)
+        monkeypatch.setattr(graph_module, "_gaussian_kernel", kernel)
+        workload = perfbench_harness().WORKLOADS["sweep"]
+        with allowed_cpus(workers):
+            sweep([first_seed7_dev_household()], workload.grid, workload.specs[0])
+        monkeypatch.undo()
+        return predictions, buffers, kernels
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_sweep_bitwise_on_two_buffers(self, monkeypatch, workers):
+        reused, buffers, kernels = self.swept(monkeypatch, workers)
+        no_spare_buffers(monkeypatch)
+        fresh, fresh_buffers, fresh_kernels = self.swept(monkeypatch, workers, keep=False)
+        assert len(reused) == len(fresh) == 27
+        for (labels, scores), (fresh_labels, fresh_scores) in zip(reused, fresh):
+            assert labels.tobytes() == fresh_labels.tobytes()
+            assert scores.tobytes() == fresh_scores.tobytes()
+        # 9 graphs x 3 alphas, each a full graph and a step-1 subgraph
+        assert len(buffers) == len(fresh_buffers) == 54
+        assert len({id(b) for b in buffers}) <= 2
+        # each graph's one kernel is lent too, and with the systems' takes
+        # a third buffer at most
+        assert len(kernels) == len(fresh_kernels) == 9
+        assert all(k is not None for k in kernels) and fresh_kernels == [None] * 9
+        assert len({id(b) for b in buffers + kernels}) <= 3
+        n = len(first_seed7_dev_household().utterances)
+        assert all(b.size == n * n for b in buffers + kernels)
+
+    def test_a_returned_system_factors_again(self):
+        # LP at 0.5 returns its system's buffer; LP at 0.9 fills its own
+        # system in it, so a solve at 0.5 must factor again, not read it
+        household = build_household_graph_for(tiny_val(0)[0], LOCAL_2LP)
+        spare = []
+        low, high = PropagationConfig(alpha=0.5), PropagationConfig(alpha=0.9)
+        schedule = propagation_module.SolveSchedule(household, [("LP", low), ("LP", high)],
+                                                    spare)
+        system = schedule._system_of(household, low)
+        schedule.predict("LP", low)
+        assert system.factored is None and len(spare) == 1
+        schedule.predict("LP", high)
+        y0 = propagation_module.init_label_matrix(household)
+        expected = household.fused.system(0.5).solve(y0)
+        assert system.solve(y0).tobytes() == expected.tobytes()
+
+    def test_predict_keeps_its_count(self):
+        household = build_household_graph_for(tiny_val(0)[0], LOCAL_2LP)
+        cfg = PropagationConfig(alpha=0.9)
+        schedule = propagation_module.SolveSchedule(household, [("2LP", cfg), ("LP", cfg)])
+        schedule.predict("2LP", cfg)
+        for method, config in (("2LP", cfg), ("2LPEA", cfg), ("LP", replace(cfg, alpha=0.5))):
+            with pytest.raises(StructuralError, match=re.escape(f"({method!r}, {config})")):
+                schedule.predict(method, config)
+        assert schedule._systems  # LP at 0.9 is still to run
+        schedule.predict("LP", cfg)
+        assert not schedule._systems
+        with pytest.raises(StructuralError, match="is not scheduled"):
+            schedule.predict("LP", cfg)
+
+    @pytest.mark.parametrize("name", ["single-view", "multi-view", "sweep", "large-household"])
+    def test_peak_memory_no_higher(self, monkeypatch, name):
+        # The tracemalloc peak of one household through evaluate_methods on
+        # the workload's spec list at TINY sizes (n = 76), with and without
+        # spare buffers: the least of three runs after one untraced run, as
+        # Python's own allocations add up to 3 KB to some runs. On one allowed
+        # CPU: under the pool the peak moves with how the threads interleave
+        # numpy's ufunc buffers, some 128 KB, or 2.8 n^2 at this size. The
+        # bound, 0.25 n^2 or 11.6 KB, allows the list and its array views
+        # (0.5 to 5.2 KB measured, whatever n is) but no n x n buffer, 46 KB.
+        harness = perfbench_harness()
+        workload = harness.WORKLOADS[name]
+        specs = workload_specs(workload)
+        dev, val = generate_dataset(SimulationConfig(
+            seed=7, **{**workload.simulation, **harness.TINY}))
+        household = (dev if workload.split == "dev" else val)[0]
+        has_spare = name != "single-view"  # one graph at one alpha
+        assert (evaluate_module.HouseholdStages(household, specs).spare is not None) == has_spare
+
+        def peak():
+            evaluate_methods([household], specs)
+            peaks = []
+            for _ in range(3):
+                tracemalloc.start()
+                try:
+                    evaluate_methods([household], specs)
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+            return min(peaks)
+
+        with allowed_cpus(1):
+            reused = peak()
+            no_spare_buffers(monkeypatch)
+            fresh = peak()
+        n2_bytes = 8 * len(household.utterances) ** 2
+        assert reused <= fresh + 0.25 * n2_bytes
+
+    def test_run_method_keeps_no_spare_buffers(self):
+        household = tiny_val(0)[0]
+        for spec in MULTI_VIEW_SPECS + [LOCAL_2LP]:
+            assert evaluate_module.HouseholdStages(household, [spec]).spare is None
+
+
+def build_household_graph_for(household, spec):
+    return evaluate_module.build_household_graph(
+        evaluate_module.HouseholdStages(household, [spec]), spec)
 
 
 class TestPowerOfTwoInvariance:
