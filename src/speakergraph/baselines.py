@@ -67,7 +67,11 @@ ABSTAIN = -1  # the label of a row that no class reaches
 def predict(scores: np.ndarray, rows: slice | np.ndarray | None = None) -> PredictionResult:
     """The one label rule, on ``scores[rows]``: per-row argmax with lowest-index
     tie-break, rows with a tied maximum flagged, and all-zero rows (no class
-    reaches them) ABSTAIN, not counted as ties."""
+    reaches them) ABSTAIN, not counted as ties. StructuralError unless the
+    scores are a matrix with a column per class, one class at least."""
+    if np.ndim(scores) != 2 or not np.shape(scores)[1]:
+        raise StructuralError(f"scores must be a row of class scores per node, got shape "
+                              f"{np.shape(scores)}")
     block = scores if rows is None else scores[rows]
     abstain = np.all(block == 0.0, axis=1)
     tied = (block == block.max(axis=1, keepdims=True)).sum(axis=1) > 1

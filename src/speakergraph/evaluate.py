@@ -94,6 +94,8 @@ class HouseholdStages:
                 raise StructuralError(
                     f"{r.utt_id}: speaker {r.speaker!r} has zero enrolled utterances")
         self.truth = np.array([class_of[r.speaker] for r in self.records[l + u:]], dtype=int)
+        if self.truth.size == 0:
+            raise StructuralError(f"household {hh.household_id}: no held-out utterances to score")
         self.k_max = max((s.scaling.k for s in specs if isinstance(s.scaling, LocalScaling)),
                          default=1)
         groups = [g for g in _graph_groups(specs) if not specs[g[0]].is_baseline]
@@ -362,10 +364,6 @@ def evaluate_methods(households: Sequence[HouseholdDataset],
         start = time.perf_counter()
         try:
             stages = HouseholdStages(hh, specs)
-            truth = stages.truth
-            if truth.size == 0:
-                raise StructuralError(
-                    f"household {hh.household_id}: no held-out utterances to score")
         except SpeakerGraphError as exc:
             outcomes = [(i, exc) for i in range(len(specs))]
         else:
@@ -380,7 +378,7 @@ def evaluate_methods(households: Sequence[HouseholdDataset],
             else:
                 reports[i].households.append(HouseholdResult(
                     household_id=hh.household_id, group=hh.group,
-                    errors=int(np.sum(pred.labels != truth)), heldout=truth.size,
+                    errors=int(np.sum(pred.labels != stages.truth)), heldout=stages.truth.size,
                     ties=len(pred.ties), abstains=len(pred.abstains),
                     converged=pred.converged, seconds=now - start))
             start = now

@@ -21,7 +21,7 @@ from scipy.linalg import cython_lapack, lapack
 
 from .errors import ConfigurationError, NumericalError, StructuralError
 from .graph import (AffinityMatrix, _by_row_blocks, _by_views, _identity_minus, _inv_sqrt_degrees,
-                    _mirror_upper, _operator, _operator_rows, _propagation_operator)
+                    _laplacian, _mirror_upper, _operator, _operator_rows)
 
 # Eigenvalue floor applied before negative matrix powers.
 NEG_POWER_EIG_FLOOR = 1e-8
@@ -69,6 +69,16 @@ def _potrf(a: np.ndarray) -> int:
 # Rules
 # ---------------------------------------------------------------------------
 
+def _view_tuple(names: Iterable[str], fusion: str) -> tuple[str, ...]:
+    """A multi-view rule's view names as a tuple; ConfigurationError for none
+    or for one string, whose letters are not view names."""
+    if isinstance(names, str):
+        raise ConfigurationError(f"{fusion} fusion needs a sequence of view names, got {names!r}")
+    if not (names := tuple(names)):
+        raise ConfigurationError(f"{fusion} fusion needs at least one view")
+    return names
+
+
 @dataclass(frozen=True)
 class SingleView:
     view_name: str
@@ -85,9 +95,7 @@ class EdgePoolFusion:
     view_names: tuple[str, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "view_names", tuple(self.view_names))
-        if not self.view_names:
-            raise ConfigurationError("edge-pool fusion needs at least one view")
+        object.__setattr__(self, "view_names", _view_tuple(self.view_names, "edge-pool"))
 
 
 @dataclass(frozen=True)
@@ -103,9 +111,7 @@ class PowerMeanFusion:
     shift: float | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "view_names", tuple(self.view_names))
-        if not self.view_names:
-            raise ConfigurationError("power-mean fusion needs at least one view")
+        object.__setattr__(self, "view_names", _view_tuple(self.view_names, "power-mean"))
         if not (math.isfinite(self.p) and self.p != 0):
             raise ConfigurationError(f"power-mean p must be finite and nonzero, got {self.p}")
         if self.shift is not None:
@@ -364,13 +370,6 @@ def _power_mean(shifted: list[np.ndarray], p: float) -> np.ndarray:
     return _finite(sum(shifted) / len(shifted) if p == 1 else _floored_power_mean(shifted, p))
 
 
-def _shifted_laplacian(w: np.ndarray, shift: float) -> np.ndarray:
-    """L + shift*I of valid weights w, in L's array."""
-    lap = _identity_minus(_propagation_operator(w))
-    lap.flat[::lap.shape[0] + 1] += shift
-    return lap
-
-
 def _harmonic_factors(weights: Sequence[np.ndarray],
                       shift: float) -> tuple[np.ndarray, ...] | None:
     """Each view's upper Cholesky factor of M_v = L_v + shift*I, factored in
@@ -394,7 +393,7 @@ def _harmonic_factors(weights: Sequence[np.ndarray],
         return None
 
     def factored(w):
-        m = _shifted_laplacian(w, shift)
+        m = _laplacian(w, shift)
         return m, _inf_norm(m), _potrf(m)
 
     mats, norms, infos = zip(*_by_views(n, weights, factored))
@@ -612,7 +611,7 @@ def _fuse_weights(weights: list[np.ndarray], rule: FusionRule) -> FusedGraph:
     if rule.p == -1 and (factors := _harmonic_factors(weights, shift)) is not None:
         return FusedGraph(rule=rule, weights=tuple(weights), factors=factors)
     fused = _power_mean(_by_views(len(weights[0]), weights,
-                                  lambda w: _shifted_laplacian(w, shift)), rule.p)
+                                  lambda w: _laplacian(w, shift)), rule.p)
     return FusedGraph(rule=rule, weights=tuple(weights), operator=_identity_minus(fused))
 
 

@@ -10,10 +10,10 @@ where the bandwidth sigma is a global constant (universal scaling), a
 per-cohort constant, or locally adapted from the mean distance to the K
 nearest neighbors of both endpoints. The module also derives the degree
 vector d = D^{-1/2} (with the degree checks), the propagation operator
-S = D^{-1/2} W D^{-1/2} and the symmetric normalized Laplacian I - S that
-graph-level fusion combines. Single-view and edge-pool graphs keep W and d
-only: the direct solver forms I - alpha*S from them row block by row block
-(_operator_rows), and S is built only on request.
+S = D^{-1/2} W D^{-1/2} and, in its array, L + shift*I (_laplacian) for the
+symmetric normalized Laplacian L = I - S that graph-level fusion combines.
+Single-view and edge-pool graphs keep W and d only: the direct solver forms
+I - alpha*S from them by row blocks (_operator_rows); S is built on request.
 
 The n x n passes (distances, neighbor sorts, kernels, degrees and S) run as
 the same row blocks at every size, on one thread per allowed CPU for a large
@@ -199,6 +199,11 @@ class EmbeddingView:
 # Scaling rules
 # ---------------------------------------------------------------------------
 
+def _is_integer(value) -> bool:
+    """Whether value is an int or a numpy integer, and not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class UniversalScaling:
     """One global bandwidth for every edge."""
@@ -237,7 +242,7 @@ class LocalScaling:
     s: float
 
     def __post_init__(self):
-        if isinstance(self.k, bool) or not isinstance(self.k, (int, np.integer)) or self.k < 1:
+        if not _is_integer(self.k) or self.k < 1:
             raise ConfigurationError(f"local k must be an integer >= 1, got {self.k!r}")
         if not self.s > 0:
             raise ConfigurationError(f"local s must be > 0, got {self.s}")
@@ -250,6 +255,13 @@ ScalingRule = Union[UniversalScaling, CohortScaling, LocalScaling]
 # Matrices
 # ---------------------------------------------------------------------------
 
+def _check_square(w: np.ndarray) -> None:
+    """StructuralError unless w has the shape of a square matrix."""
+    shape = np.shape(w)
+    if len(shape) != 2 or shape[0] != shape[1]:
+        raise StructuralError(f"affinity matrix must be square, got {shape}")
+
+
 @dataclass(frozen=True)
 class AffinityMatrix:
     """Symmetric nonnegative edge-weight matrix with zero diagonal."""
@@ -258,8 +270,7 @@ class AffinityMatrix:
 
     def __post_init__(self):
         w = np.asarray(self.w, dtype=float)
-        if w.ndim != 2 or w.shape[0] != w.shape[1]:
-            raise StructuralError(f"affinity matrix must be square, got {w.shape}")
+        _check_square(w)
         if w.size == 0:
             raise StructuralError("affinity matrix is empty")
         lo, hi = w.min(), w.max()
@@ -474,12 +485,9 @@ def _session_kernel(sessions: Sequence[str | None], sigma: float) -> np.ndarray:
 
 
 def propagation_operator(w: np.ndarray) -> np.ndarray:
-    """S = D^{-1/2} W D^{-1/2} with degree checks."""
-    return _propagation_operator(w)
-
-
-def _propagation_operator(w: np.ndarray) -> np.ndarray:
-    """propagation_operator: _inv_sqrt_degrees, then the S pass."""
+    """S = D^{-1/2} W D^{-1/2} of valid weights w, with degree checks;
+    StructuralError unless w is a square matrix."""
+    _check_square(w)
     return _operator(w, _inv_sqrt_degrees(w))
 
 
@@ -524,8 +532,16 @@ def _operator(w: np.ndarray, d: np.ndarray) -> np.ndarray:
 
 def normalized_laplacian(w: np.ndarray) -> np.ndarray:
     """Symmetric normalized Laplacian L = I - D^{-1/2} W D^{-1/2} of valid weights w,
-    built in S's array."""
-    return _identity_minus(_propagation_operator(w))
+    with degree checks; StructuralError unless w is a square matrix."""
+    _check_square(w)
+    return _laplacian(w)
+
+
+def _laplacian(w: np.ndarray, shift: float = 0.0) -> np.ndarray:
+    """L + shift*I of valid weights w, built in S's array: the one Laplacian builder."""
+    lap = _identity_minus(_operator(w, _inv_sqrt_degrees(w)))
+    lap.flat[::lap.shape[0] + 1] += shift
+    return lap
 
 
 def _identity_minus(m: np.ndarray) -> np.ndarray:

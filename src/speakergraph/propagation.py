@@ -42,7 +42,7 @@ from .baselines import (ABSTAIN, PredictionResult, _class_indices, _two_step, _t
                         predict, run_csea)
 from .errors import ConfigurationError, NumericalError, StructuralError
 from .fusion import FusedGraph, _check_y0, _System
-from .graph import _background_pool, _joined, _lend
+from .graph import _background_pool, _is_integer, _joined, _lend
 
 # Relative step size below which growth of the iteration's step is taken
 # for round-off, not divergence.
@@ -65,8 +65,7 @@ class PropagationConfig:
             raise ConfigurationError(f"alpha must be in (0, 1), got {self.alpha}")
         if not self.tol > 0:
             raise ConfigurationError(f"tol must be > 0, got {self.tol}")
-        if (isinstance(self.max_iter, bool) or not isinstance(self.max_iter, (int, np.integer))
-                or self.max_iter < 1):
+        if not _is_integer(self.max_iter) or self.max_iter < 1:
             raise ConfigurationError(f"max_iter must be an integer >= 1, got {self.max_iter!r}")
         if self.solver not in ("auto", "iterative", "closed_form"):
             raise ConfigurationError(f"unknown solver {self.solver!r}")
@@ -88,6 +87,9 @@ class HouseholdGraph:
     class_count: int
 
     def __post_init__(self):
+        for name in ("n_unlabeled", "n_heldout", "class_count"):
+            if not _is_integer(value := getattr(self, name)):
+                raise StructuralError(f"{name} must be an integer, got {value!r}")
         labels = _class_indices(self.labels, "labels")
         object.__setattr__(self, "labels", labels)
         if labels.ndim != 1 or labels.size < 1:

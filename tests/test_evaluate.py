@@ -50,7 +50,7 @@ from speakergraph import (
 )
 from speakergraph.config import BASELINE_METHODS, METHODS, apply_param
 from speakergraph.graph import ViewDistances
-from speakergraph.records import HouseholdDataset, UtteranceRecord
+from speakergraph.records import ROLE_HELDOUT, HouseholdDataset, UtteranceRecord
 
 evaluate_module = importlib.import_module("speakergraph.evaluate")
 fusion_module = importlib.import_module("speakergraph.fusion")
@@ -543,6 +543,21 @@ class TestEvaluateMethods:
         for two_step, step2 in (("2CS", "CS"), ("2CSEA", "CSEA"), ("2LP", "LP"),
                                 ("2LPEA", "CSEA")):
             assert rows[two_step] == rows[step2], two_step
+
+    @pytest.mark.parametrize("spec", SINGLE_VIEW_SPECS, ids=lambda spec: spec.method)
+    def test_a_household_without_heldout_utterances_is_rejected(self, spec):
+        # run_method once returned empty labels and an empty truth for it,
+        # where evaluate_methods raised; both raise, and allow_skip skips it
+        _, val = tiny_dataset(seed=1)
+        hh = replace(val[0], utterances=[r for r in val[0].utterances if r.role != ROLE_HELDOUT])
+        message = f"household {hh.household_id}: no held-out utterances to score"
+        with pytest.raises(StructuralError, match=message):
+            run_method(hh, spec)
+        with pytest.raises(StructuralError, match=message):
+            evaluate_methods([hh, val[1]], [spec])
+        report = evaluate_methods([hh, val[1]], [spec], allow_skip=True)
+        assert report.methods[0].skipped == [(hh.household_id, f"StructuralError: {message}")]
+        assert [h.household_id for h in report.methods[0].households] == [val[1].household_id]
 
     def test_a_view_named_twice_by_one_graph_is_not_kept(self):
         # one graph builds a view it names twice once (see

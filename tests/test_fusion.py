@@ -255,6 +255,14 @@ class TestFuseAndSubgraph:
         with pytest.raises(ConfigurationError):
             self.build(SingleView("nope"))
 
+    @pytest.mark.parametrize("rule", [EdgePoolFusion, lambda views: PowerMeanFusion(views, p=1.0)],
+                             ids=["edge-pool", "power-mean"])
+    def test_a_string_of_view_names_is_rejected(self, rule):
+        # its letters were the view names: "voice" named views v, o, i, c and e
+        with pytest.raises(ConfigurationError, match="a sequence of view names, got 'voice'"):
+            rule("voice")
+        assert rule(["voice"]).view_names == ("voice",)
+
     @staticmethod
     def fused_leading_blocks(affs, rule, m):
         """fuse of C-contiguous copies of every view's leading m x m block."""

@@ -21,6 +21,7 @@ from speakergraph import (
     affinity,
     normalized_laplacian,
     pairwise_distances,
+    predict,
     propagation_operator,
     session_affinity,
 )
@@ -368,6 +369,18 @@ class TestNormalizedLaplacian:
                                      [0.0, 1.0, 1.0, 0.0]]))
         with pytest.raises(NumericalError, match="node 0"):
             propagation_operator(w.w)
+
+    @pytest.mark.parametrize("function, array, message", [
+        (predict, np.zeros(3), r"row of class scores per node, got shape \(3,\)"),
+        (predict, np.zeros((2, 2, 2)), r"row of class scores per node, got shape \(2, 2, 2\)"),
+        (predict, np.zeros((3, 0)), r"row of class scores per node, got shape \(3, 0\)"),
+        (propagation_operator, np.ones((3, 4)), r"must be square, got \(3, 4\)"),
+        (normalized_laplacian, np.ones(3), r"must be square, got \(3,\)"),
+    ], ids=["predict-1d", "predict-3d", "predict-no-class", "operator-3x4", "laplacian-1d"])
+    def test_public_array_functions_reject_a_wrong_shape(self, function, array, message):
+        # each ended in a raw numpy error, or for 3-D scores in 2-D labels
+        with pytest.raises(StructuralError, match=message):
+            function(array)
 
     def test_non_finite_weights(self):
         # a NaN pair, as inf/inf gives a kernel where distances overflow

@@ -98,11 +98,22 @@ class TestHouseholdGraph:
         ([0, 0], 0, 0, 1, "class_count must be >= 2, got 1"),
         ([0, 1], -1, 1, 2, "negative partition size"),
         ([0, 1], 1, -1, 2, "negative partition size"),
+        # 4.0 unlabeled nodes ended in a TypeError from a slice, 4.0 held-out
+        # nodes solved, True counted as 1 and 2.5 classes ended in a TypeError
+        ([0, 1], 4.0, 0, 2, "n_unlabeled must be an integer, got 4.0"),
+        ([0, 1], 0, 4.0, 2, "n_heldout must be an integer, got 4.0"),
+        ([0, 1], True, 0, 2, "n_unlabeled must be an integer, got True"),
+        ([0, 1], 0, 0, 2.5, "class_count must be an integer, got 2.5"),
     ])
     def test_constructor_rejects(self, labels, n_unlabeled, n_heldout, class_count, message):
         w = np.array([[0.0, 0.5], [0.5, 0.0]])
         with pytest.raises(StructuralError, match=message):
             graph_from_w(w, labels, n_unlabeled, n_heldout, class_count)
+
+    def test_numpy_integer_partition_sizes_are_accepted(self):
+        w = random_affinity(np.random.default_rng(0), 10).w
+        graph = graph_from_w(w, [0, 1], np.int64(4), np.int64(4), np.int64(2))
+        assert run_lp(graph, PropagationConfig()).labels.shape == (4,)
 
     @pytest.mark.parametrize("labels", [[0.7, 1.9], [False, True]])
     def test_labels_that_are_not_integers_are_rejected(self, labels):
