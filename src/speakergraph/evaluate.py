@@ -21,7 +21,7 @@ from .baselines import (PredictionResult, _class_indices, _normalize_rows, run_2
 # MethodSpec and the method names stay importable from this module.
 from .config import BASELINE_METHODS, LP_METHODS, METHODS, MethodSpec, apply_param
 from .errors import _WARNING_PREFIX, ConfigurationError, SpeakerGraphError, StructuralError
-from .fusion import SingleView, _fuse_weights
+from .fusion import EdgePoolFusion, SingleView, _fuse_weights, _max_into
 from .graph import (
     CohortScaling,
     EmbeddingView,
@@ -70,12 +70,13 @@ class HouseholdStages:
       k, under the same key, kept only when more than one of the specs'
       graphs reads them (see _graph_groups for which specs share one).
 
-    Affinities are built from these on each call and not kept. Where the
+    Affinities are built from these on each call and not kept. A view whose
+    distances are not kept has its kernel built in their buffer. Where the
     specs solve more than one (graph group, alpha) system, as a sweep's do,
     ``spare`` lists n x n buffers (see graph._lend) for the SolveSchedules'
-    systems and the kernel of a graph of one vector view, lent until the next
-    graph; a graph that builds other n x n arrays (more views, a power mean,
-    distances not kept) first drops the idle ones.
+    systems and the kernel of a graph of one vector view whose distances are
+    kept, lent until the next graph; a graph that builds other n x n arrays
+    (more views, a power mean, distances not kept) first drops the idle ones.
     """
 
     def __init__(self, hh: HouseholdDataset, specs: Sequence[MethodSpec]):
@@ -130,15 +131,19 @@ class HouseholdStages:
             EmbeddingView(name, self._matrix(*view_key)), self.k_max)
         if view_key in self._shared:
             self._distances[view_key] = distances
+        else:  # the distances' only reader: the kernel takes their buffer
+            out = distances.dist
         return distances._affinity(spec.scaling, self.group, out)
 
     def _lend_kernel(self, spec: MethodSpec) -> np.ndarray | None:
         """The spare array for the kernel of spec's graph, or None (see the class)."""
         name, n, spare = spec.fusion.view_names[0], len(self.records), self.spare
-        one_kernel = spare is not None and name != SESSION_VIEW and spec.fusion == SingleView(name)
+        key = (name, spec.unit_normalize)
+        one_kernel = (spare is not None and name != SESSION_VIEW and key in self._shared
+                      and spec.fusion == SingleView(name))
         if self._lent is not None:  # the previous graph's, whose specs have all ended
             spare.append(self._lent.base)
-        if spare and not (one_kernel and (name, spec.unit_normalize) in self._distances):
+        if spare and not (one_kernel and key in self._distances):
             spare.clear()
         self._lent = _lend(spare, n, n) if one_kernel else None
         return self._lent
@@ -149,13 +154,17 @@ def build_household_graph(stages: HouseholdStages, spec: MethodSpec) -> Househol
 
     The session view always uses the fixed bandwidth spec.session_sigma;
     cohort scaling is keyed by the household's group tag. Each view named is
-    built once, as a task of graph._by_views, in a buffer stages may lend.
+    built once, as a task of graph._by_views, in a buffer stages may lend or
+    in its distances' (see HouseholdStages). The kernels are this call's own,
+    so edge pooling accumulates in the first one.
     """
     names = list(dict.fromkeys(spec.fusion.view_names))
     out = stages._lend_kernel(spec)
     built = dict(zip(names, _by_views(len(stages.records), names,
                                       lambda name: stages._affinity(name, spec, out))))
     weights = [built[name] for name in spec.fusion.view_names]
+    if isinstance(spec.fusion, EdgePoolFusion) and len(weights) > 1:
+        weights = [_max_into(weights[0], weights)]
     return HouseholdGraph(fused=_fuse_weights(weights, spec.fusion), labels=stages.labels,
                           n_unlabeled=stages.n_unlabeled, n_heldout=stages.truth.size,
                           class_count=stages.class_count)

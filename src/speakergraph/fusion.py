@@ -20,8 +20,8 @@ import numpy as np
 from scipy.linalg import cython_lapack, lapack
 
 from .errors import ConfigurationError, NumericalError, StructuralError
-from .graph import (AffinityMatrix, _by_row_blocks, _by_views, _identity_minus, _inv_sqrt_degrees,
-                    _laplacian, _mirror_upper, _operator, _operator_rows)
+from .graph import (AffinityMatrix, _by_row_blocks, _by_views, _check_square, _identity_minus,
+                    _inv_sqrt_degrees, _laplacian, _mirror_upper, _operator, _operator_rows)
 
 # Eigenvalue floor applied before negative matrix powers.
 NEG_POWER_EIG_FLOOR = 1e-8
@@ -137,30 +137,35 @@ FusionRule = Union[SingleView, EdgePoolFusion, PowerMeanFusion]
 def edgepool_fuse(matrices: Sequence[np.ndarray]) -> np.ndarray:
     """Elementwise maximum across views' weights; keeps symmetry and the zero
     diagonal. A single matrix is returned as it is; with more, the inputs are
-    left unchanged and the maximum is accumulated in one new array, by row
-    blocks (see graph._by_row_blocks)."""
+    left unchanged and the maximum is accumulated in one new array (see
+    _max_into). StructuralError unless every input is a square matrix of one size."""
     if not matrices:
         raise ConfigurationError("edgepool_fuse needs at least one matrix")
-    n = _common_size(matrices)
+    _common_size(matrices)
     if len(matrices) == 1:
         return matrices[0]
-    fused = np.empty_like(matrices[0])
+    return _max_into(np.empty_like(matrices[0]), matrices)
+
+
+def _max_into(out: np.ndarray, matrices: Sequence[np.ndarray]) -> np.ndarray:
+    """The elementwise maximum of two or more n x n matrices, accumulated in
+    ``out`` by row blocks (see graph._by_row_blocks); ``out`` may be the first."""
 
     def rows(a, b):
-        out = fused[a:b]
-        np.maximum(matrices[0][a:b], matrices[1][a:b], out=out)
+        block = out[a:b]
+        np.maximum(matrices[0][a:b], matrices[1][a:b], out=block)
         for m in matrices[2:]:
-            np.maximum(out, m[a:b], out=out)
+            np.maximum(block, m[a:b], out=block)
 
-    _by_row_blocks(n, rows)
-    return fused
+    _by_row_blocks(out.shape[0], rows)
+    return out
 
 
 def _common_size(matrices: Sequence[np.ndarray]) -> int:
-    """The node count that every matrix shares; StructuralError otherwise."""
-    n = matrices[0].shape[0]
+    """The node count of square matrices that share one; StructuralError otherwise."""
     for m in matrices:
-        if m.shape[0] != n:
+        _check_square(m)
+        if m.shape[0] != (n := matrices[0].shape[0]):
             raise StructuralError(f"affinity size mismatch: {m.shape[0]} != {n}")
     return n
 
@@ -179,7 +184,10 @@ def _factor_inverse(factor: np.ndarray, overwrite: bool = False) -> np.ndarray |
 
 
 def _inf_norm(m: np.ndarray) -> float:
-    return np.abs(m).sum(axis=1).max()
+    """max_i sum_j |m_ij|, the row sums taken by row blocks: each row sums as in one pass."""
+    sums = np.empty(m.shape[0])
+    _by_row_blocks(m.shape[0], lambda a, b: np.abs(m[a:b]).sum(axis=1, out=sums[a:b]))
+    return sums.max()
 
 
 def _weyl_bound_holds(norms: Sequence[float]) -> bool:
@@ -366,8 +374,15 @@ def pml_fuse(laplacians: Sequence[np.ndarray], p: float,
 
 def _power_mean(shifted: list[np.ndarray], p: float) -> np.ndarray:
     """The power mean of exactly symmetric shifted Laplacians: their mean at
-    p = 1, else by floored eigendecompositions (see _floored_power_mean)."""
-    return _finite(sum(shifted) / len(shifted) if p == 1 else _floored_power_mean(shifted, p))
+    p = 1, accumulated in the first one's array (the caller's own), else by
+    floored eigendecompositions (see _floored_power_mean). The mean starts
+    from 0 + L_0, so a -0 entry becomes +0 as in sum(shifted)."""
+    if p != 1:
+        return _finite(_floored_power_mean(shifted, p))
+    acc = np.add(shifted[0], 0.0, out=shifted[0])
+    for m in shifted[1:]:
+        acc += m
+    return _finite(np.divide(acc, len(shifted), out=acc))
 
 
 def _harmonic_factors(weights: Sequence[np.ndarray],

@@ -382,7 +382,9 @@ class ViewDistances:
                   out: np.ndarray | None = None) -> np.ndarray:
         """Gaussian-kernel weights under a scaling rule, built by row blocks
         in one n x n buffer, ``out`` where given: under local scaling each
-        block writes its rows of sigma there and the kernel overwrites them."""
+        block writes its rows of sigma there and the kernel overwrites them.
+        ``out`` may be ``dist``, left holding the kernel: the neighbor sort
+        reads dist first, and each block its zero mask (sigma in a scratch)."""
         dist = self.dist
         if isinstance(rule, UniversalScaling):
             sigma = rule.sigma
@@ -405,12 +407,14 @@ class ViewDistances:
                 _warn_degeneracy("zero bandwidth under local scaling (duplicate embeddings?)")
 
             def scaled(rows, a, b):
-                np.add(means[a:b, None], means, out=rows)
-                rows *= s
-                rows /= 2.0
-                np.divide(dist[a:b], rows, out=rows)
+                sigma_rows = np.empty_like(rows) if out is dist else rows
+                np.add(means[a:b, None], means, out=sigma_rows)
+                sigma_rows *= s
+                sigma_rows /= 2.0
+                zero = dist[a:b] == 0.0 if zero_sigma else None
+                np.divide(dist[a:b], sigma_rows, out=rows)
                 if zero_sigma:  # d/0 = inf weighs 0; a duplicate pair's 0/0 weighs 1
-                    np.copyto(rows, 0.0, where=dist[a:b] == 0.0)
+                    np.copyto(rows, 0.0, where=zero)
 
             return _gaussian_kernel(dist.shape[0], scaled, out)
         else:
@@ -423,7 +427,8 @@ def _gaussian_kernel(n: int, scaled: Callable[[np.ndarray, int, int], object],
                      out: np.ndarray | None = None) -> np.ndarray:
     """exp(-(dist/sigma)^2) with a zero diagonal, computed by row blocks in
     one n x n buffer, ``out`` where given; ``scaled(out, start, stop)`` writes
-    rows start:stop of dist/sigma into ``out``, those rows of the buffer.
+    rows start:stop of dist/sigma into ``out``, those rows of the buffer,
+    reading only those rows of dist, so the buffer may be dist's own.
 
     dist and sigma must be exactly symmetric, as pairwise_distances and
     s * (m_i + m_j) / 2 are; every step is elementwise, so the kernel is a

@@ -38,12 +38,16 @@ from speakergraph import (
     SpeakerGraphError,
     StructuralError,
     UniversalScaling,
+    affinity,
+    edgepool_fuse,
     evaluate,
     evaluate_methods,
     generate_dataset,
     micro_average,
+    pairwise_distances,
     relative_improvement,
     run_method,
+    session_affinity,
     sier,
     sweep,
     tune_cohort_sigmas,
@@ -1170,22 +1174,10 @@ class TestSpareBuffers:
         has_spare = name != "single-view"  # one graph at one alpha
         assert (evaluate_module.HouseholdStages(household, specs).spare is not None) == has_spare
 
-        def peak():
-            evaluate_methods([household], specs)
-            peaks = []
-            for _ in range(3):
-                tracemalloc.start()
-                try:
-                    evaluate_methods([household], specs)
-                    peaks.append(tracemalloc.get_traced_memory()[1])
-                finally:
-                    tracemalloc.stop()
-            return min(peaks)
-
         with allowed_cpus(1):
-            reused = peak()
+            reused = traced_peak(lambda: evaluate_methods([household], specs))
             no_spare_buffers(monkeypatch)
-            fresh = peak()
+            fresh = traced_peak(lambda: evaluate_methods([household], specs))
         n2_bytes = 8 * len(household.utterances) ** 2
         assert reused <= fresh + 0.25 * n2_bytes
 
@@ -1193,6 +1185,154 @@ class TestSpareBuffers:
         household = tiny_val(0)[0]
         for spec in MULTI_VIEW_SPECS + [LOCAL_2LP]:
             assert evaluate_module.HouseholdStages(household, [spec]).spare is None
+
+
+def traced_peak(run):
+    """tracemalloc's peak bytes over run(): the least of three runs after one
+    untraced run, as Python's own allocations add up to 3 KB to some runs."""
+    run()
+    peaks = []
+    for _ in range(3):
+        tracemalloc.start()
+        try:
+            run()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    return min(peaks)
+
+
+@functools.cache
+def first_seed7_multi_view_household():
+    harness = perfbench_harness()
+    return generate_dataset(SimulationConfig(
+        seed=7, **harness.WORKLOADS["multi-view"].simulation))[1][0]
+
+
+@functools.cache
+def household_of_size(unlabeled, duplicates=False):
+    """The first val household of tiny_dataset with ``unlabeled`` unlabeled
+    utterances (n = 18 + unlabeled), and with ``duplicates``, a fresh copy
+    whose first eight nodes in graph order share one voice and one face vector."""
+    household = tiny_dataset(unlabeled_per_household=unlabeled, utterances_per_speaker=200)[1][0]
+    if duplicates:
+        household = copy.deepcopy(household)
+        first, *rest = household.ordered()[:8]
+        for record in rest:
+            record.views = {name: vector.copy() for name, vector in first.views.items()}
+    return household
+
+
+class TestPeakMemory:
+    """Per-spec tracemalloc peaks through run_method on one allowed CPU, in
+    n^2 doubles. Each kernel is built in its distances' buffer, edge pooling
+    accumulates in the first view's kernel, and the power-mean routes build
+    no n x n temporaries: the arithmetic mean accumulates in the first
+    shifted Laplacian, infinity norms sum by row blocks. Each bound lies
+    between the peak measured without those changes and with them, the two
+    figures in each comment; numpy's ufunc buffers, some 128 KB, are 0.12 n^2
+    at n = 368."""
+
+    @pytest.mark.parametrize("index, bound", [
+        (0, 3.65),  # 2LP, edge pool of voice, face and session: 4.10 -> 3.23
+        (1, 4.7),   # LP, power mean at p = 1: 5.22 -> 4.22
+        (2, 4.7),   # LP, harmonic (p = -1): 5.10 -> 4.35
+        (3, 6.2),   # 2LP, harmonic (p = -1): 6.48 -> 5.89
+    ], ids=["2LP-edge-pool", "LP-p1", "LP-p-1", "2LP-p-1"])
+    def test_multi_view_specs(self, index, bound):
+        household = first_seed7_multi_view_household()  # n = 368
+        spec = perfbench_harness().WORKLOADS["multi-view"].specs[index]
+        with allowed_cpus(1):
+            peak = traced_peak(lambda: run_method(household, spec))
+        assert peak <= bound * 8 * len(household.utterances) ** 2
+
+    def test_edge_pool_above_the_parallel_threshold(self):
+        household = household_of_size(530)  # n = 548, row blocks on the pool where allowed
+        assert len(household.utterances) >= graph_module._PARALLEL_MIN_ROWS
+        spec = perfbench_harness().WORKLOADS["multi-view"].specs[0]
+        with allowed_cpus(1):
+            peak = traced_peak(lambda: run_method(household, spec))
+        assert peak <= 3.6 * 8 * len(household.utterances) ** 2  # 4.07 -> 3.12
+
+
+def recorded_distances(monkeypatch):
+    """Every ViewDistances that evaluate builds, in order."""
+    made = []
+
+    class Recorded(ViewDistances):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+    monkeypatch.setattr(evaluate_module, "ViewDistances", Recorded)
+    return made
+
+
+class TestKernelInDistanceBuffer:
+    """Where a household keeps no distances for a view, its kernel is built
+    in their buffer, bitwise the public affinity, and an edge pool
+    accumulates in the first view's kernel; kept distances stay whole."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("unlabeled", [100, 530], ids=["n=118", "n=548"])
+    @pytest.mark.parametrize("duplicates", [False, True], ids=["distinct", "duplicates"])
+    @pytest.mark.parametrize("unit_normalize", [False, True], ids=["raw", "unit"])
+    @pytest.mark.parametrize("rule", [UniversalScaling(0.7), CohortScaling({"random": 1.3}),
+                                      LocalScaling(k=5, s=0.8)],
+                             ids=["universal", "cohort", "local"])
+    def test_single_view(self, monkeypatch, rule, unit_normalize, duplicates, unlabeled,
+                         workers):
+        household = household_of_size(unlabeled, duplicates=duplicates)
+        spec = MethodSpec("LP", scaling=rule, fusion=SingleView("voice"),
+                          unit_normalize=unit_normalize)
+        made = recorded_distances(monkeypatch)
+        stages = evaluate_module.HouseholdStages(household, [spec])
+        view = EmbeddingView("voice", stages._matrix("voice", unit_normalize))
+        with allowed_cpus(workers), warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", DegeneracyWarning)
+            w = evaluate_module.build_household_graph(stages, spec).fused.weights[0]
+            expected = affinity(view, rule, household.group).w
+        assert len(made) == 1 and w is made[0].dist
+        assert w.tobytes() == expected.tobytes()
+        # the zero-bandwidth mask ran where eight nodes coincide
+        zero_bandwidth = any("zero bandwidth" in str(c.message) for c in caught)
+        assert zero_bandwidth == (duplicates and isinstance(rule, LocalScaling))
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("unlabeled", [100, 530], ids=["n=118", "n=548"])
+    @pytest.mark.parametrize("views", [("voice", "face", "session"), ("session", "face", "voice"),
+                                       ("face", "voice", "face")])
+    def test_edge_pool(self, monkeypatch, views, unlabeled, workers):
+        household = household_of_size(unlabeled, duplicates=True)
+        rule = LocalScaling(k=5, s=0.8)
+        spec = MethodSpec("2LP", scaling=rule, fusion=EdgePoolFusion(views))
+        made = recorded_distances(monkeypatch)
+        stages = evaluate_module.HouseholdStages(household, [spec])
+        kernels = {"session": session_affinity([r.session_id for r in stages.records],
+                                               spec.session_sigma)}
+        with allowed_cpus(workers), warnings.catch_warnings():
+            warnings.simplefilter("ignore", DegeneracyWarning)
+            for name in ("voice", "face"):
+                kernels[name] = affinity(EmbeddingView(name, stages._matrix(name)), rule)
+            fused = evaluate_module.build_household_graph(stages, spec).fused
+        expected = edgepool_fuse([kernels[name].w for name in views])
+        assert fused.weights[0].tobytes() == expected.tobytes()
+        assert any(fused.weights[0] is d.dist for d in made) == (views[0] != "session")
+
+    def test_kept_distances_stay_whole(self, monkeypatch):
+        # two graph groups read voice: its kernels go to a lent buffer or a
+        # new array, and the distances the second group reads are intact
+        household = household_of_size(100)
+        specs = [LOCAL_2LP, replace(LOCAL_2LP, scaling=LocalScaling(k=3, s=0.5),
+                                    fusion=EdgePoolFusion(("voice", "face")))]
+        made = recorded_distances(monkeypatch)
+        stages = evaluate_module.HouseholdStages(household, specs)
+        for spec in specs:
+            w = evaluate_module.build_household_graph(stages, spec).fused.weights[0]
+            assert not np.shares_memory(w, made[0].dist)
+        voice = made[0]
+        assert stages._distances[("voice", False)] is voice
+        expected = pairwise_distances(EmbeddingView("voice", stages._matrix("voice")))
+        assert voice.dist.tobytes() == expected.tobytes()
 
 
 def build_household_graph_for(household, spec):

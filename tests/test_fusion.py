@@ -30,7 +30,7 @@ from speakergraph import (
     pml_fuse,
     propagation_operator,
 )
-from speakergraph import fusion
+from speakergraph import fusion, graph
 from speakergraph.fusion import NEG_POWER_EIG_FLOOR
 
 P_GRID = (-5.0, -2.0, -1.0, 1.0, 2.0, 5.0)
@@ -100,6 +100,14 @@ class TestEdgePool:
             assert np.array_equal(m, original)
             assert not np.shares_memory(fused, m)
 
+    @pytest.mark.parametrize("shapes", [[(3, 3), (3,)], [(3, 3), (3, 4)], [(3, 4)], [(3,)],
+                                        [(3, 3), (3, 3, 3)], [(3, 3), ()], [(4, 4), (3, 3)]])
+    def test_every_input_must_be_a_square_matrix_of_one_size(self, shapes):
+        # a vector used to broadcast across the rows, and a 3 x 4 matrix
+        # ended in numpy's broadcast error
+        with pytest.raises(StructuralError, match="must be square|size mismatch"):
+            edgepool_fuse([np.zeros(shape) for shape in shapes])
+
 
 class TestPowerMean:
     def random_laplacians(self, seed, n=8, count=2):
@@ -135,6 +143,33 @@ class TestPowerMean:
         for laps in ([np.ones(shape)], [np.eye(3), np.ones(shape)]):
             with pytest.raises(StructuralError, match="square matrix"):
                 pml_fuse(laps, p)
+
+    @pytest.mark.parametrize("count", (1, 2, 3))
+    def test_arithmetic_mean_rounds_as_a_sum(self, count):
+        # p = 1 accumulates in its first input's copy from 0 + L_0, so a -0
+        # entry shared by every input comes back +0, as sum() gives it
+        laps = self.random_laplacians(3, count=count)
+        for lap in laps:
+            lap[0, 1] = lap[1, 0] = -0.0
+        before = [lap.copy() for lap in laps]
+        fused = pml_fuse(laps, 1.0, shift=0.25)
+        shifted = [lap + 0.25 * np.eye(8) for lap in before]
+        assert same_bits(fused, sum(shifted) / count)
+        assert not np.signbit(fused[0, 1])
+        assert all(same_bits(lap, original) for lap, original in zip(laps, before))
+
+    @pytest.mark.parametrize("workers", (1, 2))
+    @pytest.mark.parametrize("n", (40, 600))
+    @pytest.mark.parametrize("order", "CF")
+    def test_inf_norm_by_row_blocks_is_bitwise_one_pass(self, order, n, workers):
+        m = np.asarray(np.random.default_rng(n).normal(size=(n, n)), order=order)
+        with mock.patch.multiple(graph, _pool=None, _allowed_cpus=lambda: workers):
+            try:
+                norm = fusion._inf_norm(m)
+            finally:
+                if graph._pool is not None:
+                    graph._pool.shutdown()
+        assert norm == np.abs(m).sum(axis=1).max()
 
     @pytest.mark.parametrize("p", (1.0, -1.0, 2.0, -2.0))
     def test_round_off_asymmetry_accepted_at_every_p(self, p):
@@ -254,6 +289,20 @@ class TestFuseAndSubgraph:
     def test_unknown_view(self):
         with pytest.raises(ConfigurationError):
             self.build(SingleView("nope"))
+
+    @pytest.mark.parametrize("rule", [
+        SingleView("voice"), EdgePoolFusion(("voice", "face")),
+        EdgePoolFusion(("face", "voice", "face")), PowerMeanFusion(("voice", "face"), p=1.0),
+        PowerMeanFusion(("voice", "face"), p=-1.0), PowerMeanFusion(("voice", "face"), p=2.0)],
+        ids=["single", "pool", "pool-3", "p=1", "p=-1", "p=2"])
+    def test_inputs_are_left_unchanged(self, rule):
+        affs, fused = self.build(rule, seed=4)
+        fused.propagation_matrix()
+        fused.subgraph(6).system(0.9).solve(np.eye(6, 2))
+        fused.system(0.9).solve(np.eye(10, 2))
+        fresh, _ = self.build(SingleView("voice"), seed=4)
+        for name in affs:
+            assert np.array_equal(affs[name].w, fresh[name].w)
 
     @pytest.mark.parametrize("rule", [EdgePoolFusion, lambda views: PowerMeanFusion(views, p=1.0)],
                              ids=["edge-pool", "power-mean"])

@@ -300,6 +300,20 @@ class TestKernelMatchesReference:
         assert np.array_equal(w, w.T)
         assert np.all(np.diagonal(w) == 0.0)
 
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(kernel_cases())
+    def test_kernel_in_the_distance_buffer_is_bitwise_affinity(self, case):
+        # rows repeat, so local scaling meets zero bandwidths: each block
+        # takes its zero-distance mask before its kernel rows overwrite it
+        view, rule, _ = case
+        distances = ViewDistances(view, rule.k if isinstance(rule, LocalScaling) else 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DegeneracyWarning)
+            expected = affinity(view, rule, cohort_id="g").w
+            w = distances._affinity(rule, "g", distances.dist)
+        assert w is distances.dist
+        assert w.tobytes() == expected.tobytes()
+
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(st.lists(SESSION_IDS, min_size=2, max_size=60), st.floats(0.05, 5.0))
     def test_session_matches_string_comparison(self, sessions, sigma):
