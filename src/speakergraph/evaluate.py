@@ -77,6 +77,7 @@ class HouseholdStages:
     systems and the kernel of a graph of one vector view whose distances are
     kept, lent until the next graph; a graph that builds other n x n arrays
     (more views, a power mean, distances not kept) first drops the idle ones.
+    Without them the household owns its graphs (see SolveSchedule's own_graph).
     """
 
     def __init__(self, hh: HouseholdDataset, specs: Sequence[MethodSpec]):
@@ -156,15 +157,14 @@ def build_household_graph(stages: HouseholdStages, spec: MethodSpec) -> Househol
     cohort scaling is keyed by the household's group tag. Each view named is
     built once, as a task of graph._by_views, in a buffer stages may lend or
     in its distances' (see HouseholdStages). The kernels are this call's own,
-    so edge pooling accumulates in the first one.
+    so an edge pool accumulates in the first one; where views are built one
+    after another, each other one as soon as it is built (two kernels alive).
     """
     names = list(dict.fromkeys(spec.fusion.view_names))
-    out = stages._lend_kernel(spec)
-    built = dict(zip(names, _by_views(len(stages.records), names,
-                                      lambda name: stages._affinity(name, spec, out))))
-    weights = [built[name] for name in spec.fusion.view_names]
-    if isinstance(spec.fusion, EdgePoolFusion) and len(weights) > 1:
-        weights = [_max_into(weights[0], weights)]
+    out, pool = stages._lend_kernel(spec), isinstance(spec.fusion, EdgePoolFusion)
+    built = _by_views(len(stages.records), names, lambda name: stages._affinity(name, spec, out),
+                      (lambda first, w: _max_into(first, (first, w))) if pool else None)
+    weights = built if pool else [built[names.index(name)] for name in spec.fusion.view_names]
     return HouseholdGraph(fused=_fuse_weights(weights, spec.fusion), labels=stages.labels,
                           n_unlabeled=stages.n_unlabeled, n_heldout=stages.truth.size,
                           class_count=stages.class_count)
@@ -194,7 +194,8 @@ def _predictions(stages: HouseholdStages, specs: Sequence[MethodSpec]
     try:
         schedule = None if specs[0].is_baseline else _attributed(stages, specs[0], lambda: (
             SolveSchedule(build_household_graph(stages, specs[0]),
-                          [(spec.method, spec.propagation) for spec in specs], stages.spare)))
+                          [(spec.method, spec.propagation) for spec in specs], stages.spare,
+                          own_graph=stages.spare is None)))
     except SpeakerGraphError as exc:
         yield from [exc] * len(specs)
         return
@@ -225,8 +226,8 @@ def run_method(hh: HouseholdDataset, spec: MethodSpec) -> tuple[PredictionResult
     ground truth.
 
     Runs the stages evaluate_methods runs, on a schedule of one spec. With
-    one graph to build it keeps no distances: each is dropped as soon as its
-    affinity is built, long before the solve.
+    one graph to build it keeps no distances, each dropped as soon as its
+    affinity is built, and owns the graph (see HouseholdStages).
     """
     stages = HouseholdStages(hh, [spec])
     pred, = _predictions(stages, [spec])

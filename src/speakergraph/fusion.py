@@ -576,21 +576,26 @@ class _System:
                                          for a in alphas) <= _CG_MAX_STEPS
         if self.cg:
             return
-        # A = ((d_i d_j) m_ij) scale + diagonal I; d = 1, where there is none, keeps m bitwise
+        # A = ((d_i d_j) m_ij) scale + diagonal I, with d = 1 (None) on graphs without d
         self._scale, self._diagonal = (1.0 - alpha, alpha) if graph.harmonic else (-alpha, 1.0)
-        m, d = ((graph._mean_inverse, None) if graph.harmonic else
-                (graph.weights[0], graph.inv_sqrt_degrees) if graph.operator is None else
-                (graph.operator, None))
-        self._m, self._d = m, np.ones(m.shape[0]) if d is None else d
+        self._m, self._d = ((graph._mean_inverse, None) if graph.harmonic else
+                            (graph.weights[0], graph.inv_sqrt_degrees) if graph.operator is None
+                            else (graph.operator, None))
 
-    def factor(self, out: np.ndarray | None = None) -> tuple[np.ndarray, int]:
-        """A in ``out`` (a new array by default), by row blocks of graph._operator_rows,
-        factored in place by _potrf off the cg route; (a, LAPACK's info) is kept as
-        ``factored`` for every solve and returned. Calls no public function (pool task)."""
+    def fill(self, out: np.ndarray | None = None) -> np.ndarray:
+        """A in ``out`` (a new array by default), by row blocks of graph._operator_rows;
+        ``out`` may be W or the explicit operator that A is filled from (not H, which
+        solve reads). Calls no public function (pool task)."""
         m, d, n = self._m, self._d, self._m.shape[0]
         a = np.empty((n, n)) if out is None else out
         _by_row_blocks(n, lambda i, j: _operator_rows(a[i:j], m, d, i, j, self._scale))
         a.flat[::n + 1] += self._diagonal
+        return a
+
+    def factor(self, out: np.ndarray | None = None, filled: bool = False) -> tuple[np.ndarray, int]:
+        """A, filled in ``out`` unless ``filled`` (see fill), factored in place by _potrf
+        off the cg route; (a, LAPACK's info) is kept as ``factored`` and returned."""
+        a = out if filled else self.fill(out)
         self.factored = a, _potrf(a)
         return self.factored
 

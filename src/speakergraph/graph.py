@@ -147,12 +147,17 @@ def _by_row_blocks(n: int, rows: Callable[[int, int], _T]) -> list[_T]:
     return _joined(pool, [functools.partial(rows, a, b) for a, b in zip(bounds, bounds[1:])])[1:]
 
 
-def _by_views(n: int, items: Sequence, task: Callable[..., _T]) -> list[_T]:
+def _by_views(n: int, items: Sequence, task: Callable[..., _T],
+              fold: Callable[[_T, _T], _T] | None = None) -> list[_T]:
     """[task(x) for x in items] for an n-node graph's views: below
     _PARALLEL_MIN_ROWS, with two items or more and where _background_pool
-    allows, the first on the calling thread and the others on the pool."""
+    allows, the first on the calling thread and the others on the pool. With
+    ``fold``, [reduce(fold, results)]: one after another, each folds in as built."""
     pool = None if len(items) < 2 or n >= _PARALLEL_MIN_ROWS else _background_pool()
-    return _joined(pool, [functools.partial(task, x) for x in items[1:]], lambda: task(items[0]))
+    if fold is not None and pool is None:  # each result is a temporary, dropped once folded
+        return [functools.reduce(lambda first, x: fold(first, task(x)), items[1:], task(items[0]))]
+    results = _joined(pool, [functools.partial(task, x) for x in items[1:]], lambda: task(items[0]))
+    return results if fold is None else [functools.reduce(fold, results)]
 
 
 def _lend(spare: list[np.ndarray] | None, n: int, m: int) -> np.ndarray:
@@ -517,14 +522,17 @@ def _inv_sqrt_degrees(w: np.ndarray) -> np.ndarray:
     return 1.0 / np.sqrt(degrees)
 
 
-def _operator_rows(out: np.ndarray, w: np.ndarray, d: np.ndarray, a: int, b: int,
+def _operator_rows(out: np.ndarray, w: np.ndarray, d: np.ndarray | None, a: int, b: int,
                    scale: float | None = None) -> None:
-    """Rows a:b of S = D^{-1/2} W D^{-1/2} into ``out``, as (d_i d_j) W_ij, times
-    ``scale`` where given: the one formula of S's and fusion._System's entries."""
-    np.multiply(d[a:b, None], d, out=out)
-    out *= w[a:b]
+    """Rows a:b of S = D^{-1/2} W D^{-1/2} into ``out`` (w[a:b] too: d_i d_j goes to a
+    scratch), as (d_i d_j) W_ij, times ``scale`` where given: the one formula of S's
+    and fusion._System's entries. d = None, with a scale, is d = 1: that pass is skipped."""
+    rows = w[a:b]
+    if d is not None:
+        scratch = None if np.may_share_memory(out, w) else out
+        rows = np.multiply(np.multiply(d[a:b, None], d, out=scratch), rows, out=out)
     if scale is not None:
-        out *= scale
+        np.multiply(rows, scale, out=out)
 
 
 def _operator(w: np.ndarray, d: np.ndarray) -> np.ndarray:

@@ -34,7 +34,7 @@ objective on the graph.
 import functools
 from collections import Counter
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -206,7 +206,7 @@ def run_lp(graph: HouseholdGraph, cfg: PropagationConfig,
            pseudo: np.ndarray | None = None) -> PredictionResult:
     """Single propagation over the full graph; read off the held-out rows.
     ``pseudo`` labels the unlabeled nodes as in init_label_matrix: 2LP's step 2."""
-    return SolveSchedule(graph, [("LP", cfg)])._solve(graph, cfg, graph.heldout_slice, pseudo)
+    return SolveSchedule(graph, [("LP", cfg)])._solver(graph, cfg, graph.heldout_slice, pseudo)()
 
 
 def run_2lp(graph: HouseholdGraph, cfg: PropagationConfig) -> PredictionResult:
@@ -238,21 +238,22 @@ class SolveSchedule:
 
     Where a 2LP's step 1 is still to run on the subgraph and its step-2 system
     still to factor, the row pool runs that system's factor() meanwhile, as a
-    task of graph._joined where graph._background_pool allows, in an array
-    allocated on the calling thread (on the worker it raised large-household's
-    peak RSS by 17%); the system keeps the factor for the specs at that alpha,
-    also where step 1 raised. The worker fills it by row blocks, inline on a
-    pool thread, from the arrays the system read on the calling thread (W and
-    d on a single-view or edge-pool graph), and calls no public function.
+    task of graph._joined where graph._background_pool allows, from the arrays
+    the system read on the calling thread into one allocated there (on the
+    worker it raised large-household's peak RSS by 17%); the system keeps the
+    factor for the specs at that alpha, also where step 1 raised.
 
     Systems fill arrays of graph._lend, from ``spare`` where given, which go
-    back when the system is dropped (the subgraph's after step 1), clearing
-    ``factored``. predict runs each pair as often as given, else StructuralError.
+    back, clearing ``factored``, when the system is dropped (the subgraph's
+    after step 1). With ``own_graph`` (no caller reads the graph later), the
+    last prediction fills the full graph's system, off the harmonic routes,
+    in the W or operator it is filled from, after step 1 has filled its own
+    from W. predict runs each pair as often as given, else StructuralError.
     """
 
     def __init__(self, graph: HouseholdGraph, specs: Sequence[tuple[str, PropagationConfig]],
-                 spare: list[np.ndarray] | None = None):
-        self.graph, self._spare = graph, spare
+                 spare: list[np.ndarray] | None = None, own_graph: bool = False):
+        self.graph, self._spare, self._own_graph = graph, spare, own_graph
         self._alphas = {cfg.alpha for _, cfg in specs}
         self._left = Counter(specs)  # predictions yet to run, by (method, cfg)
         self._systems: dict[float, _System] = {}
@@ -266,7 +267,7 @@ class SolveSchedule:
             raise StructuralError(f"({method!r}, {cfg}) is not scheduled, or ran as often")
         self._left[method, cfg] -= 1
         graph, has_pool = self.graph, self.graph.n_unlabeled > 0
-        lp = functools.partial(self._solve, graph, cfg, graph.heldout_slice)
+        lp = lambda pseudo=None: self._solver(graph, cfg, graph.heldout_slice, pseudo)()
         try:
             if method == "LP":
                 return lp()
@@ -283,17 +284,29 @@ class SolveSchedule:
             if not any(left for (_, c), left in self._left.items() if c.alpha == cfg.alpha):
                 self._drop(self._systems.pop(cfg.alpha, None))
 
-    def _solve(self, graph: HouseholdGraph, cfg: PropagationConfig, rows: slice,
-               pseudo: np.ndarray | None = None) -> PredictionResult:
-        """Propagate from init_label_matrix(graph, pseudo); read off ``rows``."""
+    def _solver(self, graph: HouseholdGraph, cfg: PropagationConfig, rows: slice,
+                pseudo: np.ndarray | None = None) -> Callable[[], PredictionResult]:
+        """The solve of graph at cfg from init_label_matrix(graph, pseudo), read
+        off ``rows``: its system is filled here, the rest by the call returned."""
         system = self._system_of(graph, cfg)
-        if system is not None and not system.cg and not system.factored:
-            system.factor(_lend(self._spare, self.graph.n, graph.n))
-        outcome = propagate(graph, init_label_matrix(graph, pseudo), cfg, system)
-        if graph is not self.graph:
-            self._drop(system)
-        return replace(predict(outcome.y, rows), converged=outcome.converged,
-                       iterations=outcome.iterations)
+        a = (system.fill(self._array(graph, system))
+             if system is not None and not system.cg and not system.factored else None)
+
+        def solve() -> PredictionResult:
+            if a is not None:
+                system.factor(a, filled=True)
+            outcome = propagate(graph, init_label_matrix(graph, pseudo), cfg, system)
+            if graph is not self.graph:
+                self._drop(system)
+            return replace(predict(outcome.y, rows), converged=outcome.converged,
+                           iterations=outcome.iterations)
+        return solve
+
+    def _array(self, graph: HouseholdGraph, system: _System) -> np.ndarray:
+        """The array graph's system fills: its source or one of graph._lend (see the class)."""
+        last = graph is self.graph and not any(self._left.values())
+        return (system._m if self._own_graph and last and not graph.fused.harmonic
+                else _lend(self._spare, self.graph.n, graph.n))
 
     def _drop(self, system: _System | None) -> None:
         if self._spare is not None and system is not None and system.factored:
@@ -317,13 +330,15 @@ class SolveSchedule:
     def _step_one(self, cfg: PropagationConfig, factor_ahead: bool = False) -> PredictionResult:
         """Step 1 at cfg, run once; 2LP's beside its step-2 factorization (see the class)."""
         if cfg not in self._step1:
-            graph, pool, tasks = self.graph, None, []
+            graph, pool, tasks, out = self.graph, None, [], None
             if (factor_ahead and not cfg.step1_includes_heldout
                     and (pool := _background_pool()) is not None
                     and (system := self._system_of(graph, cfg)) and not system.cg
                     and not system.factored):
-                tasks = [functools.partial(system.factor, _lend(self._spare, graph.n, graph.n))]
-            self._step1[cfg] = _joined(pool, tasks, lambda: self._solve(
-                graph if cfg.step1_includes_heldout else self._core, cfg,
-                graph.unlabeled_slice))[0]
+                tasks = [functools.partial(system.factor, out := self._array(graph, system))]
+            step1 = lambda: self._solver(graph if cfg.step1_includes_heldout else self._core, cfg,
+                                         graph.unlabeled_slice)()
+            if out is graph.fused.weights[0]:  # the task overwrites W: fill step 1's system first
+                step1 = self._solver(self._core, cfg, graph.unlabeled_slice)
+            self._step1[cfg] = _joined(pool, tasks, step1)[0]
         return self._step1[cfg]

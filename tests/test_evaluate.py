@@ -46,6 +46,9 @@ from speakergraph import (
     micro_average,
     pairwise_distances,
     relative_improvement,
+    run_2lp,
+    run_2lpea,
+    run_lp,
     run_method,
     session_affinity,
     sier,
@@ -1061,7 +1064,8 @@ def allowed_cpus(workers):
 
 def no_spare_buffers(monkeypatch):
     """Every HouseholdStages without spare buffers, so its graphs build their
-    kernels and its schedules their systems in new arrays."""
+    kernels and its schedules their systems in new arrays, but for a graph's
+    last system, which it fills in the graph's own W or operator."""
     init = evaluate_module.HouseholdStages.__init__
 
     def without(stages, *args):
@@ -1253,6 +1257,114 @@ class TestPeakMemory:
         with allowed_cpus(1):
             peak = traced_peak(lambda: run_method(household, spec))
         assert peak <= 3.6 * 8 * len(household.utterances) ** 2  # 4.07 -> 3.12
+
+    @pytest.mark.parametrize("index, workers, bound", [
+        # the last system is filled in W itself
+        (1, 1, 1.7),    # LP, voice: 2.07 -> 1.36
+        (1, 2, 1.7),    # 2.08 -> 1.24 to 1.36
+        # on one CPU step 1's m x m system beside W is the peak (m = n - 12);
+        # on two, step 2's factor no longer takes a third n x n array
+        (2, 1, 2.055),  # 2LP, voice: 2.078 -> 2.030
+        (2, 2, 2.6),    # 3.04 -> 2.16
+        # and the views of an edge pool fold into the first as each is built
+        (3, 1, 2.75),   # 2LP, edge pool of voice, face and session: 3.09 -> 2.37
+        (3, 2, 2.7),    # 3.09 -> 2.25
+    ], ids=["LP-voice-1cpu", "LP-voice-2cpu", "2LP-voice-1cpu", "2LP-voice-2cpu",
+            "2LP-edge-pool-1cpu", "2LP-edge-pool-2cpu"])
+    def test_large_household_specs_own_their_graph(self, index, workers, bound):
+        # n = 548: every n x n pass by row blocks on the pool where allowed,
+        # views one after another, and on two CPUs 2LP's step 2 factored ahead
+        household = household_of_size(530)
+        spec = perfbench_harness().WORKLOADS["large-household"].specs[index]
+        with allowed_cpus(workers):
+            peak = traced_peak(lambda: run_method(household, spec))
+        assert peak <= bound * 8 * len(household.utterances) ** 2
+
+
+def graph_bytes(fused):
+    """The bytes of everything a fused graph holds that a solve may read."""
+    arrays = [*fused.weights, fused.operator, fused.inv_sqrt_degrees, *fused.factors]
+    return [None if a is None else a.tobytes() for a in arrays]
+
+
+# Under PERFBENCH_LOCAL: single view, an edge pool, a power mean that keeps an
+# explicit operator, and a harmonic mean whose one alpha takes the H route
+# (61 CG steps at shift 0.01 and alpha 0.9)
+OWNED_RULES = {"single view": SingleView("voice"),
+               "edge pool": EdgePoolFusion(("voice", "face", "session")),
+               "p = 1": PowerMeanFusion(("voice", "face"), p=1.0),
+               "harmonic, H route": PowerMeanFusion(("voice", "face"), p=-1.0, shift=0.01)}
+
+
+class TestCallerGraphsStayIntact:
+    """A graph that a caller built is the caller's: the public entry points
+    read it and leave every byte as it was. Only the schedule that
+    evaluate builds for a household owning its graphs fills its last system
+    in the graph's own array, with the scores of a fresh one, bitwise."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("entry", ["run_lp", "run_2lp", "run_2lpea", "schedule", "factor"])
+    @pytest.mark.parametrize("rule", OWNED_RULES)
+    def test_public_entry_points_leave_the_graph_intact(self, rule, entry, workers):
+        household = household_of_size(100)
+        spec = perfbench_lp("2LP", OWNED_RULES[rule])
+        cfg = spec.propagation
+        graph = build_household_graph_for(household, spec)
+        embeddings = evaluate_module.HouseholdStages(household, [spec])._matrix("voice")
+        before = graph_bytes(graph.fused)
+        run = {
+            "run_lp": lambda: run_lp(graph, cfg),
+            "run_2lp": lambda: run_2lp(graph, cfg),
+            "run_2lpea": lambda: run_2lpea(graph, embeddings, cfg),
+            "schedule": lambda: [propagation_module.SolveSchedule(
+                graph, [("LP", cfg), ("2LP", cfg)]).predict(method, cfg)
+                for method in ("LP", "2LP")],
+            "factor": lambda: graph.fused.system(cfg.alpha).factor(),
+        }[entry]
+        with allowed_cpus(workers):
+            first = run()
+            second = run()  # on the graph as the first call left it
+        assert graph_bytes(graph.fused) == before
+        if entry.startswith("run_"):
+            assert first.scores.tobytes() == second.scores.tobytes()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("unlabeled", [350, 530], ids=["n=368", "n=548"])
+    @pytest.mark.parametrize("rule", OWNED_RULES)
+    def test_run_method_scores_equal_a_caller_graphs(self, rule, unlabeled, workers):
+        household = household_of_size(unlabeled)
+        with allowed_cpus(workers):
+            for method, run in (("LP", run_lp), ("2LP", run_2lp)):
+                spec = perfbench_lp(method, OWNED_RULES[rule])
+                pred, _ = run_method(household, spec)
+                expected = run(build_household_graph_for(household, spec), spec.propagation)
+                assert pred.labels.tobytes() == expected.labels.tobytes()
+                assert pred.scores.tobytes() == expected.scores.tobytes()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("method", ["LP", "2LP"])
+    @pytest.mark.parametrize("rule", OWNED_RULES)
+    def test_run_method_fills_the_last_system_in_the_graph(self, monkeypatch, rule, method,
+                                                           workers):
+        # W, or the explicit operator, holds the full graph's factor; the H
+        # route solves with H, so its factor takes an array of its own
+        graphs, factored = [], []  # the arrays factored after the graph was built
+        build, potrf = evaluate_module.build_household_graph, fusion_module._potrf
+
+        def built(*args):
+            graphs.append(build(*args))
+            factored.clear()  # a harmonic graph's view factors
+            return graphs[-1]
+        monkeypatch.setattr(evaluate_module, "build_household_graph", built)
+        monkeypatch.setattr(fusion_module, "_potrf", lambda a: factored.append(a) or potrf(a))
+        household = household_of_size(100)
+        with allowed_cpus(workers):
+            run_method(household, perfbench_lp(method, OWNED_RULES[rule]))
+        [graph] = graphs
+        fused, n = graph.fused, graph.n
+        full = [a for a in factored if a.shape == (n, n)]
+        source = fused.weights[0] if fused.operator is None else fused.operator
+        assert len(full) == 1 and (full[0] is source) == (not fused.harmonic)
 
 
 def recorded_distances(monkeypatch):

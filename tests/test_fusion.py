@@ -420,6 +420,32 @@ class TestOperatorFromWeights:
             assert same_bits(got, expected)
         assert "_built_s" not in vars(fused)
 
+    @pytest.mark.parametrize("rule", RULES + [PowerMeanFusion(("voice", "face"), p=1.0)])
+    def test_explicit_operator_fill_is_operator_times_minus_alpha_plus_identity(self, rule):
+        # a graph without d fills A in one pass per block, bitwise (1 * 1) m = m
+        _, fused = self.build(rule)
+        if fused.operator is None:
+            fused = replace(fused, operator=propagation_operator(fused.weights[0]),
+                            inv_sqrt_degrees=None)
+        operator = fused.operator.copy()
+        for alpha in (0.5, 0.9, 0.99):
+            expected = operator * -alpha
+            expected.flat[::fused.node_count + 1] += 1.0
+            assert same_bits(fused.system(alpha).fill(), expected)
+            assert same_bits(fused.system(alpha).factor()[0],
+                             fused.system(alpha).factor(expected, filled=True)[0])
+        assert same_bits(fused.operator, operator)
+
+    def test_h_route_fill_is_h_times_one_minus_alpha_plus_alpha(self):
+        rng = np.random.default_rng(3)
+        affs = {"voice": random_affinity(rng, 40), "face": random_affinity(rng, 40)}
+        fused = fuse(affs, PowerMeanFusion(("voice", "face"), p=-1.0))
+        system = fused.system(0.9, (0.5, 0.99))  # more CG steps than the cap
+        assert fused.harmonic and not system.cg
+        expected = fused._mean_inverse * (1.0 - 0.9)
+        expected.flat[::41] += 0.9
+        assert same_bits(system.fill(), expected)
+
     @pytest.mark.parametrize("rule", RULES)
     @pytest.mark.parametrize("value, error, message", [
         (0.0, StructuralError, "node 3 has zero degree"),
